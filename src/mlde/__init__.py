@@ -54,7 +54,6 @@ from .montecarlo import (
 )
 from .tilting import (
     TiltReport,
-    TiltedModel,
     check_lemma1,
     check_lemma2_lemma3,
     conjugate_decomposition,

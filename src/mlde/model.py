@@ -225,6 +225,20 @@ class MartingaleSpec:
             self.dist.scaled(math.sqrt(v_lo / base_var)),
         )
 
+    def iid_parts(self) -> tuple:
+        """The terminal law as independent iid parts: ((law, count), ...).
+
+        X_n is the sum over parts of count iid draws from law, under the base
+        law and under every exponential tilt.  For variance_switching the two
+        draws of a pair are iid and the sign of the running sum only decides
+        which of them the high branch scales, so X_n is n/2 draws of the
+        high-branch law plus n/2 draws of the low-branch law.
+        """
+        if self.rule == "iid":
+            return ((self.step_distribution, self.n),)
+        hi, lo = self.branch_distributions
+        return ((hi, self.n // 2), (lo, self.n // 2))
+
     def total_variance(self) -> float:
         """Exact predictable variance at the horizon.
 

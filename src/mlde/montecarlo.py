@@ -1,22 +1,27 @@
 """Tail-probability estimation and rate experiments.
 
+Every spec's terminal law is a sum of independent iid parts
+(``MartingaleSpec.iid_parts``): one part for iid specs, a high-branch and a
+low-branch half for variance switching.  Estimators and oracles work on those
+parts, never on paths.
+
 Estimators
 ----------
-* crude: fraction of sampled paths ending above the threshold.
-* tilted: importance sampling under the exponentially tilted path law; each
-  path carries the weight exp(-lam * X_n + Psi_n(lam)) with Psi_n evaluated
-  along its realized history, which makes the weighted indicator an unbiased
-  estimator of P(X_n > x).
-* exact oracles: binomial closed form for iid two-point laws, full branch
-  enumeration for small finite models, and the closed-form normal tail for
-  iid gaussian specs.
+* crude: fraction of sampled X_n above the threshold.
+* tilted: importance sampling under the exponentially tilted law; each draw
+  carries the weight exp(-lam * X_n + Psi_n(lam)), with Psi_n deterministic,
+  which makes the weighted indicator an unbiased estimator of P(X_n > x).
+* exact oracles: the closed-form normal tail for gaussian specs, the binomial
+  closed form for iid two-point laws, and for any finite spec the count-vector
+  engine: each part's sum law over its multinomial count vectors
+  (C(count + m - 1, m - 1) atoms for an m-atom law), a second part's tail read
+  from sorted suffix sums.
 
-Sampling uses the sufficient statistic where one exists (binomial /
-multinomial counts for iid lattice laws, a single normal draw for iid
-gaussian), and a vectorized step loop for history-dependent specs.  Paths
-are drawn in fixed-size blocks with counter-based sub-streams and all
-reductions run in a fixed pairwise order, so estimates are bit-identical
-for any worker count at a fixed seed.
+Sampling draws each part's sufficient statistic (binomial / multinomial
+counts for lattice laws, a single normal draw for gaussian specs).  Draws are
+made in fixed-size blocks with counter-based sub-streams and all reductions
+run in a fixed pairwise order, so estimates are bit-identical for any worker
+count at a fixed seed.
 """
 
 from __future__ import annotations
@@ -27,14 +32,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.stats import binom
 
 from . import bounds, conditions, tilting
 from .errors import ConfigError, DomainError
 from .model import BLOCK, IncrementDistribution, MartingaleSpec, block_rng
 
-ENUM_LIMIT = 1 << 24  # largest branch-combination count the enumerator accepts
-_ENUM_CHUNK = 1 << 16
+ENUM_LIMIT = 1 << 24  # largest count-vector table (vectors x atoms) the exact engine builds
 
 
 # -- result containers --------------------------------------------------------
@@ -124,8 +129,14 @@ def resolve_workers(workers=None) -> int:
     return max(1, workers)
 
 
+def _pool_size(workers: int, n_blocks: int) -> int:
+    """Threads worth starting: no more than requested, CPUs, or blocks."""
+    return max(1, min(workers, os.cpu_count() or 1, n_blocks))
+
+
 def _map_blocks(fn, n_blocks: int, workers: int):
-    if workers <= 1 or n_blocks <= 1:
+    workers = _pool_size(workers, n_blocks)
+    if workers <= 1:
         return [fn(b) for b in range(n_blocks)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n_blocks)))
@@ -157,61 +168,23 @@ def _tilted_two_point(d: IncrementDistribution, lam: float):
 
 
 def _stat_block(spec: MartingaleSpec, lam: float, rng, m: int):
-    """(X_n, Psi_n) for m paths under the lam-tilted law.
-
-    Psi_n is a scalar for iid specs (it is deterministic) and a per-path
-    array for history-dependent ones.
-    """
-    n = spec.n
-    if spec.rule == "iid":
-        d = spec.step_distribution
-        if d.kind == "gaussian":
-            v = spec.total_variance()
-            xn = lam * v + math.sqrt(v) * rng.standard_normal(m)
-            return xn, 0.5 * lam * lam * v
-        values, probs = d.table()
-        if len(values) == 2:
-            v_lo, v_hi, p_hi, log_z = _tilted_two_point(d, lam)
-            k = rng.binomial(n, p_hi, size=m)
-            xn = n * v_lo + k * (v_hi - v_lo)
-            return xn, n * log_z
-        t_values, t_probs = tilting.tilted_table(d, lam)
-        counts = rng.multinomial(n, t_probs, size=m)
-        xn = counts @ t_values
-        return xn, n * tilting.step_cumulant(d, lam)
-
-    # variance_switching: the branch in force depends on the realized sign
-    hi, lo = spec.branch_distributions
-    xn = np.zeros(m)
-    psi = np.zeros(m)
+    """(X_n, Psi_n) for m draws under the lam-tilted law, X_n summed part by
+    part from each part's sufficient statistic; Psi_n is a scalar."""
     if spec.dist.kind == "gaussian":
-        z = rng.standard_normal((m, n))
-        sig = (math.sqrt(hi.sigma2), math.sqrt(lo.sigma2))
-        var = (hi.sigma2, lo.sigma2)
-        for j in range(0, n, 2):
-            first_hi = xn >= 0.0
-            for t, mask in ((j, first_hi), (j + 1, ~first_hi)):
-                s = np.where(mask, sig[0], sig[1])
-                v = np.where(mask, var[0], var[1])
-                xn = xn + lam * v + s * z[:, t]
-                psi += 0.5 * lam * lam * v
-        return xn, psi
-
-    u = rng.random((m, n))
-    vals_h, probs_h = tilting.tilted_table(hi, lam)
-    vals_l, probs_l = tilting.tilted_table(lo, lam)
-    cum_h = np.cumsum(probs_h)
-    cum_l = np.cumsum(probs_l)
-    cum_h[-1] = cum_l[-1] = 1.0
-    psi_h = tilting.step_cumulant(hi, lam)
-    psi_l = tilting.step_cumulant(lo, lam)
-    for j in range(0, n, 2):
-        first_hi = xn >= 0.0
-        for t, mask in ((j, first_hi), (j + 1, ~first_hi)):
-            pick_h = vals_h[np.searchsorted(cum_h, u[:, t], side="right")]
-            pick_l = vals_l[np.searchsorted(cum_l, u[:, t], side="right")]
-            xn = xn + np.where(mask, pick_h, pick_l)
-            psi += np.where(mask, psi_h, psi_l)
+        v = spec.total_variance()
+        xn = lam * v + math.sqrt(v) * rng.standard_normal(m)
+        return xn, 0.5 * lam * lam * v
+    xn, psi = 0.0, 0.0
+    for d, count in spec.iid_parts():
+        if len(d.table()[0]) == 2:
+            v_lo, v_hi, p_hi, log_z = _tilted_two_point(d, lam)
+            k = rng.binomial(count, p_hi, size=m)
+            xn = xn + (count * v_lo + k * (v_hi - v_lo))
+            psi += count * log_z
+        else:
+            t_values, t_probs = tilting.tilted_table(d, lam)
+            xn = xn + rng.multinomial(count, t_probs, size=m) @ t_values
+            psi += count * tilting.step_cumulant(d, lam)
     return xn, psi
 
 
@@ -226,9 +199,7 @@ def _weighted_tail(spec, x, lam, n_samples, seed, workers):
         xn, psi = _stat_block(spec, lam, rng, m)
         hit = xn > x
         z = np.zeros(m)
-        if np.any(hit):
-            p_hit = psi[hit] if isinstance(psi, np.ndarray) else psi
-            z[hit] = np.exp(p_hit - lam * xn[hit])
+        z[hit] = np.exp(psi - lam * xn[hit])
         return np.array([float(np.sum(z)), float(np.dot(z, z))])
 
     s1, s2 = _pairwise(_map_blocks(one, n_blocks, resolve_workers(workers)))
@@ -265,13 +236,6 @@ def tilted_tail_estimate(
                         method="tilted", seed=seed, lambda_used=lam)
 
 
-def normalization_check(spec, lam, n_samples, seed, workers=None):
-    """Tilted-sample mean of the weight alone (indicator dropped); should be
-    1 within sampling error by the change-of-measure identity."""
-    p, se = _weighted_tail(spec, -math.inf, lam, n_samples, seed, workers)
-    return p, se
-
-
 def saddlepoint_lambda(spec: MartingaleSpec, x: float, tol: float = 1e-10) -> float:
     """The tilt making the drift process hit x, by bisection on the exact
     (monotone) drift."""
@@ -302,16 +266,9 @@ def saddlepoint_lambda(spec: MartingaleSpec, x: float, tol: float = 1e-10) -> fl
 
 
 def _drift_supremum(spec) -> float:
-    if spec.rule == "iid":
-        d = spec.step_distribution
-        if d.kind == "gaussian":
-            return math.inf
-        values, _ = d.table()
-        return spec.n * float(np.max(values))
     if spec.dist.kind == "gaussian":
         return math.inf
-    hi, lo = spec.branch_distributions
-    return (spec.n // 2) * (float(np.max(hi.table()[0])) + float(np.max(lo.table()[0])))
+    return sum(count * float(np.max(d.table()[0])) for d, count in spec.iid_parts())
 
 
 # -- exact oracles -------------------------------------------------------------
@@ -327,96 +284,71 @@ def _binomial_tail(n, v_lo, v_hi, p_hi, x):
     return float(binom.sf(k_min - 1, n, p_hi))
 
 
-def _check_enum_size(m_atoms: int, n: int) -> int:
-    total = m_atoms**n
-    if total > ENUM_LIMIT:
+def _sum_law(values, probs, count):
+    """(sorted atoms, pmf) of the sum of count iid draws from a finite table.
+
+    Enumerates the multinomial count vectors, C(count + m - 1, m - 1) of them
+    for the m atoms of positive mass.  Each vector's probability is a chain of
+    conditional binomials: atom j takes Binomial(left, p_j / sum_{i>=j} p_i)
+    of the draws the earlier atoms left over.
+    """
+    keep = probs > 0.0
+    values, probs = values[keep], probs[keep]
+    m = len(values)
+    if math.comb(count + m - 1, m - 1) * m > ENUM_LIMIT:
         raise DomainError(
-            f"too-large: {m_atoms}^{n} branch combinations exceed {ENUM_LIMIT}"
+            f"too-large: C({count + m - 1}, {m - 1}) count vectors of {m} atoms "
+            f"exceed {ENUM_LIMIT}"
         )
-    return total
+    rest = np.cumsum(probs[::-1])[::-1]
+    atoms, pmf, left = np.zeros(1), np.ones(1), np.array([count])
+    for v, p, r in zip(values[:-1], probs[:-1], rest[:-1]):
+        sizes = left + 1  # each vector so far branches on k = 0..left
+        rows = np.repeat(np.arange(len(left)), sizes)
+        k = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        atoms = atoms[rows] + k * v
+        pmf = pmf[rows] * binom.pmf(k, left[rows], p / r)
+        left = left[rows] - k
+    atoms = atoms + left * values[-1]
+    order = np.argsort(atoms, kind="stable")
+    return atoms[order], pmf[order]
 
 
-def _enum_tail_iid(spec, x) -> float:
-    d = spec.step_distribution
-    values, probs = d.table()
-    m_atoms = len(values)
-    total = _check_enum_size(m_atoms, spec.n)
-    p = 0.0
-    for start in range(0, total, _ENUM_CHUNK):
-        idx = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
-        ii = idx.copy()
-        sums = np.zeros(len(idx))
-        w = np.ones(len(idx))
-        for _ in range(spec.n):
-            digit = ii % m_atoms
-            ii //= m_atoms
-            sums += values[digit]
-            w *= probs[digit]
-        p += float(np.sum(w[sums > x]))
-    return min(p, 1.0)
-
-
-def _enum_tail_varswitch(spec, x) -> float:
-    if spec.dist.kind == "gaussian":
-        raise DomainError("exact enumeration needs finitely supported increments")
-    base_values, base_probs = spec.dist.table()
-    m_atoms = len(base_values)
-    n = spec.n
-    total = _check_enum_size(m_atoms, n)
-    hi, lo = spec.branch_distributions
-    base_var = spec.dist.variance
-    c_hi = math.sqrt(hi.variance / base_var)
-    c_lo = math.sqrt(lo.variance / base_var)
-    p = 0.0
-    for start in range(0, total, _ENUM_CHUNK):
-        idx = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
-        ii = idx.copy()
-        dig = np.empty((len(idx), n), dtype=np.int64)
-        for t in range(n):
-            dig[:, t] = ii % m_atoms
-            ii //= m_atoms
-        draws = base_values[dig]
-        # branch choice never changes the draw's probability, only its scale
-        w = np.prod(base_probs[dig], axis=1)
-        run = np.zeros(len(idx))
-        for j in range(0, n, 2):
-            first_hi = run >= 0.0
-            for t, mask in ((j, first_hi), (j + 1, ~first_hi)):
-                run = run + draws[:, t] * np.where(mask, c_hi, c_lo)
-        p += float(np.sum(w[run > x]))
-    return min(p, 1.0)
+def _enum_tail(spec, x) -> float:
+    """P(X_n > x) for a finite spec from its parts' sum laws: a second part's
+    tail is read from its suffix sums at x minus each atom of the first."""
+    laws = [_sum_law(*d.table(), count) for d, count in spec.iid_parts()]
+    first_atoms, first_pmf = laws[0] if len(laws) > 1 else (np.zeros(1), np.ones(1))
+    atoms, pmf = laws[-1]
+    suffix = np.append(np.cumsum(pmf[::-1])[::-1], 0.0)
+    above = suffix[np.searchsorted(atoms, x - first_atoms, side="right")]
+    return min(float(np.dot(first_pmf, above)), 1.0)
 
 
 def exact_tail(spec: MartingaleSpec, x: float, method: str = "auto") -> TailEstimate:
-    """Exact P(X_n > x): binomial closed form (iid two-point), closed-form
-    normal tail (iid gaussian), or full enumeration (finite models with at
-    most 2^24 branch combinations)."""
-    if spec.rule == "iid":
-        d = spec.step_distribution
-        if d.kind == "gaussian":
-            if method not in ("auto", "exact_gaussian"):
-                raise DomainError(f"method {method!r} unavailable for gaussian laws")
-            p = bounds.gaussian_tail(x / math.sqrt(spec.total_variance()))
-            tag = "exact_gaussian"
-        else:
-            values, probs = d.table()
-            two_point = len(values) == 2
-            if method == "exact_binomial" or (method == "auto" and two_point):
-                if not two_point:
-                    raise DomainError("binomial closed form needs a two-point law")
-                v_lo, v_hi, p_hi, _ = _tilted_two_point(d, 0.0)
-                p = _binomial_tail(spec.n, v_lo, v_hi, p_hi, x)
-                tag = "exact_binomial"
-            elif method in ("auto", "exact_enum"):
-                p = _enum_tail_iid(spec, x)
-                tag = "exact_enum"
-            else:
-                raise ConfigError(f"unknown exact method {method!r}")
+    """Exact P(X_n > x): closed-form normal tail (gaussian specs), binomial
+    closed form (iid two-point laws), or the count-vector engine (any finite
+    spec)."""
+    if spec.dist.kind == "gaussian":
+        if method not in ("auto", "exact_gaussian"):
+            raise DomainError(f"method {method!r} unavailable for gaussian laws")
+        p = bounds.gaussian_tail(x / math.sqrt(spec.total_variance()))
+        tag = "exact_gaussian"
     else:
-        if method not in ("auto", "exact_enum"):
-            raise DomainError("variance_switching oracles use enumeration only")
-        p = _enum_tail_varswitch(spec, x)
-        tag = "exact_enum"
+        parts = spec.iid_parts()
+        d = parts[0][0]
+        two_point = len(parts) == 1 and len(d.table()[0]) == 2
+        if method == "exact_binomial" or (method == "auto" and two_point):
+            if not two_point:
+                raise DomainError("binomial closed form needs an iid two-point law")
+            v_lo, v_hi, p_hi, _ = _tilted_two_point(d, 0.0)
+            p = _binomial_tail(spec.n, v_lo, v_hi, p_hi, x)
+            tag = "exact_binomial"
+        elif method in ("auto", "exact_enum"):
+            p = _enum_tail(spec, x)
+            tag = "exact_enum"
+        else:
+            raise ConfigError(f"unknown exact method {method!r}")
     return TailEstimate(x=x, p_hat=p, std_err=0.0, n_samples=0, method=tag,
                         seed=0, lambda_used=0.0)
 
@@ -438,7 +370,7 @@ def lattice_ks(values, probs) -> float:
 
 def _ks_from_cdf(atoms, cdf) -> float:
     left = np.concatenate([[0.0], cdf[:-1]])
-    phi = np.array([1.0 - bounds.gaussian_tail(a) for a in atoms])
+    phi = 1.0 - 0.5 * special.erfc(atoms / math.sqrt(2.0))
     return float(np.max(np.maximum(np.abs(cdf - phi), np.abs(left - phi))))
 
 
@@ -456,17 +388,8 @@ def _recentred_lattice_ks(spec, lam: float) -> float:
         atoms = spec.n * v_lo + k * (v_hi - v_lo) - shift
         cdf = binom.cdf(k, spec.n, p_hi)
         return _ks_from_cdf(atoms, cdf)
-    t_values, t_probs = tilting.tilted_table(d, lam)
-    total = _check_enum_size(len(t_values), spec.n)
-    sums = np.zeros(total)
-    w = np.ones(total)
-    ii = np.arange(total, dtype=np.int64)
-    for _ in range(spec.n):
-        digit = ii % len(t_values)
-        ii //= len(t_values)
-        sums += t_values[digit]
-        w *= t_probs[digit]
-    return lattice_ks(sums - shift, w)
+    atoms, pmf = _sum_law(*tilting.tilted_table(d, lam), spec.n)
+    return lattice_ks(atoms - shift, pmf)
 
 
 def conjugate_clt_check(model_family, lam: float, n_list,

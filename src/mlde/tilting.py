@@ -77,26 +77,6 @@ def tilted_table(dist: IncrementDistribution, lam: float):
     return values, terms / float(np.sum(terms))
 
 
-@dataclass(frozen=True)
-class TiltedModel:
-    """A spec together with a tilt parameter; exposes the per-step tilted laws."""
-
-    base: MartingaleSpec
-    lam: float
-
-    def step_law(self, step_dist: IncrementDistribution = None):
-        """("table", values, probs) or ("gaussian", mean, sigma2).
-
-        step_dist defaults to the iid one-step law; pass a branch law for
-        variance_switching specs.
-        """
-        d = step_dist if step_dist is not None else self.base.step_distribution
-        if d.kind == "gaussian":
-            return ("gaussian", self.lam * d.sigma2, d.sigma2)
-        values, probs = tilted_table(d, self.lam)
-        return ("table", values, probs)
-
-
 # -- whole-spec processes ----------------------------------------------------
 
 def cumulant_process(spec: MartingaleSpec, lam: float) -> float:

@@ -63,21 +63,25 @@ def test_criterion_02_oracle_equivalence():
     worst = 0.0
     cases = 0
     for n in range(1, 13):
+        # every one of the 2^n sign paths, each of probability 2^-n
+        signs = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
         for normalized in (False, True):
             spec = MartingaleSpec.iid(RADEMACHER, n=n, normalized=normalized)
             scale = spec.step_distribution.scale
+            path_sums = (signs * scale).sum(axis=1)
             # atoms sit at scale*(2k-n); thresholds at every midpoint between
             # atoms plus one beyond each end
             mids = scale * (2.0 * np.arange(-1, n + 1) - n + 1.0)
             for x in mids:
                 b = exact_tail(spec, float(x), method="exact_binomial").p_hat
                 e = exact_tail(spec, float(x), method="exact_enum").p_hat
-                worst = max(worst, abs(b - e))
+                brute = np.count_nonzero(path_sums > x) / 2**n
+                worst = max(worst, abs(b - e), abs(b - brute), abs(e - brute))
                 cases += 1
     elapsed = time.monotonic() - started
     ok = worst <= 1e-14 and elapsed < 10.0
-    assert report(2, ok, f"{cases} cases, max |binomial - enum| = {worst:.3g}, "
-                         f"{elapsed:.2f}s")
+    assert report(2, ok, f"{cases} cases, max pairwise |binomial - enum - brute force| "
+                         f"= {worst:.3g}, {elapsed:.2f}s")
 
 
 def test_criterion_03_is_unbiasedness_and_variance_ratio():

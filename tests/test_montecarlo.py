@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from mlde import bounds, conditions, tilting
 from mlde.errors import ConfigError, DomainError
 from mlde.model import IncrementDistribution, MartingaleSpec
 from mlde.montecarlo import (
+    ENUM_LIMIT,
+    _pool_size,
     clt_rate_curve,
     conjugate_clt_check,
     crude_tail_estimate,
@@ -18,7 +21,6 @@ from mlde.montecarlo import (
     fit_constant,
     lattice_ks,
     mdp_diagnostic,
-    normalization_check,
     ratio_experiment,
     saddlepoint_lambda,
     tilted_tail_estimate,
@@ -150,8 +152,9 @@ class TestTilted:
     def test_weight_normalization(self):
         for spec in (rademacher_spec(20),
                      MartingaleSpec.variance_switching(RADEMACHER, n=8, rho=0.4)):
-            mean, se = normalization_check(spec, 1.2, 50_000, seed=2)
-            assert abs(mean - 1.0) <= 3.5 * se
+            # below every atom the indicator is 1, leaving the mean weight
+            est = tilted_tail_estimate(spec, -math.inf, 1.2, 50_000, seed=2)
+            assert abs(est.p_hat - 1.0) <= 3.5 * est.std_err
 
     def test_unbiasedness_over_seeds(self):
         spec = rademacher_spec(20)
@@ -183,6 +186,13 @@ class TestTilted:
             ]
             assert results[0].p_hat == results[1].p_hat == results[2].p_hat
             assert results[0].std_err == results[1].std_err == results[2].std_err
+
+    def test_pool_size_clamped(self):
+        cpus = os.cpu_count() or 1
+        assert _pool_size(10**6, 10**6) == cpus
+        assert _pool_size(10**6, 3) == min(cpus, 3)
+        assert _pool_size(1, 100) == 1
+        assert _pool_size(0, 0) == 1
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(DomainError):
@@ -225,7 +235,8 @@ class TestExactTail:
         assert exact_tail(spec, 6.0).p_hat == 0.0
 
     def test_binomial_equals_enumeration(self):
-        for n in range(1, 9):
+        # n = 30 has 2^30 paths but only 31 count vectors
+        for n in (*range(1, 9), 30):
             spec = MartingaleSpec.iid(RADEMACHER, n=n)
             thresholds = np.arange(-n - 1, n + 2, 2.0) + 0.0  # mid-atom offsets
             for x in thresholds:
@@ -256,10 +267,12 @@ class TestExactTail:
             assert exact_tail(spec, x).p_hat == pytest.approx(brute(x), abs=1e-14)
 
     def test_gaussian_closed_form(self):
-        spec = gaussian_spec(123)
-        est = exact_tail(spec, 1.75)
-        assert est.method == "exact_gaussian"
-        assert est.p_hat == bounds.gaussian_tail(1.75)
+        # a gaussian varswitch spec is exactly N(0, 1) as well
+        for spec in (gaussian_spec(123),
+                     MartingaleSpec.variance_switching(GAUSSIAN, n=10, rho=0.5)):
+            est = exact_tail(spec, 1.75)
+            assert est.method == "exact_gaussian"
+            assert est.p_hat == bounds.gaussian_tail(1.75)
 
     def test_three_point_enum_against_bruteforce(self):
         table = IncrementDistribution.finite_table(
@@ -280,9 +293,21 @@ class TestExactTail:
             assert exact_tail(spec, x).p_hat == pytest.approx(brute(x), abs=1e-14)
 
     def test_too_large_rejected(self):
-        spec = MartingaleSpec.iid(RADEMACHER, n=30)
-        with pytest.raises(DomainError):
-            exact_tail(spec, 1.0, method="exact_enum")
+        # a 6-atom law at n = 100 has C(105, 5) ~ 9.7e7 count vectors, far
+        # above the cap; the check is arithmetic, made before any allocation
+        table = IncrementDistribution.finite_table([(v, 1.0 / 6.0) for v in range(6)])
+        assert math.comb(105, 5) * 6 > ENUM_LIMIT
+        with pytest.raises(DomainError, match="too-large"):
+            exact_tail(MartingaleSpec.iid(table, n=100), 1.0, method="exact_enum")
+
+    def test_varswitch_zero_sum_ties(self):
+        # c_hi/c_lo is irrational, so X_n = c_hi A + c_lo B is 0 only at
+        # A = B = 0, and by symmetry P(X_n > 0) = (1 - P(A = 0)^2) / 2
+        for n in (4, 8, 12):
+            p_zero = math.comb(n // 2, n // 4) / 2 ** (n // 2)
+            for rho in (0.3, 0.5):
+                spec = MartingaleSpec.variance_switching(RADEMACHER, n=n, rho=rho)
+                assert abs(exact_tail(spec, 0.0).p_hat - (1.0 - p_zero**2) / 2.0) <= 1e-14
 
 
 class TestLatticeKs:

@@ -9,7 +9,6 @@ from mlde import conditions
 from mlde.errors import DomainError
 from mlde.model import IncrementDistribution, MartingaleSpec, sample_path
 from mlde.tilting import (
-    TiltedModel,
     check_lemma1,
     check_lemma2_lemma3,
     conjugate_decomposition,
@@ -83,11 +82,18 @@ class TestStepQuantities:
                 assert mean == pytest.approx(step_drift(d, lam), abs=1e-12)
 
     def test_tilted_model_step_law(self):
-        spec = MartingaleSpec.iid(GAUSSIAN, n=4, normalized=True)
-        kind, mean, var = TiltedModel(spec, 2.0).step_law()
-        assert kind == "gaussian"
-        assert var == pytest.approx(0.25)
-        assert mean == pytest.approx(0.5)
+        # the tilted gaussian step is N(lam sigma^2, sigma^2)
+        step = MartingaleSpec.iid(GAUSSIAN, n=4, normalized=True).step_distribution
+        assert step_drift(step, 2.0) == pytest.approx(0.5)
+        assert tilted_step_variance(step, 2.0) == pytest.approx(0.25)
+        # the tilted rademacher step puts e^(+-lam s) / (2 cosh(lam s)) on +-s
+        step = MartingaleSpec.iid(RADEMACHER, n=4, normalized=True).step_distribution
+        values, probs = tilted_table(step, 2.0)
+        np.testing.assert_allclose(values, [-0.5, 0.5])
+        np.testing.assert_allclose(probs, np.exp([-1.0, 1.0]) / (2.0 * math.cosh(1.0)),
+                                   rtol=1e-14)
+        assert float(np.dot(values, probs)) == pytest.approx(step_drift(step, 2.0),
+                                                             rel=1e-14)
 
 
 class TestProcesses:
