@@ -44,6 +44,7 @@ from .montecarlo import (
     clt_rate_curve,
     conjugate_clt_check,
     crude_tail_estimate,
+    estimate_tail,
     exact_tail,
     fit_constant,
     lattice_ks,

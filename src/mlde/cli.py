@@ -55,9 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tail", help="estimate P(X_n > x)")
     add_model_flags(p)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--method", default="tilted",
-                   choices=["crude", "tilted", "exact", "exact_enum",
-                            "exact_binomial", "exact_gaussian"])
+    p.add_argument("--method", default="tilted", choices=montecarlo.TAIL_METHODS)
     p.add_argument("--lambda", dest="lam", default="saddlepoint",
                    help="saddlepoint | paper | <value>")
     p.add_argument("--samples", type=int, default=100000)
@@ -67,9 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ratio-table", help="tail/normal-tail ratio sweep")
     add_model_flags(p)
     p.add_argument("--x-grid", required=True, help="a:b:step")
-    p.add_argument("--method", default="exact",
-                   choices=["crude", "tilted", "exact", "exact_enum",
-                            "exact_binomial", "exact_gaussian"])
+    p.add_argument("--method", default="exact", choices=montecarlo.TAIL_METHODS)
     p.add_argument("--lambda", dest="lam", default="saddlepoint")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=None)
@@ -247,19 +243,14 @@ def _cmd_certify(args, out_dir, started):
 def _cmd_tail(args, out_dir, started):
     spec = build_spec(args)
     lam_policy = _parse_lambda(args.lam)
-    cert = None
     if args.method in ("crude", "tilted"):
         _require_seed(args)
-    if args.method == "tilted":
-        if lam_policy == "paper":
-            cert = conditions.certify(spec, args.k_max)
-        lam = montecarlo.resolve_tilt(spec, args.x, lam_policy, cert, args.c_alpha)
-        est = montecarlo.tilted_tail_estimate(spec, args.x, lam, args.samples, args.seed)
-    elif args.method == "crude":
-        est = montecarlo.crude_tail_estimate(spec, args.x, args.samples, args.seed)
-    else:
-        m = "auto" if args.method == "exact" else args.method
-        est = montecarlo.exact_tail(spec, args.x, method=m)
+    cert = None
+    if args.method == "tilted" and lam_policy == "paper":
+        cert = conditions.certify(spec, args.k_max)
+    est = montecarlo.estimate_tail(spec, args.x, args.method, lam_policy,
+                                   args.samples, args.seed, cert=cert,
+                                   c_alpha=args.c_alpha)
     csv_path = out_dir / "tail.csv"
     _write_csv(csv_path,
                ["x", "p_hat", "std_err", "n_samples", "method", "seed", "lambda_used"],
@@ -383,23 +374,15 @@ def _cmd_lemmas(args, out_dir, started):
                [[r.lam, r.psi_n, r.b_n, r.lemma2_residual, r.lemma3_residual,
                  r.fitted_c2, r.fitted_c3] for r in reports])
     c2, c3 = tilting.fitted_drift_cumulant_constants(reports)
-    if spec.rule == "iid":
-        lemma1 = tilting.check_lemma1(spec.step_distribution, cert.epsilon, args.k_max)
-    else:
-        hi, lo = spec.branch_distributions
-        r_hi = tilting.check_lemma1(hi, cert.epsilon, args.k_max)
-        r_lo = tilting.check_lemma1(lo, cert.epsilon, args.k_max)
-        lemma1 = tilting.MomentBoundReport(
-            holds=r_hi.holds and r_lo.holds,
-            binding_k=r_hi.binding_k if r_hi.max_ratio >= r_lo.max_ratio else r_lo.binding_k,
-            max_ratio=max(r_hi.max_ratio, r_lo.max_ratio),
-            detail=f"hi: {r_hi.detail}; lo: {r_lo.detail}")
+    lemma1 = [tilting.check_lemma1(d, cert.epsilon, args.k_max)
+              for d, _ in spec.iid_parts()]
+    holds = all(r.holds for r in lemma1)
     _write_sidecar(out_dir / "lemmas.json", "lemmas", args, spec, cert,
                    results={"fitted_c2": c2, "fitted_c3": c3,
-                            "moment_bounds_hold": lemma1.holds,
-                            "moment_bounds_detail": lemma1.detail},
+                            "moment_bounds_hold": holds,
+                            "moment_bounds_detail": [r.detail for r in lemma1]},
                    files=[csv_path], started=started)
-    print(f"fitted c2 = {c2!r}, c3 = {c3!r}, moment bounds hold = {lemma1.holds} -> {csv_path}")
+    print(f"fitted c2 = {c2!r}, c3 = {c3!r}, moment bounds hold = {holds} -> {csv_path}")
     return EXIT_OK
 
 

@@ -87,30 +87,17 @@ def bernstein_slack(dist: IncrementDistribution, H: float, k_max: int = DEFAULT_
 def certify(spec: MartingaleSpec, k_max: int = DEFAULT_K_MAX) -> BernsteinCertificate:
     """Exact certificate for a spec's per-step laws.
 
-    epsilon is the smallest valid moment-growth constant of the one-step law
-    (the supremum over reachable histories for variance_switching, i.e. over
-    both branch laws); delta comes from the exact range of the predictable
-    variance at the horizon.  Raises DomainError when epsilon or delta land
-    outside their admissible ranges (reported, never clamped).
+    epsilon, binding_k and slack are maxima over the laws of the spec's iid
+    parts, which are exactly the conditional step laws a path can meet (so
+    for variance_switching, the supremum over both branch laws); delta is
+    sqrt(|total variance - 1|), 0 for normalized and variance_switching specs.
+    Raises DomainError when epsilon or delta land outside their admissible
+    ranges (reported, never clamped).
     """
-    if spec.rule == "iid":
-        step = spec.step_distribution
-        epsilon, binding_k = _bernstein_scan(step, k_max)
-        slack = bernstein_slack(step, epsilon, k_max)
-        if spec.normalized:
-            delta = 0.0
-        else:
-            gap = abs(spec.total_variance() - 1.0)
-            delta = math.sqrt(gap)
-    else:
-        hi, lo = spec.branch_distributions
-        eps_hi, k_hi = _bernstein_scan(hi, k_max)
-        eps_lo, k_lo = _bernstein_scan(lo, k_max)
-        epsilon, binding_k = max((eps_hi, k_hi), (eps_lo, k_lo))
-        slack = max(
-            bernstein_slack(hi, epsilon, k_max), bernstein_slack(lo, epsilon, k_max)
-        )
-        delta = 0.0  # pair construction fixes the predictable variance at 1
+    laws = [d for d, _ in spec.iid_parts()]
+    epsilon, binding_k = max(_bernstein_scan(d, k_max) for d in laws)
+    slack = max(bernstein_slack(d, epsilon, k_max) for d in laws)
+    delta = math.sqrt(abs(spec.total_variance() - 1.0))
 
     if epsilon > 0.5:
         raise DomainError(

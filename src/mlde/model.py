@@ -215,16 +215,6 @@ class MartingaleSpec:
             raise ValueError("branch_variances requires a variance_switching spec")
         return (1.0 + self.rho) / self.n, (1.0 - self.rho) / self.n
 
-    @property
-    def branch_distributions(self) -> tuple:
-        """(high, low) per-step laws of a variance_switching spec."""
-        v_hi, v_lo = self.branch_variances
-        base_var = self.dist.variance
-        return (
-            self.dist.scaled(math.sqrt(v_hi / base_var)),
-            self.dist.scaled(math.sqrt(v_lo / base_var)),
-        )
-
     def iid_parts(self) -> tuple:
         """The terminal law as independent iid parts: ((law, count), ...).
 
@@ -233,11 +223,19 @@ class MartingaleSpec:
         draws of a pair are iid and the sign of the running sum only decides
         which of them the high branch scales, so X_n is n/2 draws of the
         high-branch law plus n/2 draws of the low-branch law.
+
+        This is the one place that knows the rule: every whole-spec quantity
+        (Psi_n, B_n, the certificate, the moment-bound check, the samplers and
+        the exact oracles) is a sum or a max over these parts, and the laws
+        of the parts are exactly the conditional step laws a path can meet.
         """
         if self.rule == "iid":
             return ((self.step_distribution, self.n),)
-        hi, lo = self.branch_distributions
-        return ((hi, self.n // 2), (lo, self.n // 2))
+        base_var = self.dist.variance
+        return tuple(
+            (self.dist.scaled(math.sqrt(v / base_var)), self.n // 2)
+            for v in self.branch_variances
+        )
 
     def total_variance(self) -> float:
         """Exact predictable variance at the horizon.

@@ -40,6 +40,8 @@ from .errors import ConfigError, DomainError
 from .model import BLOCK, IncrementDistribution, MartingaleSpec, block_rng
 
 ENUM_LIMIT = 1 << 24  # largest count-vector table (vectors x atoms) the exact engine builds
+EXACT_METHODS = ("exact", "exact_enum", "exact_binomial", "exact_gaussian")
+TAIL_METHODS = ("crude", "tilted") + EXACT_METHODS
 
 
 # -- result containers --------------------------------------------------------
@@ -376,19 +378,19 @@ def _ks_from_cdf(atoms, cdf) -> float:
 
 def _recentred_lattice_ks(spec, lam: float) -> float:
     """Exact KS distance to the standard normal of X_n - B_n(lam) under the
-    lam-tilted law, for iid lattice (and gaussian) specs."""
-    d = spec.step_distribution
+    lam-tilted law, for one-part lattice (and gaussian) specs."""
+    ((d, n),) = spec.iid_parts()
     shift = tilting.drift_process(spec, lam)
     if d.kind == "gaussian":
         return 0.0  # exactly normal at every tilt
     values, _ = d.table()
     if len(values) == 2:
         v_lo, v_hi, p_hi, _ = _tilted_two_point(d, lam)
-        k = np.arange(spec.n + 1)
-        atoms = spec.n * v_lo + k * (v_hi - v_lo) - shift
-        cdf = binom.cdf(k, spec.n, p_hi)
+        k = np.arange(n + 1)
+        atoms = n * v_lo + k * (v_hi - v_lo) - shift
+        cdf = binom.cdf(k, n, p_hi)
         return _ks_from_cdf(atoms, cdf)
-    atoms, pmf = _sum_law(*tilting.tilted_table(d, lam), spec.n)
+    atoms, pmf = _sum_law(*tilting.tilted_table(d, lam), n)
     return lattice_ks(atoms - shift, pmf)
 
 
@@ -400,8 +402,8 @@ def conjugate_clt_check(model_family, lam: float, n_list,
     rows = []
     for n in n_list:
         spec = model_family(int(n))
-        if spec.rule != "iid":
-            raise DomainError("rate curves need iid specs (tilted law stays iid)")
+        if len(spec.iid_parts()) > 1:
+            raise DomainError("rate curves need one-part (iid) specs")
         cert = conditions.certify(spec, k_max)
         ks = _recentred_lattice_ks(spec, lam)
         budget = bounds.conjugate_rate_bound(lam, cert.epsilon, cert.delta)
@@ -440,9 +442,11 @@ def fit_constant(observed) -> float:
     return worst
 
 
-def _estimate_for(spec, x, method, lam_policy, samples, seed, workers,
-                  cert, c_alpha):
-    if method in ("auto", "exact", "exact_enum", "exact_binomial", "exact_gaussian"):
+def estimate_tail(spec, x, method, lam_policy, samples, seed, workers=None,
+                  cert=None, c_alpha: float = 1.0) -> TailEstimate:
+    """P(X_n > x) by one of TAIL_METHODS (or "auto", the same as "exact"):
+    crude, tilted at the tilt resolve_tilt picks, or exact_tail's route."""
+    if method in ("auto",) + EXACT_METHODS:
         m = "auto" if method in ("auto", "exact") else method
         return exact_tail(spec, x, method=m)
     if method == "crude":
@@ -489,7 +493,7 @@ def ratio_experiment(
     pairs = []
     for x in x_grid:
         x = float(x)
-        est = _estimate_for(spec, x, method, lam_policy, samples, seed, workers,
+        est = estimate_tail(spec, x, method, lam_policy, samples, seed, workers,
                             cert, c_alpha)
         tail = bounds.gaussian_tail(x)
         # both probabilities must be representable for the ratio to carry
@@ -543,9 +547,11 @@ def mdp_diagnostic(
     """Rows of (1/a_n^2) log p_hat for P(X_n > a_n x) against the limit
     -x^2/2, with a first-order error band std_err/(p_hat a_n^2).
 
-    p_hat = 0 rows are reported infeasible rather than mapped to -inf.
-    Where a closed-form oracle exists the exact probability is recorded
-    alongside for cross-checking.
+    Gaussian specs take the exact normal tail (lambda = 0); all others the
+    tilted estimator.  p_exact is exact_tail's probability wherever it
+    covers the spec, and nan where the count-vector table would exceed
+    ENUM_LIMIT.  p_hat = 0 rows are reported infeasible rather than mapped
+    to -inf.
     """
     rows = []
     target = bounds.mdp_rate(x)
@@ -555,17 +561,16 @@ def mdp_diagnostic(
         cert = conditions.certify(spec, k_max)
         a_n = float(a_rule(n))
         threshold = a_n * x
-        if spec.rule == "iid" and spec.step_distribution.kind == "gaussian":
-            est = exact_tail(spec, threshold)
-            lam = 0.0
+        try:
+            exact = exact_tail(spec, threshold)
+        except DomainError:  # too large for the count-vector engine
+            exact = None
+        if spec.dist.kind == "gaussian":
+            est, lam = exact, 0.0
         else:
             lam = resolve_tilt(spec, threshold, lam_policy, cert)
             est = tilted_tail_estimate(spec, threshold, lam, samples, seed, workers)
-        p_exact = math.nan
-        if spec.rule == "iid" and spec.step_distribution.kind != "gaussian":
-            values, _ = spec.step_distribution.table()
-            if len(values) == 2:
-                p_exact = exact_tail(spec, threshold, method="exact_binomial").p_hat
+        p_exact = exact.p_hat if exact is not None else math.nan
         feasible = est.p_hat > 0.0
         value = math.log(est.p_hat) / a_n**2 if feasible else math.nan
         band = est.std_err / (est.p_hat * a_n**2) if feasible else math.nan

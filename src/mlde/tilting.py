@@ -80,47 +80,34 @@ def tilted_table(dist: IncrementDistribution, lam: float):
 # -- whole-spec processes ----------------------------------------------------
 
 def cumulant_process(spec: MartingaleSpec, lam: float) -> float:
-    """Psi_n(lam) = sum_i log E(e^(lam xi_i) | F_{i-1}).
+    """Psi_n(lam) = sum_i log E(e^(lam xi_i) | F_{i-1}), summed over the
+    spec's iid parts as sum count * step_cumulant(law, lam).
 
-    Deterministic for both supported rules: iid trivially, and for
-    variance_switching because each pair visits both branch laws exactly once
-    regardless of the realized sign.
+    Deterministic for every spec: the parts are the conditional step laws,
+    and every path meets each of them count times (for variance_switching,
+    each pair visits both branch laws once whatever the realized sign).
     """
-    if spec.rule == "iid":
-        d = spec.step_distribution
-        if d.kind == "gaussian":
-            # n * (lam^2 sigma_step^2 / 2) with the product n * sigma_step^2
-            # taken exactly, so normalized specs give lam^2/2 to the bit
-            return 0.5 * lam * lam * spec.total_variance()
-        return spec.n * step_cumulant(d, lam)
-    hi, lo = spec.branch_distributions
-    return (spec.n // 2) * (step_cumulant(hi, lam) + step_cumulant(lo, lam))
+    if spec.dist.kind == "gaussian":
+        # lam^2/2 times the total variance, taken exactly, so normalized and
+        # variance_switching specs give lam^2/2 to the bit
+        return 0.5 * lam * lam * spec.total_variance()
+    return sum(count * step_cumulant(d, lam) for d, count in spec.iid_parts())
 
 
 def drift_process(spec: MartingaleSpec, lam: float) -> float:
-    """B_n(lam) = sum_i of the tilted conditional means; deterministic here
-    for the same pairing reason as cumulant_process."""
-    if spec.rule == "iid":
-        d = spec.step_distribution
-        if d.kind == "gaussian":
-            return lam * spec.total_variance()
-        return spec.n * step_drift(d, lam)
-    hi, lo = spec.branch_distributions
-    return (spec.n // 2) * (step_drift(hi, lam) + step_drift(lo, lam))
+    """B_n(lam) = sum_i of the tilted conditional means, summed over the
+    spec's iid parts as sum count * step_drift(law, lam); deterministic for
+    the same reason as cumulant_process."""
+    if spec.dist.kind == "gaussian":
+        return lam * spec.total_variance()
+    return sum(count * step_drift(d, lam) for d, count in spec.iid_parts())
 
 
 def conjugate_decomposition(path: Path, spec: MartingaleSpec, lam: float):
     """Split X_n = y_n + b_n with b_n the drift accumulated along the
-    realized history; the identity holds exactly by construction."""
-    if spec.rule == "iid":
-        b_n = drift_process(spec, lam)
-    else:
-        base_var = spec.dist.variance
-        drifts = [
-            step_drift(spec.dist.scaled(math.sqrt(v / base_var)), lam)
-            for v in path.predictable_variances
-        ]
-        b_n = math.fsum(drifts)
+    realized history.  Every path meets each iid part's law count times, so
+    b_n = B_n(lam) on every path and the identity holds exactly."""
+    b_n = drift_process(spec, lam)
     x_n = float(path.partial_sums[-1])
     return x_n - b_n, b_n
 

@@ -170,6 +170,15 @@ class TestLemmasCommand:
         assert header == ("lambda,psi_n,b_n,lemma2_residual,lemma3_residual,"
                           "fitted_c2,fitted_c3")
 
+    def test_varswitch_one_detail_per_part(self, tmp_path):
+        code = run(["lemmas", "--model", "varswitch", "--n", "50", "--rho", "0.5",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        results = json.loads((tmp_path / "lemmas.json").read_text())["results"]
+        assert results["moment_bounds_hold"] is True
+        # Lemma 1 runs once on each iid part: the high and the low branch law
+        assert len(results["moment_bounds_detail"]) == 2
+
 
 class TestSpecFile:
     def test_load_spec_file(self, tmp_path):

@@ -28,6 +28,7 @@ from mlde.montecarlo import (
 
 RADEMACHER = IncrementDistribution.scaled_rademacher(1.0)
 GAUSSIAN = IncrementDistribution.gaussian(1.0)
+THREE_POINT = IncrementDistribution.finite_table([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)])
 
 
 def rademacher_spec(n):
@@ -36,6 +37,14 @@ def rademacher_spec(n):
 
 def gaussian_spec(n):
     return MartingaleSpec.iid(GAUSSIAN, n=n, normalized=True)
+
+
+def gaussian_varswitch_spec(n):
+    return MartingaleSpec.variance_switching(GAUSSIAN, n=n, rho=0.5)
+
+
+def three_point_spec(n):
+    return MartingaleSpec.iid(THREE_POINT, n=n, normalized=True)
 
 
 class TestCrude:
@@ -129,7 +138,7 @@ class TestTilted:
         # rule) and check E_tilt[w * 1{X > x}] equals the base probability
         n, rho, lam = 6, 0.5, 1.3
         spec = MartingaleSpec.variance_switching(RADEMACHER, n=n, rho=rho)
-        hi, lo = spec.branch_distributions
+        (hi, _), (lo, _) = spec.iid_parts()
         laws = {
             True: (*tilting.tilted_table(hi, lam), tilting.step_cumulant(hi, lam)),
             False: (*tilting.tilted_table(lo, lam), tilting.step_cumulant(lo, lam)),
@@ -450,21 +459,34 @@ class TestRatioExperiment:
 
 class TestMdp:
     def test_gaussian_closed_form(self):
-        rows = mdp_diagnostic(gaussian_spec, lambda n: n**0.25, 1.0, [10_000],
-                              samples=0, seed=0)
-        row = rows[0]
-        assert row.a_n == 10.0
-        assert row.value == pytest.approx(math.log(bounds.gaussian_tail(10.0)) / 100.0,
-                                          rel=1e-12)
-        assert row.value == pytest.approx(-0.5323, abs=1e-4)
+        # every gaussian spec, variance switching too, is exactly N(0, 1)
+        for family in (gaussian_spec, gaussian_varswitch_spec):
+            rows = mdp_diagnostic(family, lambda n: n**0.25, 1.0, [10_000],
+                                  samples=0, seed=0)
+            row = rows[0]
+            assert row.a_n == 10.0
+            assert row.value == pytest.approx(
+                math.log(bounds.gaussian_tail(10.0)) / 100.0, rel=1e-12)
+            assert row.value == pytest.approx(-0.5323, abs=1e-4)
+            assert row.p_exact == row.p_hat
 
     def test_rademacher_cross_check(self):
-        rows = mdp_diagnostic(rademacher_spec, lambda n: n**0.25, 1.0, [4096],
-                              samples=100_000, seed=6)
-        row = rows[0]
-        assert row.feasible
-        assert abs(row.p_hat - row.p_exact) <= 3.5 * row.std_err
-        assert row.target == -0.5
+        # binomial closed form for Rademacher, count vectors for three points
+        for family, n in ((rademacher_spec, 4096), (three_point_spec, 1024)):
+            rows = mdp_diagnostic(family, lambda n: n**0.25, 1.0, [n],
+                                  samples=100_000, seed=6)
+            row = rows[0]
+            assert row.feasible
+            assert abs(row.p_hat - row.p_exact) <= 3.5 * row.std_err
+            assert row.target == -0.5
+
+    def test_p_exact_nan_past_enum_limit(self):
+        # C(4098, 2) * 3 count-vector entries exceed the cap: no exact value,
+        # but the tilted row is still reported
+        assert math.comb(4098, 2) * 3 > ENUM_LIMIT
+        rows = mdp_diagnostic(three_point_spec, lambda n: n**0.25, 1.0, [4096],
+                              samples=1_000, seed=6)
+        assert math.isnan(rows[0].p_exact) and rows[0].feasible
 
     def test_infeasible_row_reported(self):
         rows = mdp_diagnostic(rademacher_spec, lambda n: n**0.25, 1.0, [4096],

@@ -117,10 +117,16 @@ class TestProcesses:
 
     def test_varswitch_process_is_pair_sum(self):
         spec = MartingaleSpec.variance_switching(RADEMACHER, n=6, rho=0.5)
-        hi, lo = spec.branch_distributions
+        (hi, n_hi), (lo, n_lo) = spec.iid_parts()
+        # n/2 draws of each branch law, at the branch variances (1 +- rho)/n
+        assert (n_hi, n_lo) == (3, 3)
+        assert (hi.variance, lo.variance) == pytest.approx((1.5 / 6, 0.5 / 6), rel=1e-15)
         lam = 1.2
         assert cumulant_process(spec, lam) == pytest.approx(
             3 * (step_cumulant(hi, lam) + step_cumulant(lo, lam)), rel=1e-14
+        )
+        assert drift_process(spec, lam) == pytest.approx(
+            3 * (step_drift(hi, lam) + step_drift(lo, lam)), rel=1e-14
         )
 
     def test_decomposition_identity_and_closed_form(self):
@@ -135,12 +141,19 @@ class TestProcesses:
 
     def test_decomposition_varswitch(self):
         spec = MartingaleSpec.variance_switching(RADEMACHER, n=10, rho=0.6)
+        base_var = spec.dist.variance
         for seed in range(4):
             path = sample_path(spec, seed)
             y, b = conjugate_decomposition(path, spec, 1.5)
             assert y + b - path.partial_sums[-1] == pytest.approx(0.0, abs=1e-12)
-            # the pairing makes the drift path-independent
-            assert b == pytest.approx(drift_process(spec, 1.5), rel=1e-12)
+            # the drift accumulated step by step along the realized history,
+            # each step's branch read from its predictable variance; the
+            # pairing makes it path-independent
+            along_path = math.fsum(
+                step_drift(spec.dist.scaled(math.sqrt(v / base_var)), 1.5)
+                for v in path.predictable_variances
+            )
+            assert b == pytest.approx(along_path, rel=1e-12)
 
 
 class TestSolvers:
