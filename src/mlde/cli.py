@@ -1,10 +1,11 @@
 """Batch front end.
 
 Subcommands: certify, tail, ratio-table, clt-rate, conjugate-clt, mdp,
-lemmas.  Every experiment writes a CSV with the result rows plus a JSON
-sidecar holding the fully resolved configuration (enough to reproduce the
-run byte for byte), the model certificate where one was computed, fitted
-constants, and the wall time.  Timestamps never enter the CSV body.
+lemmas.  Every command writes a JSON sidecar holding the fully resolved
+configuration (enough to reproduce the run byte for byte), the model
+certificate where one was computed, fitted constants, and the wall time.
+Every command but certify also writes a CSV of its result rows, one column
+per field of the row type.  Timestamps never enter the CSV body.
 
 Exit codes: 0 success, 2 configuration error, 3 domain/range error,
 4 infeasible estimate.  MLDE_THREADS caps the worker count.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -46,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec-file", default=None,
                        help="load the model from a key=value config file; "
                             "explicit flags override file values")
-        p.add_argument("--k-max", type=int, default=conditions.DEFAULT_K_MAX)
         p.add_argument("--out", default="mlde-out")
 
     p = sub.add_parser("certify", help="emit the model's condition certificate")
@@ -130,15 +131,22 @@ def _parse_lambda(text: str):
         raise ConfigError(f"bad lambda {text!r}")
 
 
-def build_spec(args) -> model.MartingaleSpec:
-    """Resolve the model: config-file values first, explicit flags on top."""
+def _read_config(path: str) -> dict:
+    try:
+        return model.parse_config_dict(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}")
+
+
+def _spec_dict(args) -> dict:
+    """The model as a config dict: config-file values first, explicit flags on top."""
     d = {}
     if args.spec_file:
-        d = model.parse_config_dict(Path(args.spec_file).read_text())
+        d = _read_config(args.spec_file)
     if args.model is not None:
         if args.model.startswith("finite:"):
             path = args.model.split(":", 1)[1]
-            table = model.parse_config_dict(Path(path).read_text())
+            table = _read_config(path)
             if "values" not in table or "probs" not in table:
                 raise ConfigError(f"{path} must define values and probs")
             d.update(model="finite", values=table["values"], probs=table["probs"])
@@ -152,17 +160,20 @@ def build_spec(args) -> model.MartingaleSpec:
         d["rho"] = args.rho
     if not d.get("model") and "values" not in d:
         d["model"] = "rademacher"
+    return d
+
+
+def build_spec(args) -> model.MartingaleSpec:
+    d = _spec_dict(args)
     if "n" not in d:
         raise ConfigError("--n is required unless --spec-file provides it")
     return model.spec_from_dict(d)
 
 
 def _family(args):
-    def make(n):
-        ns = argparse.Namespace(**vars(args))
-        ns.n = n
-        return build_spec(ns)
-    return make
+    """n -> the spec at n steps, the config files read once."""
+    d = _spec_dict(args)
+    return lambda n: model.spec_from_dict({**d, "n": n})
 
 
 def _require_seed(args):
@@ -182,12 +193,14 @@ def _cell(v):
     return str(v)
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_rows(path: Path, rows) -> None:
+    """CSV of dataclass rows: one column per field, lam spelled lambda."""
+    names = [f.name for f in dataclasses.fields(rows[0])]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(["lambda" if name == "lam" else name for name in names])
         for row in rows:
-            writer.writerow([_cell(v) for v in row])
+            writer.writerow([_cell(getattr(row, name)) for name in names])
 
 
 def _config_dict(args) -> dict:
@@ -215,28 +228,34 @@ def argv_from_config(command: str, config: dict) -> list:
     return argv
 
 
-def _write_sidecar(path: Path, command, args, spec, certificate=None,
-                   results=None, files=(), started=None) -> None:
+def _emit(out_dir: Path, stem, args, spec, cert, rows, results, started):
+    """Write <stem>.csv from rows (none when rows is None) and the <stem>.json
+    sidecar; returns the CSV path."""
+    csv_path = out_dir / f"{stem}.csv"
+    files = []
+    if rows is not None:
+        _write_rows(csv_path, rows)
+        files.append(str(csv_path))
     payload = {
-        "command": command,
+        "command": args.command,
         "config": _config_dict(args),
-        "spec": model.spec_to_dict(spec) if spec is not None else None,
-        "certificate": certificate.to_json_dict() if certificate else None,
+        "spec": model.spec_to_dict(spec),
+        "certificate": cert.to_json_dict() if cert else None,
         "results": results or {},
-        "files": [str(f) for f in files],
-        "wall_time_s": time.monotonic() - started if started else None,
+        "files": files,
+        "wall_time_s": time.monotonic() - started,
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out_dir / f"{stem}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return csv_path
 
 
 # -- command bodies ----------------------------------------------------------------
 
 def _cmd_certify(args, out_dir, started):
     spec = build_spec(args)
-    cert = conditions.certify(spec, args.k_max)
+    cert = conditions.certify(spec)
     print(json.dumps(cert.to_json_dict(), sort_keys=True))
-    _write_sidecar(out_dir / "certify.json", "certify", args, spec, cert,
-                   started=started)
+    _emit(out_dir, "certify", args, spec, cert, None, None, started)
     return EXIT_OK
 
 
@@ -247,19 +266,13 @@ def _cmd_tail(args, out_dir, started):
         _require_seed(args)
     cert = None
     if args.method == "tilted" and lam_policy == "paper":
-        cert = conditions.certify(spec, args.k_max)
+        cert = conditions.certify(spec)
     est = montecarlo.estimate_tail(spec, args.x, args.method, lam_policy,
                                    args.samples, args.seed, cert=cert,
                                    c_alpha=args.c_alpha)
-    csv_path = out_dir / "tail.csv"
-    _write_csv(csv_path,
-               ["x", "p_hat", "std_err", "n_samples", "method", "seed", "lambda_used"],
-               [[est.x, est.p_hat, est.std_err, est.n_samples, est.method,
-                 est.seed, est.lambda_used]])
-    _write_sidecar(out_dir / "tail.json", "tail", args, spec, cert,
-                   results={"p_hat": est.p_hat, "std_err": est.std_err,
-                            "lambda_used": est.lambda_used},
-                   files=[csv_path], started=started)
+    csv_path = _emit(out_dir, "tail", args, spec, cert, [est],
+                     {"p_hat": est.p_hat, "std_err": est.std_err,
+                      "lambda_used": est.lambda_used}, started)
     print(f"p_hat = {est.p_hat!r} (std_err {est.std_err!r}) -> {csv_path}")
     return EXIT_OK
 
@@ -273,43 +286,21 @@ def _cmd_ratio_table(args, out_dir, started):
         spec, xs, method=args.method, samples=args.samples,
         seed=args.seed if args.seed is not None else 0,
         lam_policy=_parse_lambda(args.lam), c_alpha=args.c_alpha,
-        alpha=args.alpha, k_max=args.k_max)
-    csv_path = out_dir / "ratio.csv"
-    _write_csv(csv_path,
-               ["x", "p_hat", "std_err", "gaussian_tail", "ratio", "log_ratio",
-                "theorem1_upper", "theorem2_lower", "valid", "feasible",
-                "regime", "within_envelope_at_fitted_c"],
-               [[r.x, r.p_hat, r.std_err, r.gaussian_tail, r.ratio, r.log_ratio,
-                 r.theorem1_upper, r.theorem2_lower, r.valid, r.feasible,
-                 r.regime, r.within_envelope_at_fitted_c] for r in result.rows])
-    _write_sidecar(out_dir / "ratio.json", "ratio-table", args, spec,
-                   result.certificate,
-                   results={"fitted_c_star": result.fitted_c_star},
-                   files=[csv_path], started=started)
+        alpha=args.alpha)
+    csv_path = _emit(out_dir, "ratio", args, spec, result.certificate, result.rows,
+                     {"fitted_c_star": result.fitted_c_star}, started)
     print(f"fitted c* = {result.fitted_c_star!r} over {len(result.rows)} rows -> {csv_path}")
     return EXIT_OK
 
 
-def _rate_csv(path, curves):
-    rows = []
-    for curve in curves:
-        for r in curve.rows:
-            rows.append([curve.lam, r.n, r.epsilon, r.delta, r.ks_distance,
-                         r.bound_value, r.fitted_c])
-    _write_csv(path, ["lambda", "n", "epsilon", "delta", "ks_distance",
-                      "bound_value", "fitted_c"], rows)
-
-
 def _cmd_clt_rate(args, out_dir, started):
     n_list = _parse_n_list(args.n_list)
-    curve = montecarlo.clt_rate_curve(_family(args), n_list, args.k_max)
-    csv_path = out_dir / "clt_rate.csv"
-    _rate_csv(csv_path, [curve])
-    spec = _family(args)(n_list[-1])
-    _write_sidecar(out_dir / "clt_rate.json", "clt-rate", args, spec,
-                   certificate=conditions.certify(spec, args.k_max),
-                   results={"fitted_c": [r.fitted_c for r in curve.rows]},
-                   files=[csv_path], started=started)
+    family = _family(args)
+    curve = montecarlo.clt_rate_curve(family, n_list)
+    spec = family(n_list[-1])
+    csv_path = _emit(out_dir, "clt_rate", args, spec, conditions.certify(spec),
+                     curve.rows, {"fitted_c": [r.fitted_c for r in curve.rows]},
+                     started)
     print(f"{len(curve.rows)} rows -> {csv_path}")
     return EXIT_OK
 
@@ -319,16 +310,13 @@ def _cmd_conjugate_clt(args, out_dir, started):
     lams = [float(t) for t in str(args.lam).split(",") if t.strip() != ""]
     if not lams:
         raise ConfigError("conjugate-clt needs at least one lambda")
-    curves = [montecarlo.conjugate_clt_check(_family(args), lam, n_list, args.k_max)
-              for lam in lams]
-    csv_path = out_dir / "conjugate_clt.csv"
-    _rate_csv(csv_path, curves)
-    spec = _family(args)(n_list[-1])
-    _write_sidecar(out_dir / "conjugate_clt.json", "conjugate-clt", args, spec,
-                   certificate=conditions.certify(spec, args.k_max),
-                   results={"lambdas": lams},
-                   files=[csv_path], started=started)
-    print(f"{sum(len(c.rows) for c in curves)} rows -> {csv_path}")
+    family = _family(args)
+    rows = [r for lam in lams
+            for r in montecarlo.conjugate_clt_check(family, lam, n_list).rows]
+    spec = family(n_list[-1])
+    csv_path = _emit(out_dir, "conjugate_clt", args, spec, conditions.certify(spec),
+                     rows, {"lambdas": lams}, started)
+    print(f"{len(rows)} rows -> {csv_path}")
     return EXIT_OK
 
 
@@ -336,22 +324,15 @@ def _cmd_mdp(args, out_dir, started):
     _require_seed(args)
     n_list = _parse_n_list(args.n_list)
     gamma = args.a_exponent
+    family = _family(args)
     rows = montecarlo.mdp_diagnostic(
-        _family(args), lambda n: n**gamma, args.x, n_list,
+        family, lambda n: n**gamma, args.x, n_list,
         samples=args.samples, seed=args.seed,
         lam_policy=_parse_lambda(args.lam))
-    csv_path = out_dir / "mdp.csv"
-    _write_csv(csv_path,
-               ["n", "a_n", "lambda", "p_hat", "std_err", "p_exact", "value",
-                "err_band", "target", "feasible", "a_eps"],
-               [[r.n, r.a_n, r.lam, r.p_hat, r.std_err, r.p_exact, r.value,
-                 r.err_band, r.target, r.feasible, r.a_eps] for r in rows])
-    spec = _family(args)(n_list[-1])
-    _write_sidecar(out_dir / "mdp.json", "mdp", args, spec,
-                   certificate=conditions.certify(spec, args.k_max),
-                   results={"values": [r.value for r in rows],
-                            "target": bounds.mdp_rate(args.x)},
-                   files=[csv_path], started=started)
+    spec = family(n_list[-1])
+    csv_path = _emit(out_dir, "mdp", args, spec, conditions.certify(spec), rows,
+                     {"values": [r.value for r in rows],
+                      "target": bounds.mdp_rate(args.x)}, started)
     print(f"{len(rows)} rows -> {csv_path}")
     if any(not r.feasible for r in rows):
         raise InfeasibleError("p_hat = 0 in at least one row; see mdp.csv")
@@ -360,28 +341,20 @@ def _cmd_mdp(args, out_dir, started):
 
 def _cmd_lemmas(args, out_dir, started):
     spec = build_spec(args)
-    cert = conditions.certify(spec, args.k_max)
+    cert = conditions.certify(spec)
     if args.lambda_grid:
         grid = _parse_grid(args.lambda_grid)
     else:
         grid = [float(v) for v in np.linspace(0.0, args.alpha / cert.epsilon, 21)]
     reports = tilting.check_lemma2_lemma3(spec, grid, alpha=args.alpha,
                                           c_alpha=args.c_alpha, certificate=cert)
-    csv_path = out_dir / "lemmas.csv"
-    _write_csv(csv_path,
-               ["lambda", "psi_n", "b_n", "lemma2_residual", "lemma3_residual",
-                "fitted_c2", "fitted_c3"],
-               [[r.lam, r.psi_n, r.b_n, r.lemma2_residual, r.lemma3_residual,
-                 r.fitted_c2, r.fitted_c3] for r in reports])
     c2, c3 = tilting.fitted_drift_cumulant_constants(reports)
-    lemma1 = [tilting.check_lemma1(d, cert.epsilon, args.k_max)
-              for d, _ in spec.iid_parts()]
+    lemma1 = [tilting.check_lemma1(d, cert.epsilon) for d, _ in spec.iid_parts()]
     holds = all(r.holds for r in lemma1)
-    _write_sidecar(out_dir / "lemmas.json", "lemmas", args, spec, cert,
-                   results={"fitted_c2": c2, "fitted_c3": c3,
-                            "moment_bounds_hold": holds,
-                            "moment_bounds_detail": [r.detail for r in lemma1]},
-                   files=[csv_path], started=started)
+    csv_path = _emit(out_dir, "lemmas", args, spec, cert, reports,
+                     {"fitted_c2": c2, "fitted_c3": c3,
+                      "moment_bounds_hold": holds,
+                      "moment_bounds_detail": [r.detail for r in lemma1]}, started)
     print(f"fitted c2 = {c2!r}, c3 = {c3!r}, moment bounds hold = {holds} -> {csv_path}")
     return EXIT_OK
 

@@ -3,10 +3,11 @@ conditions, plus constructive conversions between the equivalent forms
 (Sakhanenko's exponential-moment form, the absolute-moment form, and the
 finite-exponential-moment form for iid laws).
 
-All checks are closed-form scans over moment orders 3..k_max; no estimation
-from samples is involved.  For finitely supported laws the scan criterion
+All checks are closed-form scans over moment orders 3..K_MAX; no estimation
+from samples is involved.  The conditions hold for every k >= 3, so K_MAX
+only cuts the scan off: for finitely supported laws the scan criterion
 (2|E eta^k| / (k! E eta^2))^(1/(k-2)) tends to 0 in k, so the binding order
-is provably small and k_max = 30 is a safe default.
+is provably small and K_MAX = 30 is safe.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from scipy.optimize import brentq
 from .errors import DomainError
 from .model import IncrementDistribution, MartingaleSpec
 
-DEFAULT_K_MAX = 30
+K_MAX = 30  # highest moment order the scans check
 
 
 @dataclass(frozen=True)
@@ -53,11 +54,11 @@ class ConditionReport:
     detail: str
 
 
-def _bernstein_scan(dist: IncrementDistribution, k_max: int):
-    """Smallest H with |E eta^k| <= k!/2 H^(k-2) E eta^2 for 3 <= k <= k_max."""
+def _bernstein_scan(dist: IncrementDistribution):
+    """Smallest H with |E eta^k| <= k!/2 H^(k-2) E eta^2 for 3 <= k <= K_MAX."""
     m2 = dist.moment(2)
     best, best_k = 0.0, 3
-    for k in range(3, k_max + 1):
+    for k in range(3, K_MAX + 1):
         mk = abs(dist.moment(k))
         if not math.isfinite(mk):
             raise DomainError(f"moment of order {k} diverges")
@@ -69,22 +70,20 @@ def _bernstein_scan(dist: IncrementDistribution, k_max: int):
     return best, best_k
 
 
-def minimal_bernstein_H(dist: IncrementDistribution, k_max: int = DEFAULT_K_MAX) -> float:
-    if k_max < 4:
-        raise ValueError("k_max must be >= 4")
-    return _bernstein_scan(dist, k_max)[0]
+def minimal_bernstein_H(dist: IncrementDistribution) -> float:
+    return _bernstein_scan(dist)[0]
 
 
-def bernstein_slack(dist: IncrementDistribution, H: float, k_max: int = DEFAULT_K_MAX) -> float:
+def bernstein_slack(dist: IncrementDistribution, H: float) -> float:
     """max_k |E eta^k| / (k!/2 * H^(k-2) * E eta^2); <= 1 iff H is valid."""
     m2 = dist.moment(2)
     return max(
         abs(dist.moment(k)) / (0.5 * math.factorial(k) * H ** (k - 2) * m2)
-        for k in range(3, k_max + 1)
+        for k in range(3, K_MAX + 1)
     )
 
 
-def certify(spec: MartingaleSpec, k_max: int = DEFAULT_K_MAX) -> BernsteinCertificate:
+def certify(spec: MartingaleSpec) -> BernsteinCertificate:
     """Exact certificate for a spec's per-step laws.
 
     epsilon, binding_k and slack are maxima over the laws of the spec's iid
@@ -95,8 +94,8 @@ def certify(spec: MartingaleSpec, k_max: int = DEFAULT_K_MAX) -> BernsteinCertif
     ranges (reported, never clamped).
     """
     laws = [d for d, _ in spec.iid_parts()]
-    epsilon, binding_k = max(_bernstein_scan(d, k_max) for d in laws)
-    slack = max(bernstein_slack(d, epsilon, k_max) for d in laws)
+    epsilon, binding_k = max(_bernstein_scan(d) for d in laws)
+    slack = max(bernstein_slack(d, epsilon) for d in laws)
     delta = math.sqrt(abs(spec.total_variance() - 1.0))
 
     if epsilon > 0.5:
@@ -111,7 +110,7 @@ def certify(spec: MartingaleSpec, k_max: int = DEFAULT_K_MAX) -> BernsteinCertif
         N=delta * sqrt_n,
         epsilon=epsilon,
         delta=delta,
-        k_max=k_max,
+        k_max=K_MAX,
         slack=slack,
         binding_k=binding_k,
     )
@@ -168,29 +167,27 @@ def cramer_to_bernstein(c0: float, c1: float, sigma2: float) -> float:
     return max(c0, 2.0 * c0**3 * c1 / sigma2)
 
 
-def minimal_factorial_rho(dist: IncrementDistribution, k_max: int = DEFAULT_K_MAX) -> float:
-    """Smallest rho with E|eta|^k <= k!/2 rho^(k-2) E eta^2 for 3 <= k <= k_max."""
+def minimal_factorial_rho(dist: IncrementDistribution) -> float:
+    """Smallest rho with E|eta|^k <= k!/2 rho^(k-2) E eta^2 for 3 <= k <= K_MAX."""
     m2 = dist.moment(2)
     return max(
         (2.0 * dist.abs_moment(k) / (math.factorial(k) * m2)) ** (1.0 / (k - 2))
-        for k in range(3, k_max + 1)
+        for k in range(3, K_MAX + 1)
     )
 
 
-def check_factorial_moment(
-    dist: IncrementDistribution, rho: float, k_max: int = DEFAULT_K_MAX
-) -> ConditionReport:
+def check_factorial_moment(dist: IncrementDistribution, rho: float) -> ConditionReport:
     """Absolute-moment growth check; differs from the signed form at odd k."""
     if rho <= 0:
         raise ValueError("rho must be > 0")
     m2 = dist.moment(2)
     worst_k, worst_ratio = 3, 0.0
-    for k in range(3, k_max + 1):
+    for k in range(3, K_MAX + 1):
         ratio = dist.abs_moment(k) / (0.5 * math.factorial(k) * rho ** (k - 2) * m2)
         if ratio > worst_ratio:
             worst_k, worst_ratio = k, ratio
     holds = worst_ratio <= 1.0 + 1e-12  # equality binds at the minimal rho
-    needed = minimal_factorial_rho(dist, k_max)
+    needed = minimal_factorial_rho(dist)
     detail = (
         f"binding k = {worst_k}, ratio = {worst_ratio:.6g}; minimal rho = {needed:.6g}"
     )

@@ -388,12 +388,16 @@ def spec_from_dict(d: dict) -> MartingaleSpec:
     if "n" not in d:
         raise ConfigError("spec config needs a step count 'n'")
     n = int(d["n"])
+    table = "values" in d or "probs" in d
+    # sigma2 picks a gaussian base, as spec_to_dict writes it
+    if "sigma2" in d and (table or model not in ("gaussian", "varswitch")):
+        raise ConfigError(f"'sigma2' needs a gaussian base; model {model!r} has none")
 
-    if "values" in d or "probs" in d:
+    if table:
         if "values" not in d or "probs" not in d:
             raise ConfigError("finite tables need both 'values' and 'probs'")
         base = IncrementDistribution.finite_table(list(zip(d["values"], d["probs"])))
-    elif model == "gaussian":
+    elif model == "gaussian" or "sigma2" in d:
         base = IncrementDistribution.gaussian(float(d.get("sigma2", 1.0)))
     elif model in ("rademacher", "varswitch"):
         base = IncrementDistribution.scaled_rademacher(float(d.get("scale", 1.0)))

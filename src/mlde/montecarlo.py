@@ -67,6 +67,7 @@ class TailEstimate:
 
 @dataclass(frozen=True)
 class RateRow:
+    lam: float
     n: int
     epsilon: float
     delta: float
@@ -77,7 +78,6 @@ class RateRow:
 
 @dataclass(frozen=True)
 class RateCurve:
-    lam: float
     rows: tuple
 
 
@@ -394,8 +394,7 @@ def _recentred_lattice_ks(spec, lam: float) -> float:
     return lattice_ks(atoms - shift, pmf)
 
 
-def conjugate_clt_check(model_family, lam: float, n_list,
-                        k_max: int = conditions.DEFAULT_K_MAX) -> RateCurve:
+def conjugate_clt_check(model_family, lam: float, n_list) -> RateCurve:
     """Exact KS of the recentred martingale under the tilted law against the
     normal limit, with the rate budget lam*eps + eps|log eps| + delta and the
     per-n fitted constant.  lam = 0 reduces to the plain rate curve."""
@@ -404,11 +403,12 @@ def conjugate_clt_check(model_family, lam: float, n_list,
         spec = model_family(int(n))
         if len(spec.iid_parts()) > 1:
             raise DomainError("rate curves need one-part (iid) specs")
-        cert = conditions.certify(spec, k_max)
+        cert = conditions.certify(spec)
         ks = _recentred_lattice_ks(spec, lam)
         budget = bounds.conjugate_rate_bound(lam, cert.epsilon, cert.delta)
         rows.append(
             RateRow(
+                lam=lam,
                 n=int(n),
                 epsilon=cert.epsilon,
                 delta=cert.delta,
@@ -417,14 +417,13 @@ def conjugate_clt_check(model_family, lam: float, n_list,
                 fitted_c=ks / budget,
             )
         )
-    return RateCurve(lam=lam, rows=tuple(rows))
+    return RateCurve(rows=tuple(rows))
 
 
-def clt_rate_curve(model_family, n_list,
-                   k_max: int = conditions.DEFAULT_K_MAX) -> RateCurve:
+def clt_rate_curve(model_family, n_list) -> RateCurve:
     """Exact KS distance of X_n to the normal limit across n, with the
     eps|log eps| + delta budget and per-n fitted constants."""
-    return conjugate_clt_check(model_family, 0.0, n_list, k_max)
+    return conjugate_clt_check(model_family, 0.0, n_list)
 
 
 # -- experiments ----------------------------------------------------------------
@@ -481,13 +480,12 @@ def ratio_experiment(
     alpha: float = bounds.DEFAULT_ALPHA,
     alpha0: float = bounds.DEFAULT_ALPHA0,
     workers=None,
-    k_max: int = conditions.DEFAULT_K_MAX,
 ) -> RatioExperiment:
     """Tail/normal-tail ratio across a threshold grid, against the two-sided
     envelopes, with the smallest constant c* making
     |log ratio| <= c* (x^3 eps + x^2 delta^2 + (1+x)(eps|log eps| + delta))
     hold over all feasible rows."""
-    cert = conditions.certify(spec, k_max)
+    cert = conditions.certify(spec)
     eps, delta = cert.epsilon, cert.delta
     raw = []
     pairs = []
@@ -542,7 +540,6 @@ def mdp_diagnostic(
     seed: int,
     lam_policy="saddlepoint",
     workers=None,
-    k_max: int = conditions.DEFAULT_K_MAX,
 ):
     """Rows of (1/a_n^2) log p_hat for P(X_n > a_n x) against the limit
     -x^2/2, with a first-order error band std_err/(p_hat a_n^2).
@@ -558,7 +555,7 @@ def mdp_diagnostic(
     for n in n_list:
         n = int(n)
         spec = model_family(n)
-        cert = conditions.certify(spec, k_max)
+        cert = conditions.certify(spec)
         a_n = float(a_rule(n))
         threshold = a_n * x
         try:
@@ -566,10 +563,10 @@ def mdp_diagnostic(
         except DomainError:  # too large for the count-vector engine
             exact = None
         if spec.dist.kind == "gaussian":
-            est, lam = exact, 0.0
+            est = exact
         else:
-            lam = resolve_tilt(spec, threshold, lam_policy, cert)
-            est = tilted_tail_estimate(spec, threshold, lam, samples, seed, workers)
+            est = estimate_tail(spec, threshold, "tilted", lam_policy, samples, seed,
+                                workers, cert)
         p_exact = exact.p_hat if exact is not None else math.nan
         feasible = est.p_hat > 0.0
         value = math.log(est.p_hat) / a_n**2 if feasible else math.nan
@@ -578,7 +575,7 @@ def mdp_diagnostic(
             MdpRow(
                 n=n,
                 a_n=a_n,
-                lam=lam,
+                lam=est.lambda_used,
                 p_hat=est.p_hat,
                 std_err=est.std_err,
                 p_exact=p_exact,

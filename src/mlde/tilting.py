@@ -154,14 +154,10 @@ def solve_lambda_under(x: float, epsilon: float, delta: float, c_half: float) ->
 @dataclass(frozen=True)
 class MomentBoundReport:
     holds: bool
-    binding_k: int
-    max_ratio: float
     detail: str
 
 
-def check_lemma1(
-    dist: IncrementDistribution, epsilon: float, k_max: int = conditions.DEFAULT_K_MAX
-) -> MomentBoundReport:
+def check_lemma1(dist: IncrementDistribution, epsilon: float) -> MomentBoundReport:
     """Exact check of the two conditional-moment bound families for a law
     satisfying the growth condition at scale epsilon:
 
@@ -172,7 +168,7 @@ def check_lemma1(
     """
     m2 = dist.moment(2)
     worst_k, worst = 2, 0.0
-    for k in range(2, k_max + 1):
+    for k in range(2, conditions.K_MAX + 1):
         r1 = abs(dist.moment(k)) / (6.0 * math.factorial(k) * epsilon**k)
         r2 = dist.abs_moment(k) / (math.factorial(k) * epsilon ** (k - 2) * m2)
         r = max(r1, r2)
@@ -183,8 +179,6 @@ def check_lemma1(
     holds = worst <= 1.0 + 1e-12  # equality binds at the minimal epsilon
     return MomentBoundReport(
         holds=holds,
-        binding_k=worst_k,
-        max_ratio=worst,
         detail=f"max ratio {worst:.6g} at k = {worst_k}; var ratio {r_var:.6g}",
     )
 

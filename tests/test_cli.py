@@ -180,6 +180,44 @@ class TestLemmasCommand:
         assert len(results["moment_bounds_detail"]) == 2
 
 
+RATE_COLUMNS = "lambda,n,epsilon,delta,ks_distance,bound_value,fitted_c"
+
+
+class TestCsvSchemas:
+    @pytest.mark.parametrize("argv, name, header", [
+        (["tail", "--n", "20", "--normalized", "--x", "1", "--method", "exact"],
+         "tail", "x,p_hat,std_err,n_samples,method,seed,lambda_used"),
+        (["ratio-table", "--n", "100", "--normalized", "--x-grid", "0:1:0.5"],
+         "ratio", "x,p_hat,std_err,gaussian_tail,ratio,log_ratio,theorem1_upper,"
+                  "theorem2_lower,valid,feasible,regime,within_envelope_at_fitted_c"),
+        (["clt-rate", "--normalized", "--n-list", "100"], "clt_rate", RATE_COLUMNS),
+        (["conjugate-clt", "--normalized", "--n-list", "100", "--lambda", "0.5"],
+         "conjugate_clt", RATE_COLUMNS),
+        (["mdp", "--normalized", "--x", "1", "--n-list", "256", "--samples", "1000",
+          "--seed", "1"],
+         "mdp", "n,a_n,lambda,p_hat,std_err,p_exact,value,err_band,target,feasible,a_eps"),
+        (["lemmas", "--n", "100", "--normalized"],
+         "lemmas", "lambda,psi_n,b_n,lemma2_residual,lemma3_residual,fitted_c2,fitted_c3"),
+    ])
+    def test_header_is_documented_columns(self, tmp_path, argv, name, header):
+        assert run([*argv, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / f"{name}.csv").read_text().splitlines()[0] == header
+        sidecar = json.loads((tmp_path / f"{name}.json").read_text())
+        assert sidecar["files"] == [str(tmp_path / f"{name}.csv")]
+
+    def test_certify_writes_only_its_sidecar(self, tmp_path):
+        assert run(["certify", "--n", "1200", "--normalized", "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["certify.json"]
+        assert json.loads((tmp_path / "certify.json").read_text())["files"] == []
+
+    def test_no_k_max_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["certify", "--n", "1200", "--normalized", "--k-max", "2",
+                 "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--k-max" in capsys.readouterr().err
+
+
 class TestSpecFile:
     def test_load_spec_file(self, tmp_path):
         cfg = tmp_path / "spec.cfg"
@@ -199,6 +237,21 @@ class TestSpecFile:
         sidecar = json.loads((tmp_path / "certify.json").read_text())
         assert sidecar["spec"]["n"] == 32
         assert sidecar["spec"]["rho"] == 0.5
+
+    def test_gaussian_varswitch(self, tmp_path):
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text("model = varswitch\nn = 100\nrho = 0.5\nsigma2 = 2.0\n")
+        assert run(["certify", "--spec-file", str(cfg), "--out", str(tmp_path)]) == 0
+        spec = json.loads((tmp_path / "certify.json").read_text())["spec"]
+        assert spec == {"model": "varswitch", "n": 100, "rho": 0.5, "sigma2": 2.0}
+        cfg.write_text("model = rademacher\nn = 100\nsigma2 = 2.0\n")
+        assert run(["certify", "--spec-file", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_missing_file_is_config_error(self, tmp_path):
+        missing = tmp_path / "missing.cfg"
+        assert run(["certify", "--spec-file", str(missing), "--out", str(tmp_path)]) == 2
+        assert run(["certify", "--model", f"finite:{missing}", "--n", "8",
+                    "--out", str(tmp_path)]) == 2
 
     def test_varswitch_requires_rho(self, tmp_path):
         code = run(["certify", "--model", "varswitch", "--n", "8",

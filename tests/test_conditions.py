@@ -36,22 +36,18 @@ def bisect_t0(tol=1e-13):
 class TestMinimalH:
     def test_rademacher(self):
         # binding order is k=4: H = (2*1/4!)^(1/2) = 12^(-1/2)
-        h = minimal_bernstein_H(RADEMACHER, 30)
+        h = minimal_bernstein_H(RADEMACHER)
         assert h == pytest.approx(12 ** -0.5, rel=1e-14)
 
     def test_gaussian(self):
         # binding at k=4: 3 <= 12 H^2  ->  H = 1/2
-        assert minimal_bernstein_H(GAUSSIAN, 30) == pytest.approx(0.5, rel=1e-14)
-
-    def test_kmax_floor(self):
-        with pytest.raises(ValueError):
-            minimal_bernstein_H(RADEMACHER, 3)
+        assert minimal_bernstein_H(GAUSSIAN) == pytest.approx(0.5, rel=1e-14)
 
     @given(st.floats(0.1, 10.0))
     @settings(max_examples=100, deadline=None)
     def test_homogeneity(self, c):
-        base = minimal_bernstein_H(RADEMACHER, 20)
-        assert minimal_bernstein_H(RADEMACHER.scaled(c), 20) == pytest.approx(
+        base = minimal_bernstein_H(RADEMACHER)
+        assert minimal_bernstein_H(RADEMACHER.scaled(c)) == pytest.approx(
             c * base, rel=1e-12
         )
 
@@ -70,7 +66,7 @@ class TestMinimalH:
             return
         d = IncrementDistribution.finite_table(pairs)
         # |E eta^k| <= M^(k-2) E eta^2 <= k!/2 M^(k-2) E eta^2 for k >= 3
-        assert minimal_bernstein_H(d, 25) <= d.max_abs * (1 + 1e-12)
+        assert minimal_bernstein_H(d) <= d.max_abs * (1 + 1e-12)
 
 
 class TestCertify:
@@ -114,8 +110,8 @@ class TestCertify:
 
     def test_slack_binds_at_binding_k(self):
         for d in (RADEMACHER, GAUSSIAN):
-            h = minimal_bernstein_H(d, 30)
-            assert bernstein_slack(d, h, 30) == pytest.approx(1.0, abs=1e-12)
+            h = minimal_bernstein_H(d)
+            assert bernstein_slack(d, h) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSakhanenko:
@@ -135,7 +131,7 @@ class TestSakhanenko:
 
     def test_construction_yields_valid_K(self):
         for d in (RADEMACHER, GAUSSIAN):
-            K = sakhanenko_K_from_H(minimal_bernstein_H(d, 30))
+            K = sakhanenko_K_from_H(minimal_bernstein_H(d))
             report = check_sakhanenko(d, K)
             assert report.holds, report.detail
 
@@ -159,7 +155,7 @@ class TestCramerConversion:
         h = cramer_to_bernstein(1.0, math.e, 1.0)
         assert h == pytest.approx(2 * math.e, rel=1e-14)
         # valid (slack <= 1) though far from minimal
-        assert bernstein_slack(RADEMACHER, h, 30) <= 1.0
+        assert bernstein_slack(RADEMACHER, h) <= 1.0
 
     def test_large_variance_degenerates(self):
         assert cramer_to_bernstein(1.0, math.e, 1e12) == 1.0
@@ -188,5 +184,5 @@ class TestFactorialMoment:
         # exponential-moment form with constant K implies the absolute-moment
         # form with rho = 1/K
         for d in (RADEMACHER, GAUSSIAN):
-            K = sakhanenko_K_from_H(minimal_bernstein_H(d, 30))
+            K = sakhanenko_K_from_H(minimal_bernstein_H(d))
             assert check_factorial_moment(d, 1.0 / K).holds

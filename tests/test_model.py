@@ -237,6 +237,9 @@ class TestSpecConfig:
                 n=6,
                 normalized=True,
             ),
+            MartingaleSpec.variance_switching(
+                IncrementDistribution.gaussian(2.0), n=8, rho=0.25
+            ),
         ],
     )
     def test_round_trip(self, spec):
@@ -250,3 +253,8 @@ class TestSpecConfig:
             parse_spec_config("model = nosuch\nn = 4\n")
         with pytest.raises(ConfigError):
             parse_spec_config("just garbage\n")
+        with pytest.raises(ConfigError):  # sigma2 on a base that is not gaussian
+            parse_spec_config("model = rademacher\nn = 4\nsigma2 = 2\n")
+        with pytest.raises(ConfigError):
+            parse_spec_config("model = varswitch\nn = 4\nrho = 0.5\nsigma2 = 2\n"
+                              "values = -1, 1\nprobs = 0.5, 0.5\n")

@@ -216,12 +216,12 @@ class TestSolvers:
 class TestLemmaChecks:
     def test_moment_bounds_hold_at_minimal_eps(self):
         for d in (RADEMACHER, GAUSSIAN):
-            eps = conditions.minimal_bernstein_H(d, 30)
-            report = check_lemma1(d, eps, 30)
+            eps = conditions.minimal_bernstein_H(d)
+            report = check_lemma1(d, eps)
             assert report.holds, report.detail
 
     def test_moment_bounds_fail_below_minimal(self):
-        report = check_lemma1(RADEMACHER, 0.1, 30)
+        report = check_lemma1(RADEMACHER, 0.1)
         assert not report.holds
 
     def test_gaussian_fitted_constants_zero(self):
