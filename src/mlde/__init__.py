@@ -30,16 +30,10 @@ from .errors import ConfigError, DomainError, InfeasibleError, UnsupportedKindEr
 from .model import (
     IncrementDistribution,
     MartingaleSpec,
-    Path,
-    conditional_moment,
     parse_spec_config,
     format_spec_config,
-    quadratic_characteristic,
-    sample_path,
-    sample_paths,
 )
 from .montecarlo import (
-    RateCurve,
     TailEstimate,
     clt_rate_curve,
     conjugate_clt_check,
@@ -57,7 +51,6 @@ from .tilting import (
     TiltReport,
     check_lemma1,
     check_lemma2_lemma3,
-    conjugate_decomposition,
     cumulant_process,
     drift_process,
     solve_lambda_bar,

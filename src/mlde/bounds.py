@@ -204,22 +204,22 @@ def mdp_rate(x: float) -> float:
     return -0.5 * x * x
 
 
-def regime_tag(x: float, n: int, alpha1: float = 1.0, alpha2: float = 0.5) -> str:
+def regime_tag(x: float, n: int) -> str:
     """Range classifier for envelope sweeps at the normalized scale
     eps ~ 1/sqrt(n):
 
-      sqrt_log      x <= alpha1 * sqrt(log n)   (additive-expansion zone)
-      sixth_root    x <= n^(1/6)                (relative-remainder zone)
-      sqrt_n        x <= alpha2 * sqrt(n)       (log-ratio zone)
+      sqrt_log      x <= sqrt(log n)       (additive-expansion zone)
+      sixth_root    x <= n^(1/6)           (relative-remainder zone)
+      sqrt_n        x <= 0.5 * sqrt(n)     (log-ratio zone)
       outside       beyond all stated ranges
 
-    alpha1/alpha2 are artifact defaults; the theory fixes neither.
+    The factors 1 and 0.5 are artifact choices; the theory fixes neither.
     """
-    if x <= alpha1 * math.sqrt(math.log(n)):
+    if x <= math.sqrt(math.log(n)):
         return "sqrt_log"
     if x <= n ** (1.0 / 6.0):
         return "sixth_root"
-    if x <= alpha2 * math.sqrt(n):
+    if x <= 0.5 * math.sqrt(n):
         return "sqrt_n"
     return "outside"
 

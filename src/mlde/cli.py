@@ -296,23 +296,25 @@ def _cmd_ratio_table(args, out_dir, started):
 def _cmd_clt_rate(args, out_dir, started):
     n_list = _parse_n_list(args.n_list)
     family = _family(args)
-    curve = montecarlo.clt_rate_curve(family, n_list)
+    rows = montecarlo.clt_rate_curve(family, n_list)
     spec = family(n_list[-1])
     csv_path = _emit(out_dir, "clt_rate", args, spec, conditions.certify(spec),
-                     curve.rows, {"fitted_c": [r.fitted_c for r in curve.rows]},
-                     started)
-    print(f"{len(curve.rows)} rows -> {csv_path}")
+                     rows, {"fitted_c": [r.fitted_c for r in rows]}, started)
+    print(f"{len(rows)} rows -> {csv_path}")
     return EXIT_OK
 
 
 def _cmd_conjugate_clt(args, out_dir, started):
     n_list = _parse_n_list(args.n_list)
-    lams = [float(t) for t in str(args.lam).split(",") if t.strip() != ""]
+    try:
+        lams = [float(t) for t in args.lam.split(",") if t.strip()]
+    except ValueError:
+        raise ConfigError(f"bad lambda list {args.lam!r}; conjugate-clt takes numbers")
     if not lams:
         raise ConfigError("conjugate-clt needs at least one lambda")
     family = _family(args)
     rows = [r for lam in lams
-            for r in montecarlo.conjugate_clt_check(family, lam, n_list).rows]
+            for r in montecarlo.conjugate_clt_check(family, lam, n_list)]
     spec = family(n_list[-1])
     csv_path = _emit(out_dir, "conjugate_clt", args, spec, conditions.certify(spec),
                      rows, {"lambdas": lams}, started)

@@ -1,7 +1,7 @@
-"""Martingale-difference models: centered one-step laws, path sampling, and
-exact conditional moments.
+"""Martingale-difference models: centered one-step laws with exact moments,
+and the specs that combine them into a martingale of n steps.
 
-Two dynamics are supported:
+Two rules are supported:
 
 * ``iid`` -- independent increments from a fixed law, optionally rescaled by
   1/sqrt(n * E eta^2) so the predictable variance sums to exactly 1.
@@ -11,6 +11,9 @@ Two dynamics are supported:
   (1 - s*rho)/n.  Each pair therefore contributes exactly 2/n to the
   predictable variance, so it sums to 1 on every path while the increments
   remain genuinely history-dependent.
+
+``MartingaleSpec.iid_parts`` turns either rule into the independent iid parts
+of the terminal law; everything downstream works from those parts.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ import numpy as np
 
 from .errors import ConfigError, UnsupportedKindError
 
-# Paths are sampled in fixed-size blocks; block b of a run with master seed s
-# draws from Philox(key=[s, b]).  Every path's randomness is a pure function
-# of (seed, path index), so results never depend on the worker count.
+# Samples are drawn in fixed-size blocks; block b of a run with master seed s
+# draws from Philox(key=[s, b]).  Every draw's randomness is a pure function
+# of (seed, draw index), so results never depend on the worker count.
 BLOCK = 4096
 
 
@@ -32,13 +35,6 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
     if seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     return np.random.Generator(np.random.Philox(key=[seed, block]))
-
-
-def as_rng(stream) -> np.random.Generator:
-    """Accept an explicit Generator or an integer master seed."""
-    if isinstance(stream, np.random.Generator):
-        return stream
-    return block_rng(int(stream), 0)
 
 
 def _double_factorial(k: int) -> int:
@@ -138,7 +134,7 @@ class IncrementDistribution:
             return math.inf
         return self.scale
 
-    # -- transforms and sampling -------------------------------------------
+    # -- transforms --------------------------------------------------------
 
     def scaled(self, c: float) -> "IncrementDistribution":
         """The law of c * eta."""
@@ -162,20 +158,11 @@ class IncrementDistribution:
             return np.array([-self.scale, self.scale]), np.array([0.5, 0.5])
         raise UnsupportedKindError("gaussian law has no finite table")
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        if self.kind == "gaussian":
-            return math.sqrt(self.sigma2) * rng.standard_normal(size)
-        values, probs = self.table()
-        cum = np.cumsum(probs)
-        cum[-1] = 1.0
-        idx = np.searchsorted(cum, rng.random(size), side="right")
-        return values[idx]
-
 
 @dataclass(frozen=True)
 class MartingaleSpec:
-    """n steps plus an increment rule; generates paths and exposes exact
-    conditional moments and the predictable variance."""
+    """n steps plus an increment rule, exposed as the iid parts of its
+    terminal law and its exact predictable variance."""
 
     n: int
     rule: str  # "iid" | "variance_switching"
@@ -208,13 +195,6 @@ class MartingaleSpec:
             return self.dist
         return self.dist.scaled(1.0 / math.sqrt(self.n * self.dist.variance))
 
-    @property
-    def branch_variances(self) -> tuple:
-        """(high, low) per-step conditional variances of a switching spec."""
-        if self.rule != "variance_switching":
-            raise ValueError("branch_variances requires a variance_switching spec")
-        return (1.0 + self.rho) / self.n, (1.0 - self.rho) / self.n
-
     def iid_parts(self) -> tuple:
         """The terminal law as independent iid parts: ((law, count), ...).
 
@@ -231,10 +211,12 @@ class MartingaleSpec:
         """
         if self.rule == "iid":
             return ((self.step_distribution, self.n),)
+        # the high branch has conditional variance (1 + rho)/n, the low one
+        # (1 - rho)/n
         base_var = self.dist.variance
         return tuple(
             (self.dist.scaled(math.sqrt(v / base_var)), self.n // 2)
-            for v in self.branch_variances
+            for v in ((1.0 + self.rho) / self.n, (1.0 - self.rho) / self.n)
         )
 
     def total_variance(self) -> float:
@@ -247,103 +229,6 @@ class MartingaleSpec:
         if self.rule == "variance_switching" or self.normalized:
             return 1.0
         return self.n * self.dist.variance
-
-
-@dataclass
-class Path:
-    increments: np.ndarray
-    partial_sums: np.ndarray
-    predictable_variances: np.ndarray
-
-
-def _pair_sign(running: np.ndarray) -> np.ndarray:
-    # sign of the partial sum at the pair start, +1 at zero
-    return np.where(running >= 0.0, 1.0, -1.0)
-
-
-def _sample_block(spec: MartingaleSpec, rng: np.random.Generator, m: int):
-    """m paths' increments and realized predictable variances, (m, n) each."""
-    n = spec.n
-    if spec.rule == "iid":
-        d = spec.step_distribution
-        inc = d.sample(rng, (m, n))
-        pv = np.full((m, n), d.variance)
-        return inc, pv
-    v_hi, v_lo = spec.branch_variances
-    base = spec.dist
-    base_var = base.variance
-    c_hi = math.sqrt(v_hi / base_var)
-    c_lo = math.sqrt(v_lo / base_var)
-    # under the base measure the branch only rescales the drawn value
-    draws = base.sample(rng, (m, n))
-    inc = np.empty((m, n))
-    pv = np.empty((m, n))
-    running = np.zeros(m)
-    for j in range(0, n, 2):
-        s = _pair_sign(running)
-        first_hi = s > 0
-        for t, hi_mask in ((j, first_hi), (j + 1, ~first_hi)):
-            c = np.where(hi_mask, c_hi, c_lo)
-            inc[:, t] = draws[:, t] * c
-            pv[:, t] = np.where(hi_mask, v_hi, v_lo)
-            running = running + inc[:, t]
-    return inc, pv
-
-
-def sample_path(spec: MartingaleSpec, stream) -> Path:
-    """One path; deterministic given the seed/stream."""
-    rng = as_rng(stream)
-    inc, pv = _sample_block(spec, rng, 1)
-    inc, pv = inc[0], pv[0]
-    partial = np.concatenate([[0.0], np.cumsum(inc)])
-    return Path(increments=inc, partial_sums=partial, predictable_variances=pv)
-
-
-def sample_paths(spec: MartingaleSpec, n_paths: int, seed: int):
-    """(increments, predictable_variances) matrices for n_paths paths.
-
-    Block b uses the (seed, b) sub-stream; see BLOCK.
-    """
-    blocks = []
-    n_blocks = (n_paths + BLOCK - 1) // BLOCK
-    for b in range(n_blocks):
-        m = BLOCK if b < n_blocks - 1 else n_paths - (n_blocks - 1) * BLOCK
-        blocks.append(_sample_block(spec, block_rng(seed, b), m))
-    inc = np.concatenate([x for x, _ in blocks], axis=0)
-    pv = np.concatenate([x for _, x in blocks], axis=0)
-    return inc, pv
-
-
-def conditional_moment(spec: MartingaleSpec, history_state, i: int, k: int) -> float:
-    """Exact E(xi_i^k | F_{i-1}); i is 1-based.
-
-    history_state is ignored for iid specs; for variance_switching it must
-    expose partial_sums covering the start of step i's pair.
-    """
-    if k < 1:
-        raise ValueError("moment order must be >= 1")
-    if not 1 <= i <= spec.n:
-        raise ValueError("step index out of range")
-    if spec.rule == "iid":
-        return spec.step_distribution.moment(k)
-    pair_start = 2 * ((i - 1) // 2)  # partial-sum index at the pair start
-    running = float(history_state.partial_sums[pair_start])
-    s = 1.0 if running >= 0.0 else -1.0
-    v_hi, v_lo = spec.branch_variances
-    first_of_pair = (i - 1) % 2 == 0
-    if first_of_pair:
-        v = v_hi if s > 0 else v_lo
-    else:
-        v = v_lo if s > 0 else v_hi
-    c = math.sqrt(v / spec.dist.variance)
-    return c**k * spec.dist.moment(k)
-
-
-def quadratic_characteristic(path: Path, k: int) -> float:
-    """Prefix sum of the realized predictable variances."""
-    if not 0 <= k <= len(path.predictable_variances):
-        raise ValueError("index out of range")
-    return float(math.fsum(path.predictable_variances[:k]))
 
 
 # -- spec config serialization ---------------------------------------------
@@ -383,26 +268,41 @@ def spec_to_dict(spec: MartingaleSpec) -> dict:
     return d
 
 
+# the keys naming each base law's parameters
+_BASE_KEYS = {"rademacher": {"scale"}, "gaussian": {"sigma2"}, "finite": {"values", "probs"}}
+
+
 def spec_from_dict(d: dict) -> MartingaleSpec:
-    model = str(d.get("model", "")).lower()
+    """The spec a config dict describes; a key the model does not read is a
+    ConfigError, never silently dropped."""
     if "n" not in d:
         raise ConfigError("spec config needs a step count 'n'")
-    n = int(d["n"])
     table = "values" in d or "probs" in d
-    # sigma2 picks a gaussian base, as spec_to_dict writes it
-    if "sigma2" in d and (table or model not in ("gaussian", "varswitch")):
-        raise ConfigError(f"'sigma2' needs a gaussian base; model {model!r} has none")
+    model = str(d.get("model", "")).lower() or ("finite" if table else "")
+    if model == "varswitch":
+        # sigma2 picks a gaussian base and values/probs a finite one, as
+        # spec_to_dict writes them; the default base is Rademacher
+        kind = "gaussian" if "sigma2" in d else "finite" if table else "rademacher"
+        rule_keys = {"rho"}
+    elif model in _BASE_KEYS:
+        kind, rule_keys = model, {"normalized"}
+    else:
+        raise ConfigError(f"unknown model {model!r}")
+    unused = set(d) - {"model", "n"} - rule_keys - _BASE_KEYS[kind]
+    if unused:
+        raise ConfigError(
+            f"model {model!r} with a {kind} base does not read {sorted(unused)}"
+        )
 
-    if table:
+    n = int(d["n"])
+    if kind == "finite":
         if "values" not in d or "probs" not in d:
             raise ConfigError("finite tables need both 'values' and 'probs'")
         base = IncrementDistribution.finite_table(list(zip(d["values"], d["probs"])))
-    elif model == "gaussian" or "sigma2" in d:
+    elif kind == "gaussian":
         base = IncrementDistribution.gaussian(float(d.get("sigma2", 1.0)))
-    elif model in ("rademacher", "varswitch"):
-        base = IncrementDistribution.scaled_rademacher(float(d.get("scale", 1.0)))
     else:
-        raise ConfigError(f"unknown model {model!r}")
+        base = IncrementDistribution.scaled_rademacher(float(d.get("scale", 1.0)))
 
     if model == "varswitch":
         if "rho" not in d:

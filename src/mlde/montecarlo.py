@@ -77,11 +77,6 @@ class RateRow:
 
 
 @dataclass(frozen=True)
-class RateCurve:
-    rows: tuple
-
-
-@dataclass(frozen=True)
 class RatioRow:
     x: float
     p_hat: float
@@ -155,7 +150,7 @@ def _pairwise(parts):
     return parts[0]
 
 
-# -- tilted path-functional sampling ------------------------------------------
+# -- tilted sampling of the parts' sufficient statistics ---------------------
 
 def _tilted_two_point(d: IncrementDistribution, lam: float):
     """(low value, high value, tilted P(high), per-step log normalizer)."""
@@ -238,9 +233,9 @@ def tilted_tail_estimate(
                         method="tilted", seed=seed, lambda_used=lam)
 
 
-def saddlepoint_lambda(spec: MartingaleSpec, x: float, tol: float = 1e-10) -> float:
+def saddlepoint_lambda(spec: MartingaleSpec, x: float) -> float:
     """The tilt making the drift process hit x, by bisection on the exact
-    (monotone) drift."""
+    (monotone) drift to a relative width of 1e-10."""
     if x < 0:
         raise DomainError("x must be >= 0")
     if x == 0.0:
@@ -258,7 +253,7 @@ def saddlepoint_lambda(spec: MartingaleSpec, x: float, tol: float = 1e-10) -> fl
     else:
         raise DomainError("drift never reaches the threshold")
     lo = 0.0
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > 1e-10 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if tilting.drift_process(spec, mid) < x:
             lo = mid
@@ -394,10 +389,13 @@ def _recentred_lattice_ks(spec, lam: float) -> float:
     return lattice_ks(atoms - shift, pmf)
 
 
-def conjugate_clt_check(model_family, lam: float, n_list) -> RateCurve:
-    """Exact KS of the recentred martingale under the tilted law against the
-    normal limit, with the rate budget lam*eps + eps|log eps| + delta and the
-    per-n fitted constant.  lam = 0 reduces to the plain rate curve."""
+def conjugate_clt_check(model_family, lam: float, n_list) -> tuple:
+    """One RateRow per n: the exact KS of the recentred martingale under the
+    tilted law against the normal limit, with the rate budget
+    lam*eps + eps|log eps| + delta and the fitted constant.  lam = 0 reduces
+    to the plain rate curve."""
+    if not 0.0 <= lam < math.inf:
+        raise DomainError(f"lam = {lam!r} must be finite and >= 0")
     rows = []
     for n in n_list:
         spec = model_family(int(n))
@@ -417,12 +415,12 @@ def conjugate_clt_check(model_family, lam: float, n_list) -> RateCurve:
                 fitted_c=ks / budget,
             )
         )
-    return RateCurve(rows=tuple(rows))
+    return tuple(rows)
 
 
-def clt_rate_curve(model_family, n_list) -> RateCurve:
-    """Exact KS distance of X_n to the normal limit across n, with the
-    eps|log eps| + delta budget and per-n fitted constants."""
+def clt_rate_curve(model_family, n_list) -> tuple:
+    """One RateRow per n: the exact KS distance of X_n to the normal limit,
+    with the eps|log eps| + delta budget and the fitted constant."""
     return conjugate_clt_check(model_family, 0.0, n_list)
 
 
@@ -476,9 +474,7 @@ def ratio_experiment(
     seed: int = 0,
     lam_policy="saddlepoint",
     c_alpha: float = 1.0,
-    c_alpha0: float = 1.0,
     alpha: float = bounds.DEFAULT_ALPHA,
-    alpha0: float = bounds.DEFAULT_ALPHA0,
     workers=None,
 ) -> RatioExperiment:
     """Tail/normal-tail ratio across a threshold grid, against the two-sided
@@ -506,7 +502,7 @@ def ratio_experiment(
         budget = bounds.ratio_bound_expression(x, eps, delta)
         if feasible:
             pairs.append((abs(log_ratio), budget))
-        env = bounds.theorems_envelope(x, eps, delta, c_alpha, c_alpha0, alpha, alpha0)
+        env = bounds.theorems_envelope(x, eps, delta, c_alpha, alpha=alpha)
         raw.append((x, est, tail, ratio, log_ratio, env, budget, feasible))
     c_star = fit_constant(pairs) if pairs else 0.0
     rows = []

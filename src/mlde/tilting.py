@@ -1,9 +1,8 @@
 """Conjugate-measure machinery.
 
 Per-step log moment generating functions ("cumulants"), tilted means and
-variances, the cumulant and drift processes of a whole spec, the conjugate
-decomposition X_n = Y_n + B_n along a realized path, the closed-form tilt
-parameter solvers, and exact residual checks of the moment/drift/cumulant
+variances, the cumulant and drift processes of a whole spec, the closed-form
+tilt parameter solvers, and exact residual checks of the moment/drift/cumulant
 inequalities that drive the ratio bounds.
 
 All exponential sums are evaluated max-shifted so that large lambda * value
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import conditions
 from .errors import DomainError
-from .model import IncrementDistribution, MartingaleSpec, Path
+from .model import IncrementDistribution, MartingaleSpec
 
 
 # -- one-step quantities -----------------------------------------------------
@@ -101,15 +100,6 @@ def drift_process(spec: MartingaleSpec, lam: float) -> float:
     if spec.dist.kind == "gaussian":
         return lam * spec.total_variance()
     return sum(count * step_drift(d, lam) for d, count in spec.iid_parts())
-
-
-def conjugate_decomposition(path: Path, spec: MartingaleSpec, lam: float):
-    """Split X_n = y_n + b_n with b_n the drift accumulated along the
-    realized history.  Every path meets each iid part's law count times, so
-    b_n = B_n(lam) on every path and the identity holds exactly."""
-    b_n = drift_process(spec, lam)
-    x_n = float(path.partial_sums[-1])
-    return x_n - b_n, b_n
 
 
 # -- tilt-parameter solvers ----------------------------------------------------

@@ -184,15 +184,15 @@ def test_criterion_04_ratio_envelope_constant_bounded():
 
 def test_criterion_05_clt_rate_and_dominance():
     started = time.monotonic()
-    curve = clt_rate_curve(rademacher_spec, [100, 1_000, 10_000])
-    cs = [row.fitted_c for row in curve.rows]
+    rows = clt_rate_curve(rademacher_spec, [100, 1_000, 10_000])
+    cs = [row.fitted_c for row in rows]
     spread = max(cs) / min(cs)
     # the bounded-increment comparison needs eps >= sqrt(3/(4n)); that holds
     # for the per-increment magnitude 1/sqrt(n), not for the (smaller)
     # moment-growth epsilon, so the check runs at the increment scale
     dominance_ok = True
     precondition_cases = 0
-    for row in curve.rows:
+    for row in rows:
         eps_increment = 1.0 / math.sqrt(row.n)
         assert eps_increment >= math.sqrt(3.0 / (4.0 * row.n))
         precondition_cases += 1
@@ -210,15 +210,14 @@ def test_criterion_05_clt_rate_and_dominance():
 def test_criterion_06_conjugate_rate_under_tilt():
     started = time.monotonic()
     lams = [0.0, 0.5, 1.0, 2.0]
-    curves = {lam: conjugate_clt_check(rademacher_spec, lam, [10_000]) for lam in lams}
-    fitted = {lam: curves[lam].rows[0].fitted_c for lam in lams}
+    rows = {lam: conjugate_clt_check(rademacher_spec, lam, [10_000])[0] for lam in lams}
+    fitted = {lam: rows[lam].fitted_c for lam in lams}
     c_fit = max(fitted.values())
     within = all(
-        curves[lam].rows[0].ks_distance <= c_fit * curves[lam].rows[0].bound_value
-        for lam in lams
+        rows[lam].ks_distance <= c_fit * rows[lam].bound_value for lam in lams
     )
     spread = max(fitted.values()) / min(fitted.values())
-    bit_identical = curves[0.0] == clt_rate_curve(rademacher_spec, [10_000])
+    bit_identical = (rows[0.0],) == clt_rate_curve(rademacher_spec, [10_000])
     elapsed = time.monotonic() - started
     ok = within and spread < 3.0 and bit_identical and elapsed < 60.0
     assert report(

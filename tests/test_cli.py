@@ -133,6 +133,13 @@ class TestGridsAndLists:
         assert code == 0
         lines = (tmp_path / "conjugate_clt.csv").read_text().strip().splitlines()
         assert len(lines) == 4
+        # every entry must be a number; the tilt policies do not apply here
+        for lam in ("0,abc", "paper", "0,saddlepoint"):
+            assert run(["conjugate-clt", "--model", "rademacher", "--normalized",
+                        "--n-list", "100", "--lambda", lam, "--out", str(tmp_path)]) == 2
+        # a number outside the tilt range is a domain error
+        assert run(["conjugate-clt", "--model", "rademacher", "--normalized",
+                    "--n-list", "100", "--lambda", "0,-1", "--out", str(tmp_path)]) == 3
 
 
 class TestMdpCommand:
@@ -252,6 +259,16 @@ class TestSpecFile:
         assert run(["certify", "--spec-file", str(missing), "--out", str(tmp_path)]) == 2
         assert run(["certify", "--model", f"finite:{missing}", "--n", "8",
                     "--out", str(tmp_path)]) == 2
+
+    def test_unread_keys_are_config_errors(self, tmp_path):
+        # keys the chosen model never reads, from flags or from a spec file
+        for model in (["--model", "rademacher", "--rho", "0.5", "--normalized"],
+                      ["--model", "varswitch", "--rho", "0.5", "--normalized"]):
+            assert run(["certify", *model, "--n", "100", "--out", str(tmp_path)]) == 2
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text("model = rademacher\nn = 100\nfoo = 1\n")
+        assert run(["certify", "--spec-file", str(cfg), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "certify.json").exists()
 
     def test_varswitch_requires_rho(self, tmp_path):
         code = run(["certify", "--model", "varswitch", "--n", "8",

@@ -9,12 +9,8 @@ from mlde.errors import ConfigError
 from mlde.model import (
     IncrementDistribution,
     MartingaleSpec,
-    conditional_moment,
     format_spec_config,
     parse_spec_config,
-    quadratic_characteristic,
-    sample_path,
-    sample_paths,
     spec_from_dict,
     spec_to_dict,
 )
@@ -100,10 +96,11 @@ class TestSpec:
         spec = MartingaleSpec.iid(
             IncrementDistribution.scaled_rademacher(1.0), n=4, normalized=True
         )
-        assert spec.step_distribution.scale == pytest.approx(0.5)
-        path = sample_path(spec, 123)
-        assert np.all(np.isin(path.increments, [-0.5, 0.5]))
-        assert abs(path.partial_sums[-1]) <= 2.0
+        values, probs = spec.step_distribution.table()
+        assert values.tolist() == [-0.5, 0.5]
+        assert probs.tolist() == [0.5, 0.5]
+        assert spec.iid_parts() == ((spec.step_distribution, 4),)
+        assert spec.n * spec.step_distribution.max_abs == 2.0
 
     def test_varswitch_needs_even_n(self):
         base = IncrementDistribution.scaled_rademacher(1.0)
@@ -113,110 +110,23 @@ class TestSpec:
             MartingaleSpec.variance_switching(base, n=4, rho=1.0)
 
     def test_varswitch_pair_variances(self):
-        # n=2, rho=0.5: the pair starts at zero so s=+1, giving step variances
-        # (1+rho)/n = 0.75 then (1-rho)/n = 0.25, which sum to 1 exactly
+        # n=2, rho=0.5: one draw of the high-branch law, variance
+        # (1+rho)/n = 0.75, and one of the low-branch law, (1-rho)/n = 0.25,
+        # which sum to 1 exactly
         spec = MartingaleSpec.variance_switching(
             IncrementDistribution.scaled_rademacher(1.0), n=2, rho=0.5
         )
-        path = sample_path(spec, 0)
-        assert path.predictable_variances[0] == pytest.approx(0.75)
-        assert path.predictable_variances[1] == pytest.approx(0.25)
-        assert quadratic_characteristic(path, 2) == pytest.approx(1.0, abs=1e-15)
+        (hi, n_hi), (lo, n_lo) = spec.iid_parts()
+        assert (n_hi, n_lo) == (1, 1)
+        assert hi.variance == pytest.approx(0.75, rel=1e-15)
+        assert lo.variance == pytest.approx(0.25, rel=1e-15)
+        assert n_hi * hi.variance + n_lo * lo.variance == pytest.approx(1.0, abs=1e-15)
 
     def test_total_variance_exact(self):
         base = IncrementDistribution.scaled_rademacher(1.0)
         assert MartingaleSpec.iid(base, n=7, normalized=True).total_variance() == 1.0
         assert MartingaleSpec.variance_switching(base, n=6, rho=0.3).total_variance() == 1.0
         assert MartingaleSpec.iid(base, n=7).total_variance() == 7.0
-
-
-class TestSampling:
-    def test_determinism(self):
-        spec = MartingaleSpec.iid(
-            IncrementDistribution.gaussian(1.0), n=10, normalized=True
-        )
-        a = sample_path(spec, 99)
-        b = sample_path(spec, 99)
-        assert np.array_equal(a.increments, b.increments)
-        assert np.array_equal(a.partial_sums, b.partial_sums)
-
-    def test_partial_sums_consistent(self):
-        spec = MartingaleSpec.variance_switching(
-            IncrementDistribution.scaled_rademacher(1.0), n=12, rho=0.4
-        )
-        path = sample_path(spec, 5)
-        assert path.partial_sums[0] == 0.0
-        assert np.allclose(np.diff(path.partial_sums), path.increments)
-
-    def test_quadratic_characteristic_nondecreasing(self):
-        spec = MartingaleSpec.variance_switching(
-            IncrementDistribution.scaled_rademacher(1.0), n=20, rho=0.7
-        )
-        for seed in range(5):
-            path = sample_path(spec, seed)
-            qc = [quadratic_characteristic(path, k) for k in range(21)]
-            assert qc[0] == 0.0
-            assert all(b >= a for a, b in zip(qc, qc[1:]))
-            assert qc[-1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_normalized_qc_is_one(self):
-        spec = MartingaleSpec.iid(
-            IncrementDistribution.scaled_rademacher(1.0), n=16, normalized=True
-        )
-        path = sample_path(spec, 2)
-        assert quadratic_characteristic(path, 16) == pytest.approx(1.0, abs=1e-12)
-
-    def test_paths_are_pure_function_of_seed_and_index(self):
-        spec = MartingaleSpec.iid(
-            IncrementDistribution.scaled_rademacher(1.0), n=8, normalized=True
-        )
-        inc_small, _ = sample_paths(spec, 10, seed=77)
-        inc_large, _ = sample_paths(spec, 5000, seed=77)
-        assert np.array_equal(inc_small, inc_large[:10])
-
-    def test_martingale_property_statistical(self):
-        # |mean X_n| <= 4 sqrt(<X>_n / N) at N = 2e4 (4-sigma check)
-        n_paths = 20000
-        for spec in (
-            MartingaleSpec.iid(
-                IncrementDistribution.scaled_rademacher(1.0), n=16, normalized=True
-            ),
-            MartingaleSpec.variance_switching(
-                IncrementDistribution.scaled_rademacher(1.0), n=16, rho=0.6
-            ),
-        ):
-            inc, _ = sample_paths(spec, n_paths, seed=2024)
-            xn = inc.sum(axis=1)
-            assert abs(float(xn.mean())) <= 4.0 * math.sqrt(1.0 / n_paths)
-
-
-class TestConditionalMoments:
-    def test_iid_moments(self):
-        spec = MartingaleSpec.iid(
-            IncrementDistribution.gaussian(1.0), n=4, normalized=True
-        )
-        # step variance 1/4, fourth moment 3 * (1/4)^2
-        assert conditional_moment(spec, None, 1, 2) == pytest.approx(0.25, rel=1e-12)
-        assert conditional_moment(spec, None, 3, 4) == pytest.approx(3 * 0.25**2, rel=1e-12)
-
-    def test_varswitch_moments_follow_sign(self):
-        spec = MartingaleSpec.variance_switching(
-            IncrementDistribution.scaled_rademacher(1.0), n=4, rho=0.5
-        )
-        path = sample_path(spec, 1)
-        v_hi, v_lo = spec.branch_variances
-        # first pair starts at zero: s=+1
-        assert conditional_moment(spec, path, 1, 2) == pytest.approx(v_hi, rel=1e-12)
-        assert conditional_moment(spec, path, 2, 2) == pytest.approx(v_lo, rel=1e-12)
-        # second pair keyed to the sign of X_2
-        s = 1.0 if path.partial_sums[2] >= 0 else -1.0
-        expect_3 = v_hi if s > 0 else v_lo
-        assert conditional_moment(spec, path, 3, 2) == pytest.approx(expect_3, rel=1e-12)
-        # moments realized along the path agree with the recorded variances
-        for i in range(1, 5):
-            assert conditional_moment(spec, path, i, 2) == pytest.approx(
-                path.predictable_variances[i - 1], rel=1e-12
-            )
 
 
 class TestSpecConfig:
@@ -258,3 +168,36 @@ class TestSpecConfig:
         with pytest.raises(ConfigError):
             parse_spec_config("model = varswitch\nn = 4\nrho = 0.5\nsigma2 = 2\n"
                               "values = -1, 1\nprobs = 0.5, 0.5\n")
+        # keys the chosen model never reads
+        for text in (
+            # rho on iid models
+            "model = rademacher\nn = 100\nnormalized = true\nrho = 0.5\n",
+            "model = gaussian\nn = 10\nrho = 0.5\n",
+            "n = 6\nvalues = -1, 1\nprobs = 0.5, 0.5\nrho = 0.5\n",
+            # normalized on varswitch
+            "model = varswitch\nn = 4\nrho = 0.5\nnormalized = true\n",
+            "model = varswitch\nn = 4\nrho = 0.5\nnormalized = false\n",
+            # scale on gaussian or finite bases
+            "model = gaussian\nn = 4\nscale = 2\n",
+            "model = finite\nn = 4\nscale = 2\nvalues = -1, 1\nprobs = 0.5, 0.5\n",
+            "model = varswitch\nn = 4\nrho = 0.5\nsigma2 = 2\nscale = 2\n",
+            "model = varswitch\nn = 4\nrho = 0.5\nscale = 2\n"
+            "values = -1, 1\nprobs = 0.5, 0.5\n",
+            # a finite table under a model that has none
+            "model = rademacher\nn = 4\nvalues = -1, 0, 2\nprobs = 0.5, 0.25, 0.25\n",
+            "model = gaussian\nn = 4\nvalues = -1, 1\nprobs = 0.5, 0.5\n",
+            # unknown keys
+            "model = rademacher\nn = 4\nfoo = 1\n",
+            "model = varswitch\nn = 4\nrho = 0.5\nfoo = 1\n",
+        ):
+            with pytest.raises(ConfigError):
+                parse_spec_config(text)
+
+    def test_table_files_load(self):
+        # a bare table is a finite iid law; with model = varswitch it is the base
+        three = "values = -1, 0, 2\nprobs = 0.5, 0.25, 0.25\n"
+        spec = parse_spec_config("n = 14\n" + three)
+        assert (spec.rule, spec.dist.kind, spec.n) == ("iid", "finite_table", 14)
+        spec = parse_spec_config("model = varswitch\nn = 200\nrho = 0.5\n" + three)
+        assert (spec.rule, spec.dist.kind, spec.rho) == ("variance_switching",
+                                                         "finite_table", 0.5)

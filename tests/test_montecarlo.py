@@ -359,19 +359,17 @@ class TestLatticeKs:
 
 class TestRateCurves:
     def test_single_step_frozen(self):
-        curve = clt_rate_curve(rademacher_spec, [1])
-        row = curve.rows[0]
+        (row,) = clt_rate_curve(rademacher_spec, [1])
         phi1 = 1.0 - bounds.gaussian_tail(1.0)
         assert row.ks_distance == pytest.approx(phi1 - 0.5, abs=1e-12)  # ~0.341345
         assert row.fitted_c == row.ks_distance / row.bound_value
 
     def test_gaussian_exact_normality(self):
-        curve = clt_rate_curve(gaussian_spec, [10, 100])
-        assert all(r.ks_distance == 0.0 for r in curve.rows)
+        rows = clt_rate_curve(gaussian_spec, [10, 100])
+        assert all(r.ks_distance == 0.0 for r in rows)
 
     def test_rows_follow_certificate(self):
-        curve = clt_rate_curve(rademacher_spec, [100, 1000])
-        for row in curve.rows:
+        for row in clt_rate_curve(rademacher_spec, [100, 1000]):
             cert = conditions.certify(rademacher_spec(row.n))
             assert row.epsilon == cert.epsilon and row.delta == cert.delta
             assert row.bound_value == bounds.berry_esseen_bound(row.epsilon, row.delta)
@@ -382,10 +380,16 @@ class TestRateCurves:
             rademacher_spec, ns
         )
 
+    def test_conjugate_rejects_negative_or_nonfinite_tilt(self):
+        # the lam*eps budget term needs lam >= 0; a negative tilt gave a
+        # negative bound_value and fitted_c
+        for lam in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                conjugate_clt_check(rademacher_spec, lam, [100])
+
     def test_conjugate_tilted_lattice(self):
         # tilted rademacher is a biased-coin walk recentred by the drift
-        curve = conjugate_clt_check(rademacher_spec, 1.0, [400])
-        row = curve.rows[0]
+        (row,) = conjugate_clt_check(rademacher_spec, 1.0, [400])
         assert 0.0 < row.ks_distance < 0.1
         assert row.bound_value == pytest.approx(
             1.0 * row.epsilon + row.epsilon * abs(math.log(row.epsilon)), rel=1e-12
@@ -418,7 +422,7 @@ class TestRateCurves:
         for t in np.sort(ts):
             f = float(cdf[np.searchsorted(values, t, side="right") - 1]) if t >= values[0] else 0.0
             sup = max(sup, abs(f - (1.0 - bounds.gaussian_tail(float(t)))))
-        row = conjugate_clt_check(family, lam, [5]).rows[0]
+        (row,) = conjugate_clt_check(family, lam, [5])
         assert row.ks_distance == pytest.approx(sup, abs=1e-9)
 
 

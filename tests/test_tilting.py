@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,11 +8,10 @@ import hypothesis.strategies as st
 
 from mlde import conditions
 from mlde.errors import DomainError
-from mlde.model import IncrementDistribution, MartingaleSpec, sample_path
+from mlde.model import IncrementDistribution, MartingaleSpec
 from mlde.tilting import (
     check_lemma1,
     check_lemma2_lemma3,
-    conjugate_decomposition,
     cumulant_process,
     drift_process,
     fitted_drift_cumulant_constants,
@@ -129,31 +129,32 @@ class TestProcesses:
             3 * (step_drift(hi, lam) + step_drift(lo, lam)), rel=1e-14
         )
 
-    def test_decomposition_identity_and_closed_form(self):
+    def test_drift_closed_form(self):
+        # n = 36 normalized Rademacher steps of +-1/6: B_n = 36 (1/6) tanh(lam/6)
         spec = MartingaleSpec.iid(RADEMACHER, n=36, normalized=True)
-        for lam in (0.0, 0.9, 2.2):
-            path = sample_path(spec, 17)
-            y, b = conjugate_decomposition(path, spec, lam)
-            assert y + b - path.partial_sums[-1] == pytest.approx(0.0, abs=1e-12)
-            assert b == pytest.approx(6 * math.tanh(lam / 6), rel=1e-12)
-        y0, b0 = conjugate_decomposition(path, spec, 0.0)
-        assert b0 == 0.0 and y0 == path.partial_sums[-1]
+        for lam in (0.9, 2.2):
+            assert drift_process(spec, lam) == pytest.approx(6 * math.tanh(lam / 6),
+                                                             rel=1e-12)
+        assert drift_process(spec, 0.0) == 0.0
 
     def test_decomposition_varswitch(self):
-        spec = MartingaleSpec.variance_switching(RADEMACHER, n=10, rho=0.6)
-        base_var = spec.dist.variance
-        for seed in range(4):
-            path = sample_path(spec, seed)
-            y, b = conjugate_decomposition(path, spec, 1.5)
-            assert y + b - path.partial_sums[-1] == pytest.approx(0.0, abs=1e-12)
-            # the drift accumulated step by step along the realized history,
-            # each step's branch read from its predictable variance; the
-            # pairing makes it path-independent
-            along_path = math.fsum(
-                step_drift(spec.dist.scaled(math.sqrt(v / base_var)), 1.5)
-                for v in path.predictable_variances
-            )
-            assert b == pytest.approx(along_path, rel=1e-12)
+        # B_n accumulated step by step along every one of the 2^10 Rademacher
+        # sign paths, each step's branch set by the pair-sign rule, equals
+        # drift_process: the pairing makes the drift path-independent
+        n, rho, lam = 10, 0.6, 1.5
+        spec = MartingaleSpec.variance_switching(RADEMACHER, n=n, rho=rho)
+        # (step scale, step drift) of each branch, variances (1 +- rho)/n
+        hi, lo = ((c, step_drift(RADEMACHER.scaled(c), lam))
+                  for c in (math.sqrt((1 + rho) / n), math.sqrt((1 - rho) / n)))
+        b_n = drift_process(spec, lam)
+        for signs in itertools.product((-1.0, 1.0), repeat=n):
+            run, along_path = 0.0, []
+            for j in range(0, n, 2):
+                # the sign of the running sum (+1 at zero) picks the pair's order
+                (c1, d1), (c2, d2) = (hi, lo) if run >= 0 else (lo, hi)
+                run += signs[j] * c1 + signs[j + 1] * c2
+                along_path += [d1, d2]
+            assert math.fsum(along_path) == pytest.approx(b_n, rel=1e-12)
 
 
 class TestSolvers:
