@@ -5,7 +5,6 @@ importance sampling, exact lattice oracles, and closed-form bound evaluators.
 
 from .bounds import (
     BoundEnvelope,
-    berry_esseen_bound,
     bolthausen_bound,
     corollary1_envelope,
     dominance_check,

@@ -14,12 +14,15 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-# Range constants are artifact choices, not derived values: the upper-bound
-# envelope is stated for x <= alpha/epsilon with any alpha in (0,1); the
-# lower-bound side holds for x <= alpha0/epsilon with some small absolute
-# alpha0 that is never pinned numerically.
-DEFAULT_ALPHA = 0.9
-DEFAULT_ALPHA0 = 0.1
+# The paper never pins its constants, so they are fixed here.  The upper
+# envelope is stated for x <= alpha/epsilon with any alpha in (0, 1), the
+# lower side for x <= alpha0/epsilon with some small absolute alpha0; ALPHA
+# and ALPHA0 are those ranges.  C stands for every absolute constant in front
+# of a budget (c_alpha, c_alpha0 and the rate constants).  What the exact
+# values need is measured instead: the fitted c*, c2, c3 and fitted_c columns.
+ALPHA = 0.9
+ALPHA0 = 0.1
+C = 1.0
 
 
 @dataclass(frozen=True)
@@ -58,30 +61,25 @@ def _safe_exp(v: float) -> float:
         return math.inf
 
 
-def theorem1_upper(
-    x: float, epsilon: float, delta: float, c_alpha: float = 1.0
-) -> float:
-    """Upper envelope for P(X_n > x) / (1 - Phi(x)):
+def theorem1_upper(x: float, epsilon: float, delta: float) -> float:
+    """Upper envelope for P(X_n > x) / (1 - Phi(x)) at c = C:
 
         exp(c (x^3 eps + x^2 delta^2)) * (1 + c (1+x)(eps|log eps| + delta))
     """
     _check_params(epsilon, delta)
-    return _safe_exp(c_alpha * (x**3 * epsilon + x**2 * delta**2)) * (
-        1.0 + c_alpha * _slack_term(x, epsilon, delta)
+    return _safe_exp(C * (x**3 * epsilon + x**2 * delta**2)) * (
+        1.0 + C * _slack_term(x, epsilon, delta)
     )
 
 
-def theorem2_lower(
-    x: float, epsilon: float, delta: float, c_alpha0: float = 1.0
-) -> float:
-    """Lower envelope for the same ratio:
+def theorem2_lower(x: float, epsilon: float, delta: float) -> float:
+    """Lower envelope for the same ratio at c = C:
 
         exp(-c (x^3 eps + x^2 delta^2 + (1+x)(eps|log eps| + delta)))
     """
     _check_params(epsilon, delta)
     return math.exp(
-        -c_alpha0
-        * (x**3 * epsilon + x**2 * delta**2 + _slack_term(x, epsilon, delta))
+        -C * (x**3 * epsilon + x**2 * delta**2 + _slack_term(x, epsilon, delta))
     )
 
 
@@ -91,27 +89,19 @@ def ratio_bound_expression(x: float, epsilon: float, delta: float) -> float:
     return x**3 * epsilon + x**2 * delta**2 + _slack_term(x, epsilon, delta)
 
 
-def theorems_envelope(
-    x: float,
-    epsilon: float,
-    delta: float,
-    c_alpha: float = 1.0,
-    c_alpha0: float = 1.0,
-    alpha: float = DEFAULT_ALPHA,
-    alpha0: float = DEFAULT_ALPHA0,
-) -> BoundEnvelope:
+def theorems_envelope(x: float, epsilon: float, delta: float) -> BoundEnvelope:
     """Two-sided envelope with validity flags for the stated ranges
-    (x <= alpha/epsilon for the upper side, x <= alpha0/epsilon and
-    delta <= alpha0 for the lower side)."""
-    upper = theorem1_upper(x, epsilon, delta, c_alpha)
-    lower = theorem2_lower(x, epsilon, delta, c_alpha0)
+    (x <= ALPHA/epsilon for the upper side, x <= ALPHA0/epsilon and
+    delta <= ALPHA0 for the lower side)."""
+    upper = theorem1_upper(x, epsilon, delta)
+    lower = theorem2_lower(x, epsilon, delta)
     notes = []
-    if x > alpha / epsilon:
-        notes.append(f"x > alpha/epsilon = {alpha / epsilon:.6g}")
-    if x > alpha0 / epsilon:
-        notes.append(f"x > alpha0/epsilon = {alpha0 / epsilon:.6g}")
-    if delta > alpha0:
-        notes.append(f"delta > alpha0 = {alpha0:.6g}")
+    if x > ALPHA / epsilon:
+        notes.append(f"x > alpha/epsilon = {ALPHA / epsilon:.6g}")
+    if x > ALPHA0 / epsilon:
+        notes.append(f"x > alpha0/epsilon = {ALPHA0 / epsilon:.6g}")
+    if delta > ALPHA0:
+        notes.append(f"delta > alpha0 = {ALPHA0:.6g}")
     return BoundEnvelope(
         x=x,
         lower_ratio=lower,
@@ -121,31 +111,25 @@ def theorems_envelope(
     )
 
 
-def corollary1_envelope(
-    x: float,
-    epsilon: float,
-    delta: float,
-    c_alpha0: float = 1.0,
-    alpha0: float = DEFAULT_ALPHA0,
-) -> BoundEnvelope:
-    """Multiplicative expansion envelope taking the bounded slack factors at
-    their +/-1 extremes:
+def corollary1_envelope(x: float, epsilon: float, delta: float) -> BoundEnvelope:
+    """Multiplicative expansion envelope at c = C, taking the bounded slack
+    factors at their +/-1 extremes:
 
         lower = e^(-c x^3 eps) (1 - c(1+x)(eps|log eps| + delta))
         upper = e^(+c x^3 eps) (1 + c(1+x)(eps|log eps| + delta))
 
     The lower side is clamped at 0 (with a note) once the subtracted slack
-    exceeds 1.  Valid for x <= alpha0 * min(1/(eps|log eps|), 1/delta).
+    exceeds 1.  Valid for x <= ALPHA0 * min(1/(eps|log eps|), 1/delta).
     """
     _check_params(epsilon, delta)
-    slack = c_alpha0 * _slack_term(x, epsilon, delta)
-    cubic = c_alpha0 * x**3 * epsilon
+    slack = C * _slack_term(x, epsilon, delta)
+    cubic = C * x**3 * epsilon
     lower = math.exp(-cubic) * (1.0 - slack)
     notes = []
     if slack > 1.0:
         lower = 0.0
         notes.append("slack term exceeds 1; lower side clamped at 0")
-    limit = alpha0 * min(
+    limit = ALPHA0 * min(
         1.0 / (epsilon * abs(math.log(epsilon))),
         1.0 / delta if delta > 0 else math.inf,
     )
@@ -160,17 +144,12 @@ def corollary1_envelope(
     )
 
 
-def berry_esseen_bound(epsilon: float, delta: float, c: float = 1.0) -> float:
-    """Rate bound c * (eps |log eps| + delta) on sup_x |P(X_n <= x) - Phi(x)|."""
+def conjugate_rate_bound(lam: float, epsilon: float, delta: float) -> float:
+    """Rate bound C * (lam*eps + eps|log eps| + delta) for the recentred
+    martingale under the tilted measure; at lam = 0 it is the bound
+    C * (eps|log eps| + delta) on sup_x |P(X_n <= x) - Phi(x)|."""
     _check_params(epsilon, delta)
-    return c * (epsilon * abs(math.log(epsilon)) + delta)
-
-
-def conjugate_rate_bound(lam: float, epsilon: float, delta: float, c: float = 1.0) -> float:
-    """Rate bound c * (lam*eps + eps|log eps| + delta) for the recentred
-    martingale under the tilted measure."""
-    _check_params(epsilon, delta)
-    return c * (lam * epsilon + epsilon * abs(math.log(epsilon)) + delta)
+    return C * (lam * epsilon + epsilon * abs(math.log(epsilon)) + delta)
 
 
 def _bolthausen_precondition(epsilon: float, n: int) -> None:
@@ -183,11 +162,11 @@ def _bolthausen_precondition(epsilon: float, n: int) -> None:
         raise DomainError("precondition-violated: epsilon > 1/2")
 
 
-def bolthausen_bound(epsilon: float, delta: float, n: int, c1: float = 1.0) -> float:
-    """Bounded-increment rate bound c1 * (eps^3 n log n + delta), stated for
+def bolthausen_bound(epsilon: float, delta: float, n: int) -> float:
+    """Bounded-increment rate bound C * (eps^3 n log n + delta), stated for
     eps in [sqrt(3/(4n)), 1/2]."""
     _bolthausen_precondition(epsilon, n)
-    return c1 * (epsilon**3 * n * math.log(n) + delta)
+    return C * (epsilon**3 * n * math.log(n) + delta)
 
 
 def dominance_check(epsilon: float, n: int) -> bool:

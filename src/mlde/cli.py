@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_INFEASIBLE = 4
+MAX_GRID_ROWS = 10_000  # longest a:b:step grid a sweep accepts
 
 
 # -- argument handling ---------------------------------------------------------
@@ -55,13 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tail", help="estimate P(X_n > x)")
     add_model_flags(p)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite, required=True)
     p.add_argument("--method", default="tilted", choices=montecarlo.TAIL_METHODS)
     p.add_argument("--lambda", dest="lam", default="saddlepoint",
                    help="saddlepoint | paper | <value>")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--c-alpha", type=float, default=1.0)
 
     p = sub.add_parser("ratio-table", help="tail/normal-tail ratio sweep")
     add_model_flags(p)
@@ -70,8 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default="saddlepoint")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--c-alpha", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=bounds.DEFAULT_ALPHA)
 
     p = sub.add_parser("clt-rate", help="exact normal-approximation rate across n")
     add_model_flags(p)
@@ -85,9 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mdp", help="moderate-deviation limit diagnostic")
     add_model_flags(p)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite, required=True)
     p.add_argument("--n-list", required=True)
-    p.add_argument("--a-exponent", type=float, default=0.25,
+    p.add_argument("--a-exponent", type=_finite, default=0.25,
                    help="speed a_n = n**gamma")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=None)
@@ -95,11 +94,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemmas", help="exact drift/cumulant inequality checks")
     add_model_flags(p)
-    p.add_argument("--lambda-grid", default=None, help="a:b:step (default 0..alpha/eps)")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--c-alpha", type=float, default=1.0)
+    p.add_argument("--lambda-grid", default=None,
+                   help="a:b:step (default 21 points on 0..0.5/eps)")
 
     return parser
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _parse_grid(text: str) -> list:
@@ -107,8 +115,10 @@ def _parse_grid(text: str) -> list:
         a, b, step = (float(t) for t in text.split(":"))
     except ValueError:
         raise ConfigError(f"bad grid {text!r}; expected a:b:step")
-    if step <= 0 or b < a:
-        raise ConfigError(f"bad grid {text!r}; need a <= b and step > 0")
+    if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
+        raise ConfigError(f"bad grid {text!r}; need finite a <= b and step > 0")
+    if (b - a) / step >= MAX_GRID_ROWS:  # floor((b - a)/step) + 1 rows
+        raise ConfigError(f"bad grid {text!r}; more than {MAX_GRID_ROWS} rows")
     return [float(v) for v in np.arange(a, b + step / 2.0, step)]
 
 
@@ -126,9 +136,12 @@ def _parse_lambda(text: str):
     if text in ("saddlepoint", "paper"):
         return text
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise ConfigError(f"bad lambda {text!r}")
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"bad lambda {text!r}; need saddlepoint, paper or a finite number")
+    return value
 
 
 def _read_config(path: str) -> dict:
@@ -268,8 +281,7 @@ def _cmd_tail(args, out_dir, started):
     if args.method == "tilted" and lam_policy == "paper":
         cert = conditions.certify(spec)
     est = montecarlo.estimate_tail(spec, args.x, args.method, lam_policy,
-                                   args.samples, args.seed, cert=cert,
-                                   c_alpha=args.c_alpha)
+                                   args.samples, args.seed, cert)
     csv_path = _emit(out_dir, "tail", args, spec, cert, [est],
                      {"p_hat": est.p_hat, "std_err": est.std_err,
                       "lambda_used": est.lambda_used}, started)
@@ -285,8 +297,7 @@ def _cmd_ratio_table(args, out_dir, started):
     result = montecarlo.ratio_experiment(
         spec, xs, method=args.method, samples=args.samples,
         seed=args.seed if args.seed is not None else 0,
-        lam_policy=_parse_lambda(args.lam), c_alpha=args.c_alpha,
-        alpha=args.alpha)
+        lam_policy=_parse_lambda(args.lam))
     csv_path = _emit(out_dir, "ratio", args, spec, result.certificate, result.rows,
                      {"fitted_c_star": result.fitted_c_star}, started)
     print(f"fitted c* = {result.fitted_c_star!r} over {len(result.rows)} rows -> {csv_path}")
@@ -347,9 +358,8 @@ def _cmd_lemmas(args, out_dir, started):
     if args.lambda_grid:
         grid = _parse_grid(args.lambda_grid)
     else:
-        grid = [float(v) for v in np.linspace(0.0, args.alpha / cert.epsilon, 21)]
-    reports = tilting.check_lemma2_lemma3(spec, grid, alpha=args.alpha,
-                                          c_alpha=args.c_alpha, certificate=cert)
+        grid = [float(v) for v in np.linspace(0.0, tilting.LEMMA_ALPHA / cert.epsilon, 21)]
+    reports = tilting.check_lemma2_lemma3(spec, grid, certificate=cert)
     c2, c3 = tilting.fitted_drift_cumulant_constants(reports)
     lemma1 = [tilting.check_lemma1(d, cert.epsilon) for d, _ in spec.iid_parts()]
     holds = all(r.holds for r in lemma1)

@@ -40,7 +40,7 @@ from .errors import ConfigError, DomainError
 from .model import BLOCK, IncrementDistribution, MartingaleSpec, block_rng
 
 ENUM_LIMIT = 1 << 24  # largest count-vector table (vectors x atoms) the exact engine builds
-EXACT_METHODS = ("exact", "exact_enum", "exact_binomial", "exact_gaussian")
+EXACT_METHODS = ("exact", "exact_enum")
 TAIL_METHODS = ("crude", "tilted") + EXACT_METHODS
 
 
@@ -52,7 +52,7 @@ class TailEstimate:
     p_hat: float
     std_err: float
     n_samples: int
-    method: str  # crude | tilted | exact_enum | exact_binomial | exact_gaussian
+    method: str  # the route taken: crude | tilted | exact_enum | exact_binomial | exact_gaussian
     seed: int
     lambda_used: float = 0.0
 
@@ -116,12 +116,12 @@ class MdpRow:
 
 # -- deterministic parallel plumbing ------------------------------------------
 
-def resolve_workers(workers=None) -> int:
-    if workers is None:
-        workers = os.environ.get("MLDE_THREADS", "1")
+def resolve_workers() -> int:
+    """The worker count MLDE_THREADS asks for (1 when unset)."""
+    workers = os.environ.get("MLDE_THREADS", "1")
     try:
         workers = int(workers)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ConfigError(f"bad worker count {workers!r}")
     return max(1, workers)
 
@@ -131,8 +131,8 @@ def _pool_size(workers: int, n_blocks: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, n_blocks))
 
 
-def _map_blocks(fn, n_blocks: int, workers: int):
-    workers = _pool_size(workers, n_blocks)
+def _map_blocks(fn, n_blocks: int):
+    workers = _pool_size(resolve_workers(), n_blocks)
     if workers <= 1:
         return [fn(b) for b in range(n_blocks)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -185,7 +185,7 @@ def _stat_block(spec: MartingaleSpec, lam: float, rng, m: int):
     return xn, psi
 
 
-def _weighted_tail(spec, x, lam, n_samples, seed, workers):
+def _weighted_tail(spec, x, lam, n_samples, seed):
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
     n_blocks = (n_samples + BLOCK - 1) // BLOCK
@@ -199,14 +199,14 @@ def _weighted_tail(spec, x, lam, n_samples, seed, workers):
         z[hit] = np.exp(psi - lam * xn[hit])
         return np.array([float(np.sum(z)), float(np.dot(z, z))])
 
-    s1, s2 = _pairwise(_map_blocks(one, n_blocks, resolve_workers(workers)))
+    s1, s2 = _pairwise(_map_blocks(one, n_blocks))
     p = float(s1) / n_samples
     var = max(float(s2) / n_samples - p * p, 0.0)
     return p, math.sqrt(var / n_samples)
 
 
 def crude_tail_estimate(
-    spec: MartingaleSpec, x: float, n_samples: int, seed: int, workers=None
+    spec: MartingaleSpec, x: float, n_samples: int, seed: int
 ) -> TailEstimate:
     """Plain-Monte-Carlo P(X_n > x) with the binomial standard error.
 
@@ -215,20 +215,20 @@ def crude_tail_estimate(
     """
     if n_samples < 100:
         raise ConfigError("n_samples must be >= 100")
-    p, se = _weighted_tail(spec, x, 0.0, n_samples, seed, workers)
+    p, se = _weighted_tail(spec, x, 0.0, n_samples, seed)
     return TailEstimate(x=x, p_hat=p, std_err=se, n_samples=n_samples,
                         method="crude", seed=seed, lambda_used=0.0)
 
 
 def tilted_tail_estimate(
-    spec: MartingaleSpec, x: float, lam: float, n_samples: int, seed: int, workers=None
+    spec: MartingaleSpec, x: float, lam: float, n_samples: int, seed: int
 ) -> TailEstimate:
     """Importance-sampling estimate of P(X_n > x) under the lam-tilted law."""
     if lam < 0:
         raise DomainError("lam must be >= 0")
     if n_samples < 100:
         raise ConfigError("n_samples must be >= 100")
-    p, se = _weighted_tail(spec, x, lam, n_samples, seed, workers)
+    p, se = _weighted_tail(spec, x, lam, n_samples, seed)
     return TailEstimate(x=x, p_hat=p, std_err=se, n_samples=n_samples,
                         method="tilted", seed=seed, lambda_used=lam)
 
@@ -323,29 +323,27 @@ def _enum_tail(spec, x) -> float:
 
 
 def exact_tail(spec: MartingaleSpec, x: float, method: str = "auto") -> TailEstimate:
-    """Exact P(X_n > x): closed-form normal tail (gaussian specs), binomial
-    closed form (iid two-point laws), or the count-vector engine (any finite
-    spec)."""
+    """Exact P(X_n > x).  "auto" takes the closed-form normal tail (gaussian
+    specs, tagged exact_gaussian), the binomial closed form (iid two-point
+    laws, exact_binomial) or the count-vector engine (any other finite spec,
+    exact_enum); "exact_enum" forces the engine on any finite spec."""
+    if method not in ("auto", "exact_enum"):
+        raise ConfigError(f"unknown exact method {method!r}")
     if spec.dist.kind == "gaussian":
-        if method not in ("auto", "exact_gaussian"):
+        if method != "auto":
             raise DomainError(f"method {method!r} unavailable for gaussian laws")
         p = bounds.gaussian_tail(x / math.sqrt(spec.total_variance()))
         tag = "exact_gaussian"
     else:
         parts = spec.iid_parts()
         d = parts[0][0]
-        two_point = len(parts) == 1 and len(d.table()[0]) == 2
-        if method == "exact_binomial" or (method == "auto" and two_point):
-            if not two_point:
-                raise DomainError("binomial closed form needs an iid two-point law")
+        if method == "auto" and len(parts) == 1 and len(d.table()[0]) == 2:
             v_lo, v_hi, p_hi, _ = _tilted_two_point(d, 0.0)
             p = _binomial_tail(spec.n, v_lo, v_hi, p_hi, x)
             tag = "exact_binomial"
-        elif method in ("auto", "exact_enum"):
+        else:
             p = _enum_tail(spec, x)
             tag = "exact_enum"
-        else:
-            raise ConfigError(f"unknown exact method {method!r}")
     return TailEstimate(x=x, p_hat=p, std_err=0.0, n_samples=0, method=tag,
                         seed=0, lambda_used=0.0)
 
@@ -380,6 +378,8 @@ def _recentred_lattice_ks(spec, lam: float) -> float:
         return 0.0  # exactly normal at every tilt
     values, _ = d.table()
     if len(values) == 2:
+        if n + 1 > ENUM_LIMIT:
+            raise DomainError(f"too-large: {n + 1} lattice atoms exceed {ENUM_LIMIT}")
         v_lo, v_hi, p_hi, _ = _tilted_two_point(d, lam)
         k = np.arange(n + 1)
         atoms = n * v_lo + k * (v_hi - v_lo) - shift
@@ -439,22 +439,22 @@ def fit_constant(observed) -> float:
     return worst
 
 
-def estimate_tail(spec, x, method, lam_policy, samples, seed, workers=None,
-                  cert=None, c_alpha: float = 1.0) -> TailEstimate:
+def estimate_tail(spec, x, method, lam_policy, samples, seed, cert=None) -> TailEstimate:
     """P(X_n > x) by one of TAIL_METHODS (or "auto", the same as "exact"):
     crude, tilted at the tilt resolve_tilt picks, or exact_tail's route."""
     if method in ("auto",) + EXACT_METHODS:
-        m = "auto" if method in ("auto", "exact") else method
-        return exact_tail(spec, x, method=m)
+        return exact_tail(spec, x, method="exact_enum" if method == "exact_enum" else "auto")
     if method == "crude":
-        return crude_tail_estimate(spec, x, samples, seed, workers)
+        return crude_tail_estimate(spec, x, samples, seed)
     if method == "tilted":
-        lam = resolve_tilt(spec, x, lam_policy, cert, c_alpha)
-        return tilted_tail_estimate(spec, x, lam, samples, seed, workers)
+        lam = resolve_tilt(spec, x, lam_policy, cert)
+        return tilted_tail_estimate(spec, x, lam, samples, seed)
     raise ConfigError(f"unknown method {method!r}")
 
 
-def resolve_tilt(spec, x, lam_policy, cert=None, c_alpha: float = 1.0):
+def resolve_tilt(spec, x, lam_policy, cert=None):
+    """The tilt for a policy: a number as given, "saddlepoint", or "paper"
+    (the largest root of the drift equation at c = bounds.C)."""
     if isinstance(lam_policy, (int, float)):
         return float(lam_policy)
     if lam_policy == "saddlepoint":
@@ -462,7 +462,7 @@ def resolve_tilt(spec, x, lam_policy, cert=None, c_alpha: float = 1.0):
     if lam_policy == "paper":
         if cert is None:
             cert = conditions.certify(spec)
-        return tilting.solve_lambda_bar(x, cert.epsilon, cert.delta, c_alpha)
+        return tilting.solve_lambda_bar(x, cert.epsilon, cert.delta, bounds.C)
     raise ConfigError(f"unknown lambda policy {lam_policy!r}")
 
 
@@ -473,9 +473,6 @@ def ratio_experiment(
     samples: int = 0,
     seed: int = 0,
     lam_policy="saddlepoint",
-    c_alpha: float = 1.0,
-    alpha: float = bounds.DEFAULT_ALPHA,
-    workers=None,
 ) -> RatioExperiment:
     """Tail/normal-tail ratio across a threshold grid, against the two-sided
     envelopes, with the smallest constant c* making
@@ -487,8 +484,7 @@ def ratio_experiment(
     pairs = []
     for x in x_grid:
         x = float(x)
-        est = estimate_tail(spec, x, method, lam_policy, samples, seed, workers,
-                            cert, c_alpha)
+        est = estimate_tail(spec, x, method, lam_policy, samples, seed, cert)
         tail = bounds.gaussian_tail(x)
         # both probabilities must be representable for the ratio to carry
         # information; far-tail underflow marks the row infeasible
@@ -502,7 +498,7 @@ def ratio_experiment(
         budget = bounds.ratio_bound_expression(x, eps, delta)
         if feasible:
             pairs.append((abs(log_ratio), budget))
-        env = bounds.theorems_envelope(x, eps, delta, c_alpha, alpha=alpha)
+        env = bounds.theorems_envelope(x, eps, delta)
         raw.append((x, est, tail, ratio, log_ratio, env, budget, feasible))
     c_star = fit_constant(pairs) if pairs else 0.0
     rows = []
@@ -535,7 +531,6 @@ def mdp_diagnostic(
     samples: int,
     seed: int,
     lam_policy="saddlepoint",
-    workers=None,
 ):
     """Rows of (1/a_n^2) log p_hat for P(X_n > a_n x) against the limit
     -x^2/2, with a first-order error band std_err/(p_hat a_n^2).
@@ -561,8 +556,7 @@ def mdp_diagnostic(
         if spec.dist.kind == "gaussian":
             est = exact
         else:
-            est = estimate_tail(spec, threshold, "tilted", lam_policy, samples, seed,
-                                workers, cert)
+            est = estimate_tail(spec, threshold, "tilted", lam_policy, samples, seed, cert)
         p_exact = exact.p_hat if exact is not None else math.nan
         feasible = est.p_hat > 0.0
         value = math.log(est.p_hat) / a_n**2 if feasible else math.nan

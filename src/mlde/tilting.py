@@ -16,9 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import conditions
+from . import bounds, conditions
 from .errors import DomainError
 from .model import IncrementDistribution, MartingaleSpec
+
+LEMMA_ALPHA = 0.5  # the lemma checks take tilts 0 <= lam <= LEMMA_ALPHA/epsilon
 
 
 # -- one-step quantities -----------------------------------------------------
@@ -104,23 +106,23 @@ def drift_process(spec: MartingaleSpec, lam: float) -> float:
 
 # -- tilt-parameter solvers ----------------------------------------------------
 
-def solve_lambda_bar(x: float, epsilon: float, delta: float, c_alpha: float) -> float:
-    """Largest root of lam + lam*delta^2 + c_alpha*lam^2*epsilon = x,
-    in the closed form 2x / (sqrt((1+delta^2)^2 + 4 c_alpha x epsilon) + 1 + delta^2).
+def solve_lambda_bar(x: float, epsilon: float, delta: float, c: float) -> float:
+    """Largest root of lam + lam*delta^2 + c*lam^2*epsilon = x,
+    in the closed form 2x / (sqrt((1+delta^2)^2 + 4 c x epsilon) + 1 + delta^2).
 
     Satisfies c0*x <= result <= x on the admissible range.
     """
     if x < 0:
         raise DomainError("x must be >= 0")
-    if epsilon <= 0 or c_alpha < 0:
-        raise DomainError("epsilon must be > 0 and c_alpha >= 0")
+    if epsilon <= 0 or c < 0:
+        raise DomainError("epsilon must be > 0 and c >= 0")
     one = 1.0 + delta * delta
-    return 2.0 * x / (math.sqrt(one * one + 4.0 * c_alpha * x * epsilon) + one)
+    return 2.0 * x / (math.sqrt(one * one + 4.0 * c * x * epsilon) + one)
 
 
-def solve_lambda_under(x: float, epsilon: float, delta: float, c_half: float) -> float:
-    """Smallest root of lam - lam*delta^2 - c_half*lam^2*epsilon = x,
-    in the closed form 2x / (1 - delta^2 + sqrt((1-delta^2)^2 - 4 c_half x epsilon)).
+def solve_lambda_under(x: float, epsilon: float, delta: float, c: float) -> float:
+    """Smallest root of lam - lam*delta^2 - c*lam^2*epsilon = x,
+    in the closed form 2x / (1 - delta^2 + sqrt((1-delta^2)^2 - 4 c x epsilon)).
 
     Raises DomainError when the discriminant is <= 0, i.e. x is past the
     range where the lower-bound construction applies.  Satisfies
@@ -128,10 +130,10 @@ def solve_lambda_under(x: float, epsilon: float, delta: float, c_half: float) ->
     """
     if x < 0:
         raise DomainError("x must be >= 0")
-    if epsilon <= 0 or c_half < 0:
-        raise DomainError("epsilon must be > 0 and c_half >= 0")
+    if epsilon <= 0 or c < 0:
+        raise DomainError("epsilon must be > 0 and c >= 0")
     one = 1.0 - delta * delta
-    disc = one * one - 4.0 * c_half * x * epsilon
+    disc = one * one - 4.0 * c * x * epsilon
     if disc <= 0.0:
         raise DomainError(
             f"out-of-range: discriminant {disc:.6g} <= 0 at x = {x:.6g}"
@@ -176,8 +178,8 @@ def check_lemma1(dist: IncrementDistribution, epsilon: float) -> MomentBoundRepo
 @dataclass(frozen=True)
 class TiltReport:
     """One tilt parameter's exact drift/cumulant values and the residuals of
-    the two-sided drift and cumulant bounds at the supplied constant, together
-    with the smallest constants that would make each bound hold."""
+    the two-sided drift and cumulant bounds at c = bounds.C, together with
+    the smallest constants that would make each bound hold."""
 
     lam: float
     psi_n: float
@@ -188,36 +190,28 @@ class TiltReport:
     fitted_c3: float
 
 
-def check_lemma2_lemma3(
-    spec: MartingaleSpec,
-    lambda_grid,
-    alpha: float,
-    c_alpha: float = 1.0,
-    certificate=None,
-):
+def check_lemma2_lemma3(spec: MartingaleSpec, lambda_grid, certificate=None):
     """Exact B_n and Psi_n across a lambda grid with residuals of
 
         |B_n(lam) - lam|        <= lam delta^2 + c lam^2 epsilon
         |Psi_n(lam) - lam^2/2|  <= c lam^3 epsilon + lam^2 delta^2 / 2
 
-    at the given c, and per-row minimal constants.  Grid points must satisfy
-    0 <= lam <= alpha/epsilon.
+    at c = bounds.C, and per-row minimal constants.  Grid points must satisfy
+    0 <= lam <= LEMMA_ALPHA/epsilon.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must lie in (0, 1)")
     cert = certificate if certificate is not None else conditions.certify(spec)
     eps, delta = cert.epsilon, cert.delta
     reports = []
     for lam in lambda_grid:
         lam = float(lam)
-        if lam < 0.0 or lam > alpha / eps * (1.0 + 1e-12):
+        if lam < 0.0 or lam > LEMMA_ALPHA / eps * (1.0 + 1e-12):
             raise DomainError(f"lambda = {lam:.6g} outside [0, alpha/epsilon]")
         b_n = drift_process(spec, lam)
         psi = cumulant_process(spec, lam)
         dev2 = abs(b_n - lam)
         dev3 = abs(psi - 0.5 * lam * lam)
-        res2 = dev2 - (lam * delta**2 + c_alpha * lam**2 * eps)
-        res3 = dev3 - (c_alpha * lam**3 * eps + 0.5 * lam**2 * delta**2)
+        res2 = dev2 - (lam * delta**2 + bounds.C * lam**2 * eps)
+        res3 = dev3 - (bounds.C * lam**3 * eps + 0.5 * lam**2 * delta**2)
         if lam > 0.0:
             c2 = max(0.0, dev2 - lam * delta**2) / (lam**2 * eps)
             c3 = max(0.0, dev3 - 0.5 * lam**2 * delta**2) / (lam**3 * eps)

@@ -73,7 +73,9 @@ def test_criterion_02_oracle_equivalence():
             # atoms plus one beyond each end
             mids = scale * (2.0 * np.arange(-1, n + 1) - n + 1.0)
             for x in mids:
-                b = exact_tail(spec, float(x), method="exact_binomial").p_hat
+                binomial = exact_tail(spec, float(x))  # auto: the closed form
+                assert binomial.method == "exact_binomial"
+                b = binomial.p_hat
                 e = exact_tail(spec, float(x), method="exact_enum").p_hat
                 brute = np.count_nonzero(path_sums > x) / 2**n
                 worst = max(worst, abs(b - e), abs(b - brute), abs(e - brute))
@@ -233,7 +235,7 @@ def test_criterion_07_moment_drift_cumulant_checks():
     gspec = gaussian_spec(100)
     gcert = conditions.certify(gspec)
     ggrid = np.linspace(0.0, 0.5 / gcert.epsilon, 26)
-    greports = tilting.check_lemma2_lemma3(gspec, ggrid, alpha=0.5, certificate=gcert)
+    greports = tilting.check_lemma2_lemma3(gspec, ggrid, certificate=gcert)
     g2, g3 = tilting.fitted_drift_cumulant_constants(greports)
     gauss_zero = g2 == 0.0 and g3 == 0.0
     gauss_lemma1 = tilting.check_lemma1(gspec.step_distribution, gcert.epsilon).holds
@@ -244,7 +246,7 @@ def test_criterion_07_moment_drift_cumulant_checks():
         cert = conditions.certify(spec)
         assert tilting.check_lemma1(spec.step_distribution, cert.epsilon).holds
         grid = np.linspace(0.0, 0.5 / cert.epsilon, 26)
-        reports = tilting.check_lemma2_lemma3(spec, grid, alpha=0.5, certificate=cert)
+        reports = tilting.check_lemma2_lemma3(spec, grid, certificate=cert)
         c2, c3 = tilting.fitted_drift_cumulant_constants(reports)
         for r in reports:
             ok2 = abs(r.b_n - r.lam) <= (r.lam * cert.delta**2

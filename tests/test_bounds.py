@@ -7,8 +7,8 @@ import hypothesis.strategies as st
 from scipy.integrate import quad
 
 from mlde.bounds import (
-    berry_esseen_bound,
     bolthausen_bound,
+    conjugate_rate_bound,
     corollary1_envelope,
     dominance_check,
     gaussian_tail,
@@ -82,46 +82,44 @@ class TestMills:
 
 class TestRatioEnvelopes:
     def test_upper_x0_collapse(self):
-        eps, delta, c = 0.03, 0.02, 1.5
-        expect = 1.0 + c * (eps * abs(math.log(eps)) + delta)
-        assert theorem1_upper(0.0, eps, delta, c) == pytest.approx(expect, rel=1e-14)
+        eps, delta = 0.03, 0.02
+        expect = 1.0 + (eps * abs(math.log(eps)) + delta)
+        assert theorem1_upper(0.0, eps, delta) == pytest.approx(expect, rel=1e-14)
 
     def test_upper_frozen_arithmetic(self):
         # x=1, eps=0.008333, delta=0, c=1:
         # exp(0.008333) * (1 + 2*0.008333*|ln 0.008333|) = 1.0888245 (own arithmetic)
-        assert theorem1_upper(1.0, 0.008333, 0.0, 1.0) == pytest.approx(
+        assert theorem1_upper(1.0, 0.008333, 0.0) == pytest.approx(
             1.0888244798347069, rel=1e-12
         )
 
     def test_upper_monotonicity(self):
-        base = theorem1_upper(1.0, 0.01, 0.1, 1.0)
-        assert theorem1_upper(1.5, 0.01, 0.1, 1.0) >= base
-        assert theorem1_upper(1.0, 0.02, 0.1, 1.0) >= base
-        assert theorem1_upper(1.0, 0.01, 0.2, 1.0) >= base
-        assert theorem1_upper(1.0, 0.01, 0.1, 2.0) >= base
+        base = theorem1_upper(1.0, 0.01, 0.1)
+        assert theorem1_upper(1.5, 0.01, 0.1) >= base
+        assert theorem1_upper(1.0, 0.02, 0.1) >= base
+        assert theorem1_upper(1.0, 0.01, 0.2) >= base
 
     def test_lower_x0_and_limit(self):
         eps, delta = 0.03, 0.02
-        val = theorem2_lower(0.0, eps, delta, 1.0)
+        val = theorem2_lower(0.0, eps, delta)
         assert val == pytest.approx(math.exp(-(eps * abs(math.log(eps)) + delta)), rel=1e-14)
         assert val < 1.0
-        assert theorem2_lower(1.0, 1e-12, 0.0, 1.0) == pytest.approx(1.0, abs=1e-9)
+        assert theorem2_lower(1.0, 1e-12, 0.0) == pytest.approx(1.0, abs=1e-9)
 
     @given(
         st.floats(0.0, 10.0),
         st.floats(1e-4, 0.5),
         st.floats(0.0, 0.5),
-        st.floats(0.0, 3.0),
     )
     @settings(max_examples=200, deadline=None)
-    def test_lower_below_upper(self, x, eps, delta, c):
-        assert theorem2_lower(x, eps, delta, c) <= theorem1_upper(x, eps, delta, c)
+    def test_lower_below_upper(self, x, eps, delta):
+        assert theorem2_lower(x, eps, delta) <= theorem1_upper(x, eps, delta)
 
     def test_envelope_validity_flags(self):
-        env = theorems_envelope(1.0, 0.01, 0.0, alpha=0.9, alpha0=0.1)
+        env = theorems_envelope(1.0, 0.01, 0.0)
         assert env.valid and env.range_note == ""
         assert env.lower_ratio <= env.upper_ratio
-        env2 = theorems_envelope(95.0, 0.01, 0.0, alpha=0.9, alpha0=0.1)
+        env2 = theorems_envelope(95.0, 0.01, 0.0)
         assert not env2.valid and "alpha" in env2.range_note
 
     def test_bound_expression_positive_at_zero(self):
@@ -131,55 +129,55 @@ class TestRatioEnvelopes:
 class TestCorollaryEnvelope:
     def test_frozen_x0(self):
         # eps|ln eps| = 0.046052 at eps = 0.01
-        env = corollary1_envelope(0.0, 0.01, 0.0, 1.0)
+        env = corollary1_envelope(0.0, 0.01, 0.0)
         slack = 0.01 * abs(math.log(0.01))
         assert env.lower_ratio == pytest.approx(1.0 - slack, rel=1e-12)
         assert env.upper_ratio == pytest.approx(1.0 + slack, rel=1e-12)
         assert env.lower_ratio == pytest.approx(1 - 0.046052, abs=1e-6)
 
     def test_contains_one_when_small(self):
-        env = corollary1_envelope(1.0, 0.01, 0.005, 1.0)
+        env = corollary1_envelope(1.0, 0.01, 0.005)
         assert env.lower_ratio <= 1.0 <= env.upper_ratio
 
     def test_width_shrinks(self):
-        wide = corollary1_envelope(1.0, 0.05, 0.02, 1.0)
-        narrow = corollary1_envelope(1.0, 0.001, 0.0001, 1.0)
+        wide = corollary1_envelope(1.0, 0.05, 0.02)
+        narrow = corollary1_envelope(1.0, 0.001, 0.0001)
         assert (narrow.upper_ratio - narrow.lower_ratio) < (
             wide.upper_ratio - wide.lower_ratio
         )
 
     def test_clamped_lower(self):
-        env = corollary1_envelope(30.0, 0.1, 0.4, 1.0)
+        env = corollary1_envelope(30.0, 0.1, 0.4)
         assert env.lower_ratio == 0.0
         assert "clamped" in env.range_note and not env.valid
 
 
 class TestRates:
     def test_berry_esseen_frozen(self):
-        assert berry_esseen_bound(0.1, 0.05, 1.0) == pytest.approx(0.2802585, abs=1e-7)
+        assert conjugate_rate_bound(0.0, 0.1, 0.05) == pytest.approx(0.2802585, abs=1e-7)
 
     def test_berry_esseen_maximum(self):
         # eps |ln eps| peaks at eps = 1/e
-        peak = berry_esseen_bound(1 / math.e, 0.0, 1.0)
+        peak = conjugate_rate_bound(0.0, 1 / math.e, 0.0)
         assert peak == pytest.approx(1 / math.e, rel=1e-12)
         for eps in (0.05, 0.2, 0.36, 0.37, 0.5):
-            assert berry_esseen_bound(eps, 0.0, 1.0) <= peak + 1e-15
+            assert conjugate_rate_bound(0.0, eps, 0.0) <= peak + 1e-15
 
     def test_berry_esseen_vanishes(self):
-        assert berry_esseen_bound(1e-12, 0.0, 1.0) < 1e-10
+        assert conjugate_rate_bound(0.0, 1e-12, 0.0) < 1e-10
 
     def test_bolthausen_frozen(self):
-        val = bolthausen_bound(0.1, 0.0, 100, 1.0)
+        val = bolthausen_bound(0.1, 0.0, 100)
         assert val == pytest.approx(0.001 * 100 * math.log(100), rel=1e-12)
         assert dominance_check(0.1, 100)
 
     def test_bolthausen_boundary_accepted(self):
         eps = math.sqrt(3.0 / (4.0 * 64))
-        assert bolthausen_bound(eps, 0.0, 64, 1.0) > 0.0
+        assert bolthausen_bound(eps, 0.0, 64) > 0.0
 
     def test_bolthausen_precondition(self):
         with pytest.raises(DomainError):
-            bolthausen_bound(0.2, 0.0, 4, 1.0)  # 0.2 < sqrt(3/16)
+            bolthausen_bound(0.2, 0.0, 4)  # 0.2 < sqrt(3/16)
         with pytest.raises(DomainError):
             dominance_check(0.2, 4)
 

@@ -1,12 +1,27 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+from mlde import cli, montecarlo
 from mlde.cli import argv_from_config, run
+from mlde.errors import ConfigError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read(path):
     return path.read_bytes()
+
+
+def exit_code(argv):
+    """run's exit code, also when argparse rejects a flag or its value."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestCertify:
@@ -73,6 +88,19 @@ class TestTail:
                         "--seed", "9", "--out", str(out)]) == 0
         assert read(a / "tail.csv") == read(b / "tail.csv")
 
+    def test_non_finite_numbers_are_config_errors(self, tmp_path):
+        tail = ["tail", "--model", "rademacher", "--normalized", "--n", "100"]
+        tilted = [*tail, "--x", "1", "--method", "tilted", "--seed", "1",
+                  "--samples", "1000"]
+        for argv in ([*tail, "--x", "nan", "--method", "exact"],
+                     [*tail, "--x", "inf", "--method", "exact"],
+                     [*tilted, "--lambda", "nan"],
+                     [*tilted, "--lambda", "inf"],
+                     ["mdp", "--normalized", "--n", "10", "--x", "1", "--n-list", "100",
+                      "--a-exponent", "nan", "--seed", "1", "--samples", "1000"]):
+            assert exit_code([*argv, "--out", str(tmp_path)]) == 2, argv
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_worker_count_invariance(self, tmp_path, monkeypatch):
         outs = []
         for workers in ("1", "8"):
@@ -100,9 +128,20 @@ class TestSidecarRoundTrip:
 
 class TestGridsAndLists:
     def test_bad_grid_exit(self, tmp_path):
-        code = run(["ratio-table", "--model", "gaussian", "--n", "50", "--normalized",
-                    "--x-grid", "5:1:0.5", "--out", str(tmp_path)])
-        assert code == 2
+        # each is refused before a grid is allocated or a row is computed
+        for command, flag, grid in (("ratio-table", "--x-grid", "5:1:0.5"),
+                                    ("ratio-table", "--x-grid", "0:1e30:1"),
+                                    ("ratio-table", "--x-grid", "0:nan:1"),
+                                    ("lemmas", "--lambda-grid", "0:inf:1")):
+            code = run([command, "--model", "gaussian", "--n", "50", "--normalized",
+                        flag, grid, "--out", str(tmp_path)])
+            assert code == 2, grid
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_grid_row_cap(self):
+        assert len(cli._parse_grid(f"0:{cli.MAX_GRID_ROWS - 1}:1")) == cli.MAX_GRID_ROWS
+        with pytest.raises(ConfigError):
+            cli._parse_grid(f"0:{cli.MAX_GRID_ROWS}:1")
 
     def test_ratio_table_gaussian(self, tmp_path):
         code = run(["ratio-table", "--model", "gaussian", "--n", "100", "--normalized",
@@ -125,6 +164,13 @@ class TestGridsAndLists:
         lines = (tmp_path / "clt_rate.csv").read_text().strip().splitlines()
         assert lines[0].startswith("lambda,n,epsilon,delta,ks_distance")
         assert len(lines) == 3
+
+    def test_two_point_ks_size_guard(self, tmp_path):
+        # 10^12 + 1 lattice atoms: refused before any array is allocated
+        code = run(["clt-rate", "--model", "rademacher", "--normalized", "--n", "10",
+                    "--n-list", "1000000000000", "--out", str(tmp_path)])
+        assert code == 3
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_conjugate_clt_lambda_list(self, tmp_path):
         code = run(["conjugate-clt", "--model", "rademacher", "--normalized",
@@ -223,6 +269,56 @@ class TestCsvSchemas:
                  "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "--k-max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["tail", "--x", "1", "--method", "exact", "--c-alpha", "2"],
+        ["ratio-table", "--x-grid", "0:1:0.5", "--c-alpha", "2"],
+        ["ratio-table", "--x-grid", "0:1:0.5", "--alpha", "0.5"],
+        ["lemmas", "--c-alpha", "2"],
+        ["lemmas", "--alpha", "0.4"],
+    ])
+    def test_no_constant_flags(self, tmp_path, capsys, argv):
+        # the theorems' constants are bounds.C, bounds.ALPHA and tilting.LEMMA_ALPHA
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--n", "100", "--normalized", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
+def _readme_cli():
+    """README's ## CLI section: (its text, its mlde commands as argv lists)."""
+    section = README.read_text().split("\n## CLI", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("mlde ")]
+    return section, commands
+
+
+class TestReadme:
+    def test_examples_run(self, tmp_path):
+        _, commands = _readme_cli()
+        assert len(commands) == len(cli._COMMANDS)
+        for i, argv in enumerate(commands):
+            j = argv.index("--out")
+            argv[j + 1] = str(tmp_path / str(i))
+            assert run(argv) == 0, argv
+
+    def test_flags_match_parser(self, capsys):
+        section, _ = _readme_cli()
+        accepted = set()
+        for command in cli._COMMANDS:
+            with pytest.raises(SystemExit):
+                run([command, "--help"])
+            accepted |= set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+        assert documented <= accepted
+        assert accepted - {"--help"} <= documented
+
+    def test_method_list(self):
+        section, _ = _readme_cli()
+        (listed,) = re.findall(r"--method \{([^}]*)\}", section)
+        assert tuple(listed.split("|")) == montecarlo.TAIL_METHODS
 
 
 class TestSpecFile:

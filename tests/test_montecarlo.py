@@ -185,14 +185,14 @@ class TestTilted:
         combined = math.hypot(crude.std_err, tilt.std_err)
         assert abs(crude.p_hat - tilt.p_hat) <= 3.5 * combined
 
-    def test_parallel_invariance(self):
+    def test_parallel_invariance(self, monkeypatch):
         for spec in (rademacher_spec(20),
                      MartingaleSpec.variance_switching(RADEMACHER, n=12, rho=0.5),
                      gaussian_spec(15)):
-            results = [
-                tilted_tail_estimate(spec, 1.0, 0.8, 30_000, seed=9, workers=w)
-                for w in (1, 2, 8)
-            ]
+            results = []
+            for w in ("1", "2", "8"):
+                monkeypatch.setenv("MLDE_THREADS", w)
+                results.append(tilted_tail_estimate(spec, 1.0, 0.8, 30_000, seed=9))
             assert results[0].p_hat == results[1].p_hat == results[2].p_hat
             assert results[0].std_err == results[1].std_err == results[2].std_err
 
@@ -243,13 +243,25 @@ class TestExactTail:
         spec = MartingaleSpec.iid(RADEMACHER, n=6)
         assert exact_tail(spec, 6.0).p_hat == 0.0
 
+    def test_routes_are_auto_or_enum(self):
+        # auto already takes the binomial and normal closed forms wherever they
+        # apply, so they are tags of the route taken, not methods to ask for
+        for spec in (MartingaleSpec.iid(RADEMACHER, n=6), gaussian_spec(6)):
+            for method in ("exact_binomial", "exact_gaussian", "exact"):
+                with pytest.raises(ConfigError):
+                    exact_tail(spec, 1.0, method=method)
+        with pytest.raises(DomainError):
+            exact_tail(gaussian_spec(6), 1.0, method="exact_enum")
+
     def test_binomial_equals_enumeration(self):
         # n = 30 has 2^30 paths but only 31 count vectors
         for n in (*range(1, 9), 30):
             spec = MartingaleSpec.iid(RADEMACHER, n=n)
             thresholds = np.arange(-n - 1, n + 2, 2.0) + 0.0  # mid-atom offsets
             for x in thresholds:
-                b = exact_tail(spec, float(x) + 1.0, method="exact_binomial").p_hat
+                binomial = exact_tail(spec, float(x) + 1.0)  # auto: the closed form
+                assert binomial.method == "exact_binomial"
+                b = binomial.p_hat
                 e = exact_tail(spec, float(x) + 1.0, method="exact_enum").p_hat
                 assert abs(b - e) <= 1e-14
 
@@ -372,7 +384,7 @@ class TestRateCurves:
         for row in clt_rate_curve(rademacher_spec, [100, 1000]):
             cert = conditions.certify(rademacher_spec(row.n))
             assert row.epsilon == cert.epsilon and row.delta == cert.delta
-            assert row.bound_value == bounds.berry_esseen_bound(row.epsilon, row.delta)
+            assert row.bound_value == bounds.conjugate_rate_bound(0.0, row.epsilon, row.delta)
 
     def test_conjugate_zero_tilt_bit_identical(self):
         ns = [100, 1000]

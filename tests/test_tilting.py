@@ -229,7 +229,7 @@ class TestLemmaChecks:
         spec = MartingaleSpec.iid(GAUSSIAN, n=100, normalized=True)
         cert = conditions.certify(spec)
         grid = np.linspace(0.0, 0.5 / cert.epsilon, 11)
-        reports = check_lemma2_lemma3(spec, grid, alpha=0.5, certificate=cert)
+        reports = check_lemma2_lemma3(spec, grid, certificate=cert)
         c2, c3 = fitted_drift_cumulant_constants(reports)
         assert c2 == 0.0 and c3 == 0.0
         for r in reports:
@@ -238,7 +238,7 @@ class TestLemmaChecks:
 
     def test_zero_lambda_row(self):
         spec = MartingaleSpec.iid(RADEMACHER, n=100, normalized=True)
-        (report,) = check_lemma2_lemma3(spec, [0.0], alpha=0.5)
+        (report,) = check_lemma2_lemma3(spec, [0.0])
         assert report.psi_n == 0.0 and report.b_n == 0.0
         assert report.lemma2_residual == 0.0 and report.lemma3_residual == 0.0
 
@@ -248,7 +248,7 @@ class TestLemmaChecks:
             spec = MartingaleSpec.iid(RADEMACHER, n=n, normalized=True)
             cert = conditions.certify(spec)
             grid = np.linspace(0.0, 0.5 / cert.epsilon, 41)
-            reports = check_lemma2_lemma3(spec, grid, alpha=0.5, certificate=cert)
+            reports = check_lemma2_lemma3(spec, grid, certificate=cert)
             cs[n] = fitted_drift_cumulant_constants(reports)
             # at the fitted constants the two-sided bounds hold on every row
             c2, c3 = cs[n]
@@ -270,7 +270,7 @@ class TestLemmaChecks:
         cert = conditions.certify(spec)
         assert cert.delta == 0.0
         grid = np.linspace(0.0, 0.5 / cert.epsilon, 21)
-        reports = check_lemma2_lemma3(spec, grid, alpha=0.5, certificate=cert)
+        reports = check_lemma2_lemma3(spec, grid, certificate=cert)
         c2, c3 = fitted_drift_cumulant_constants(reports)
         assert 0 < c2 < 10 and 0 < c3 < 10
 
@@ -278,7 +278,7 @@ class TestLemmaChecks:
         spec = MartingaleSpec.iid(RADEMACHER, n=100, normalized=True)
         cert = conditions.certify(spec)
         with pytest.raises(DomainError):
-            check_lemma2_lemma3(spec, [0.6 / cert.epsilon], alpha=0.5, certificate=cert)
+            check_lemma2_lemma3(spec, [0.6 / cert.epsilon], certificate=cert)
 
     def test_tilted_variance_perturbation_bound(self):
         # |tilted var - var| <= c * lam * eps * var with a finite fitted c
