@@ -30,10 +30,10 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import special
-from scipy.stats import binom
 
 from . import bounds, conditions, tilting
 from .errors import ConfigError, DomainError
@@ -42,6 +42,7 @@ from .model import BLOCK, IncrementDistribution, MartingaleSpec, block_rng
 ENUM_LIMIT = 1 << 24  # largest count-vector table (vectors x atoms) the exact engine builds
 EXACT_METHODS = ("exact", "exact_enum")
 TAIL_METHODS = ("crude", "tilted") + EXACT_METHODS
+MAX_SAMPLES = 1 << 30  # largest sample count an estimator takes (2^18 blocks of BLOCK)
 
 
 # -- result containers --------------------------------------------------------
@@ -112,6 +113,31 @@ class MdpRow:
     target: float
     feasible: bool
     a_eps: float
+
+
+# -- the binomial law from scipy.special ---------------------------------------
+# For 0 <= k <= n.  sf and cdf are Boost's regularized incomplete beta, the
+# ibeta behind scipy's binomial distribution, and match it bit for bit; cdf
+# sees p only through 1 - p, so it is scipy's cdf at 1 - (1 - p), which is p
+# for every p >= 1/2.  pmf sums log C(n, k) p^k (1-p)^(n-k) from log-gammas;
+# log C(n, k) is exactly 0 at k = 0 and k = n, so pmf never exceeds 1 there.
+
+def _binom_sf(k, n, p):
+    k = np.asarray(k)
+    return np.where(k < n, special.betainc(k + 1, np.maximum(n - k, 1), p), 0.0)
+
+
+def _binom_cdf(k, n, p):
+    k = np.asarray(k)
+    return np.where(k < n, special.betainc(np.maximum(n - k, 1), k + 1, 1.0 - p), 1.0)
+
+
+def _binom_pmf(k, n, p):
+    log_comb = special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
+    return np.exp(log_comb + special.xlogy(k, p) + special.xlog1py(n - k, -p))
+
+
+binom = SimpleNamespace(pmf=_binom_pmf, cdf=_binom_cdf, sf=_binom_sf)
 
 
 # -- deterministic parallel plumbing ------------------------------------------
@@ -185,9 +211,13 @@ def _stat_block(spec: MartingaleSpec, lam: float, rng, m: int):
     return xn, psi
 
 
+def _check_samples(n_samples, least=0):
+    """Reject a sample count below least or above MAX_SAMPLES before any work."""
+    if not least <= n_samples <= MAX_SAMPLES:
+        raise ConfigError(f"samples = {n_samples} outside [{least}, {MAX_SAMPLES}]")
+
+
 def _weighted_tail(spec, x, lam, n_samples, seed):
-    if n_samples < 1:
-        raise ConfigError("n_samples must be >= 1")
     n_blocks = (n_samples + BLOCK - 1) // BLOCK
 
     def one(b):
@@ -213,8 +243,7 @@ def crude_tail_estimate(
     Internally runs the weighted estimator at lam = 0, where every weight is
     exactly 1, so the two estimators coincide bit for bit there.
     """
-    if n_samples < 100:
-        raise ConfigError("n_samples must be >= 100")
+    _check_samples(n_samples, least=100)
     p, se = _weighted_tail(spec, x, 0.0, n_samples, seed)
     return TailEstimate(x=x, p_hat=p, std_err=se, n_samples=n_samples,
                         method="crude", seed=seed, lambda_used=0.0)
@@ -226,8 +255,7 @@ def tilted_tail_estimate(
     """Importance-sampling estimate of P(X_n > x) under the lam-tilted law."""
     if lam < 0:
         raise DomainError("lam must be >= 0")
-    if n_samples < 100:
-        raise ConfigError("n_samples must be >= 100")
+    _check_samples(n_samples, least=100)
     p, se = _weighted_tail(spec, x, lam, n_samples, seed)
     return TailEstimate(x=x, p_hat=p, std_err=se, n_samples=n_samples,
                         method="tilted", seed=seed, lambda_used=lam)
@@ -442,6 +470,7 @@ def fit_constant(observed) -> float:
 def estimate_tail(spec, x, method, lam_policy, samples, seed, cert=None) -> TailEstimate:
     """P(X_n > x) by one of TAIL_METHODS (or "auto", the same as "exact"):
     crude, tilted at the tilt resolve_tilt picks, or exact_tail's route."""
+    _check_samples(samples)
     if method in ("auto",) + EXACT_METHODS:
         return exact_tail(spec, x, method="exact_enum" if method == "exact_enum" else "auto")
     if method == "crude":
@@ -478,6 +507,7 @@ def ratio_experiment(
     envelopes, with the smallest constant c* making
     |log ratio| <= c* (x^3 eps + x^2 delta^2 + (1+x)(eps|log eps| + delta))
     hold over all feasible rows."""
+    _check_samples(samples)
     cert = conditions.certify(spec)
     eps, delta = cert.epsilon, cert.delta
     raw = []
@@ -541,6 +571,7 @@ def mdp_diagnostic(
     ENUM_LIMIT.  p_hat = 0 rows are reported infeasible rather than mapped
     to -inf.
     """
+    _check_samples(samples)
     rows = []
     target = bounds.mdp_rate(x)
     for n in n_list:

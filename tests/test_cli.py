@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,6 +114,18 @@ class TestTail:
                         "--seed", "5", "--out", str(out)]) == 0
             outs.append(read(out / "tail.csv"))
         assert outs[0] == outs[1]
+
+    def test_sample_cap(self, tmp_path):
+        # 2^30 + 1 samples is refused before any row is computed
+        too_many = str(montecarlo.MAX_SAMPLES + 1)
+        rad = ["--model", "rademacher", "--normalized", "--n", "20", "--seed", "1",
+               "--samples", too_many, "--out", str(tmp_path)]
+        for argv in (["tail", "--x", "1", "--method", "crude"],
+                     ["tail", "--x", "1", "--method", "tilted"],
+                     ["ratio-table", "--x-grid", "0:2:1", "--method", "tilted"],
+                     ["mdp", "--x", "1", "--n-list", "100"]):
+            assert run([*argv, *rad]) == 2, argv
+        assert not list(tmp_path.glob("*"))
 
 
 class TestSidecarRoundTrip:
@@ -379,3 +394,42 @@ class TestSpecFile:
         code = run(["certify", "--model", f"finite:{table}", "--n", "64",
                     "--normalized", "--out", str(tmp_path)])
         assert code == 0
+
+
+class TestImports:
+    def test_library_needs_scipy_special_only(self, tmp_path):
+        # a fresh interpreter runs every subcommand, then looks for the
+        # scipy subpackages the library no longer imports
+        rad = ["--model", "rademacher", "--normalized"]
+        three = tmp_path / "three.cfg"
+        three.write_text("values = -1, 0, 2\nprobs = 0.5, 0.25, 0.25\n")
+        commands = [
+            ["certify", *rad, "--n", "100"],
+            *[["tail", *rad, "--n", "20", "--x", "1", "--method", method,
+               "--samples", "1000", "--seed", "1"] for method in montecarlo.TAIL_METHODS],
+            ["tail", "--model", f"finite:{three}", "--normalized", "--n", "12",
+             "--x", "1", "--method", "exact"],
+            ["ratio-table", *rad, "--n", "100", "--x-grid", "0:2:1", "--method", "exact"],
+            ["clt-rate", *rad, "--n", "10", "--n-list", "100,1000"],
+            ["conjugate-clt", "--model", f"finite:{three}", "--normalized", "--n", "12",
+             "--n-list", "12", "--lambda", "0,0.5"],
+            ["mdp", *rad, "--n", "10", "--x", "1", "--n-list", "1000",
+             "--samples", "1000", "--seed", "1"],
+            ["lemmas", "--model", "gaussian", "--normalized", "--n", "100"],
+        ]
+        script = (
+            "import json, sys\n"
+            "from mlde.cli import run\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert run([*argv, '--out', sys.argv[2]]) == 0, argv\n"
+            "print(json.dumps([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize')\n"
+            "                  if m in sys.modules]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands),
+                               str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []

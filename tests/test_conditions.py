@@ -1,6 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
+from scipy.integrate import quad
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -12,6 +14,7 @@ from mlde.conditions import (
     cramer_to_bernstein,
     minimal_bernstein_H,
     minimal_factorial_rho,
+    SAKHANENKO_T0,
     sakhanenko_K_from_H,
 )
 from mlde.errors import DomainError
@@ -31,6 +34,14 @@ def bisect_t0(tol=1e-13):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def abs3_exp_by_quadrature(sigma2, K):
+    """E(|eta|^3 e^(K|eta|)) for eta ~ N(0, sigma2); the exponents are summed
+    before exp, so the integrand stays finite wherever the moment is."""
+    val, _ = quad(lambda z: z**3 * math.exp(K * z - z * z / (2.0 * sigma2)),
+                  0.0, math.inf, epsrel=1e-13, limit=200)
+    return 2.0 * val / math.sqrt(2.0 * math.pi * sigma2)
 
 
 class TestMinimalH:
@@ -119,6 +130,14 @@ class TestSakhanenko:
         t0 = bisect_t0()
         assert sakhanenko_K_from_H(1.0) == pytest.approx(t0, abs=1e-12)
 
+    def test_root_is_the_nearest_double(self):
+        # g is increasing, so the exact root lies within half an ulp of t0
+        # iff g changes sign across t0 -/+ ulp/2 (exact rational arithmetic)
+        g = lambda t: 6 * t / (1 - t) ** 4
+        half = Fraction(math.ulp(SAKHANENKO_T0)) / 2
+        assert g(Fraction(SAKHANENKO_T0) - half) < 1 < g(Fraction(SAKHANENKO_T0) + half)
+        assert sakhanenko_K_from_H(1.0) == SAKHANENKO_T0
+
     def test_scaling_in_H(self):
         assert sakhanenko_K_from_H(2.0) == pytest.approx(
             sakhanenko_K_from_H(1.0) / 2.0, rel=1e-14
@@ -143,6 +162,20 @@ class TestSakhanenko:
 
     def test_large_K_fails(self):
         assert not check_sakhanenko(RADEMACHER, 10.0).holds
+
+    @pytest.mark.parametrize("sigma2", [0.25, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("K", [0.1, 0.3, 0.5, 1.0, 2.0])
+    def test_gaussian_closed_form_against_quadrature(self, sigma2, K):
+        # K >= 0.5 (and sigma2 = 2 at K = 0.3) once overflowed in exp(K z)
+        report = check_sakhanenko(IncrementDistribution.gaussian(sigma2), K)
+        expected = K * abs3_exp_by_quadrature(sigma2, K) / sigma2
+        assert report.witness == pytest.approx(expected, rel=1e-12)
+        assert report.holds == (expected <= 1.0)
+
+    def test_gaussian_moment_past_float_range(self):
+        # e^(a^2/2) overflows at a = K sigma = 100: an infinite witness, no error
+        report = check_sakhanenko(IncrementDistribution.gaussian(1.0), 100.0)
+        assert report.witness == math.inf and not report.holds
 
     def test_small_K_limit(self):
         report = check_sakhanenko(RADEMACHER, 1e-8)

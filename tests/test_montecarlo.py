@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,15 +9,17 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from scipy.stats import binom
 
-from mlde import bounds, conditions, tilting
+from mlde import bounds, conditions, montecarlo, tilting
 from mlde.errors import ConfigError, DomainError
 from mlde.model import IncrementDistribution, MartingaleSpec
 from mlde.montecarlo import (
     ENUM_LIMIT,
+    MAX_SAMPLES,
     _pool_size,
     clt_rate_curve,
     conjugate_clt_check,
     crude_tail_estimate,
+    estimate_tail,
     exact_tail,
     fit_constant,
     lattice_ks,
@@ -45,6 +48,64 @@ def gaussian_varswitch_spec(n):
 
 def three_point_spec(n):
     return MartingaleSpec.iid(THREE_POINT, n=n, normalized=True)
+
+
+def binomial_ks(n):
+    """Every k for small n, else a spread of k with both ends: 0, n - 1, n."""
+    return np.unique(np.r_[np.arange(min(n, 40) + 1), np.linspace(0, n, 41).astype(int), n - 1])
+
+
+class TestBinomialLaw:
+    """montecarlo.binom (scipy.special only) against scipy.stats.binom."""
+
+    NS = (1, 2, 3, 7, 22, 100, 1000, 3300, 100_000, 1_000_000)
+    PS = (0.0, 1.0, 1e-6, 0.123, 0.3, 1.0 / 3.0, 0.5, 0.7, 1.0 - 1e-9)
+
+    def test_sf_bitwise(self):
+        for n in self.NS:
+            k = binomial_ks(n)
+            for p in self.PS:
+                np.testing.assert_array_equal(montecarlo.binom.sf(k, n, p),
+                                              binom.sf(k, n, p), err_msg=f"{n} {p}")
+
+    def test_cdf_bitwise(self):
+        # cdf takes p through 1 - p, so it is scipy's cdf at q = 1 - (1 - p):
+        # p itself for every p >= 1/2 and for the grid's 0 and 0.123, its
+        # neighbouring double for 1e-6, 0.3 and 1/3
+        for n in self.NS:
+            k = binomial_ks(n)
+            for p in self.PS:
+                q = 1.0 - (1.0 - p)
+                np.testing.assert_array_equal(montecarlo.binom.cdf(k, n, p),
+                                              binom.cdf(k, n, q), err_msg=f"{n} {p}")
+        assert [1.0 - (1.0 - p) == p for p in self.PS].count(False) == 3
+
+    def test_pmf_against_exact_rationals(self):
+        # pmf = exp(L), L = lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1)
+        # + k log p + (n-k) log1p(-p).  exp turns an absolute error d in L
+        # into a relative error d.  Each term is good to an ulp or two of its
+        # size, and the log-gammas are at most lgamma(n+1) <= (n+1) log(n+2).
+        # Hence |rel err| <= c eps (1 + |k log p| + |(n-k) log(1-p)|
+        # + (n+1) log(n+2)) with c a few units; c = 4 here (worst seen 0.98).
+        eps = np.finfo(float).eps
+        for n in (1, 2, 3, 5, 10, 22, 100, 1000, 3300):
+            ks = range(n + 1) if n <= 22 else [int(k) for k in np.linspace(0, n, 7)]
+            for p in (1e-6, 0.123, 1.0 / 3.0, 0.7, 1.0 - 1e-9):
+                hi, lo = Fraction(p), 1 - Fraction(p)
+                for k in ks:
+                    exact = math.comb(n, k) * hi**k * lo ** (n - k)
+                    if exact < 1e-300:  # below the normal doubles
+                        continue
+                    got = float(montecarlo.binom.pmf(k, n, p))
+                    scale = (1.0 + abs(k * math.log(p)) + abs((n - k) * math.log1p(-p))
+                             + (n + 1) * math.log(n + 2))
+                    assert abs(Fraction(got) - exact) <= 4 * eps * scale * exact, (n, k, p)
+
+    def test_pmf_degenerate_p(self):
+        for n in (0, 1, 5, 3300):
+            k = np.arange(n + 1)
+            np.testing.assert_array_equal(montecarlo.binom.pmf(k, n, 0.0), k == 0)
+            np.testing.assert_array_equal(montecarlo.binom.pmf(k, n, 1.0), k == n)
 
 
 class TestCrude:
@@ -533,3 +594,17 @@ class TestValidation:
             crude_tail_estimate(rademacher_spec(4), 0.0, 0, seed=1)
         with pytest.raises(ConfigError):
             tilted_tail_estimate(rademacher_spec(4), 0.0, 0.5, 99, seed=1)
+
+    def test_sample_cap(self):
+        # 2^30 samples are 2^18 blocks; one more is refused before any work
+        too_many = MAX_SAMPLES + 1
+        assert MAX_SAMPLES == 2**30
+        spec = rademacher_spec(20)
+        for call in (lambda: crude_tail_estimate(spec, 1.0, too_many, seed=1),
+                     lambda: tilted_tail_estimate(spec, 1.0, 0.5, too_many, seed=1),
+                     lambda: estimate_tail(spec, 1.0, "tilted", "saddlepoint", too_many, 1),
+                     lambda: ratio_experiment(spec, [1.0], "crude", too_many, 1),
+                     lambda: mdp_diagnostic(rademacher_spec, lambda n: n**0.25, 1.0,
+                                            [100], samples=too_many, seed=1)):
+            with pytest.raises(ConfigError, match="samples"):
+                call()
