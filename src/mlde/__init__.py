@@ -26,12 +26,7 @@ from .conditions import (
     sakhanenko_K_from_H,
 )
 from .errors import ConfigError, DomainError, InfeasibleError, UnsupportedKindError
-from .model import (
-    IncrementDistribution,
-    MartingaleSpec,
-    parse_spec_config,
-    format_spec_config,
-)
+from .model import IncrementDistribution, MartingaleSpec
 from .montecarlo import (
     TailEstimate,
     clt_rate_curve,

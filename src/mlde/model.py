@@ -1,6 +1,10 @@
 """Martingale-difference models: centered one-step laws with exact moments,
 and the specs that combine them into a martingale of n steps.
 
+A one-step law is gaussian or finitely supported.  Every finitely supported
+law, a Rademacher step included, is one canonical table: ascending distinct
+values, each of positive mass.
+
 Two rules are supported:
 
 * ``iid`` -- independent increments from a fixed law, optionally rescaled by
@@ -49,30 +53,39 @@ def _double_factorial(k: int) -> int:
 class IncrementDistribution:
     """A centered one-step law with exact moment access.
 
-    Kinds: ``finite_table`` (values/probs), ``gaussian`` (sigma2),
-    ``scaled_rademacher`` (+/-scale with probability 1/2 each).
+    Kinds: ``finite_table`` (values/probs in canonical form, see
+    ``finite_table``) and ``gaussian`` (sigma2).
     """
 
     kind: str
     values: tuple = ()
     probs: tuple = ()
     sigma2: float = 0.0
-    scale: float = 0.0
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def finite_table(pairs) -> "IncrementDistribution":
-        values = [float(v) for v, _ in pairs]
-        probs = [float(p) for _, p in pairs]
-        if len(values) < 2:
-            raise ConfigError("finite_table needs at least two atoms")
-        if any(p < 0 for p in probs):
+        """The centered law of (value, prob) pairs as its canonical table:
+        values ascending and distinct (equal values merged, their masses
+        summed), atoms of zero mass dropped.  Equal laws therefore give equal
+        tables however they were written."""
+        pairs = [(float(v), float(p)) for v, p in pairs]
+        if not all(math.isfinite(v) and math.isfinite(p) for v, p in pairs):
+            raise ConfigError("finite_table values and probabilities must be finite")
+        if any(p < 0 for _, p in pairs):
             raise ConfigError("finite_table probabilities must be nonnegative")
-        total = math.fsum(probs)
+        total = math.fsum(p for _, p in pairs)
         if abs(total - 1.0) > 1e-12:
             raise ConfigError(f"finite_table probabilities sum to {total!r}, not 1")
-        probs = [p / total for p in probs]
+        mass = {}
+        for v, p in pairs:
+            if p > 0.0:
+                mass.setdefault(v, []).append(p)
+        values = sorted(mass)
+        if len(values) < 2:
+            raise ConfigError("finite_table needs at least two atoms of positive mass")
+        probs = [math.fsum(mass[v]) / total for v in values]
         mean = math.fsum(p * v for v, p in zip(values, probs))
         values = [v - mean for v in values]  # centered automatically
         d = IncrementDistribution(
@@ -84,15 +97,16 @@ class IncrementDistribution:
 
     @staticmethod
     def gaussian(sigma2: float) -> "IncrementDistribution":
-        if sigma2 <= 0.0:
-            raise ConfigError("gaussian sigma2 must be > 0")
+        if not 0.0 < sigma2 < math.inf:
+            raise ConfigError("gaussian sigma2 must be finite and > 0")
         return IncrementDistribution(kind="gaussian", sigma2=float(sigma2))
 
     @staticmethod
     def scaled_rademacher(scale: float = 1.0) -> "IncrementDistribution":
-        if scale <= 0.0:
+        """+/-scale with probability 1/2 each, as a two-atom table."""
+        if not scale > 0.0:
             raise ConfigError("rademacher scale must be > 0")
-        return IncrementDistribution(kind="scaled_rademacher", scale=float(scale))
+        return IncrementDistribution.finite_table([(-scale, 0.5), (scale, 0.5)])
 
     # -- exact moments -----------------------------------------------------
 
@@ -104,35 +118,25 @@ class IncrementDistribution:
         """Exact E eta^k."""
         if k < 0:
             raise ValueError("moment order must be >= 0")
-        if self.kind == "finite_table":
-            return math.fsum(p * v**k for v, p in zip(self.values, self.probs))
         if self.kind == "gaussian":
             if k % 2 == 1:
                 return 0.0
             return self.sigma2 ** (k // 2) * _double_factorial(k - 1)
-        if self.kind == "scaled_rademacher":
-            return 0.0 if k % 2 == 1 else self.scale**k
-        raise UnsupportedKindError(f"no closed-form moments for kind {self.kind!r}")
+        return math.fsum(p * v**k for v, p in zip(self.values, self.probs))
 
     def abs_moment(self, k: int) -> float:
         """Exact E |eta|^k."""
-        if self.kind == "finite_table":
-            return math.fsum(p * abs(v) ** k for v, p in zip(self.values, self.probs))
         if self.kind == "gaussian":
             sigma = math.sqrt(self.sigma2)
             return sigma**k * 2 ** (k / 2.0) * math.gamma((k + 1) / 2.0) / math.sqrt(math.pi)
-        if self.kind == "scaled_rademacher":
-            return self.scale**k
-        raise UnsupportedKindError(f"no closed-form moments for kind {self.kind!r}")
+        return math.fsum(p * abs(v) ** k for v, p in zip(self.values, self.probs))
 
     @property
     def max_abs(self) -> float:
         """Support bound; inf for gaussian."""
-        if self.kind == "finite_table":
-            return max(abs(v) for v in self.values)
         if self.kind == "gaussian":
             return math.inf
-        return self.scale
+        return max(abs(v) for v in self.values)
 
     # -- transforms --------------------------------------------------------
 
@@ -140,23 +144,17 @@ class IncrementDistribution:
         """The law of c * eta."""
         if c <= 0.0:
             raise ValueError("scale factor must be > 0")
-        if self.kind == "finite_table":
-            return IncrementDistribution(
-                kind="finite_table",
-                values=tuple(c * v for v in self.values),
-                probs=self.probs,
-            )
         if self.kind == "gaussian":
             return IncrementDistribution(kind="gaussian", sigma2=c * c * self.sigma2)
-        return IncrementDistribution(kind="scaled_rademacher", scale=c * self.scale)
+        return IncrementDistribution(
+            kind="finite_table", values=tuple(c * v for v in self.values), probs=self.probs
+        )
 
     def table(self):
-        """(values, probs) arrays for finitely supported kinds."""
-        if self.kind == "finite_table":
-            return np.asarray(self.values), np.asarray(self.probs)
-        if self.kind == "scaled_rademacher":
-            return np.array([-self.scale, self.scale]), np.array([0.5, 0.5])
-        raise UnsupportedKindError("gaussian law has no finite table")
+        """(values, probs) arrays of a finitely supported law."""
+        if self.kind == "gaussian":
+            raise UnsupportedKindError("gaussian law has no finite table")
+        return np.asarray(self.values), np.asarray(self.probs)
 
 
 @dataclass(frozen=True)
@@ -242,34 +240,35 @@ class MartingaleSpec:
 #   rho = <float>                    (varswitch)
 #   values = v1, v2, ...             (finite, or varswitch base table)
 #   probs  = p1, p2, ...
+# A rademacher base is the table {-scale, scale}, so spec_to_dict writes every
+# finitely supported base as its canonical values and probs.
 
 def spec_to_dict(spec: MartingaleSpec) -> dict:
-    d = {"n": spec.n}
     base = spec.dist
     if spec.rule == "variance_switching":
-        d["model"] = "varswitch"
-        d["rho"] = spec.rho
-    elif base.kind == "scaled_rademacher":
-        d["model"] = "rademacher"
-        d["normalized"] = spec.normalized
-    elif base.kind == "gaussian":
-        d["model"] = "gaussian"
-        d["normalized"] = spec.normalized
+        d = {"model": "varswitch", "rho": spec.rho}
     else:
-        d["model"] = "finite"
-        d["normalized"] = spec.normalized
-    if base.kind == "scaled_rademacher":
-        d["scale"] = base.scale
-    elif base.kind == "gaussian":
+        d = {"model": "gaussian" if base.kind == "gaussian" else "finite",
+             "normalized": spec.normalized}
+    d["n"] = spec.n
+    if base.kind == "gaussian":
         d["sigma2"] = base.sigma2
     else:
-        d["values"] = list(base.values)
-        d["probs"] = list(base.probs)
+        d["values"], d["probs"] = list(base.values), list(base.probs)
     return d
 
 
 # the keys naming each base law's parameters
 _BASE_KEYS = {"rademacher": {"scale"}, "gaussian": {"sigma2"}, "finite": {"values", "probs"}}
+
+
+def _numbers(d: dict, key: str) -> list:
+    """d[key] as a list of floats; a lone number is a list of one."""
+    raw = d[key] if isinstance(d[key], list) else [d[key]]
+    try:
+        return [float(v) for v in raw]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a list of numbers, not {d[key]!r}")
 
 
 def spec_from_dict(d: dict) -> MartingaleSpec:
@@ -298,7 +297,10 @@ def spec_from_dict(d: dict) -> MartingaleSpec:
     if kind == "finite":
         if "values" not in d or "probs" not in d:
             raise ConfigError("finite tables need both 'values' and 'probs'")
-        base = IncrementDistribution.finite_table(list(zip(d["values"], d["probs"])))
+        values, probs = _numbers(d, "values"), _numbers(d, "probs")
+        if len(values) != len(probs):
+            raise ConfigError(f"{len(values)} values but {len(probs)} probs")
+        base = IncrementDistribution.finite_table(zip(values, probs))
     elif kind == "gaussian":
         base = IncrementDistribution.gaussian(float(d.get("sigma2", 1.0)))
     else:
@@ -312,11 +314,13 @@ def spec_from_dict(d: dict) -> MartingaleSpec:
 
 
 def _parse_scalar(text: str):
+    """A config value: a bool, int or float, a list of the strings between
+    commas (spec_from_dict reads them as numbers), or the text itself."""
     t = text.strip()
     if t.lower() in ("true", "false"):
         return t.lower() == "true"
     if "," in t:
-        return [float(x) for x in t.split(",") if x.strip()]
+        return [x.strip() for x in t.split(",") if x.strip()]
     try:
         return int(t)
     except ValueError:
@@ -338,20 +342,3 @@ def parse_config_dict(text: str) -> dict:
         key, value = line.split("=", 1)
         d[key.strip().lower()] = _parse_scalar(value)
     return d
-
-
-def parse_spec_config(text: str) -> MartingaleSpec:
-    return spec_from_dict(parse_config_dict(text))
-
-
-def format_spec_config(spec: MartingaleSpec) -> str:
-    d = spec_to_dict(spec)
-    lines = []
-    for key in ("model", "n", "normalized", "scale", "sigma2", "rho"):
-        if key in d:
-            v = d[key]
-            lines.append(f"{key} = {str(v).lower() if isinstance(v, bool) else v}")
-    if "values" in d:
-        lines.append("values = " + ", ".join(repr(v) for v in d["values"]))
-        lines.append("probs = " + ", ".join(repr(p) for p in d["probs"]))
-    return "\n".join(lines) + "\n"

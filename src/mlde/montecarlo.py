@@ -12,16 +12,17 @@ Estimators
   carries the weight exp(-lam * X_n + Psi_n(lam)), with Psi_n deterministic,
   which makes the weighted indicator an unbiased estimator of P(X_n > x).
 * exact oracles: the closed-form normal tail for gaussian specs, the binomial
-  closed form for iid two-point laws, and for any finite spec the count-vector
+  closed form for iid two-atom tables, and for any finite spec the count-vector
   engine: each part's sum law over its multinomial count vectors
   (C(count + m - 1, m - 1) atoms for an m-atom law), a second part's tail read
   from sorted suffix sums.
 
-Sampling draws each part's sufficient statistic (binomial / multinomial
-counts for lattice laws, a single normal draw for gaussian specs).  Draws are
-made in fixed-size blocks with counter-based sub-streams and all reductions
-run in a fixed pairwise order, so estimates are bit-identical for any worker
-count at a fixed seed.
+Sampling draws each part's sufficient statistic: binomial counts for a
+two-atom table, multinomial counts for a larger one, both over the part's
+tilted table (``tilting.tilted_table``, the one tilt of a finite law), and a
+single normal draw for gaussian specs.  Draws are made in fixed-size blocks
+with counter-based sub-streams and all reductions run in a fixed pairwise
+order, so estimates are bit-identical for any worker count at a fixed seed.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from scipy import special
 
 from . import bounds, conditions, tilting
 from .errors import ConfigError, DomainError
-from .model import BLOCK, IncrementDistribution, MartingaleSpec, block_rng
+from .model import BLOCK, MartingaleSpec, block_rng
 
 ENUM_LIMIT = 1 << 24  # largest count-vector table (vectors x atoms) the exact engine builds
 EXACT_METHODS = ("exact", "exact_enum")
@@ -178,18 +179,6 @@ def _pairwise(parts):
 
 # -- tilted sampling of the parts' sufficient statistics ---------------------
 
-def _tilted_two_point(d: IncrementDistribution, lam: float):
-    """(low value, high value, tilted P(high), per-step log normalizer)."""
-    values, probs = d.table()
-    order = np.argsort(values)
-    v_lo, v_hi = float(values[order[0]]), float(values[order[1]])
-    a = lam * values[order] + np.log(probs[order])
-    shift = float(np.max(a))
-    e = np.exp(a - shift)
-    z = float(e[0] + e[1])
-    return v_lo, v_hi, float(e[1] / z), shift + math.log(z)
-
-
 def _stat_block(spec: MartingaleSpec, lam: float, rng, m: int):
     """(X_n, Psi_n) for m draws under the lam-tilted law, X_n summed part by
     part from each part's sufficient statistic; Psi_n is a scalar."""
@@ -199,15 +188,13 @@ def _stat_block(spec: MartingaleSpec, lam: float, rng, m: int):
         return xn, 0.5 * lam * lam * v
     xn, psi = 0.0, 0.0
     for d, count in spec.iid_parts():
-        if len(d.table()[0]) == 2:
-            v_lo, v_hi, p_hi, log_z = _tilted_two_point(d, lam)
-            k = rng.binomial(count, p_hi, size=m)
-            xn = xn + (count * v_lo + k * (v_hi - v_lo))
-            psi += count * log_z
+        values, probs = tilting.tilted_table(d, lam)
+        if len(values) == 2:
+            k = rng.binomial(count, probs[1], size=m)
+            xn = xn + (count * values[0] + k * (values[1] - values[0]))
         else:
-            t_values, t_probs = tilting.tilted_table(d, lam)
-            xn = xn + rng.multinomial(count, t_probs, size=m) @ t_values
-            psi += count * tilting.step_cumulant(d, lam)
+            xn = xn + rng.multinomial(count, probs, size=m) @ values
+        psi += count * tilting.step_cumulant(d, lam)
     return xn, psi
 
 
@@ -293,7 +280,7 @@ def saddlepoint_lambda(spec: MartingaleSpec, x: float) -> float:
 def _drift_supremum(spec) -> float:
     if spec.dist.kind == "gaussian":
         return math.inf
-    return sum(count * float(np.max(d.table()[0])) for d, count in spec.iid_parts())
+    return sum(count * d.values[-1] for d, count in spec.iid_parts())
 
 
 # -- exact oracles -------------------------------------------------------------
@@ -365,8 +352,8 @@ def exact_tail(spec: MartingaleSpec, x: float, method: str = "auto") -> TailEsti
     else:
         parts = spec.iid_parts()
         d = parts[0][0]
-        if method == "auto" and len(parts) == 1 and len(d.table()[0]) == 2:
-            v_lo, v_hi, p_hi, _ = _tilted_two_point(d, 0.0)
+        if method == "auto" and len(parts) == 1 and len(d.values) == 2:
+            (v_lo, v_hi), (_, p_hi) = tilting.tilted_table(d, 0.0)
             p = _binomial_tail(spec.n, v_lo, v_hi, p_hi, x)
             tag = "exact_binomial"
         else:
@@ -404,16 +391,15 @@ def _recentred_lattice_ks(spec, lam: float) -> float:
     shift = tilting.drift_process(spec, lam)
     if d.kind == "gaussian":
         return 0.0  # exactly normal at every tilt
-    values, _ = d.table()
+    values, probs = tilting.tilted_table(d, lam)
     if len(values) == 2:
         if n + 1 > ENUM_LIMIT:
             raise DomainError(f"too-large: {n + 1} lattice atoms exceed {ENUM_LIMIT}")
-        v_lo, v_hi, p_hi, _ = _tilted_two_point(d, lam)
         k = np.arange(n + 1)
-        atoms = n * v_lo + k * (v_hi - v_lo) - shift
-        cdf = binom.cdf(k, n, p_hi)
+        atoms = n * values[0] + k * (values[1] - values[0]) - shift
+        cdf = binom.cdf(k, n, probs[1])
         return _ks_from_cdf(atoms, cdf)
-    atoms, pmf = _sum_law(*tilting.tilted_table(d, lam), n)
+    atoms, pmf = _sum_law(values, probs, n)
     return lattice_ks(atoms - shift, pmf)
 
 

@@ -31,7 +31,7 @@ def _table_logexp(values: np.ndarray, probs: np.ndarray, lam: float):
     Returns (shift, terms) with E e^(lam*eta) = e^shift * sum(terms).
     """
     a = lam * values + np.log(probs)
-    shift = float(np.max(a))
+    shift = float(a.max())  # the ndarray methods skip np.max/np.sum dispatch
     return shift, np.exp(a - shift)
 
 
@@ -39,24 +39,18 @@ def step_cumulant(dist: IncrementDistribution, lam: float) -> float:
     """log E e^(lam * eta), exact per kind."""
     if dist.kind == "gaussian":
         return 0.5 * lam * lam * dist.sigma2
-    if dist.kind == "scaled_rademacher":
-        z = abs(lam * dist.scale)
-        # log cosh(z), stable for large z
-        return z + math.log1p(math.exp(-2.0 * z)) - math.log(2.0)
     values, probs = dist.table()
     shift, terms = _table_logexp(values, probs, lam)
-    return shift + math.log(float(np.sum(terms)))
+    return shift + math.log(float(terms.sum()))
 
 
 def step_drift(dist: IncrementDistribution, lam: float) -> float:
     """Tilted mean E(eta e^(lam eta)) / E(e^(lam eta))."""
     if dist.kind == "gaussian":
         return lam * dist.sigma2
-    if dist.kind == "scaled_rademacher":
-        return dist.scale * math.tanh(lam * dist.scale)
     values, probs = dist.table()
     _, terms = _table_logexp(values, probs, lam)
-    return float(np.dot(values, terms) / np.sum(terms))
+    return float(np.dot(values, terms) / terms.sum())
 
 
 def tilted_step_variance(dist: IncrementDistribution, lam: float) -> float:
@@ -65,17 +59,18 @@ def tilted_step_variance(dist: IncrementDistribution, lam: float) -> float:
         return dist.sigma2
     values, probs = dist.table()
     _, terms = _table_logexp(values, probs, lam)
-    den = float(np.sum(terms))
+    den = float(terms.sum())
     mean = float(np.dot(values, terms)) / den
     second = float(np.dot(values * values, terms)) / den
     return second - mean * mean
 
 
 def tilted_table(dist: IncrementDistribution, lam: float):
-    """(values, probs) of the tilted law of a finitely supported dist."""
+    """(values, probs) of the tilted law of a finitely supported dist, values
+    ascending as in its table."""
     values, probs = dist.table()
     _, terms = _table_logexp(values, probs, lam)
-    return values, terms / float(np.sum(terms))
+    return values, terms / float(terms.sum())
 
 
 # -- whole-spec processes ----------------------------------------------------

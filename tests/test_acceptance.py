@@ -67,7 +67,7 @@ def test_criterion_02_oracle_equivalence():
         signs = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
         for normalized in (False, True):
             spec = MartingaleSpec.iid(RADEMACHER, n=n, normalized=normalized)
-            scale = spec.step_distribution.scale
+            scale = spec.step_distribution.max_abs
             path_sums = (signs * scale).sum(axis=1)
             # atoms sit at scale*(2k-n); thresholds at every midpoint between
             # atoms plus one beyond each end
@@ -106,7 +106,7 @@ def test_criterion_03_is_unbiasedness_and_variance_ratio():
     # under the t-tilted lattice law: E_t[Z^r] = sum_{atoms > x} pmf(k)
     # e^((r-1)(Psi_n(t) - t a_k)).  At t = 0 every weight is 1, and Z is the
     # crude estimator's indicator.
-    s = spec.step_distribution.scale
+    s = spec.step_distribution.max_abs
     k = np.arange(21)
     atoms = s * (2.0 * k - 20.0)
     hit = atoms > x

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mlde import cli, montecarlo
+from mlde import cli, model, montecarlo
 from mlde.cli import argv_from_config, run
 from mlde.errors import ConfigError
 
@@ -394,6 +394,63 @@ class TestSpecFile:
         code = run(["certify", "--model", f"finite:{table}", "--n", "64",
                     "--normalized", "--out", str(tmp_path)])
         assert code == 0
+
+    @pytest.mark.parametrize("text, method", [
+        # more values than probs: a zip would drop the atom 2
+        ("values = -1, 0, 2\nprobs = 0.5, 0.5\n", "exact"),
+        ("values = 1\nprobs = 1\n", "exact"),
+        ("values = 1, x\nprobs = 0.5, 0.5\n", "exact"),
+        # non-finite law parameters
+        ("values = -1, nan, 1\nprobs = 0.25, 0.5, 0.25\n", "exact"),
+        ("values = -1, inf\nprobs = 0.5, 0.5\n", "exact"),
+        ("values = -1, inf\nprobs = 0.5, 0.5\n", "crude"),
+        ("model = rademacher\nscale = nan\n", "exact"),
+        ("model = gaussian\nsigma2 = inf\n", "exact"),
+    ], ids=["values-without-probs", "one-atom", "not-a-number", "nan-value",
+            "inf-value-exact", "inf-value-crude", "nan-scale", "inf-sigma2"])
+    def test_ill_formed_law_is_config_error(self, tmp_path, text, method):
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(text)
+        assert run(["tail", "--spec-file", str(cfg), "--n", "40", "--x", "1",
+                    "--method", method, "--samples", "1000", "--seed", "3",
+                    "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "tail.csv").exists()
+
+
+THREE = "values = -1, 0, 2\nprobs = 0.5, 0.25, 0.25\n"
+TWO = "values = -1, 1\nprobs = 0.5, 0.5\n"
+
+
+class TestEqualLaws:
+    """One law gives one spec and the same bytes however its table is written."""
+
+    @pytest.mark.parametrize("text, same", [
+        (THREE, "values = 2, -1, 0\nprobs = 0.25, 0.5, 0.25\n"),
+        (THREE, "values = -1, 0, 2, 0\nprobs = 0.5, 0.125, 0.25, 0.125\n"),
+        (THREE, "values = -1, 0, 5, 2\nprobs = 0.5, 0.25, 0, 0.25\n"),
+        (TWO, "values = -1, 0, 1\nprobs = 0.5, 0, 0.5\n"),
+        (TWO, "model = rademacher\n"),
+    ], ids=["reordered", "split-atom", "zero-mass-atom", "zero-mass-two-point",
+            "rademacher"])
+    def test_same_spec_and_outputs(self, tmp_path, text, same):
+        model_keys = "n = 40\nnormalized = true\n"
+        specs = [model.spec_from_dict(model.parse_config_dict(t + model_keys))
+                 for t in (text, same)]
+        assert specs[0] == specs[1]
+        commands = [["tail", "--x", "1", "--method", method, "--samples", "10000",
+                     "--seed", "3"] for method in ("crude", "tilted", "exact")]
+        commands.append(["conjugate-clt", "--n-list", "12", "--lambda", "0,0.5"])
+        for argv in commands:
+            outputs = []
+            for i, t in enumerate((text, same)):
+                cfg = tmp_path / f"spec{i}.cfg"
+                cfg.write_text(t)
+                out = tmp_path / f"out{i}"
+                assert run([*argv, "--spec-file", str(cfg), "--n", "40", "--normalized",
+                            "--out", str(out)]) == 0
+                outputs.append(read(out / ("tail.csv" if argv[0] == "tail"
+                                           else "conjugate_clt.csv")))
+            assert outputs[0] == outputs[1], argv
 
 
 class TestImports:

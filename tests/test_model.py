@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,11 +10,15 @@ from mlde.errors import ConfigError
 from mlde.model import (
     IncrementDistribution,
     MartingaleSpec,
-    format_spec_config,
-    parse_spec_config,
+    parse_config_dict,
     spec_from_dict,
     spec_to_dict,
 )
+
+
+def parse_spec(text):
+    """The spec a config text describes, by the path the CLI runs."""
+    return spec_from_dict(parse_config_dict(text))
 
 
 def gauss_hermite_moment(sigma2, k, nodes=80):
@@ -37,8 +42,19 @@ class TestIncrementDistribution:
         assert abs(d.moment(1)) <= 1e-12
         assert d.values == (-1.0, 1.0)
 
+    def test_canonical_table(self):
+        # sorted, equal values merged and zero-mass atoms dropped
+        d = IncrementDistribution.finite_table(
+            [(2, 0.25), (0, 0.125), (5, 0.0), (-1, 0.5), (0, 0.125)]
+        )
+        assert d.values == (-1.0, 0.0, 2.0)
+        assert d.probs == (0.5, 0.25, 0.25)
+        with pytest.raises(ConfigError):  # one atom of positive mass
+            IncrementDistribution.finite_table([(-1, 1.0), (1, 0.0)])
+
     def test_rademacher_moments(self):
         r = IncrementDistribution.scaled_rademacher(1.0)
+        assert r == IncrementDistribution.finite_table([(1, 0.5), (-1, 0.5)])
         assert r.moment(3) == 0.0
         assert r.moment(4) == 1.0
         assert r.abs_moment(3) == 1.0
@@ -153,21 +169,21 @@ class TestSpecConfig:
         ],
     )
     def test_round_trip(self, spec):
-        assert parse_spec_config(format_spec_config(spec)) == spec
-        assert spec_from_dict(spec_to_dict(spec)) == spec
+        # the spec a JSON sidecar records, read back
+        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
 
     def test_parse_errors(self):
         with pytest.raises(ConfigError):
-            parse_spec_config("model = rademacher\n")  # no n
+            parse_spec("model = rademacher\n")  # no n
         with pytest.raises(ConfigError):
-            parse_spec_config("model = nosuch\nn = 4\n")
+            parse_spec("model = nosuch\nn = 4\n")
         with pytest.raises(ConfigError):
-            parse_spec_config("just garbage\n")
+            parse_spec("just garbage\n")
         with pytest.raises(ConfigError):  # sigma2 on a base that is not gaussian
-            parse_spec_config("model = rademacher\nn = 4\nsigma2 = 2\n")
+            parse_spec("model = rademacher\nn = 4\nsigma2 = 2\n")
         with pytest.raises(ConfigError):
-            parse_spec_config("model = varswitch\nn = 4\nrho = 0.5\nsigma2 = 2\n"
-                              "values = -1, 1\nprobs = 0.5, 0.5\n")
+            parse_spec("model = varswitch\nn = 4\nrho = 0.5\nsigma2 = 2\n"
+                       "values = -1, 1\nprobs = 0.5, 0.5\n")
         # keys the chosen model never reads
         for text in (
             # rho on iid models
@@ -191,13 +207,13 @@ class TestSpecConfig:
             "model = varswitch\nn = 4\nrho = 0.5\nfoo = 1\n",
         ):
             with pytest.raises(ConfigError):
-                parse_spec_config(text)
+                parse_spec(text)
 
     def test_table_files_load(self):
         # a bare table is a finite iid law; with model = varswitch it is the base
         three = "values = -1, 0, 2\nprobs = 0.5, 0.25, 0.25\n"
-        spec = parse_spec_config("n = 14\n" + three)
+        spec = parse_spec("n = 14\n" + three)
         assert (spec.rule, spec.dist.kind, spec.n) == ("iid", "finite_table", 14)
-        spec = parse_spec_config("model = varswitch\nn = 200\nrho = 0.5\n" + three)
+        spec = parse_spec("model = varswitch\nn = 200\nrho = 0.5\n" + three)
         assert (spec.rule, spec.dist.kind, spec.rho) == ("variance_switching",
                                                          "finite_table", 0.5)

@@ -182,7 +182,7 @@ class TestTilted:
         # sum_k pmf_tilted(k) * w(k) * 1{x_k > x} must equal the base tail
         # exactly; validates the weight used by the binomial fast path
         spec = rademacher_spec(12)
-        s = spec.step_distribution.scale
+        s = spec.step_distribution.max_abs
         lam = 1.7
         p_hi = math.exp(lam * s) / (2 * math.cosh(lam * s))
         psi = 12 * math.log(math.cosh(lam * s))
