@@ -23,6 +23,7 @@ of the terminal law; everything downstream works from those parts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,6 +272,15 @@ def _numbers(d: dict, key: str) -> list:
         raise ConfigError(f"{key} must be a list of numbers, not {d[key]!r}")
 
 
+def _number(d: dict, key: str, default: float) -> float:
+    """d[key] (default when absent) as a finite float; text or a bool is a
+    ConfigError."""
+    v = d.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ConfigError(f"{key} must be a finite number, not {v!r}")
+    return float(v)
+
+
 def spec_from_dict(d: dict) -> MartingaleSpec:
     """The spec a config dict describes; a key the model does not read is a
     ConfigError, never silently dropped."""
@@ -293,7 +303,12 @@ def spec_from_dict(d: dict) -> MartingaleSpec:
             f"model {model!r} with a {kind} base does not read {sorted(unused)}"
         )
 
-    n = int(d["n"])
+    n = d["n"]
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ConfigError(f"n must be an integer >= 1, not {n!r}")
+    normalized = d.get("normalized", False)
+    if not isinstance(normalized, bool):
+        raise ConfigError(f"normalized must be true or false, not {normalized!r}")
     if kind == "finite":
         if "values" not in d or "probs" not in d:
             raise ConfigError("finite tables need both 'values' and 'probs'")
@@ -302,15 +317,15 @@ def spec_from_dict(d: dict) -> MartingaleSpec:
             raise ConfigError(f"{len(values)} values but {len(probs)} probs")
         base = IncrementDistribution.finite_table(zip(values, probs))
     elif kind == "gaussian":
-        base = IncrementDistribution.gaussian(float(d.get("sigma2", 1.0)))
+        base = IncrementDistribution.gaussian(_number(d, "sigma2", 1.0))
     else:
-        base = IncrementDistribution.scaled_rademacher(float(d.get("scale", 1.0)))
+        base = IncrementDistribution.scaled_rademacher(_number(d, "scale", 1.0))
 
     if model == "varswitch":
         if "rho" not in d:
             raise ConfigError("varswitch needs 'rho'")
-        return MartingaleSpec.variance_switching(base, n=n, rho=float(d["rho"]))
-    return MartingaleSpec.iid(base, n=n, normalized=bool(d.get("normalized", False)))
+        return MartingaleSpec.variance_switching(base, n=n, rho=_number(d, "rho", 0.0))
+    return MartingaleSpec.iid(base, n=n, normalized=normalized)
 
 
 def _parse_scalar(text: str):

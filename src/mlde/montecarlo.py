@@ -16,6 +16,8 @@ Estimators
   engine: each part's sum law over its multinomial count vectors
   (C(count + m - 1, m - 1) atoms for an m-atom law), a second part's tail read
   from sorted suffix sums.
+* exact distances: the KS distance of X_n to the normal, read at the atoms
+  of its lattice law.
 
 Sampling draws each part's sufficient statistic: binomial counts for a
 two-atom table, multinomial counts for a larger one, both over the part's
@@ -44,6 +46,7 @@ ENUM_LIMIT = 1 << 24  # largest count-vector table (vectors x atoms) the exact e
 EXACT_METHODS = ("exact", "exact_enum")
 TAIL_METHODS = ("crude", "tilted") + EXACT_METHODS
 MAX_SAMPLES = 1 << 30  # largest sample count an estimator takes (2^18 blocks of BLOCK)
+WINDOW_SD = 12  # half-width, in binomial sds, of the atom window a two-point KS tries first
 
 
 # -- result containers --------------------------------------------------------
@@ -364,6 +367,10 @@ def exact_tail(spec: MartingaleSpec, x: float, method: str = "auto") -> TailEsti
 
 
 # -- exact distribution-distance machinery ------------------------------------
+# The KS distance of a lattice law to the normal is the supremum of |F - Phi|
+# at its atoms.  A two-point law's sum is binomial: its supremum is taken over
+# the atoms within WINDOW_SD sds of the tilted mean when a tail bound certifies
+# that no atom outside can hold it, and over all n + 1 atoms otherwise.
 
 def lattice_ks(values, probs) -> float:
     """sup_x |F(x) - Phi(x)| for a discrete law: the supremum is attained at
@@ -378,29 +385,58 @@ def lattice_ks(values, probs) -> float:
     return _ks_from_cdf(uniq, cdf)
 
 
-def _ks_from_cdf(atoms, cdf) -> float:
-    left = np.concatenate([[0.0], cdf[:-1]])
+def _ks_from_cdf(atoms, cdf, below=0.0) -> float:
+    """max |F - Phi| over the atoms from each side; below is F just left of
+    the first atom."""
+    left = np.concatenate([[below], cdf[:-1]])
     phi = 1.0 - 0.5 * special.erfc(atoms / math.sqrt(2.0))
     return float(np.max(np.maximum(np.abs(cdf - phi), np.abs(left - phi))))
 
 
 def _recentred_lattice_ks(spec, lam: float) -> float:
     """Exact KS distance to the standard normal of X_n - B_n(lam) under the
-    lam-tilted law, for one-part lattice (and gaussian) specs."""
+    lam-tilted law, for one-part lattice (and gaussian) specs.
+
+    A two-point law takes the supremum over the atoms within WINDOW_SD
+    binomial sds of the tilted mean when the tail bound certifies that window
+    (see below), and over all n + 1 atoms otherwise."""
     ((d, n),) = spec.iid_parts()
     shift = tilting.drift_process(spec, lam)
     if d.kind == "gaussian":
         return 0.0  # exactly normal at every tilt
     values, probs = tilting.tilted_table(d, lam)
-    if len(values) == 2:
-        if n + 1 > ENUM_LIMIT:
-            raise DomainError(f"too-large: {n + 1} lattice atoms exceed {ENUM_LIMIT}")
-        k = np.arange(n + 1)
-        atoms = n * values[0] + k * (values[1] - values[0]) - shift
-        cdf = binom.cdf(k, n, probs[1])
-        return _ks_from_cdf(atoms, cdf)
-    atoms, pmf = _sum_law(values, probs, n)
-    return lattice_ks(atoms - shift, pmf)
+    if len(values) != 2:
+        atoms, pmf = _sum_law(values, probs, n)
+        return lattice_ks(atoms - shift, pmf)
+    if n + 1 > ENUM_LIMIT:
+        raise DomainError(f"too-large: {n + 1} lattice atoms exceed {ENUM_LIMIT}")
+    p, step = probs[1], values[1] - values[0]
+
+    def atom(k):  # X_n - B_n(lam) when k of the n draws take the upper value
+        return n * values[0] + k * step - shift
+
+    mid, half = n * p, WINDOW_SD * math.sqrt(n * probs[0] * p)
+    window = (max(0, math.floor(mid - half)), min(n, math.ceil(mid + half)))
+    for lo, hi in (window, (0, n)):
+        k = np.arange(lo, hi + 1)
+        below = float(binom.cdf(lo - 1, n, p)) if lo > 0 else 0.0
+        ks = _ks_from_cdf(atom(k), binom.cdf(k, n, p), below)
+        # F and Phi are monotone, so each term at an atom outside [lo, hi]
+        # is at most F(lo-1) or Phi(a_{lo-1}) below the window and 1 - F(hi)
+        # or 1 - Phi(a_{hi+1}) above it.  The terms are computed elementwise,
+        # so a window whose outside bound is under half its maximum returns
+        # the full range's maximum bit for bit; the factor 2 leaves room for
+        # rounding, which is far below the KS of a lattice law (at least half
+        # its largest atom).  The full range has nothing outside.
+        outside = 0.0
+        if lo > 0:
+            outside = max(below, 0.5 * float(special.erfc(-atom(lo - 1) / math.sqrt(2.0))))
+        if hi < n:
+            outside = max(outside, float(binom.sf(hi, n, p)),
+                          0.5 * float(special.erfc(atom(hi + 1) / math.sqrt(2.0))))
+        if outside <= 0.5 * ks:
+            break
+    return ks
 
 
 def conjugate_clt_check(model_family, lam: float, n_list) -> tuple:

@@ -416,6 +416,25 @@ class TestSpecFile:
                     "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "tail.csv").exists()
 
+    @pytest.mark.parametrize("text", [
+        "model = rademacher\nn = abc\n",
+        "model = rademacher\nn = 4.5\n",
+        "model = rademacher\nn = true\n",
+        "model = varswitch\nn = 8\nrho = abc\n",
+        "model = rademacher\nn = 8\nnormalized = no\n",
+        "model = rademacher\nn = 8\nnormalized = 1\n",
+        "model = rademacher\nn = 8\nscale = abc\n",
+        "model = gaussian\nn = 8\nsigma2 = abc\n",
+    ], ids=["n-text", "n-fraction", "n-bool", "rho-text", "normalized-no",
+            "normalized-one", "scale-text", "sigma2-text"])
+    def test_ill_typed_scalar_is_config_error(self, tmp_path, text):
+        # each was a traceback (exit 1) or a silently different spec (n = 4,
+        # normalized read as true)
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(text)
+        assert run(["certify", "--spec-file", str(cfg), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "certify.json").exists()
+
 
 THREE = "values = -1, 0, 2\nprobs = 0.5, 0.25, 0.25\n"
 TWO = "values = -1, 1\nprobs = 0.5, 0.5\n"

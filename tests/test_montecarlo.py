@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+from scipy import special
 from scipy.stats import binom
 
 from mlde import bounds, conditions, montecarlo, tilting
@@ -497,6 +498,81 @@ class TestRateCurves:
             sup = max(sup, abs(f - (1.0 - bounds.gaussian_tail(float(t)))))
         (row,) = conjugate_clt_check(family, lam, [5])
         assert row.ks_distance == pytest.approx(sup, abs=1e-9)
+
+
+def two_point_spec(p, n):
+    """n normalized iid steps of the two-point law with mass p on its upper atom."""
+    table = IncrementDistribution.finite_table([(0.0, 1.0 - p), (1.0, p)])
+    return MartingaleSpec.iid(table, n=n, normalized=True)
+
+
+def full_range_ks(spec, lam):
+    """The two-point KS over all n + 1 atoms: max |F - Phi| at each atom and
+    just left of it, written out independently of the library's window."""
+    ((d, n),) = spec.iid_parts()
+    values, probs = tilting.tilted_table(d, lam)
+    k = np.arange(n + 1)
+    atoms = n * values[0] + k * (values[1] - values[0]) - tilting.drift_process(spec, lam)
+    cdf = montecarlo.binom.cdf(k, n, probs[1])
+    left = np.concatenate([[0.0], cdf[:-1]])
+    phi = 1.0 - 0.5 * special.erfc(atoms / math.sqrt(2.0))
+    return float(np.max(np.maximum(np.abs(cdf - phi), np.abs(left - phi))))
+
+
+def window(spec, lam):
+    """The atoms [lo, hi] within WINDOW_SD sds of the tilted mean."""
+    ((d, n),) = spec.iid_parts()
+    _, (q, p) = tilting.tilted_table(d, lam)
+    half = montecarlo.WINDOW_SD * math.sqrt(n * q * p)
+    return max(0, math.floor(n * p - half)), min(n, math.ceil(n * p + half))
+
+
+class TestTwoPointKsWindow:
+    """The two-point KS reads a certified window of atoms, never a different
+    number than the full range."""
+
+    PS = (0.5, 0.05, 0.95) + tuple(np.random.default_rng(2026).uniform(0.0, 1.0, 2))
+    NS = (1, 2, 10, 100, 4096, 100_000, 1_000_000)
+    LAMS = (0.0, 0.5, 1.0, 3.0, 50.0)
+
+    def test_window_equals_full_range_bitwise(self):
+        covering = 0
+        for p, n, lam in itertools.product(self.PS, self.NS, self.LAMS):
+            spec = two_point_spec(p, n)
+            got = montecarlo._recentred_lattice_ks(spec, lam)
+            assert got == full_range_ks(spec, lam), (p, n, lam)
+            covering += window(spec, lam) == (0, n)
+        # the grid holds cases whose window already is the full range
+        assert covering >= 10
+
+    def count_cdf_arguments(self, monkeypatch):
+        counted = []
+        cdf = montecarlo.binom.cdf
+
+        def counting(k, n, p):
+            counted.append(np.size(k))
+            return cdf(k, n, p)
+
+        monkeypatch.setattr(montecarlo.binom, "cdf", counting)
+        return counted
+
+    def test_window_used_at_large_n(self, monkeypatch):
+        counted = self.count_cdf_arguments(monkeypatch)
+        (row,) = clt_rate_curve(rademacher_spec, [1_000_000])
+        assert 0 < sum(counted) < 100_000
+        assert row.ks_distance == full_range_ks(rademacher_spec(1_000_000), 0.0)
+
+    def test_uncertified_window_falls_back_to_full_range(self, monkeypatch):
+        # at lam = 50 the tilted law puts 0.99995 on the upper step: the
+        # count of upper draws has sd 0.067, so the window is the top two
+        # atoms; the atom just below it sits 0.4 under the tilted mean, and
+        # Phi there (0.34) is above half the window's maximum (0.4996)
+        spec = rademacher_spec(100)
+        assert window(spec, 50.0) == (99, 100)
+        counted = self.count_cdf_arguments(monkeypatch)
+        ks = montecarlo._recentred_lattice_ks(spec, 50.0)
+        assert sum(counted) == 2 + 1 + 101  # window, F(98), then all atoms
+        assert ks == full_range_ks(spec, 50.0)
 
 
 class TestRatioExperiment:
