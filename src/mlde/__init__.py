@@ -5,25 +5,16 @@ importance sampling, exact lattice oracles, and closed-form bound evaluators.
 
 from .bounds import (
     BoundEnvelope,
-    bolthausen_bound,
-    corollary1_envelope,
     dominance_check,
     gaussian_tail,
     mdp_rate,
-    mills_bounds,
     theorem1_upper,
     theorem2_lower,
     theorems_envelope,
 )
 from .conditions import (
     BernsteinCertificate,
-    ConditionReport,
     certify,
-    check_factorial_moment,
-    check_sakhanenko,
-    cramer_to_bernstein,
-    minimal_bernstein_H,
-    sakhanenko_K_from_H,
 )
 from .errors import ConfigError, DomainError, InfeasibleError, UnsupportedKindError
 from .model import IncrementDistribution, MartingaleSpec
@@ -51,7 +42,6 @@ from .tilting import (
     solve_lambda_under,
     step_cumulant,
     step_drift,
-    tilted_step_variance,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

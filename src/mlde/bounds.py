@@ -1,6 +1,6 @@
-"""Closed-form bound evaluators: Gaussian tails, Mill's-ratio brackets, the
-two-sided tail-ratio envelopes, the normal-approximation rate bound and its
-bounded-increment comparison, and the moderate-deviation rate value.
+"""Closed-form bound evaluators: Gaussian tails, the two-sided tail-ratio
+envelopes, the normal-approximation rate bound and its bounded-increment
+comparison, and the moderate-deviation rate value.
 
 Everything here is a deterministic pure function; out-of-range inputs are
 flagged on the envelope objects rather than raised, so experiment sweeps can
@@ -38,15 +38,6 @@ def gaussian_tail(x: float) -> float:
     """1 - Phi(x) via the complementary error function (>= 12 significant
     digits on the tested range)."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
-def mills_bounds(x: float):
-    """Closed-form brackets: e^(-x^2/2)/(sqrt(2 pi)(1+x)) <= 1-Phi(x)
-    <= e^(-x^2/2)/(sqrt(pi)(1+x)) for x >= 0."""
-    if x < 0:
-        raise DomainError("mills_bounds requires x >= 0")
-    core = math.exp(-0.5 * x * x) / (1.0 + x)
-    return core / math.sqrt(2.0 * math.pi), core / math.sqrt(math.pi)
 
 
 def _slack_term(x: float, epsilon: float, delta: float) -> float:
@@ -111,39 +102,6 @@ def theorems_envelope(x: float, epsilon: float, delta: float) -> BoundEnvelope:
     )
 
 
-def corollary1_envelope(x: float, epsilon: float, delta: float) -> BoundEnvelope:
-    """Multiplicative expansion envelope at c = C, taking the bounded slack
-    factors at their +/-1 extremes:
-
-        lower = e^(-c x^3 eps) (1 - c(1+x)(eps|log eps| + delta))
-        upper = e^(+c x^3 eps) (1 + c(1+x)(eps|log eps| + delta))
-
-    The lower side is clamped at 0 (with a note) once the subtracted slack
-    exceeds 1.  Valid for x <= ALPHA0 * min(1/(eps|log eps|), 1/delta).
-    """
-    _check_params(epsilon, delta)
-    slack = C * _slack_term(x, epsilon, delta)
-    cubic = C * x**3 * epsilon
-    lower = math.exp(-cubic) * (1.0 - slack)
-    notes = []
-    if slack > 1.0:
-        lower = 0.0
-        notes.append("slack term exceeds 1; lower side clamped at 0")
-    limit = ALPHA0 * min(
-        1.0 / (epsilon * abs(math.log(epsilon))),
-        1.0 / delta if delta > 0 else math.inf,
-    )
-    if x > limit:
-        notes.append(f"x > range limit {limit:.6g}")
-    return BoundEnvelope(
-        x=x,
-        lower_ratio=lower,
-        upper_ratio=_safe_exp(cubic) * (1.0 + slack),
-        valid=not notes,
-        range_note="; ".join(notes),
-    )
-
-
 def conjugate_rate_bound(lam: float, epsilon: float, delta: float) -> float:
     """Rate bound C * (lam*eps + eps|log eps| + delta) for the recentred
     martingale under the tilted measure; at lam = 0 it is the bound
@@ -152,7 +110,10 @@ def conjugate_rate_bound(lam: float, epsilon: float, delta: float) -> float:
     return C * (lam * epsilon + epsilon * abs(math.log(epsilon)) + delta)
 
 
-def _bolthausen_precondition(epsilon: float, n: int) -> None:
+def dominance_check(epsilon: float, n: int) -> bool:
+    """Whether eps^3 n log n >= (3/4) eps |log eps|, so the eps|log eps| rate
+    implies the bounded-increment rate eps^3 n log n + delta; both are stated
+    for eps in [sqrt(3/(4n)), 1/2], and an eps outside raises DomainError."""
     floor = math.sqrt(3.0 / (4.0 * n))
     if epsilon < floor:
         raise DomainError(
@@ -160,19 +121,6 @@ def _bolthausen_precondition(epsilon: float, n: int) -> None:
         )
     if epsilon > 0.5:
         raise DomainError("precondition-violated: epsilon > 1/2")
-
-
-def bolthausen_bound(epsilon: float, delta: float, n: int) -> float:
-    """Bounded-increment rate bound C * (eps^3 n log n + delta), stated for
-    eps in [sqrt(3/(4n)), 1/2]."""
-    _bolthausen_precondition(epsilon, n)
-    return C * (epsilon**3 * n * math.log(n) + delta)
-
-
-def dominance_check(epsilon: float, n: int) -> bool:
-    """Whether eps^3 n log n >= (3/4) eps |log eps| (so the eps|log eps| rate
-    implies the bounded-increment one); same preconditions as bolthausen_bound."""
-    _bolthausen_precondition(epsilon, n)
     return epsilon**3 * n * math.log(n) >= 0.75 * epsilon * abs(math.log(epsilon))
 
 

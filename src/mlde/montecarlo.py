@@ -528,14 +528,17 @@ def ratio_experiment(
     """Tail/normal-tail ratio across a threshold grid, against the two-sided
     envelopes, with the smallest constant c* making
     |log ratio| <= c* (x^3 eps + x^2 delta^2 + (1+x)(eps|log eps| + delta))
-    hold over all feasible rows."""
+    hold over all feasible rows.  The envelopes are stated for x >= 0, so a
+    negative threshold raises DomainError before any estimate."""
     _check_samples(samples)
+    x_grid = [float(x) for x in x_grid]
+    if any(x < 0.0 for x in x_grid):
+        raise DomainError(f"ratio_experiment requires x >= 0, got {min(x_grid):.6g}")
     cert = conditions.certify(spec)
     eps, delta = cert.epsilon, cert.delta
     raw = []
     pairs = []
     for x in x_grid:
-        x = float(x)
         est = estimate_tail(spec, x, method, lam_policy, samples, seed, cert)
         tail = bounds.gaussian_tail(x)
         # both probabilities must be representable for the ratio to carry

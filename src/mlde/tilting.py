@@ -1,7 +1,7 @@
 """Conjugate-measure machinery.
 
 Per-step log moment generating functions ("cumulants"), tilted means and
-variances, the cumulant and drift processes of a whole spec, the closed-form
+tilted laws, the cumulant and drift processes of a whole spec, the closed-form
 tilt parameter solvers, and exact residual checks of the moment/drift/cumulant
 inequalities that drive the ratio bounds.
 
@@ -51,18 +51,6 @@ def step_drift(dist: IncrementDistribution, lam: float) -> float:
     values, probs = dist.table()
     _, terms = _table_logexp(values, probs, lam)
     return float(np.dot(values, terms) / terms.sum())
-
-
-def tilted_step_variance(dist: IncrementDistribution, lam: float) -> float:
-    """Variance of the tilted one-step law."""
-    if dist.kind == "gaussian":
-        return dist.sigma2
-    values, probs = dist.table()
-    _, terms = _table_logexp(values, probs, lam)
-    den = float(terms.sum())
-    mean = float(np.dot(values, terms)) / den
-    second = float(np.dot(values * values, terms)) / den
-    return second - mean * mean
 
 
 def tilted_table(dist: IncrementDistribution, lam: float):
@@ -185,17 +173,17 @@ class TiltReport:
     fitted_c3: float
 
 
-def check_lemma2_lemma3(spec: MartingaleSpec, lambda_grid, certificate=None):
+def check_lemma2_lemma3(spec: MartingaleSpec, lambda_grid, certificate):
     """Exact B_n and Psi_n across a lambda grid with residuals of
 
         |B_n(lam) - lam|        <= lam delta^2 + c lam^2 epsilon
         |Psi_n(lam) - lam^2/2|  <= c lam^3 epsilon + lam^2 delta^2 / 2
 
-    at c = bounds.C, and per-row minimal constants.  Grid points must satisfy
+    at c = bounds.C, and per-row minimal constants, with epsilon and delta
+    taken from the spec's certificate.  Grid points must satisfy
     0 <= lam <= LEMMA_ALPHA/epsilon.
     """
-    cert = certificate if certificate is not None else conditions.certify(spec)
-    eps, delta = cert.epsilon, cert.delta
+    eps, delta = certificate.epsilon, certificate.delta
     reports = []
     for lam in lambda_grid:
         lam = float(lam)

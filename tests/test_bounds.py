@@ -7,13 +7,10 @@ import hypothesis.strategies as st
 from scipy.integrate import quad
 
 from mlde.bounds import (
-    bolthausen_bound,
     conjugate_rate_bound,
-    corollary1_envelope,
     dominance_check,
     gaussian_tail,
     mdp_rate,
-    mills_bounds,
     ratio_bound_expression,
     regime_tag,
     theorem1_upper,
@@ -50,34 +47,6 @@ class TestGaussianTail:
             assert gaussian_tail(float(x)) == pytest.approx(
                 tail_by_quadrature(float(x)), rel=1e-10
             )
-
-
-class TestMills:
-    def test_frozen_values(self):
-        lo, hi = mills_bounds(0.0)
-        assert lo == pytest.approx(1 / math.sqrt(2 * math.pi), rel=1e-14)
-        assert hi == pytest.approx(1 / math.sqrt(math.pi), rel=1e-14)
-        assert lo <= 0.5 <= hi
-        lo1, hi1 = mills_bounds(1.0)
-        assert lo1 == pytest.approx(0.1209854, abs=1e-7)
-        assert hi1 == pytest.approx(0.1710991, abs=1e-7)
-        assert lo1 <= gaussian_tail(1.0) <= hi1
-
-    def test_containment_grid(self):
-        for x in np.arange(0.0, 10.0 + 1e-9, 0.1):
-            lo, hi = mills_bounds(float(x))
-            t = gaussian_tail(float(x))
-            assert lo <= t <= hi
-
-    @given(st.floats(0.0, 30.0))
-    @settings(max_examples=300, deadline=None)
-    def test_containment_property(self, x):
-        lo, hi = mills_bounds(x)
-        assert lo <= gaussian_tail(x) <= hi
-
-    def test_negative_x_rejected(self):
-        with pytest.raises(DomainError):
-            mills_bounds(-0.5)
 
 
 class TestRatioEnvelopes:
@@ -126,32 +95,6 @@ class TestRatioEnvelopes:
         assert ratio_bound_expression(0.0, 0.01, 0.0) > 0.0
 
 
-class TestCorollaryEnvelope:
-    def test_frozen_x0(self):
-        # eps|ln eps| = 0.046052 at eps = 0.01
-        env = corollary1_envelope(0.0, 0.01, 0.0)
-        slack = 0.01 * abs(math.log(0.01))
-        assert env.lower_ratio == pytest.approx(1.0 - slack, rel=1e-12)
-        assert env.upper_ratio == pytest.approx(1.0 + slack, rel=1e-12)
-        assert env.lower_ratio == pytest.approx(1 - 0.046052, abs=1e-6)
-
-    def test_contains_one_when_small(self):
-        env = corollary1_envelope(1.0, 0.01, 0.005)
-        assert env.lower_ratio <= 1.0 <= env.upper_ratio
-
-    def test_width_shrinks(self):
-        wide = corollary1_envelope(1.0, 0.05, 0.02)
-        narrow = corollary1_envelope(1.0, 0.001, 0.0001)
-        assert (narrow.upper_ratio - narrow.lower_ratio) < (
-            wide.upper_ratio - wide.lower_ratio
-        )
-
-    def test_clamped_lower(self):
-        env = corollary1_envelope(30.0, 0.1, 0.4)
-        assert env.lower_ratio == 0.0
-        assert "clamped" in env.range_note and not env.valid
-
-
 class TestRates:
     def test_berry_esseen_frozen(self):
         assert conjugate_rate_bound(0.0, 0.1, 0.05) == pytest.approx(0.2802585, abs=1e-7)
@@ -167,19 +110,18 @@ class TestRates:
         assert conjugate_rate_bound(0.0, 1e-12, 0.0) < 1e-10
 
     def test_bolthausen_frozen(self):
-        val = bolthausen_bound(0.1, 0.0, 100)
-        assert val == pytest.approx(0.001 * 100 * math.log(100), rel=1e-12)
+        # eps^3 n log n = 0.4605 >= (3/4) eps |log eps| = 0.1727
         assert dominance_check(0.1, 100)
 
     def test_bolthausen_boundary_accepted(self):
         eps = math.sqrt(3.0 / (4.0 * 64))
-        assert bolthausen_bound(eps, 0.0, 64) > 0.0
+        assert dominance_check(eps, 64)
 
     def test_bolthausen_precondition(self):
         with pytest.raises(DomainError):
-            bolthausen_bound(0.2, 0.0, 4)  # 0.2 < sqrt(3/16)
+            dominance_check(0.2, 4)  # 0.2 < sqrt(3/16)
         with pytest.raises(DomainError):
-            dominance_check(0.2, 4)
+            dominance_check(0.6, 100)  # past 1/2
 
     def test_dominance_holds_across_admissible_grid(self):
         for n in (4, 16, 100, 10_000, 1_000_000):

@@ -153,6 +153,15 @@ class TestGridsAndLists:
             assert code == 2, grid
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("method", ["exact", "crude"])
+    def test_negative_threshold_is_domain_error(self, tmp_path, capsys, method):
+        code = run(["ratio-table", "--model", "rademacher", "--normalized", "--n", "100",
+                    "--x-grid=-2:1:0.5", "--method", method, "--samples", "1000",
+                    "--seed", "1", "--out", str(tmp_path)])
+        assert code == 3
+        assert "x >= 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_grid_row_cap(self):
         assert len(cli._parse_grid(f"0:{cli.MAX_GRID_ROWS - 1}:1")) == cli.MAX_GRID_ROWS
         with pytest.raises(ConfigError):
@@ -334,6 +343,16 @@ class TestReadme:
         section, _ = _readme_cli()
         (listed,) = re.findall(r"--method \{([^}]*)\}", section)
         assert tuple(listed.split("|")) == montecarlo.TAIL_METHODS
+
+    def test_library_sketch_runs(self):
+        # every name the sketch imports must still exist, and it must run
+        section = README.read_text().split("\n## Library sketch", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```python", 1)[1].split("```", 1)[0]
+        names = {}
+        exec(block, names)
+        est, oracle = names["est"], names["oracle"]
+        assert names["cert"].delta == 0.0
+        assert abs(est.p_hat - oracle.p_hat) <= 4.0 * est.std_err
 
 
 class TestSpecFile:

@@ -599,6 +599,16 @@ class TestRatioExperiment:
         assert row.theorem1_upper == bounds.theorem1_upper(1.0, cert.epsilon, cert.delta)
         assert row.theorem2_lower == bounds.theorem2_lower(1.0, cert.epsilon, cert.delta)
 
+    def test_negative_threshold_rejected(self, monkeypatch):
+        # the envelopes are stated for x >= 0, so no row is estimated first
+        def no_estimate(*args):
+            raise AssertionError("a row was estimated")
+        monkeypatch.setattr(montecarlo, "estimate_tail", no_estimate)
+        for spec in (rademacher_spec(100), gaussian_spec(100)):
+            for method in ("exact", "crude", "tilted"):
+                with pytest.raises(DomainError, match="x >= 0"):
+                    ratio_experiment(spec, [0.0, 1.0, -0.5], method, 1000, 1)
+
     def test_tilted_estimator_rows(self):
         spec = rademacher_spec(36)
         result = ratio_experiment(spec, [0.0, 1.0, 2.0], method="tilted",

@@ -19,13 +19,19 @@ from mlde.tilting import (
     solve_lambda_under,
     step_cumulant,
     step_drift,
-    tilted_step_variance,
     tilted_table,
 )
 
 RADEMACHER = IncrementDistribution.scaled_rademacher(1.0)
 GAUSSIAN = IncrementDistribution.gaussian(1.0)
 TABLE = IncrementDistribution.finite_table([(-2.0, 0.2), (0.0, 0.3), (1.0, 0.5)])
+
+
+def tilted_variance(dist, lam):
+    """Variance of the tilted law of a finite table, from tilted_table."""
+    values, probs = tilted_table(dist, lam)
+    mean = float(np.dot(values, probs))
+    return float(np.dot(values * values, probs)) - mean * mean
 
 
 class TestStepQuantities:
@@ -66,12 +72,18 @@ class TestStepQuantities:
                 assert fd == pytest.approx(step_drift(d, lam), rel=1e-6)
 
     def test_tilted_variance(self):
+        # the tilted variance is the derivative of the tilted mean in lam
+        h = 1e-6
         for lam in (0.0, 0.8, 2.0):
-            assert tilted_step_variance(GAUSSIAN, lam) == 1.0
-            assert tilted_step_variance(RADEMACHER, lam) == pytest.approx(
+            assert tilted_variance(RADEMACHER, lam) == pytest.approx(
                 1.0 - math.tanh(lam) ** 2, rel=1e-12
             )
-        assert tilted_step_variance(TABLE, 0.0) == pytest.approx(TABLE.variance, rel=1e-12)
+            fd = (step_drift(GAUSSIAN, lam + h) - step_drift(GAUSSIAN, lam - h)) / (2 * h)
+            assert fd == pytest.approx(1.0, rel=1e-9)
+            for d in (RADEMACHER, TABLE):
+                fd = (step_drift(d, lam + h) - step_drift(d, lam - h)) / (2 * h)
+                assert fd == pytest.approx(tilted_variance(d, lam), rel=1e-6)
+        assert tilted_variance(TABLE, 0.0) == pytest.approx(TABLE.variance, rel=1e-12)
 
     def test_tilted_law_normalized_and_mean(self):
         for d in (RADEMACHER, TABLE):
@@ -85,7 +97,9 @@ class TestStepQuantities:
         # the tilted gaussian step is N(lam sigma^2, sigma^2)
         step = MartingaleSpec.iid(GAUSSIAN, n=4, normalized=True).step_distribution
         assert step_drift(step, 2.0) == pytest.approx(0.5)
-        assert tilted_step_variance(step, 2.0) == pytest.approx(0.25)
+        h = 1e-6
+        assert (step_drift(step, 2.0 + h) - step_drift(step, 2.0 - h)) / (2 * h) == \
+            pytest.approx(0.25)
         # the tilted rademacher step puts e^(+-lam s) / (2 cosh(lam s)) on +-s
         step = MartingaleSpec.iid(RADEMACHER, n=4, normalized=True).step_distribution
         values, probs = tilted_table(step, 2.0)
@@ -217,7 +231,8 @@ class TestSolvers:
 class TestLemmaChecks:
     def test_moment_bounds_hold_at_minimal_eps(self):
         for d in (RADEMACHER, GAUSSIAN):
-            eps = conditions.minimal_bernstein_H(d)
+            # one unnormalized step: the minimal epsilon is the law's own H
+            eps = conditions.certify(MartingaleSpec.iid(d, n=1)).epsilon
             report = check_lemma1(d, eps)
             assert report.holds, report.detail
 
@@ -238,7 +253,7 @@ class TestLemmaChecks:
 
     def test_zero_lambda_row(self):
         spec = MartingaleSpec.iid(RADEMACHER, n=100, normalized=True)
-        (report,) = check_lemma2_lemma3(spec, [0.0])
+        (report,) = check_lemma2_lemma3(spec, [0.0], conditions.certify(spec))
         assert report.psi_n == 0.0 and report.b_n == 0.0
         assert report.lemma2_residual == 0.0 and report.lemma3_residual == 0.0
 
@@ -288,9 +303,9 @@ class TestLemmaChecks:
         var = d.variance
         cs = []
         for lam in np.linspace(0.01, 0.25 / eps, 30):
-            dev = abs(tilted_step_variance(d, lam) - var)
+            dev = abs(tilted_variance(d, lam) - var)
             cs.append(dev / (lam * eps * var))
         c_fit = max(cs)
         assert 0 < c_fit < 10
         for lam in np.linspace(0.01, 0.25 / eps, 30):
-            assert abs(tilted_step_variance(d, lam) - var) <= c_fit * lam * eps * var * (1 + 1e-12)
+            assert abs(tilted_variance(d, lam) - var) <= c_fit * lam * eps * var * (1 + 1e-12)
