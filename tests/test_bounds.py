@@ -49,6 +49,34 @@ class TestGaussianTail:
             )
 
 
+def mills_brackets(x):
+    """e^(-x^2/2)/(sqrt(2 pi)(1+x)) <= 1-Phi(x) <= e^(-x^2/2)/(sqrt(pi)(1+x))
+    for x >= 0."""
+    core = math.exp(-0.5 * x * x) / (1.0 + x)
+    return core / math.sqrt(2.0 * math.pi), core / math.sqrt(math.pi)
+
+
+class TestMills:
+    def test_frozen_values(self):
+        lo, hi = mills_brackets(0.0)
+        assert lo <= gaussian_tail(0.0) <= hi
+        lo1, hi1 = mills_brackets(1.0)
+        assert lo1 == pytest.approx(0.1209854, abs=1e-7)
+        assert hi1 == pytest.approx(0.1710991, abs=1e-7)
+        assert lo1 <= gaussian_tail(1.0) <= hi1
+
+    def test_containment_grid(self):
+        for x in np.arange(0.0, 10.0 + 1e-9, 0.1):
+            lo, hi = mills_brackets(float(x))
+            assert lo <= gaussian_tail(float(x)) <= hi
+
+    @given(st.floats(0.0, 30.0))
+    @settings(max_examples=300, deadline=None)
+    def test_containment_property(self, x):
+        lo, hi = mills_brackets(x)
+        assert lo <= gaussian_tail(x) <= hi
+
+
 class TestRatioEnvelopes:
     def test_upper_x0_collapse(self):
         eps, delta = 0.03, 0.02

@@ -1,10 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from scipy.integrate import quad
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from mlde.conditions import _bernstein_scan, bernstein_slack, certify
+from mlde.conditions import K_MAX, _bernstein_scan, bernstein_slack, certify
 from mlde.errors import DomainError
 from mlde.model import IncrementDistribution, MartingaleSpec
 
@@ -16,6 +17,33 @@ def single_step_H(dist):
     """The certificate's H for one unnormalized step of dist (n = 1, so the
     step law is dist itself and epsilon = H)."""
     return certify(MartingaleSpec.iid(dist, n=1)).H
+
+
+def bisect_t0(tol=1e-13):
+    """Independent root oracle for g(t) = 6t/(1-t)^4 = 1 on (0, 1/2)."""
+    lo, hi = 0.0, 0.5
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if 6 * mid / (1 - mid) ** 4 < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def abs3_exp_by_quadrature(sigma2, K):
+    """E(|eta|^3 e^(K|eta|)) for eta ~ N(0, sigma2); the exponents are summed
+    before exp, so the integrand stays finite wherever the moment is."""
+    val, _ = quad(lambda z: z**3 * math.exp(K * z - z * z / (2.0 * sigma2)),
+                  0.0, math.inf, epsrel=1e-13, limit=200)
+    return 2.0 * val / math.sqrt(2.0 * math.pi * sigma2)
+
+
+def even_moment_by_quadrature(sigma2, k):
+    """E eta^k for eta ~ N(0, sigma2) and even k."""
+    val, _ = quad(lambda z: z**k * math.exp(-z * z / (2.0 * sigma2)),
+                  0.0, math.inf, epsrel=1e-13, limit=200)
+    return 2.0 * val / math.sqrt(2.0 * math.pi * sigma2)
 
 
 class TestMinimalH:
@@ -101,3 +129,65 @@ class TestCertify:
             cert = certify(MartingaleSpec.iid(d, n=1))
             assert cert.slack == pytest.approx(1.0, abs=1e-12)
             assert bernstein_slack(d, cert.H) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSakhanenko:
+    """Sakhanenko's form K E(|eta|^3 e^(K|eta|)) <= E eta^2 against the
+    moment-growth constant: a valid H gives the form at K = t0/H, t0 the root
+    of 6t/(1-t)^4 = 1, and the form at K gives moment growth at H = 1/K,
+    since E|eta|^k <= (k-3)! K^(3-k) E(|eta|^3 e^(K|eta|)) for k >= 3."""
+
+    def test_construction_yields_valid_K(self):
+        t0 = bisect_t0()
+        for d, abs3_exp in ((RADEMACHER, math.exp),
+                            (GAUSSIAN, lambda K: abs3_exp_by_quadrature(1.0, K))):
+            K = t0 / single_step_H(d)
+            assert K * abs3_exp(K) / d.variance <= 1.0
+
+    @pytest.mark.parametrize("sigma2", [0.25, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("K", [0.1, 0.3, 0.5, 1.0, 2.0])
+    def test_gaussian_closed_form_against_quadrature(self, sigma2, K):
+        # the slack's closed-form gaussian moments against quadrature ones
+        # (odd moments vanish), at the H = 1/K that Sakhanenko's form implies
+        H = 1.0 / K
+        m2 = even_moment_by_quadrature(sigma2, 2)
+        expected = max(
+            even_moment_by_quadrature(sigma2, k) / (0.5 * math.factorial(k) * H ** (k - 2) * m2)
+            for k in range(4, K_MAX + 1, 2)
+        )
+        slack = bernstein_slack(IncrementDistribution.gaussian(sigma2), H)
+        assert slack == pytest.approx(expected, rel=1e-12)
+        if K * abs3_exp_by_quadrature(sigma2, K) / sigma2 <= 1.0:
+            assert slack <= 1.0
+
+
+class TestCramerConversion:
+    """A finite exponential moment c1 = E e^(|eta|/c0) gives the valid, not
+    minimal, moment-growth constant H = max(c0, 2 c0^3 c1 / E eta^2), since
+    E|eta|^k <= k! c0^k c1."""
+
+    def test_rademacher_example(self):
+        # c0 = 1, c1 = e, E eta^2 = 1 -> H = 2e; the slack binds at k = 4
+        h = max(1.0, 2.0 * math.e)
+        assert bernstein_slack(RADEMACHER, h) == pytest.approx(1.0 / (48.0 * math.e**2), rel=1e-14)
+        assert _bernstein_scan(RADEMACHER)[0] <= h
+
+    @given(
+        st.floats(0.5, 5.0),
+        st.lists(
+            st.tuples(st.floats(-3, 3), st.floats(0.05, 1.0)),
+            min_size=2,
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_lower_bound(self, c0, pairs):
+        total = sum(p for _, p in pairs)
+        pairs = [(v, p / total) for v, p in pairs]
+        assume(max(v for v, _ in pairs) - min(v for v, _ in pairs) >= 1e-4)
+        d = IncrementDistribution.finite_table(pairs)
+        assume(d.variance >= 0.01)  # keeps H^(K_MAX - 2) inside the float range
+        c1 = math.fsum(p * math.exp(abs(v) / c0) for v, p in zip(d.values, d.probs))
+        h = max(c0, 2.0 * c0**3 * c1 / d.variance)
+        assert bernstein_slack(d, h) <= 1.0 + 1e-12
+        assert _bernstein_scan(d)[0] <= h
