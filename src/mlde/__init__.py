@@ -20,7 +20,6 @@ from .errors import ConfigError, DomainError, InfeasibleError, UnsupportedKindEr
 from .model import IncrementDistribution, MartingaleSpec
 from .montecarlo import (
     TailEstimate,
-    clt_rate_curve,
     conjugate_clt_check,
     crude_tail_estimate,
     estimate_tail,

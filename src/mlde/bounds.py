@@ -69,9 +69,7 @@ def theorem2_lower(x: float, epsilon: float, delta: float) -> float:
         exp(-c (x^3 eps + x^2 delta^2 + (1+x)(eps|log eps| + delta)))
     """
     _check_params(epsilon, delta)
-    return math.exp(
-        -C * (x**3 * epsilon + x**2 * delta**2 + _slack_term(x, epsilon, delta))
-    )
+    return math.exp(-C * ratio_bound_expression(x, epsilon, delta))
 
 
 def ratio_bound_expression(x: float, epsilon: float, delta: float) -> float:

@@ -1,11 +1,13 @@
 """Batch front end.
 
-Subcommands: certify, tail, ratio-table, clt-rate, conjugate-clt, mdp,
-lemmas.  Every command writes a JSON sidecar holding the fully resolved
-configuration (enough to reproduce the run byte for byte), the model
-certificate where one was computed, fitted constants, and the wall time.
-Every command but certify also writes a CSV of its result rows, one column
-per field of the row type.  Timestamps never enter the CSV body.
+Subcommands: certify, tail, ratio-table, clt-rate (conjugate-clt at the
+one tilt 0), conjugate-clt, mdp, lemmas.  Every command writes a JSON
+sidecar holding the fully resolved configuration (enough to reproduce the
+run byte for byte), the model certificate where one was computed, fitted
+constants, and the wall time.  Every command but certify also writes a CSV
+of its result rows, one column per field of the row type.  Timestamps never
+enter the CSV body.  A finite:<path> target is read and validated as a
+--spec-file whose model is finite.
 
 Exit codes: 0 success, 2 configuration error, 3 domain/range error,
 4 infeasible estimate.  MLDE_THREADS caps the worker count.
@@ -158,11 +160,8 @@ def _spec_dict(args) -> dict:
         d = _read_config(args.spec_file)
     if args.model is not None:
         if args.model.startswith("finite:"):
-            path = args.model.split(":", 1)[1]
-            table = _read_config(path)
-            if "values" not in table or "probs" not in table:
-                raise ConfigError(f"{path} must define values and probs")
-            d.update(model="finite", values=table["values"], probs=table["probs"])
+            # the target is a spec file whose model is finite
+            d.update(_read_config(args.model.split(":", 1)[1]), model="finite")
         else:
             d["model"] = args.model
     if args.n is not None:
@@ -304,31 +303,22 @@ def _cmd_ratio_table(args, out_dir, started):
     return EXIT_OK
 
 
-def _cmd_clt_rate(args, out_dir, started):
-    n_list = _parse_n_list(args.n_list)
-    family = _family(args)
-    rows = montecarlo.clt_rate_curve(family, n_list)
-    spec = family(n_list[-1])
-    csv_path = _emit(out_dir, "clt_rate", args, spec, conditions.certify(spec),
-                     rows, {"fitted_c": [r.fitted_c for r in rows]}, started)
-    print(f"{len(rows)} rows -> {csv_path}")
-    return EXIT_OK
-
-
 def _cmd_conjugate_clt(args, out_dir, started):
     n_list = _parse_n_list(args.n_list)
+    text = getattr(args, "lam", "0")  # clt-rate has no --lambda: the tilt 0
     try:
-        lams = [float(t) for t in args.lam.split(",") if t.strip()]
+        lams = [float(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise ConfigError(f"bad lambda list {args.lam!r}; conjugate-clt takes numbers")
-    if not lams:
-        raise ConfigError("conjugate-clt needs at least one lambda")
+        lams = []
+    if not lams or not all(map(math.isfinite, lams)):
+        raise ConfigError(f"bad lambda list {text!r}; need finite numbers")
     family = _family(args)
     rows = [r for lam in lams
             for r in montecarlo.conjugate_clt_check(family, lam, n_list)]
     spec = family(n_list[-1])
-    csv_path = _emit(out_dir, "conjugate_clt", args, spec, conditions.certify(spec),
-                     rows, {"lambdas": lams}, started)
+    csv_path = _emit(out_dir, args.command.replace("-", "_"), args, spec,
+                     conditions.certify(spec), rows,
+                     {"lambdas": lams, "fitted_c": [r.fitted_c for r in rows]}, started)
     print(f"{len(rows)} rows -> {csv_path}")
     return EXIT_OK
 
@@ -375,7 +365,7 @@ _COMMANDS = {
     "certify": _cmd_certify,
     "tail": _cmd_tail,
     "ratio-table": _cmd_ratio_table,
-    "clt-rate": _cmd_clt_rate,
+    "clt-rate": _cmd_conjugate_clt,
     "conjugate-clt": _cmd_conjugate_clt,
     "mdp": _cmd_mdp,
     "lemmas": _cmd_lemmas,

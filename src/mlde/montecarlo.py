@@ -9,8 +9,8 @@ Estimators
 ----------
 * crude: fraction of sampled X_n above the threshold.
 * tilted: importance sampling under the exponentially tilted law; each draw
-  carries the weight exp(-lam * X_n + Psi_n(lam)), with Psi_n deterministic,
-  which makes the weighted indicator an unbiased estimator of P(X_n > x).
+  carries the weight exp(-lam * X_n + Psi_n(lam)), with Psi_n deterministic
+  (one cumulant_process call), so the weighted indicator is unbiased.
 * exact oracles: the closed-form normal tail for gaussian specs, the binomial
   closed form for iid two-atom tables, and for any finite spec the count-vector
   engine: each part's sum law over its multinomial count vectors
@@ -183,13 +183,12 @@ def _pairwise(parts):
 # -- tilted sampling of the parts' sufficient statistics ---------------------
 
 def _stat_block(spec: MartingaleSpec, lam: float, rng, m: int):
-    """(X_n, Psi_n) for m draws under the lam-tilted law, X_n summed part by
-    part from each part's sufficient statistic; Psi_n is a scalar."""
+    """X_n for m draws under the lam-tilted law, summed part by part from
+    each part's sufficient statistic."""
     if spec.dist.kind == "gaussian":
         v = spec.total_variance()
-        xn = lam * v + math.sqrt(v) * rng.standard_normal(m)
-        return xn, 0.5 * lam * lam * v
-    xn, psi = 0.0, 0.0
+        return lam * v + math.sqrt(v) * rng.standard_normal(m)
+    xn = 0.0
     for d, count in spec.iid_parts():
         values, probs = tilting.tilted_table(d, lam)
         if len(values) == 2:
@@ -197,8 +196,7 @@ def _stat_block(spec: MartingaleSpec, lam: float, rng, m: int):
             xn = xn + (count * values[0] + k * (values[1] - values[0]))
         else:
             xn = xn + rng.multinomial(count, probs, size=m) @ values
-        psi += count * tilting.step_cumulant(d, lam)
-    return xn, psi
+    return xn
 
 
 def _check_samples(n_samples, least=0):
@@ -209,11 +207,11 @@ def _check_samples(n_samples, least=0):
 
 def _weighted_tail(spec, x, lam, n_samples, seed):
     n_blocks = (n_samples + BLOCK - 1) // BLOCK
+    psi = tilting.cumulant_process(spec, lam)
 
     def one(b):
         m = BLOCK if b < n_blocks - 1 else n_samples - (n_blocks - 1) * BLOCK
-        rng = block_rng(seed, b)
-        xn, psi = _stat_block(spec, lam, rng, m)
+        xn = _stat_block(spec, lam, block_rng(seed, b), m)
         hit = xn > x
         z = np.zeros(m)
         z[hit] = np.exp(psi - lam * xn[hit])
@@ -340,22 +338,22 @@ def _enum_tail(spec, x) -> float:
     return min(float(np.dot(first_pmf, above)), 1.0)
 
 
-def exact_tail(spec: MartingaleSpec, x: float, method: str = "auto") -> TailEstimate:
-    """Exact P(X_n > x).  "auto" takes the closed-form normal tail (gaussian
+def exact_tail(spec: MartingaleSpec, x: float, method: str = "exact") -> TailEstimate:
+    """Exact P(X_n > x).  "exact" takes the closed-form normal tail (gaussian
     specs, tagged exact_gaussian), the binomial closed form (iid two-point
     laws, exact_binomial) or the count-vector engine (any other finite spec,
     exact_enum); "exact_enum" forces the engine on any finite spec."""
-    if method not in ("auto", "exact_enum"):
+    if method not in EXACT_METHODS:
         raise ConfigError(f"unknown exact method {method!r}")
     if spec.dist.kind == "gaussian":
-        if method != "auto":
+        if method != "exact":
             raise DomainError(f"method {method!r} unavailable for gaussian laws")
         p = bounds.gaussian_tail(x / math.sqrt(spec.total_variance()))
         tag = "exact_gaussian"
     else:
         parts = spec.iid_parts()
         d = parts[0][0]
-        if method == "auto" and len(parts) == 1 and len(d.values) == 2:
+        if method == "exact" and len(parts) == 1 and len(d.values) == 2:
             (v_lo, v_hi), (_, p_hi) = tilting.tilted_table(d, 0.0)
             p = _binomial_tail(spec.n, v_lo, v_hi, p_hi, x)
             tag = "exact_binomial"
@@ -442,8 +440,8 @@ def _recentred_lattice_ks(spec, lam: float) -> float:
 def conjugate_clt_check(model_family, lam: float, n_list) -> tuple:
     """One RateRow per n: the exact KS of the recentred martingale under the
     tilted law against the normal limit, with the rate budget
-    lam*eps + eps|log eps| + delta and the fitted constant.  lam = 0 reduces
-    to the plain rate curve."""
+    lam*eps + eps|log eps| + delta and the fitted constant.  lam = 0 is the
+    plain rate curve, the KS distance of X_n itself (clt-rate)."""
     if not 0.0 <= lam < math.inf:
         raise DomainError(f"lam = {lam!r} must be finite and >= 0")
     rows = []
@@ -468,12 +466,6 @@ def conjugate_clt_check(model_family, lam: float, n_list) -> tuple:
     return tuple(rows)
 
 
-def clt_rate_curve(model_family, n_list) -> tuple:
-    """One RateRow per n: the exact KS distance of X_n to the normal limit,
-    with the eps|log eps| + delta budget and the fitted constant."""
-    return conjugate_clt_check(model_family, 0.0, n_list)
-
-
 # -- experiments ----------------------------------------------------------------
 
 def fit_constant(observed) -> float:
@@ -490,11 +482,11 @@ def fit_constant(observed) -> float:
 
 
 def estimate_tail(spec, x, method, lam_policy, samples, seed, cert=None) -> TailEstimate:
-    """P(X_n > x) by one of TAIL_METHODS (or "auto", the same as "exact"):
-    crude, tilted at the tilt resolve_tilt picks, or exact_tail's route."""
+    """P(X_n > x) by one of TAIL_METHODS: crude, tilted at the tilt
+    resolve_tilt picks, or exact_tail's route."""
     _check_samples(samples)
-    if method in ("auto",) + EXACT_METHODS:
-        return exact_tail(spec, x, method="exact_enum" if method == "exact_enum" else "auto")
+    if method in EXACT_METHODS:
+        return exact_tail(spec, x, method)
     if method == "crude":
         return crude_tail_estimate(spec, x, samples, seed)
     if method == "tilted":
@@ -520,7 +512,7 @@ def resolve_tilt(spec, x, lam_policy, cert=None):
 def ratio_experiment(
     spec: MartingaleSpec,
     x_grid,
-    method: str = "auto",
+    method: str = "exact",
     samples: int = 0,
     seed: int = 0,
     lam_policy="saddlepoint",

@@ -18,7 +18,6 @@ from mlde import bounds, conditions, tilting
 from mlde.cli import run as cli_run
 from mlde.model import IncrementDistribution, MartingaleSpec
 from mlde.montecarlo import (
-    clt_rate_curve,
     conjugate_clt_check,
     crude_tail_estimate,
     exact_tail,
@@ -73,7 +72,7 @@ def test_criterion_02_oracle_equivalence():
             # atoms plus one beyond each end
             mids = scale * (2.0 * np.arange(-1, n + 1) - n + 1.0)
             for x in mids:
-                binomial = exact_tail(spec, float(x))  # auto: the closed form
+                binomial = exact_tail(spec, float(x))  # exact: the closed form
                 assert binomial.method == "exact_binomial"
                 b = binomial.p_hat
                 e = exact_tail(spec, float(x), method="exact_enum").p_hat
@@ -186,7 +185,7 @@ def test_criterion_04_ratio_envelope_constant_bounded():
 
 def test_criterion_05_clt_rate_and_dominance():
     started = time.monotonic()
-    rows = clt_rate_curve(rademacher_spec, [100, 1_000, 10_000])
+    rows = conjugate_clt_check(rademacher_spec, 0.0, [100, 1_000, 10_000])
     cs = [row.fitted_c for row in rows]
     spread = max(cs) / min(cs)
     # the bounded-increment comparison needs eps >= sqrt(3/(4n)); that holds
@@ -219,7 +218,7 @@ def test_criterion_06_conjugate_rate_under_tilt():
         rows[lam].ks_distance <= c_fit * rows[lam].bound_value for lam in lams
     )
     spread = max(fitted.values()) / min(fitted.values())
-    bit_identical = (rows[0.0],) == clt_rate_curve(rademacher_spec, [10_000])
+    bit_identical = (rows[0.0],) == conjugate_clt_check(rademacher_spec, 0.0, [10_000])
     elapsed = time.monotonic() - started
     ok = within and spread < 3.0 and bit_identical and elapsed < 60.0
     assert report(

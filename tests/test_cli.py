@@ -130,15 +130,33 @@ class TestTail:
 
 class TestSidecarRoundTrip:
     def test_rerun_from_sidecar(self, tmp_path):
-        first = tmp_path / "first"
-        assert run(["tail", "--model", "rademacher", "--n", "16", "--normalized",
-                    "--x", "1.0", "--method", "tilted", "--samples", "30000",
-                    "--seed", "21", "--out", str(first)]) == 0
-        sidecar = json.loads((first / "tail.json").read_text())
-        config = dict(sidecar["config"])
-        config["out"] = str(tmp_path / "second")
-        assert run(argv_from_config(sidecar["command"], config)) == 0
-        assert read(first / "tail.csv") == read(tmp_path / "second" / "tail.csv")
+        rad = ["--model", "rademacher", "--n", "16", "--normalized"]
+        for stem, argv in (
+            ("tail", ["tail", *rad, "--x", "1.0", "--method", "tilted",
+                      "--samples", "30000", "--seed", "21"]),
+            ("clt_rate", ["clt-rate", *rad, "--n-list", "100,400"]),
+            ("conjugate_clt", ["conjugate-clt", *rad, "--n-list", "100,400",
+                               "--lambda", "0,0.5"]),
+        ):
+            first, second = tmp_path / stem / "first", tmp_path / stem / "second"
+            assert run([*argv, "--out", str(first)]) == 0
+            sidecar = json.loads((first / f"{stem}.json").read_text())
+            config = dict(sidecar["config"])
+            config["out"] = str(second)
+            assert run(argv_from_config(sidecar["command"], config)) == 0
+            assert read(first / f"{stem}.csv") == read(second / f"{stem}.csv")
+
+    def test_rate_sidecars_carry_lambdas_and_fitted_c(self, tmp_path):
+        rad = ["--model", "rademacher", "--n", "16", "--normalized", "--n-list", "100,400"]
+        assert run(["clt-rate", *rad, "--out", str(tmp_path)]) == 0
+        assert run(["conjugate-clt", *rad, "--lambda", "0,0.5", "--out", str(tmp_path)]) == 0
+        clt = json.loads((tmp_path / "clt_rate.json").read_text())
+        conj = json.loads((tmp_path / "conjugate_clt.json").read_text())
+        assert "lam" not in clt["config"]
+        assert clt["results"]["lambdas"] == [0.0]
+        assert conj["results"]["lambdas"] == [0.0, 0.5]
+        assert len(clt["results"]["fitted_c"]) == 2
+        assert conj["results"]["fitted_c"][:2] == clt["results"]["fitted_c"]
 
 
 class TestGridsAndLists:
@@ -207,9 +225,24 @@ class TestGridsAndLists:
         for lam in ("0,abc", "paper", "0,saddlepoint"):
             assert run(["conjugate-clt", "--model", "rademacher", "--normalized",
                         "--n-list", "100", "--lambda", lam, "--out", str(tmp_path)]) == 2
-        # a number outside the tilt range is a domain error
+        # so must every tilt be finite, as every other number the CLI reads
+        for lam in ("nan", "inf", "0,nan", "0.5,-inf"):
+            assert run(["conjugate-clt", "--model", "rademacher", "--normalized",
+                        "--n-list", "100", "--lambda", lam, "--out", str(tmp_path)]) == 2
+        # a finite number outside the tilt range is a domain error
         assert run(["conjugate-clt", "--model", "rademacher", "--normalized",
                     "--n-list", "100", "--lambda", "0,-1", "--out", str(tmp_path)]) == 3
+
+    def test_clt_rate_is_conjugate_clt_at_zero(self, tmp_path):
+        # one code path: the same rows, byte for byte, under the two names
+        for model in (["--model", "rademacher", "--normalized", "--n", "10"],
+                      ["--model", "gaussian", "--normalized", "--n", "10"]):
+            clt, conj = tmp_path / "clt", tmp_path / "conj"
+            assert run(["clt-rate", *model, "--n-list", "1,100,1000",
+                        "--out", str(clt)]) == 0
+            assert run(["conjugate-clt", *model, "--n-list", "1,100,1000",
+                        "--lambda", "0", "--out", str(conj)]) == 0
+            assert read(clt / "clt_rate.csv") == read(conj / "conjugate_clt.csv")
 
 
 class TestMdpCommand:
@@ -413,6 +446,38 @@ class TestSpecFile:
         code = run(["certify", "--model", f"finite:{table}", "--n", "64",
                     "--normalized", "--out", str(tmp_path)])
         assert code == 0
+
+    def test_finite_target_is_a_spec_file(self, tmp_path):
+        # the target's normalized applies: an unnormalized table at n = 100
+        # would leave delta outside its range
+        table = tmp_path / "table.cfg"
+        table.write_text("values = -1, 0, 1\nprobs = 0.25, 0.5, 0.25\n"
+                         "normalized = true\nn = 999\n")
+        assert run(["certify", "--model", f"finite:{table}", "--n", "100",
+                    "--out", str(tmp_path)]) == 0
+        sidecar = json.loads((tmp_path / "certify.json").read_text())
+        assert sidecar["certificate"]["delta"] == 0.0
+        assert sidecar["spec"]["n"] == 100 and sidecar["spec"]["normalized"] is True
+
+    @pytest.mark.parametrize(
+        "extra", ["bogus = 7\n", "rho = 0.3\n", "model = varswitch\nrho = 0.3\n"],
+        ids=["unknown-key", "rho", "varswitch-rho"])
+    def test_finite_target_unread_key_is_config_error(self, tmp_path, capsys, extra):
+        table = tmp_path / "table.cfg"
+        table.write_text("values = -1, 0, 1\nprobs = 0.25, 0.5, 0.25\n"
+                         "normalized = true\nn = 999\n" + extra)
+        for argv in (["certify"], ["tail", "--x", "1", "--method", "exact"]):
+            assert run([*argv, "--model", f"finite:{table}", "--n", "100",
+                        "--out", str(tmp_path)]) == 2
+        assert "does not read" in capsys.readouterr().err
+        assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+    def test_finite_target_needs_probs(self, tmp_path):
+        table = tmp_path / "table.cfg"
+        table.write_text("values = -1, 0, 1\n")
+        assert run(["tail", "--model", f"finite:{table}", "--n", "100", "--normalized",
+                    "--x", "1", "--method", "exact", "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "tail.csv").exists()
 
     @pytest.mark.parametrize("text, method", [
         # more values than probs: a zip would drop the atom 2

@@ -17,7 +17,6 @@ from mlde.montecarlo import (
     ENUM_LIMIT,
     MAX_SAMPLES,
     _pool_size,
-    clt_rate_curve,
     conjugate_clt_check,
     crude_tail_estimate,
     estimate_tail,
@@ -305,15 +304,25 @@ class TestExactTail:
         spec = MartingaleSpec.iid(RADEMACHER, n=6)
         assert exact_tail(spec, 6.0).p_hat == 0.0
 
-    def test_routes_are_auto_or_enum(self):
-        # auto already takes the binomial and normal closed forms wherever they
-        # apply, so they are tags of the route taken, not methods to ask for
-        for spec in (MartingaleSpec.iid(RADEMACHER, n=6), gaussian_spec(6)):
-            for method in ("exact_binomial", "exact_gaussian", "exact"):
+    def test_methods_are_exact_or_enum(self):
+        # "exact" already takes the binomial and normal closed forms wherever
+        # they apply, so they are tags of the route taken, not methods to ask
+        # for; "auto", its old second spelling, is gone
+        two_point = MartingaleSpec.iid(RADEMACHER, n=6)
+        assert exact_tail(two_point, 1.0).method == "exact_binomial"
+        assert exact_tail(two_point, 1.0, "exact") == exact_tail(two_point, 1.0)
+        assert exact_tail(two_point, 1.0, "exact_enum").method == "exact_enum"
+        assert exact_tail(gaussian_spec(6), 1.0, "exact").method == "exact_gaussian"
+        for spec in (two_point, gaussian_spec(6)):
+            for method in ("exact_binomial", "exact_gaussian", "auto"):
                 with pytest.raises(ConfigError):
                     exact_tail(spec, 1.0, method=method)
+                with pytest.raises(ConfigError):
+                    estimate_tail(spec, 1.0, method, "saddlepoint", 0, 0)
         with pytest.raises(DomainError):
             exact_tail(gaussian_spec(6), 1.0, method="exact_enum")
+        spec = rademacher_spec(16)  # ratio_experiment's default method is "exact"
+        assert ratio_experiment(spec, [1.0]).rows[0].p_hat == exact_tail(spec, 1.0).p_hat
 
     def test_binomial_equals_enumeration(self):
         # n = 30 has 2^30 paths but only 31 count vectors
@@ -321,7 +330,7 @@ class TestExactTail:
             spec = MartingaleSpec.iid(RADEMACHER, n=n)
             thresholds = np.arange(-n - 1, n + 2, 2.0) + 0.0  # mid-atom offsets
             for x in thresholds:
-                binomial = exact_tail(spec, float(x) + 1.0)  # auto: the closed form
+                binomial = exact_tail(spec, float(x) + 1.0)  # exact: the closed form
                 assert binomial.method == "exact_binomial"
                 b = binomial.p_hat
                 e = exact_tail(spec, float(x) + 1.0, method="exact_enum").p_hat
@@ -433,26 +442,20 @@ class TestLatticeKs:
 
 class TestRateCurves:
     def test_single_step_frozen(self):
-        (row,) = clt_rate_curve(rademacher_spec, [1])
+        (row,) = conjugate_clt_check(rademacher_spec, 0.0, [1])
         phi1 = 1.0 - bounds.gaussian_tail(1.0)
         assert row.ks_distance == pytest.approx(phi1 - 0.5, abs=1e-12)  # ~0.341345
         assert row.fitted_c == row.ks_distance / row.bound_value
 
     def test_gaussian_exact_normality(self):
-        rows = clt_rate_curve(gaussian_spec, [10, 100])
+        rows = conjugate_clt_check(gaussian_spec, 0.0, [10, 100])
         assert all(r.ks_distance == 0.0 for r in rows)
 
     def test_rows_follow_certificate(self):
-        for row in clt_rate_curve(rademacher_spec, [100, 1000]):
+        for row in conjugate_clt_check(rademacher_spec, 0.0, [100, 1000]):
             cert = conditions.certify(rademacher_spec(row.n))
             assert row.epsilon == cert.epsilon and row.delta == cert.delta
             assert row.bound_value == bounds.conjugate_rate_bound(0.0, row.epsilon, row.delta)
-
-    def test_conjugate_zero_tilt_bit_identical(self):
-        ns = [100, 1000]
-        assert conjugate_clt_check(rademacher_spec, 0.0, ns) == clt_rate_curve(
-            rademacher_spec, ns
-        )
 
     def test_conjugate_rejects_negative_or_nonfinite_tilt(self):
         # the lam*eps budget term needs lam >= 0; a negative tilt gave a
@@ -558,7 +561,7 @@ class TestTwoPointKsWindow:
 
     def test_window_used_at_large_n(self, monkeypatch):
         counted = self.count_cdf_arguments(monkeypatch)
-        (row,) = clt_rate_curve(rademacher_spec, [1_000_000])
+        (row,) = conjugate_clt_check(rademacher_spec, 0.0, [1_000_000])
         assert 0 < sum(counted) < 100_000
         assert row.ks_distance == full_range_ks(rademacher_spec(1_000_000), 0.0)
 
