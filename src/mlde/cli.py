@@ -313,8 +313,11 @@ def _cmd_conjugate_clt(args, out_dir, started):
     if not lams or not all(map(math.isfinite, lams)):
         raise ConfigError(f"bad lambda list {text!r}; need finite numbers")
     family = _family(args)
-    rows = [r for lam in lams
-            for r in montecarlo.conjugate_clt_check(family, lam, n_list)]
+    if hasattr(args, "lam"):
+        rows = [r for lam in lams
+                for r in montecarlo.conjugate_clt_check(family, lam, n_list)]
+    else:
+        rows = montecarlo.clt_rate_curve(family, n_list)
     spec = family(n_list[-1])
     csv_path = _emit(out_dir, args.command.replace("-", "_"), args, spec,
                      conditions.certify(spec), rows,

@@ -441,7 +441,7 @@ def conjugate_clt_check(model_family, lam: float, n_list) -> tuple:
     """One RateRow per n: the exact KS of the recentred martingale under the
     tilted law against the normal limit, with the rate budget
     lam*eps + eps|log eps| + delta and the fitted constant.  lam = 0 is the
-    plain rate curve, the KS distance of X_n itself (clt-rate)."""
+    plain rate curve, the KS distance of X_n itself."""
     if not 0.0 <= lam < math.inf:
         raise DomainError(f"lam = {lam!r} must be finite and >= 0")
     rows = []
@@ -464,6 +464,12 @@ def conjugate_clt_check(model_family, lam: float, n_list) -> tuple:
             )
         )
     return tuple(rows)
+
+
+def clt_rate_curve(model_family, n_list) -> tuple:
+    """conjugate_clt_check at the tilt 0: the rate curve clt-rate writes.  Kept
+    as its own entry because BENCHMARK.json's per-layer metrics name it."""
+    return conjugate_clt_check(model_family, 0.0, n_list)
 
 
 # -- experiments ----------------------------------------------------------------

@@ -5,6 +5,7 @@ library's exact-oracle paths; no expected value below was invented.  Stated
 runtime ceilings are asserted with the wall clock.
 """
 
+import dataclasses
 import math
 import time
 
@@ -18,6 +19,7 @@ from mlde import bounds, conditions, tilting
 from mlde.cli import run as cli_run
 from mlde.model import IncrementDistribution, MartingaleSpec
 from mlde.montecarlo import (
+    clt_rate_curve,
     conjugate_clt_check,
     crude_tail_estimate,
     exact_tail,
@@ -185,7 +187,7 @@ def test_criterion_04_ratio_envelope_constant_bounded():
 
 def test_criterion_05_clt_rate_and_dominance():
     started = time.monotonic()
-    rows = conjugate_clt_check(rademacher_spec, 0.0, [100, 1_000, 10_000])
+    rows = clt_rate_curve(rademacher_spec, [100, 1_000, 10_000])
     cs = [row.fitted_c for row in rows]
     spread = max(cs) / min(cs)
     # the bounded-increment comparison needs eps >= sqrt(3/(4n)); that holds
@@ -208,7 +210,7 @@ def test_criterion_05_clt_rate_and_dominance():
     )
 
 
-def test_criterion_06_conjugate_rate_under_tilt():
+def test_criterion_06_conjugate_rate_under_tilt(tmp_path):
     started = time.monotonic()
     lams = [0.0, 0.5, 1.0, 2.0]
     rows = {lam: conjugate_clt_check(rademacher_spec, lam, [10_000])[0] for lam in lams}
@@ -218,13 +220,19 @@ def test_criterion_06_conjugate_rate_under_tilt():
         rows[lam].ks_distance <= c_fit * rows[lam].bound_value for lam in lams
     )
     spread = max(fitted.values()) / min(fitted.values())
-    bit_identical = (rows[0.0],) == conjugate_clt_check(rademacher_spec, 0.0, [10_000])
+    # the lambda = 0 row, cell for cell as repr, against what clt-rate writes
+    assert cli_run(["clt-rate", "--model", "rademacher", "--normalized",
+                    "--n-list", "10000", "--out", str(tmp_path)]) == 0
+    cells = [repr(v if isinstance(v, int) else float(v)) for v in dataclasses.astuple(rows[0.0])]
+    body = (tmp_path / "clt_rate.csv").read_text().splitlines()[1:]
+    bit_identical = body == [",".join(cells)]
     elapsed = time.monotonic() - started
     ok = within and spread < 3.0 and bit_identical and elapsed < 60.0
     assert report(
         6, ok,
         f"fitted c across lambda = { {l: round(c, 4) for l, c in fitted.items()} }, "
-        f"spread {spread:.2f}; lambda=0 bit-identical: {bit_identical}; {elapsed:.1f}s",
+        f"spread {spread:.2f}; lambda=0 row bit-identical to clt_rate.csv: {bit_identical}; "
+        f"{elapsed:.1f}s",
     )
 
 

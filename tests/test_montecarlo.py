@@ -17,6 +17,7 @@ from mlde.montecarlo import (
     ENUM_LIMIT,
     MAX_SAMPLES,
     _pool_size,
+    clt_rate_curve,
     conjugate_clt_check,
     crude_tail_estimate,
     estimate_tail,
@@ -442,20 +443,26 @@ class TestLatticeKs:
 
 class TestRateCurves:
     def test_single_step_frozen(self):
-        (row,) = conjugate_clt_check(rademacher_spec, 0.0, [1])
+        (row,) = clt_rate_curve(rademacher_spec, [1])
         phi1 = 1.0 - bounds.gaussian_tail(1.0)
         assert row.ks_distance == pytest.approx(phi1 - 0.5, abs=1e-12)  # ~0.341345
         assert row.fitted_c == row.ks_distance / row.bound_value
 
     def test_gaussian_exact_normality(self):
-        rows = conjugate_clt_check(gaussian_spec, 0.0, [10, 100])
+        rows = clt_rate_curve(gaussian_spec, [10, 100])
         assert all(r.ks_distance == 0.0 for r in rows)
 
     def test_rows_follow_certificate(self):
-        for row in conjugate_clt_check(rademacher_spec, 0.0, [100, 1000]):
+        for row in clt_rate_curve(rademacher_spec, [100, 1000]):
             cert = conditions.certify(rademacher_spec(row.n))
             assert row.epsilon == cert.epsilon and row.delta == cert.delta
             assert row.bound_value == bounds.conjugate_rate_bound(0.0, row.epsilon, row.delta)
+
+    def test_conjugate_zero_tilt_bit_identical(self):
+        ns = [100, 1000]
+        assert conjugate_clt_check(rademacher_spec, 0.0, ns) == clt_rate_curve(
+            rademacher_spec, ns
+        )
 
     def test_conjugate_rejects_negative_or_nonfinite_tilt(self):
         # the lam*eps budget term needs lam >= 0; a negative tilt gave a
@@ -561,7 +568,7 @@ class TestTwoPointKsWindow:
 
     def test_window_used_at_large_n(self, monkeypatch):
         counted = self.count_cdf_arguments(monkeypatch)
-        (row,) = conjugate_clt_check(rademacher_spec, 0.0, [1_000_000])
+        (row,) = clt_rate_curve(rademacher_spec, [1_000_000])
         assert 0 < sum(counted) < 100_000
         assert row.ks_distance == full_range_ks(rademacher_spec(1_000_000), 0.0)
 
