@@ -22,9 +22,12 @@ Estimators
 Sampling draws each part's sufficient statistic: binomial counts for a
 two-atom table, multinomial counts for a larger one, both over the part's
 tilted table (``tilting.tilted_table``, the one tilt of a finite law), and a
-single normal draw for gaussian specs.  Draws are made in fixed-size blocks
-with counter-based sub-streams and all reductions run in a fixed pairwise
-order, so estimates are bit-identical for any worker count at a fixed seed.
+single normal draw for gaussian specs, in fixed-size blocks from
+counter-based sub-streams reduced in a fixed pairwise order.  A one-part
+lattice spec whose X_n has at most BLOCK atoms draws the sample's histogram
+instead: one Multinomial(N, tilted law of X_n) over the atoms above the
+threshold and a miss category (``_lattice_law``).  Either route gives
+bit-identical estimates for any worker count at a fixed seed.
 """
 
 from __future__ import annotations
@@ -205,9 +208,58 @@ def _check_samples(n_samples, least=0):
         raise ConfigError(f"samples = {n_samples} outside [{least}, {MAX_SAMPLES}]")
 
 
+def _lattice_law(spec, lam):
+    """(atoms, pmf) of X_n under the lam-tilted law for a one-part finite spec
+    on a lattice v_0 + g*{0, k_1, ...} with at most BLOCK atoms of X_n, else
+    None.  Atoms are count*v_0 + i*g, as _stat_block computes two-atom sums;
+    the pmf is binomial for two atoms, else the count-th power of the tilted
+    step polynomial by binary powering (np.convolve of non-negative terms)."""
+    parts = spec.iid_parts()
+    if spec.dist.kind == "gaussian" or len(parts) > 1:
+        return None
+    ((d, count),) = parts
+    values, probs = tilting.tilted_table(d, lam)
+    g = float(np.min(np.diff(values)))
+    offsets = (values - values[0]) / g
+    k = np.rint(offsets)
+    if count * k[-1] + 1 > BLOCK or not np.allclose(offsets, k, rtol=1e-9, atol=0.0):
+        return None
+    k = k.astype(int)
+    i = np.arange(count * k[-1] + 1)
+    if len(values) == 2:
+        pmf = binom.pmf(i, count, probs[1])
+    else:
+        step, pmf = np.zeros(k[-1] + 1), np.ones(1)
+        step[k] = probs
+        for bit in bin(count)[2:]:  # high bit first
+            pmf = np.convolve(pmf, pmf)
+            if bit == "1":
+                pmf = np.convolve(pmf, step)
+    return count * values[0] + i * g, pmf / pmf.sum()
+
+
 def _weighted_tail(spec, x, lam, n_samples, seed):
-    n_blocks = (n_samples + BLOCK - 1) // BLOCK
     psi = tilting.cumulant_process(spec, lam)
+    law = _lattice_law(spec, lam)
+    if law is None:
+        s1, s2 = _per_draw_sums(spec, x, lam, psi, n_samples, seed)
+    else:
+        # the N draws' histogram is Multinomial(N, law); the miss category goes
+        # last, so numpy's running remainder never cancels on a small tail
+        atoms, pmf = law
+        above = atoms > x
+        counts = block_rng(seed, 0).multinomial(
+            n_samples, np.append(pmf[above], max(0.0, 1.0 - pmf[above].sum())))[:-1]
+        hit = counts > 0  # weights of undrawn atoms far below may overflow
+        w = np.exp(psi - lam * atoms[above][hit])
+        s1, s2 = float(np.dot(counts[hit], w)), float(np.dot(counts[hit], w * w))
+    p = s1 / n_samples
+    var = max(s2 / n_samples - p * p, 0.0)
+    return p, math.sqrt(var / n_samples)
+
+
+def _per_draw_sums(spec, x, lam, psi, n_samples, seed):
+    n_blocks = (n_samples + BLOCK - 1) // BLOCK
 
     def one(b):
         m = BLOCK if b < n_blocks - 1 else n_samples - (n_blocks - 1) * BLOCK
@@ -218,9 +270,7 @@ def _weighted_tail(spec, x, lam, n_samples, seed):
         return np.array([float(np.sum(z)), float(np.dot(z, z))])
 
     s1, s2 = _pairwise(_map_blocks(one, n_blocks))
-    p = float(s1) / n_samples
-    var = max(float(s2) / n_samples - p * p, 0.0)
-    return p, math.sqrt(var / n_samples)
+    return float(s1), float(s2)
 
 
 def crude_tail_estimate(
@@ -496,6 +546,9 @@ def estimate_tail(spec, x, method, lam_policy, samples, seed, cert=None) -> Tail
     if method == "crude":
         return crude_tail_estimate(spec, x, samples, seed)
     if method == "tilted":
+        if x >= _drift_supremum(spec):  # no atom above x, and no tilt reaches it
+            return TailEstimate(x=x, p_hat=0.0, std_err=0.0, n_samples=0,
+                                method="tilted", seed=seed)
         lam = resolve_tilt(spec, x, lam_policy, cert)
         return tilted_tail_estimate(spec, x, lam, samples, seed)
     raise ConfigError(f"unknown method {method!r}")

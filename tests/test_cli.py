@@ -180,6 +180,25 @@ class TestGridsAndLists:
         assert "x >= 0" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_tilted_rows_past_the_support_top(self, tmp_path):
+        # sqrt(20) = 4.472 is the largest X_20: the rows x = 4.5 and 5 hold the
+        # exact P = 0, flagged infeasible, as the crude and exact tables write them
+        rows = {}
+        for method in ("tilted", "crude", "exact"):
+            out = tmp_path / method
+            assert run(["ratio-table", "--model", "rademacher", "--normalized",
+                        "--n", "20", "--x-grid", "0:5:0.5", "--method", method,
+                        "--samples", "1000", "--seed", "1", "--out", str(out)]) == 0
+            lines = (out / "ratio.csv").read_text().strip().splitlines()
+            rows[method] = [dict(zip(lines[0].split(","), line.split(",")))
+                            for line in lines[1:]]
+        for method, table in rows.items():
+            assert len(table) == 11
+            for row in table[-2:]:
+                assert (row["p_hat"], row["std_err"], row["feasible"]) == ("0.0", "0.0", "false")
+        for method in ("tilted", "exact"):  # 1000 crude draws miss P(X > 4) = 2^-20
+            assert all(row["feasible"] == "true" for row in rows[method][:-2]), method
+
     def test_grid_row_cap(self):
         assert len(cli._parse_grid(f"0:{cli.MAX_GRID_ROWS - 1}:1")) == cli.MAX_GRID_ROWS
         with pytest.raises(ConfigError):
@@ -265,6 +284,19 @@ class TestMdpCommand:
         # the row is still written, flagged infeasible
         lines = (tmp_path / "mdp.csv").read_text().strip().splitlines()
         assert "false" in lines[1]
+
+
+    def test_threshold_past_the_support_top(self, tmp_path):
+        # at n = 1 the threshold a_n x = 1 is the top of the support: the row is
+        # the exact P = 0, written and flagged infeasible (exit 4)
+        code = run(["mdp", "--model", "rademacher", "--normalized", "--n", "10",
+                    "--x", "1", "--n-list", "1,4", "--samples", "1000",
+                    "--seed", "1", "--out", str(tmp_path)])
+        assert code == 4
+        lines = (tmp_path / "mdp.csv").read_text().strip().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert [r["feasible"] for r in rows] == ["false", "true"]
+        assert (rows[0]["p_hat"], rows[0]["std_err"], rows[0]["p_exact"]) == ("0.0", "0.0", "0.0")
 
 
 class TestLemmasCommand:

@@ -194,6 +194,14 @@ class TestTilted:
                 binom.pmf(k, 12, p_hi) * np.exp(psi - lam * atoms) * (atoms > x)
             ))
             assert lhs == pytest.approx(exact_tail(spec, x).p_hat, rel=1e-12)
+        # the same identity over the histogram route's tabulated tilted law
+        # of a three-point lattice table, against the count-vector engine
+        spec = three_point_spec(12)
+        psi = tilting.cumulant_process(spec, lam)
+        atoms, pmf = montecarlo._lattice_law(spec, lam)
+        for x in (0.0, 0.5, 1.5, 2.5):
+            lhs = float(np.sum(pmf * np.exp(psi - lam * atoms) * (atoms > x)))
+            assert lhs == pytest.approx(exact_tail(spec, x).p_hat, rel=1e-12)
 
     def test_change_of_measure_identity_varswitch_exact(self):
         # enumerate the tilted path law (per-branch tilted tables, pair-sign
@@ -249,6 +257,7 @@ class TestTilted:
 
     def test_parallel_invariance(self, monkeypatch):
         for spec in (rademacher_spec(20),
+                     three_point_spec(20),
                      MartingaleSpec.variance_switching(RADEMACHER, n=12, rho=0.5),
                      gaussian_spec(15)):
             results = []
@@ -257,6 +266,66 @@ class TestTilted:
                 results.append(tilted_tail_estimate(spec, 1.0, 0.8, 30_000, seed=9))
             assert results[0].p_hat == results[1].p_hat == results[2].p_hat
             assert results[0].std_err == results[1].std_err == results[2].std_err
+
+    def test_histogram_route_choice(self):
+        # one finite part on a lattice with at most BLOCK atoms of X_n takes
+        # the histogram route; everything else is sampled draw by draw
+        irrational = IncrementDistribution.finite_table(
+            [(-1.0, 0.5), (0.0, 0.25), (math.sqrt(2.0), 0.25)])
+        for spec in (rademacher_spec(20), rademacher_spec(4095), three_point_spec(400),
+                     MartingaleSpec.iid(RADEMACHER, n=30)):
+            atoms, pmf = montecarlo._lattice_law(spec, 0.7)
+            assert len(atoms) == len(pmf) <= montecarlo.BLOCK
+        for spec in (MartingaleSpec.iid(irrational, n=20, normalized=True),
+                     rademacher_spec(5000),  # 5001 atoms
+                     rademacher_spec(4096),  # 4097 atoms
+                     MartingaleSpec.variance_switching(RADEMACHER, n=12, rho=0.5),
+                     gaussian_spec(15)):
+            assert montecarlo._lattice_law(spec, 0.7) is None
+
+    def test_per_draw_route_agrees(self, monkeypatch):
+        # the same calls with BLOCK too small for X_n's 91 atoms go draw by
+        # draw; both routes must sit within 3.5 se of the exact tail
+        spec = three_point_spec(30)
+        exact = exact_tail(spec, 2.0).p_hat
+        lam = saddlepoint_lambda(spec, 2.0)
+        for block in (montecarlo.BLOCK, 64):
+            monkeypatch.setattr(montecarlo, "BLOCK", block)
+            assert (montecarlo._lattice_law(spec, lam) is None) == (block == 64)
+            for est in (tilted_tail_estimate(spec, 2.0, lam, 50_000, seed=13),
+                        crude_tail_estimate(spec, 2.0, 50_000, seed=13)):
+                assert abs(est.p_hat - exact) <= 3.5 * est.std_err
+
+    def test_crude_far_tail_miss_last(self, monkeypatch):
+        # 2^30 crude draws cost O(atoms) on the histogram route, so a tail of
+        # 1.6e-8 gets about 17 hits.  The multinomial sees the tail atoms
+        # first and the miss category last: numpy's running remainder starts
+        # at 1 and loses only the tail, where a leading miss would leave it
+        # 1 - (1 - tail), which cancels.
+        spec = rademacher_spec(60)
+        x = 5.3  # between the atoms 40/sqrt(60) and 42/sqrt(60)
+        pvals = []
+        real = montecarlo.block_rng
+
+        class Spy:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def multinomial(self, n, p):
+                pvals.append(np.array(p))
+                return self.rng.multinomial(n, p)
+
+        monkeypatch.setattr(montecarlo, "block_rng", lambda seed, b: Spy(real(seed, b)))
+        est = crude_tail_estimate(spec, x, MAX_SAMPLES, seed=21)
+        exact = exact_tail(spec, x).p_hat
+        assert exact == pytest.approx(
+            math.fsum(math.comb(60, k) for k in range(51, 61)) / 2.0**60, rel=1e-12)
+        (p,) = pvals
+        assert len(p) == 10 + 1
+        assert math.fsum(p[:-1]) == pytest.approx(exact, rel=1e-12)
+        assert p[-1] == 1.0 - p[:-1].sum()
+        assert est.p_hat > 0.0
+        assert abs(est.p_hat - exact) <= 3.5 * est.std_err
 
     def test_pool_size_clamped(self):
         cpus = os.cpu_count() or 1
@@ -274,6 +343,43 @@ class TestTilted:
         # sampling noise and must not trip the estimate validator
         est = tilted_tail_estimate(rademacher_spec(8), -5.0, 0.7, 5_000, seed=4)
         assert abs(est.p_hat - 1.0) <= 3.5 * est.std_err
+
+
+class TestLatticeLaw:
+    """The histogram route's tabulated tilted law of a three-point sum."""
+
+    @staticmethod
+    def lattice_index(spec, atoms):
+        values = spec.step_distribution.table()[0]
+        return np.rint((atoms - spec.n * values[0]) / (values[1] - values[0])).astype(int)
+
+    def test_matches_count_vectors(self):
+        for n in (1, 2, 7, 30, 100, 400):
+            spec = three_point_spec(n)
+            for lam in (0.0, 0.7, 3.0, 20.0):
+                atoms, pmf = montecarlo._lattice_law(spec, lam)
+                assert np.array_equal(self.lattice_index(spec, atoms), np.arange(3 * n + 1))
+                values, probs = tilting.tilted_table(spec.step_distribution, lam)
+                law_atoms, law_pmf = montecarlo._sum_law(values, probs, n)
+                merged = np.bincount(self.lattice_index(spec, law_atoms), weights=law_pmf,
+                                     minlength=len(pmf))
+                keep = merged > 1e-300
+                assert np.all(np.abs(pmf[keep] / merged[keep] - 1.0) <= 1e-12), (n, lam)
+
+    def test_matches_exact_rationals(self):
+        for n in (1, 2, 5, 13, 30):
+            spec = three_point_spec(n)
+            for lam in (0.0, 0.7, 3.0):
+                _, pmf = montecarlo._lattice_law(spec, lam)
+                _, probs = tilting.tilted_table(spec.step_distribution, lam)
+                step = [Fraction(probs[0]), Fraction(probs[1]), Fraction(0), Fraction(probs[2])]
+                law = [Fraction(1)]
+                for _ in range(n):
+                    law = [sum(law[i - j] * step[j] for j in range(4) if 0 <= i - j < len(law))
+                           for i in range(len(law) + 3)]
+                total = sum(law)
+                for got, want in zip(pmf, law):
+                    assert abs(Fraction(got) - want / total) <= Fraction(1, 10**13) * want / total
 
 
 class TestSaddlepoint:
