@@ -239,6 +239,7 @@ def _lattice_law(spec, lam):
 
 
 def _weighted_tail(spec, x, lam, n_samples, seed):
+    resolve_workers()  # a bad MLDE_THREADS is refused on either route
     psi = tilting.cumulant_process(spec, lam)
     law = _lattice_law(spec, lam)
     if law is None:

@@ -797,6 +797,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             tilted_tail_estimate(rademacher_spec(4), 0.0, 0.5, 99, seed=1)
 
+    def test_bad_worker_count(self, monkeypatch):
+        # refused on the histogram and the per-draw route alike
+        monkeypatch.setenv("MLDE_THREADS", "abc")
+        for spec in (rademacher_spec(20),
+                     MartingaleSpec.variance_switching(RADEMACHER, n=12, rho=0.5)):
+            with pytest.raises(ConfigError, match="worker count"):
+                tilted_tail_estimate(spec, 1.0, 0.8, 1000, seed=1)
+
     def test_sample_cap(self):
         # 2^30 samples are 2^18 blocks; one more is refused before any work
         too_many = MAX_SAMPLES + 1
