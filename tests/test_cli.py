@@ -192,7 +192,7 @@ class TestGridsAndLists:
             lines = (out / "ratio.csv").read_text().strip().splitlines()
             rows[method] = [dict(zip(lines[0].split(","), line.split(",")))
                             for line in lines[1:]]
-        for method, table in rows.items():
+        for table in rows.values():
             assert len(table) == 11
             for row in table[-2:]:
                 assert (row["p_hat"], row["std_err"], row["feasible"]) == ("0.0", "0.0", "false")
@@ -284,7 +284,6 @@ class TestMdpCommand:
         # the row is still written, flagged infeasible
         lines = (tmp_path / "mdp.csv").read_text().strip().splitlines()
         assert "false" in lines[1]
-
 
     def test_threshold_past_the_support_top(self, tmp_path):
         # at n = 1 the threshold a_n x = 1 is the top of the support: the row is
