@@ -33,6 +33,8 @@ from mlde.montecarlo import (
 RADEMACHER = IncrementDistribution.scaled_rademacher(1.0)
 GAUSSIAN = IncrementDistribution.gaussian(1.0)
 THREE_POINT = IncrementDistribution.finite_table([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)])
+IRRATIONAL = IncrementDistribution.finite_table(
+    [(-1.0, 0.5), (0.0, 0.25), (math.sqrt(2.0), 0.25)])  # on no lattice
 
 
 def rademacher_spec(n):
@@ -198,7 +200,7 @@ class TestTilted:
         # of a three-point lattice table, against the count-vector engine
         spec = three_point_spec(12)
         psi = tilting.cumulant_process(spec, lam)
-        atoms, pmf = montecarlo._lattice_law(spec, lam)
+        ((atoms, pmf),) = montecarlo._lattice_law(spec, lam)
         for x in (0.0, 0.5, 1.5, 2.5):
             lhs = float(np.sum(pmf * np.exp(psi - lam * atoms) * (atoms > x)))
             assert lhs == pytest.approx(exact_tail(spec, x).p_hat, rel=1e-12)
@@ -227,6 +229,17 @@ class TestTilted:
                 if run > x:
                     acc += prob * math.exp(psi - lam * run)
             assert acc == pytest.approx(exact_tail(spec, x).p_hat, rel=1e-11)
+        # the same identity over the histogram route's tabulated two-part
+        # law, sum_{a,b} pmf_A(a) pmf_B(b) w(a + b) 1{a + b > x}
+        for base in (RADEMACHER, THREE_POINT):
+            spec = MartingaleSpec.variance_switching(base, n=12, rho=rho)
+            psi = tilting.cumulant_process(spec, lam)
+            (a, pmf_a), (b, pmf_b) = montecarlo._lattice_law(spec, lam)
+            total = np.add.outer(a, b)
+            weighted = np.outer(pmf_a, pmf_b) * np.exp(psi - lam * total)
+            for x in (0.0, 0.6, 1.2, 2.5):
+                lhs = float(np.sum(weighted * (total > x)))
+                assert lhs == pytest.approx(exact_tail(spec, x).p_hat, rel=1e-12)
 
     def test_weight_normalization(self):
         for spec in (rademacher_spec(20),
@@ -246,6 +259,17 @@ class TestTilted:
                 misses += 1
         assert misses <= 2
 
+    def test_unbiasedness_over_seeds_varswitch(self):
+        spec = MartingaleSpec.variance_switching(THREE_POINT, n=200, rho=0.5)
+        exact = exact_tail(spec, 2.0).p_hat
+        lam = saddlepoint_lambda(spec, 2.0)
+        misses = 0
+        for seed in range(40):
+            est = tilted_tail_estimate(spec, 2.0, lam, 20_000, seed=seed)
+            if abs(est.p_hat - exact) > 3.5 * est.std_err:
+                misses += 1
+        assert misses <= 2
+
     def test_crude_tilted_consistency(self):
         spec = rademacher_spec(16)
         x = 1.0
@@ -256,9 +280,12 @@ class TestTilted:
         assert abs(crude.p_hat - tilt.p_hat) <= 3.5 * combined
 
     def test_parallel_invariance(self, monkeypatch):
+        # the irrational table and the gaussian are sampled draw by draw in a
+        # thread pool, the others from their histograms
         for spec in (rademacher_spec(20),
                      three_point_spec(20),
                      MartingaleSpec.variance_switching(RADEMACHER, n=12, rho=0.5),
+                     MartingaleSpec.iid(IRRATIONAL, n=20, normalized=True),
                      gaussian_spec(15)):
             results = []
             for w in ("1", "2", "8"):
@@ -268,33 +295,47 @@ class TestTilted:
             assert results[0].std_err == results[1].std_err == results[2].std_err
 
     def test_histogram_route_choice(self):
-        # one finite part on a lattice with at most BLOCK atoms of X_n takes
-        # the histogram route; everything else is sampled draw by draw
-        irrational = IncrementDistribution.finite_table(
-            [(-1.0, 0.5), (0.0, 0.25), (math.sqrt(2.0), 0.25)])
-        for spec in (rademacher_spec(20), rademacher_spec(4095), three_point_spec(400),
-                     MartingaleSpec.iid(RADEMACHER, n=30)):
-            atoms, pmf = montecarlo._lattice_law(spec, 0.7)
-            assert len(atoms) == len(pmf) <= montecarlo.BLOCK
-        for spec in (MartingaleSpec.iid(irrational, n=20, normalized=True),
+        # finite parts on lattices with at most BLOCK atoms each and at most
+        # HISTOGRAM_CELLS atoms in their product take the histogram route;
+        # everything else is sampled draw by draw
+        for spec, sizes in ((rademacher_spec(20), [21]),
+                            (rademacher_spec(4095), [4096]),
+                            (three_point_spec(400), [1201]),
+                            (MartingaleSpec.iid(RADEMACHER, n=30), [31]),
+                            (MartingaleSpec.variance_switching(RADEMACHER, n=12, rho=0.5),
+                             [7, 7]),
+                            (MartingaleSpec.variance_switching(THREE_POINT, n=200, rho=0.5),
+                             [301, 301]),
+                            (MartingaleSpec.variance_switching(THREE_POINT, n=240, rho=0.5),
+                             [361, 361])):  # 130321 cells, just under 2^17
+            laws = montecarlo._lattice_law(spec, 0.7)
+            assert [len(atoms) for atoms, _ in laws] == [len(pmf) for _, pmf in laws] == sizes
+        for spec in (MartingaleSpec.iid(IRRATIONAL, n=20, normalized=True),
+                     MartingaleSpec.variance_switching(IRRATIONAL, n=12, rho=0.5),
                      rademacher_spec(5000),  # 5001 atoms
                      rademacher_spec(4096),  # 4097 atoms
-                     MartingaleSpec.variance_switching(RADEMACHER, n=12, rho=0.5),
-                     gaussian_spec(15)):
+                     # parts of 4097 atoms, one over BLOCK
+                     MartingaleSpec.variance_switching(RADEMACHER, n=8192, rho=0.5),
+                     # 364^2 cells, over the cap with parts far under BLOCK
+                     MartingaleSpec.variance_switching(THREE_POINT, n=242, rho=0.5),
+                     gaussian_spec(15),
+                     gaussian_varswitch_spec(12)):
             assert montecarlo._lattice_law(spec, 0.7) is None
 
     def test_per_draw_route_agrees(self, monkeypatch):
-        # the same calls with BLOCK too small for X_n's 91 atoms go draw by
+        # the same calls with BLOCK too small for a part's 91 atoms go draw by
         # draw; both routes must sit within 3.5 se of the exact tail
-        spec = three_point_spec(30)
-        exact = exact_tail(spec, 2.0).p_hat
-        lam = saddlepoint_lambda(spec, 2.0)
-        for block in (montecarlo.BLOCK, 64):
-            monkeypatch.setattr(montecarlo, "BLOCK", block)
-            assert (montecarlo._lattice_law(spec, lam) is None) == (block == 64)
-            for est in (tilted_tail_estimate(spec, 2.0, lam, 50_000, seed=13),
-                        crude_tail_estimate(spec, 2.0, 50_000, seed=13)):
-                assert abs(est.p_hat - exact) <= 3.5 * est.std_err
+        blocks = (montecarlo.BLOCK, 64)
+        for spec in (three_point_spec(30),
+                     MartingaleSpec.variance_switching(THREE_POINT, n=60, rho=0.5)):
+            exact = exact_tail(spec, 2.0).p_hat
+            lam = saddlepoint_lambda(spec, 2.0)
+            for block in blocks:
+                monkeypatch.setattr(montecarlo, "BLOCK", block)
+                assert (montecarlo._lattice_law(spec, lam) is None) == (block == 64)
+                for est in (tilted_tail_estimate(spec, 2.0, lam, 50_000, seed=13),
+                            crude_tail_estimate(spec, 2.0, 50_000, seed=13)):
+                    assert abs(est.p_hat - exact) <= 3.5 * est.std_err
 
     def test_crude_far_tail_miss_last(self, monkeypatch):
         # 2^30 crude draws cost O(atoms) on the histogram route, so a tail of
@@ -357,7 +398,7 @@ class TestLatticeLaw:
         for n in (1, 2, 7, 30, 100, 400):
             spec = three_point_spec(n)
             for lam in (0.0, 0.7, 3.0, 20.0):
-                atoms, pmf = montecarlo._lattice_law(spec, lam)
+                ((atoms, pmf),) = montecarlo._lattice_law(spec, lam)
                 assert np.array_equal(self.lattice_index(spec, atoms), np.arange(3 * n + 1))
                 values, probs = tilting.tilted_table(spec.step_distribution, lam)
                 law_atoms, law_pmf = montecarlo._sum_law(values, probs, n)
@@ -370,7 +411,7 @@ class TestLatticeLaw:
         for n in (1, 2, 5, 13, 30):
             spec = three_point_spec(n)
             for lam in (0.0, 0.7, 3.0):
-                _, pmf = montecarlo._lattice_law(spec, lam)
+                ((_, pmf),) = montecarlo._lattice_law(spec, lam)
                 _, probs = tilting.tilted_table(spec.step_distribution, lam)
                 step = [Fraction(probs[0]), Fraction(probs[1]), Fraction(0), Fraction(probs[2])]
                 law = [Fraction(1)]
@@ -398,6 +439,18 @@ class TestSaddlepoint:
 
     def test_gaussian_closed_form(self):
         assert saddlepoint_lambda(gaussian_spec(30), 2.0) == pytest.approx(2.0, abs=1e-9)
+
+    def test_top_atom_band(self):
+        # within 1e-12 below the top only the top atom lies above x; the tilt
+        # is the midpoint's of the two top atoms (3.5 and 4), and the tilted
+        # estimate of P(X_n = top) = 2^-16 stands
+        spec = rademacher_spec(16)
+        x = 4.0 * (1.0 - 1e-13)
+        assert saddlepoint_lambda(spec, x) == saddlepoint_lambda(spec, 3.75)
+        exact = exact_tail(spec, x).p_hat
+        assert exact == 2.0**-16
+        est = estimate_tail(spec, x, "tilted", "saddlepoint", 20_000, seed=5)
+        assert abs(est.p_hat - exact) <= 3.5 * est.std_err
 
 
 class TestExactTail:
