@@ -23,10 +23,13 @@ Sampling draws each part's sufficient statistic: binomial counts for a
 two-atom table, multinomial counts for a larger one, both over the part's
 tilted table (``tilting.tilted_table``, the one tilt of a finite law), and a
 single normal draw for gaussian specs, in fixed-size blocks from
-counter-based sub-streams reduced in a fixed pairwise order.  A one-part
-lattice spec whose X_n has at most BLOCK atoms draws the sample's histogram
-instead: one Multinomial(N, tilted law of X_n) over the atoms above the
-threshold and a miss category (``_lattice_law``).  Either route gives
+counter-based sub-streams reduced in a fixed pairwise order.  A finite spec
+whose parts are lattice laws of at most BLOCK atoms each, HISTOGRAM_CELLS in
+their product, draws the sample's histogram instead (``_lattice_law``,
+``_histogram_sums``): Multinomial(N, tilted law) over the first part's
+atoms, then for each drawn atom a, Multinomial(count at a, .) over the last
+part's atoms above the threshold minus a and a miss category; a one-part
+spec is the single atom 0 holding all N draws.  Either route gives
 bit-identical estimates for any worker count at a fixed seed.
 """
 
@@ -51,9 +54,9 @@ TAIL_METHODS = ("crude", "tilted") + EXACT_METHODS
 MAX_SAMPLES = 1 << 30  # largest sample count an estimator takes (2^18 blocks of BLOCK)
 # Largest product of the parts' atom counts the histogram route draws over.
 # Its cost grows like (outer atoms drawn) x (inner atoms): on the three-point
-# varswitch law at N = 1e4 samples, 361^2 cells took 4.3-4.7 ms against
-# 9.6-10.0 ms per draw, and 721^2 cells 7.4 ms against 7.2 ms (one worker,
-# 2 vCPUs, numpy 2.4.6).
+# varswitch law at N = 1e4 samples, 361^2 cells took 3.3-4.7 ms against
+# 8.2-10.7 ms per draw, and 721^2 cells 6.7-7.4 ms against 6.5-7.2 ms (five
+# and three runs, one worker, 2 vCPUs, numpy 2.4.6).
 HISTOGRAM_CELLS = 1 << 17
 WINDOW_SD = 12  # half-width, in binomial sds, of the atom window a two-point KS tries first
 
@@ -259,13 +262,13 @@ def _weighted_tail(spec, x, lam, n_samples, seed):
     if laws is None:
         s1, s2 = _per_draw_sums(spec, x, lam, psi, n_samples, seed)
     else:
-        s1, s2 = _histogram_sums(laws, x, lam, psi, n_samples, block_rng(seed, 0))
+        s1, s2 = _histogram_sums(laws, x, lam, psi, n_samples, seed)
     p = s1 / n_samples
     var = max(s2 / n_samples - p * p, 0.0)
     return p, math.sqrt(var / n_samples)
 
 
-def _histogram_sums(laws, x, lam, psi, n_samples, rng):
+def _histogram_sums(laws, x, lam, psi, n_samples, seed):
     """(sum w, sum w^2) over the hits of n_samples draws, from their histogram.
 
     The draws' histogram over the outer part's atoms a is Multinomial(N,
@@ -274,6 +277,7 @@ def _histogram_sums(laws, x, lam, psi, n_samples, rng):
     are jointly Multinomial(N, outer law x inner law) over the cells a + b > x,
     so the sums have their per-draw distribution.  A one-part spec's outer
     part is the atom 0 holding all N draws."""
+    rng = block_rng(seed, 0)
     atoms, pmf = laws[-1]
     if len(laws) > 1:
         outer_atoms, outer_pmf = laws[0]
