@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -38,6 +39,7 @@ MAX_GRID_ROWS = 10_000  # longest a:b:step grid a sweep accepts
 
 # -- argument handling ---------------------------------------------------------
 
+@functools.cache  # parse_args keeps no state in the parser, so one serves every run
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mlde", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

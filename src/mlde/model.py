@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -152,10 +153,19 @@ class IncrementDistribution:
         )
 
     def table(self):
-        """(values, probs) arrays of a finitely supported law."""
+        """(values, probs) arrays of a finitely supported law, read-only and
+        built once per instance, outside the fields (equality, hashing and
+        repr never see them)."""
         if self.kind == "gaussian":
             raise UnsupportedKindError("gaussian law has no finite table")
-        return np.asarray(self.values), np.asarray(self.probs)
+        return self._table
+
+    @cached_property
+    def _table(self):
+        arrays = np.array(self.values), np.array(self.probs)
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 @dataclass(frozen=True)
@@ -190,9 +200,7 @@ class MartingaleSpec:
         """The (common) one-step law of an iid spec."""
         if self.rule != "iid":
             raise ValueError("step_distribution is only defined for iid specs")
-        if not self.normalized:
-            return self.dist
-        return self.dist.scaled(1.0 / math.sqrt(self.n * self.dist.variance))
+        return self._parts[0][0]
 
     def iid_parts(self) -> tuple:
         """The terminal law as independent iid parts: ((law, count), ...).
@@ -207,9 +215,17 @@ class MartingaleSpec:
         (Psi_n, B_n, the certificate, the moment-bound check, the samplers and
         the exact oracles) is a sum or a max over these parts, and the laws
         of the parts are exactly the conditional step laws a path can meet.
+        The parts are derived once per spec and cached on it, outside the
+        fields, so equality, hashing and repr never see them.
         """
+        return self._parts
+
+    @cached_property
+    def _parts(self) -> tuple:
         if self.rule == "iid":
-            return ((self.step_distribution, self.n),)
+            if not self.normalized:
+                return ((self.dist, self.n),)
+            return ((self.dist.scaled(1.0 / math.sqrt(self.n * self.dist.variance)), self.n),)
         # the high branch has conditional variance (1 + rho)/n, the low one
         # (1 - rho)/n
         base_var = self.dist.variance

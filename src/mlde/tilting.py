@@ -87,6 +87,20 @@ def drift_process(spec: MartingaleSpec, lam: float) -> float:
     return sum(count * step_drift(d, lam) for d, count in spec.iid_parts())
 
 
+def drift_slope(spec: MartingaleSpec, lam: float) -> float:
+    """B_n'(lam) = sum over the spec's iid parts of count * Var_lam(eta), the
+    predictable variance under the lam-tilted measure, read off the tilted
+    tables."""
+    if spec.dist.kind == "gaussian":
+        return spec.total_variance()
+    total = 0.0
+    for d, count in spec.iid_parts():
+        values, probs = tilted_table(d, lam)
+        dev = values - float(np.dot(values, probs))
+        total += count * float(np.dot(dev * dev, probs))
+    return total
+
+
 # -- tilt-parameter solvers ----------------------------------------------------
 
 def solve_lambda_bar(x: float, epsilon: float, delta: float, c: float) -> float:

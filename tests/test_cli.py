@@ -127,6 +127,31 @@ class TestTail:
             assert run([*argv, *rad]) == 2, argv
         assert not list(tmp_path.glob("*"))
 
+    def test_parser_keeps_no_state(self, tmp_path):
+        # one parser serves every run in a process: a flag given in one run
+        # (--normalized, --seed) must not leak into the next
+        base = ["tail", "--model", "rademacher", "--n", "20", "--x", "2.0",
+                "--method", "tilted", "--samples", "20000"]
+        argvs = [[*base, "--normalized", "--seed", "1"], [*base, "--seed", "1"],
+                 [*base, "--normalized", "--seed", "2"]]
+
+        def outputs(out):
+            sidecar = json.loads((out / "tail.json").read_text())
+            return read(out / "tail.csv"), sidecar["config"], sidecar["spec"]
+
+        cli._build_parser.cache_clear()
+        shared = []
+        for i, argv in enumerate(argvs):
+            assert run([*argv, "--out", str(tmp_path / str(i))]) == 0
+            shared.append(outputs(tmp_path / str(i)))
+        assert cli._build_parser.cache_info().misses == 1
+        assert shared[0][2]["normalized"] and not shared[1][2]["normalized"]
+        assert shared[0][0] != shared[2][0]  # the seed reached the sampler
+        for i, argv in enumerate(argvs):
+            cli._build_parser.cache_clear()
+            assert run([*argv, "--out", str(tmp_path / str(i))]) == 0
+            assert outputs(tmp_path / str(i)) == shared[i], argv
+
 
 class TestSidecarRoundTrip:
     def test_rerun_from_sidecar(self, tmp_path):

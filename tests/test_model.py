@@ -145,6 +145,51 @@ class TestSpec:
         assert MartingaleSpec.iid(base, n=7).total_variance() == 7.0
 
 
+class TestCaches:
+    """The iid parts and the tables are built once per instance and kept
+    outside the fields: they are never writeable, and a spec with its caches
+    filled is equal, hashes and serializes the same as one without."""
+
+    THREE = IncrementDistribution.finite_table([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)])
+
+    def specs(self):
+        return (MartingaleSpec.iid(self.THREE, n=30, normalized=True),
+                MartingaleSpec.iid(self.THREE, n=30),
+                MartingaleSpec.variance_switching(self.THREE, n=30, rho=0.5),
+                MartingaleSpec.iid(IncrementDistribution.gaussian(2.0), n=30))
+
+    def test_table_is_read_only(self):
+        values, probs = self.THREE.table()
+        for a in (values, probs):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert self.THREE.table()[0] is values
+        assert values.tolist() == list(self.THREE.values)
+
+    def test_filled_cache_changes_no_identity(self):
+        for filled, fresh in zip(self.specs(), self.specs()):
+            for d, _ in filled.iid_parts():
+                if d.kind != "gaussian":
+                    d.table()
+            assert filled == fresh
+            assert hash(filled) == hash(fresh)
+            assert repr(filled) == repr(fresh)
+            assert spec_to_dict(filled) == spec_to_dict(fresh)
+
+    def test_parts_same_before_and_after_filling(self):
+        three = self.THREE
+        branch = [three.scaled(math.sqrt(v / three.variance)) for v in (1.5 / 30, 0.5 / 30)]
+        derived = (((three.scaled(1.0 / math.sqrt(30 * three.variance)), 30),),
+                   ((three, 30),),
+                   ((branch[0], 15), (branch[1], 15)),
+                   ((IncrementDistribution.gaussian(2.0), 30),))
+        for spec, want in zip(self.specs(), derived):
+            first = spec.iid_parts()
+            assert first == want
+            assert spec.iid_parts() is first and spec.iid_parts() == want
+
+
 class TestSpecConfig:
     @pytest.mark.parametrize(
         "spec",

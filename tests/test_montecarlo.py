@@ -440,6 +440,64 @@ class TestSaddlepoint:
     def test_gaussian_closed_form(self):
         assert saddlepoint_lambda(gaussian_spec(30), 2.0) == pytest.approx(2.0, abs=1e-9)
 
+    @staticmethod
+    def bisection(spec, x):
+        """The reference solve: bisection on the exact drift to a relative
+        width of 1e-10, with the same x = 0 case and top-atom band."""
+        if x == 0.0:
+            return 0.0
+        sup = montecarlo._drift_supremum(spec)
+        if x >= sup * (1.0 - 1e-12):
+            x = sup - 0.5 * min(d.values[-1] - d.values[-2] for d, _ in spec.iid_parts())
+        hi = 1.0
+        while tilting.drift_process(spec, hi) < x:
+            hi *= 2.0
+        lo = 0.0
+        while hi - lo > 1e-10 * max(1.0, hi):
+            mid = 0.5 * (lo + hi)
+            if tilting.drift_process(spec, mid) < x:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def test_matches_bisection_oracle(self, monkeypatch):
+        # the benchmark's grids, varswitch, the approach to the top of the
+        # support (where the drift saturates) and the gaussian closed form;
+        # the Newton solve never needs more drift evaluations than bisection
+        varswitch = [MartingaleSpec.variance_switching(d, n=200, rho=0.5)
+                     for d in (RADEMACHER, THREE_POINT)]
+        top = montecarlo._drift_supremum(three_point_spec(100))
+        cases = [(rademacher_spec(1600), 0.5 * k) for k in range(1, 41)]
+        cases += [(three_point_spec(400), 3.0)]
+        cases += [(rademacher_spec(n), n**0.25) for n in (100, 1000, 10000)]
+        cases += [(spec, 2.0) for spec in varswitch]
+        cases += [(rademacher_spec(16), x) for x in (3.9, 3.999999, 4.0 * (1.0 - 1e-11))]
+        cases += [(three_point_spec(100), f * top) for f in (0.3, 0.999, 1 - 1e-9, 1 - 1e-11)]
+        # a skewed law whose tilted variance underflows to 0 at the overshoots
+        skewed = IncrementDistribution.finite_table([(-1.0, 0.999), (999.0, 0.001)])
+        cases += [(MartingaleSpec.iid(skewed, n=1), 950.0),
+                  (MartingaleSpec.iid(skewed, n=16), 0.9973 * 16 * 999.0)]
+        calls = []
+        drift = tilting.drift_process
+
+        def counted(spec, lam):
+            calls.append(lam)
+            return drift(spec, lam)
+
+        monkeypatch.setattr(tilting, "drift_process", counted)
+        for spec, x in cases:
+            calls.clear()
+            want = self.bisection(spec, x)
+            budget = len(calls)
+            calls.clear()
+            lam = saddlepoint_lambda(spec, x)
+            assert abs(lam - want) <= 2e-10 * max(1.0, lam), (spec, x, lam, want)
+            assert len(calls) <= budget, (spec, x, len(calls), budget)
+        for spec in (gaussian_spec(30), gaussian_varswitch_spec(30)):
+            for x in (0.3, 2.0, 7.5):
+                assert saddlepoint_lambda(spec, x) == x / spec.total_variance()
+
     def test_top_atom_band(self):
         # within 1e-12 below the top only the top atom lies above x; the tilt
         # is the midpoint's of the two top atoms (3.5 and 4), and the tilted

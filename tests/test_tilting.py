@@ -14,6 +14,7 @@ from mlde.tilting import (
     check_lemma2_lemma3,
     cumulant_process,
     drift_process,
+    drift_slope,
     fitted_drift_cumulant_constants,
     solve_lambda_bar,
     solve_lambda_under,
@@ -150,6 +151,25 @@ class TestProcesses:
             assert drift_process(spec, lam) == pytest.approx(6 * math.tanh(lam / 6),
                                                              rel=1e-12)
         assert drift_process(spec, 0.0) == 0.0
+
+    def test_drift_slope(self):
+        # B_n' is the tilted predictable variance: 36 (1/36) sech^2(lam/6) for
+        # the normalized Rademacher steps above, the total variance for a
+        # gaussian spec, and the derivative of drift_process for every rule
+        rad = MartingaleSpec.iid(RADEMACHER, n=36, normalized=True)
+        for lam in (0.0, 0.9, 2.2):
+            assert drift_slope(rad, lam) == pytest.approx(1 - math.tanh(lam / 6) ** 2,
+                                                          rel=1e-12)
+        for spec in (MartingaleSpec.iid(GAUSSIAN, n=30),
+                     MartingaleSpec.variance_switching(GAUSSIAN, n=30, rho=0.5)):
+            assert drift_slope(spec, 1.3) == spec.total_variance()
+        h = 1e-6
+        for spec in (MartingaleSpec.iid(TABLE, n=40, normalized=True),
+                     MartingaleSpec.variance_switching(TABLE, n=40, rho=0.5)):
+            assert drift_slope(spec, 0.0) == pytest.approx(1.0, rel=1e-12)
+            for lam in (0.5, 3.0, 12.0):
+                fd = (drift_process(spec, lam + h) - drift_process(spec, lam - h)) / (2 * h)
+                assert fd == pytest.approx(drift_slope(spec, lam), rel=1e-6)
 
     def test_decomposition_varswitch(self):
         # B_n accumulated step by step along every one of the 2^10 Rademacher
