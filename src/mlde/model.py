@@ -167,6 +167,17 @@ class IncrementDistribution:
             a.flags.writeable = False
         return arrays
 
+    @cached_property
+    def lattice(self):
+        """(g, k) with values = values[0] + g*k for integer offsets k from 0 and
+        g the smallest gap, each value within 1e-12 of the largest |value| (the
+        rounding of a table on a lattice, not a table near one), or None."""
+        values = self.table()[0]
+        g = float(np.min(np.diff(values)))
+        k = np.rint((values - values[0]) / g)
+        tol = 1e-12 * np.abs(values).max()
+        return (g, k.astype(int)) if (np.abs(values[0] + g * k - values) <= tol).all() else None
+
 
 @dataclass(frozen=True)
 class MartingaleSpec:

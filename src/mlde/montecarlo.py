@@ -12,25 +12,27 @@ Estimators
   carries the weight exp(-lam * X_n + Psi_n(lam)), with Psi_n deterministic
   (one cumulant_process call), so the weighted indicator is unbiased.
 * exact oracles: the closed-form normal tail for gaussian specs, the binomial
-  closed form for iid two-atom tables, and for any finite spec the count-vector
-  engine: each part's sum law over its multinomial count vectors
-  (C(count + m - 1, m - 1) atoms for an m-atom law), a second part's tail read
-  from sorted suffix sums.
+  closed form for iid two-atom tables, and for any other finite spec the
+  parts' sum laws, a second part's tail read from sorted suffix sums.
 * exact distances: the KS distance of X_n to the normal, read at the atoms
-  of its lattice law.
+  of its sum law.
+
+One builder, ``_part_law``, gives each part's tilted sum law to the oracles
+and the sampler alike: a binomial pmf for two atoms, a polynomial power on a
+larger lattice, or the count vectors where they are fewer.
 
 Sampling draws each part's sufficient statistic: binomial counts for a
 two-atom table, multinomial counts for a larger one, both over the part's
 tilted table (``tilting.tilted_table``, the one tilt of a finite law), and a
 single normal draw for gaussian specs, in fixed-size blocks from
 counter-based sub-streams reduced in a fixed pairwise order.  A finite spec
-whose parts are lattice laws of at most BLOCK atoms each, HISTOGRAM_CELLS in
-their product, draws the sample's histogram instead (``_lattice_law``,
-``_histogram_sums``): Multinomial(N, tilted law) over the first part's
-atoms, then for each drawn atom a, Multinomial(count at a, .) over the last
-part's atoms above the threshold minus a and a miss category; a one-part
-spec is the single atom 0 holding all N draws.  Either route gives
-bit-identical estimates for any worker count at a fixed seed.
+whose parts' sum laws have at most BLOCK atoms each, HISTOGRAM_CELLS in
+their product, draws the sample's histogram instead (``_histogram_sums``):
+Multinomial(N, tilted law) over the first part's atoms, then for each drawn
+atom a, Multinomial(count at a, .) over the last part's atoms above the
+threshold minus a and a miss category; a one-part spec is the single atom 0
+holding all N draws.  Either route gives bit-identical estimates for any
+worker count at a fixed seed.
 """
 
 from __future__ import annotations
@@ -48,7 +50,11 @@ from . import bounds, conditions, tilting
 from .errors import ConfigError, DomainError
 from .model import BLOCK, MartingaleSpec, block_rng
 
-ENUM_LIMIT = 1 << 24  # largest count-vector table (vectors x atoms) the exact engine builds
+ENUM_LIMIT = 1 << 24  # largest count-vector table (vectors x atoms) _part_law builds
+# Most atoms _part_law powers a lattice table of 3+ atoms to; the time grows
+# as atoms^2: 0.18-0.20 s at 48,001 atoms, 0.52-0.55 s at 90,001, 1.0-1.1 s
+# at 131,071, each under 30 MB peak RSS (3 runs, one core, numpy 2.4.6).
+CONVOLVE_ATOMS = 1 << 17
 EXACT_METHODS = ("exact", "exact_enum")
 TAIL_METHODS = ("crude", "tilted") + EXACT_METHODS
 MAX_SAMPLES = 1 << 30  # largest sample count an estimator takes (2^18 blocks of BLOCK)
@@ -59,6 +65,7 @@ MAX_SAMPLES = 1 << 30  # largest sample count an estimator takes (2^18 blocks of
 # and three runs, one worker, 2 vCPUs, numpy 2.4.6).
 HISTOGRAM_CELLS = 1 << 17
 WINDOW_SD = 12  # half-width, in binomial sds, of the atom window a two-point KS tries first
+_EMPTY_SUM = (np.zeros(1), np.ones(1))  # (atoms, pmf): a one-part spec's outer part
 
 
 # -- result containers --------------------------------------------------------
@@ -217,32 +224,36 @@ def _check_samples(n_samples, least=0):
         raise ConfigError(f"samples = {n_samples} outside [{least}, {MAX_SAMPLES}]")
 
 
-def _lattice_law(spec, lam):
-    """((atoms, pmf), ...): the lam-tilted law of each iid part's sum, for a
-    finite spec whose parts lie on lattices v_0 + g*{0, k_1, ...} with at most
-    BLOCK atoms each and at most HISTOGRAM_CELLS atoms in their product, else
-    None.  Atoms are count*v_0 + i*g, as _stat_block computes two-atom sums;
-    the pmf is binomial for two atoms, else the count-th power of the tilted
-    step polynomial by binary powering (np.convolve of non-negative terms)."""
-    if spec.dist.kind == "gaussian":
-        return None
-    grids, cells = [], 1
-    for d, count in spec.iid_parts():
-        values, probs = tilting.tilted_table(d, lam)
-        g = float(np.min(np.diff(values)))
-        offsets = (values - values[0]) / g
-        k = np.rint(offsets)
-        if count * k[-1] + 1 > BLOCK or not np.allclose(offsets, k, rtol=1e-9, atol=0.0):
-            return None
-        k = k.astype(int)
-        cells *= count * k[-1] + 1
-        grids.append((values, probs, count, g, k))
-    if cells > HISTOGRAM_CELLS:
-        return None
-    laws = []
-    for values, probs, count, g, k in grids:
-        i = np.arange(count * k[-1] + 1)
-        if len(values) == 2:
+def _part_size(d, count) -> int:
+    """Atoms of _part_law's sum law of count draws from d, by arithmetic: the
+    fewer of C(count + m - 1, m - 1) count vectors and count*k_max + 1 on a lattice."""
+    lattice, m = d.lattice, len(d.values)
+    vectors = math.comb(count + m - 1, m - 1)
+    return vectors if lattice is None else min(vectors, count * int(lattice[1][-1]) + 1)
+
+
+def _part_law(d, count, lam):
+    """(ascending atoms, pmf) of the sum of count iid draws from d's
+    lam-tilted table, refused as too-large before any allocation.
+
+    The smaller representation is built (_part_size).  On a lattice
+    v_0 + g*{0, k_1, ...} the atoms are count*v_0 + i*g, as _stat_block
+    computes two-atom sums, and the pmf is binomial for two atoms, else the
+    count-th power of the tilted step polynomial by binary powering
+    (np.convolve of non-negative terms).  Otherwise it enumerates the count
+    vectors; each vector's probability is a chain of conditional binomials:
+    atom j takes Binomial(left, p_j / sum_{i>=j} p_i) of the draws the earlier
+    atoms left over (the top atom keeps mass at every tilt >= 0)."""
+    size, lattice, m = _part_size(d, count), d.lattice, len(d.values)
+    on_lattice = lattice is not None and size == count * int(lattice[1][-1]) + 1
+    # a two-atom part's atoms are its count vectors, m entries each
+    cap = CONVOLVE_ATOMS if on_lattice and m > 2 else ENUM_LIMIT // m
+    if size > cap:
+        raise DomainError(f"too-large: {count} draws of {m} atoms make {size} sums, over {cap}")
+    values, probs = tilting.tilted_table(d, lam)
+    if on_lattice:
+        (g, k), i = lattice, np.arange(size)
+        if m == 2:
             pmf = binom.pmf(i, count, probs[1])
         else:
             step, pmf = np.zeros(k[-1] + 1), np.ones(1)
@@ -251,18 +262,33 @@ def _lattice_law(spec, lam):
                 pmf = np.convolve(pmf, pmf)
                 if bit == "1":
                     pmf = np.convolve(pmf, step)
-        laws.append((count * values[0] + i * g, pmf / pmf.sum()))
-    return laws
+        return count * values[0] + i * g, pmf / pmf.sum()
+    rest = np.cumsum(probs[::-1])[::-1]
+    atoms, pmf, left = np.zeros(1), np.ones(1), np.array([count])
+    for v, p, r in zip(values[:-1], probs[:-1], rest[:-1]):
+        sizes = left + 1  # each vector so far branches on k = 0..left
+        rows = np.repeat(np.arange(len(left)), sizes)
+        k = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        atoms = atoms[rows] + k * v
+        pmf = pmf[rows] * binom.pmf(k, left[rows], p / r)
+        left = left[rows] - k
+    atoms = atoms + left * values[-1]
+    order = np.argsort(atoms, kind="stable")
+    return atoms[order], pmf[order]
 
 
 def _weighted_tail(spec, x, lam, n_samples, seed):
+    """(p, se) from the histogram of the parts' tilted sum laws when each has
+    at most BLOCK atoms, HISTOGRAM_CELLS in their product, else per draw."""
     resolve_workers()  # a bad MLDE_THREADS is refused on either route
     psi = tilting.cumulant_process(spec, lam)
-    laws = _lattice_law(spec, lam)
-    if laws is None:
-        s1, s2 = _per_draw_sums(spec, x, lam, psi, n_samples, seed)
-    else:
+    parts = spec.iid_parts() if spec.dist.kind != "gaussian" else ()
+    sizes = [_part_size(d, count) for d, count in parts]
+    if parts and max(sizes) <= BLOCK and math.prod(sizes) <= HISTOGRAM_CELLS:
+        laws = [_part_law(d, count, lam) for d, count in parts]
         s1, s2 = _histogram_sums(laws, x, lam, psi, n_samples, seed)
+    else:
+        s1, s2 = _per_draw_sums(spec, x, lam, psi, n_samples, seed)
     p = s1 / n_samples
     var = max(s2 / n_samples - p * p, 0.0)
     return p, math.sqrt(var / n_samples)
@@ -278,12 +304,8 @@ def _histogram_sums(laws, x, lam, psi, n_samples, seed):
     so the sums have their per-draw distribution.  A one-part spec's outer
     part is the atom 0 holding all N draws."""
     rng = block_rng(seed, 0)
-    atoms, pmf = laws[-1]
-    if len(laws) > 1:
-        outer_atoms, outer_pmf = laws[0]
-        outer_counts = rng.multinomial(n_samples, outer_pmf)
-    else:
-        outer_atoms, outer_counts = np.zeros(1), np.array([n_samples])
+    (outer_atoms, outer_pmf), (atoms, pmf) = ([_EMPTY_SUM] + laws)[-2:]
+    outer_counts = rng.multinomial(n_samples, outer_pmf) if len(laws) > 1 else [n_samples]
     s1 = s2 = 0.0
     for a, c in zip(outer_atoms, outer_counts):
         if c == 0:
@@ -414,42 +436,11 @@ def _binomial_tail(n, v_lo, v_hi, p_hi, x):
     return float(binom.sf(k_min - 1, n, p_hi))
 
 
-def _sum_law(values, probs, count):
-    """(sorted atoms, pmf) of the sum of count iid draws from a finite table.
-
-    Enumerates the multinomial count vectors, C(count + m - 1, m - 1) of them
-    for the m atoms of positive mass.  Each vector's probability is a chain of
-    conditional binomials: atom j takes Binomial(left, p_j / sum_{i>=j} p_i)
-    of the draws the earlier atoms left over.
-    """
-    keep = probs > 0.0
-    values, probs = values[keep], probs[keep]
-    m = len(values)
-    if math.comb(count + m - 1, m - 1) * m > ENUM_LIMIT:
-        raise DomainError(
-            f"too-large: C({count + m - 1}, {m - 1}) count vectors of {m} atoms "
-            f"exceed {ENUM_LIMIT}"
-        )
-    rest = np.cumsum(probs[::-1])[::-1]
-    atoms, pmf, left = np.zeros(1), np.ones(1), np.array([count])
-    for v, p, r in zip(values[:-1], probs[:-1], rest[:-1]):
-        sizes = left + 1  # each vector so far branches on k = 0..left
-        rows = np.repeat(np.arange(len(left)), sizes)
-        k = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        atoms = atoms[rows] + k * v
-        pmf = pmf[rows] * binom.pmf(k, left[rows], p / r)
-        left = left[rows] - k
-    atoms = atoms + left * values[-1]
-    order = np.argsort(atoms, kind="stable")
-    return atoms[order], pmf[order]
-
-
 def _enum_tail(spec, x) -> float:
     """P(X_n > x) for a finite spec from its parts' sum laws: a second part's
     tail is read from its suffix sums at x minus each atom of the first."""
-    laws = [_sum_law(*d.table(), count) for d, count in spec.iid_parts()]
-    first_atoms, first_pmf = laws[0] if len(laws) > 1 else (np.zeros(1), np.ones(1))
-    atoms, pmf = laws[-1]
+    laws = [_EMPTY_SUM] + [_part_law(d, count, 0.0) for d, count in spec.iid_parts()]
+    (first_atoms, first_pmf), (atoms, pmf) = laws[-2:]
     suffix = np.append(np.cumsum(pmf[::-1])[::-1], 0.0)
     above = suffix[np.searchsorted(atoms, x - first_atoms, side="right")]
     return min(float(np.dot(first_pmf, above)), 1.0)
@@ -458,8 +449,9 @@ def _enum_tail(spec, x) -> float:
 def exact_tail(spec: MartingaleSpec, x: float, method: str = "exact") -> TailEstimate:
     """Exact P(X_n > x).  "exact" takes the closed-form normal tail (gaussian
     specs, tagged exact_gaussian), the binomial closed form (iid two-point
-    laws, exact_binomial) or the count-vector engine (any other finite spec,
-    exact_enum); "exact_enum" forces the engine on any finite spec."""
+    laws, exact_binomial) or the parts' sum laws from _part_law (any other
+    finite spec, exact_enum); "exact_enum" forces the table engine on any
+    finite spec.  A part past _part_law's caps raises DomainError."""
     if method not in EXACT_METHODS:
         raise ConfigError(f"unknown exact method {method!r}")
     if spec.dist.kind == "gaussian":
@@ -468,9 +460,8 @@ def exact_tail(spec: MartingaleSpec, x: float, method: str = "exact") -> TailEst
         p = bounds.gaussian_tail(x / math.sqrt(spec.total_variance()))
         tag = "exact_gaussian"
     else:
-        parts = spec.iid_parts()
-        d = parts[0][0]
-        if method == "exact" and len(parts) == 1 and len(d.values) == 2:
+        (d, _), *rest = spec.iid_parts()
+        if method == "exact" and not rest and len(d.values) == 2:
             (v_lo, v_hi), (_, p_hi) = tilting.tilted_table(d, 0.0)
             p = _binomial_tail(spec.n, v_lo, v_hi, p_hi, x)
             tag = "exact_binomial"
@@ -510,8 +501,9 @@ def _ks_from_cdf(atoms, cdf, below=0.0) -> float:
 
 def _recentred_lattice_ks(spec, lam: float) -> float:
     """Exact KS distance to the standard normal of X_n - B_n(lam) under the
-    lam-tilted law, for one-part lattice (and gaussian) specs.
+    lam-tilted law, for one-part finite (and gaussian) specs.
 
+    A table of three or more atoms reads the tilted sum law _part_law builds.
     A two-point law takes the supremum over the atoms within WINDOW_SD
     binomial sds of the tilted mean when the tail bound certifies that window
     (see below), and over all n + 1 atoms otherwise."""
@@ -519,10 +511,10 @@ def _recentred_lattice_ks(spec, lam: float) -> float:
     shift = tilting.drift_process(spec, lam)
     if d.kind == "gaussian":
         return 0.0  # exactly normal at every tilt
-    values, probs = tilting.tilted_table(d, lam)
-    if len(values) != 2:
-        atoms, pmf = _sum_law(values, probs, n)
+    if len(d.values) != 2:
+        atoms, pmf = _part_law(d, n, lam)
         return lattice_ks(atoms - shift, pmf)
+    values, probs = tilting.tilted_table(d, lam)
     if n + 1 > ENUM_LIMIT:
         raise DomainError(f"too-large: {n + 1} lattice atoms exceed {ENUM_LIMIT}")
     p, step = probs[1], values[1] - values[0]
@@ -710,9 +702,8 @@ def mdp_diagnostic(
 
     Gaussian specs take the exact normal tail (lambda = 0); all others the
     tilted estimator.  p_exact is exact_tail's probability wherever it
-    covers the spec, and nan where the count-vector table would exceed
-    ENUM_LIMIT.  p_hat = 0 rows are reported infeasible rather than mapped
-    to -inf.
+    covers the spec, and nan where a part's sum law is past _part_law's caps.
+    p_hat = 0 rows are reported infeasible rather than mapped to -inf.
     """
     _check_samples(samples)
     rows = []
@@ -725,12 +716,10 @@ def mdp_diagnostic(
         threshold = a_n * x
         try:
             exact = exact_tail(spec, threshold)
-        except DomainError:  # too large for the count-vector engine
+        except DomainError:  # a part's sum law past _part_law's caps
             exact = None
-        if spec.dist.kind == "gaussian":
-            est = exact
-        else:
-            est = estimate_tail(spec, threshold, "tilted", lam_policy, samples, seed, cert)
+        est = exact if spec.dist.kind == "gaussian" else estimate_tail(
+            spec, threshold, "tilted", lam_policy, samples, seed, cert)
         p_exact = exact.p_hat if exact is not None else math.nan
         feasible = est.p_hat > 0.0
         value = math.log(est.p_hat) / a_n**2 if feasible else math.nan

@@ -14,7 +14,9 @@ from mlde import bounds, conditions, montecarlo, tilting
 from mlde.errors import ConfigError, DomainError
 from mlde.model import IncrementDistribution, MartingaleSpec
 from mlde.montecarlo import (
+    CONVOLVE_ATOMS,
     ENUM_LIMIT,
+    EXACT_METHODS,
     MAX_SAMPLES,
     _pool_size,
     clt_rate_curve,
@@ -51,6 +53,17 @@ def gaussian_varswitch_spec(n):
 
 def three_point_spec(n):
     return MartingaleSpec.iid(THREE_POINT, n=n, normalized=True)
+
+
+def sampled_laws(monkeypatch, spec, lam):
+    """The part laws a tilted estimate draws its histogram from, or None when
+    it samples draw by draw."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(montecarlo, "_histogram_sums", lambda laws, *_: seen.append(laws) or (0.0, 0.0))
+        m.setattr(montecarlo, "_per_draw_sums", lambda *_: (0.0, 0.0))
+        tilted_tail_estimate(spec, 0.0, lam, 100, seed=1)
+    return seen[0] if seen else None
 
 
 def binomial_ks(n):
@@ -196,14 +209,15 @@ class TestTilted:
                 binom.pmf(k, 12, p_hi) * np.exp(psi - lam * atoms) * (atoms > x)
             ))
             assert lhs == pytest.approx(exact_tail(spec, x).p_hat, rel=1e-12)
-        # the same identity over the histogram route's tabulated tilted law
-        # of a three-point lattice table, against the count-vector engine
-        spec = three_point_spec(12)
-        psi = tilting.cumulant_process(spec, lam)
-        ((atoms, pmf),) = montecarlo._lattice_law(spec, lam)
-        for x in (0.0, 0.5, 1.5, 2.5):
-            lhs = float(np.sum(pmf * np.exp(psi - lam * atoms) * (atoms > x)))
-            assert lhs == pytest.approx(exact_tail(spec, x).p_hat, rel=1e-12)
+        # the same identity over _part_law's tilted sum law (a polynomial
+        # power on the three-point lattice, count vectors off a lattice),
+        # against the same builder's untilted law
+        for spec in (three_point_spec(12), MartingaleSpec.iid(IRRATIONAL, n=8, normalized=True)):
+            psi = tilting.cumulant_process(spec, lam)
+            atoms, pmf = montecarlo._part_law(spec.step_distribution, spec.n, lam)
+            for x in (0.0, 0.5, 1.5, 2.5):
+                lhs = float(np.sum(pmf * np.exp(psi - lam * atoms) * (atoms > x)))
+                assert lhs == pytest.approx(exact_tail(spec, x).p_hat, rel=1e-12)
 
     def test_change_of_measure_identity_varswitch_exact(self):
         # enumerate the tilted path law (per-branch tilted tables, pair-sign
@@ -229,12 +243,12 @@ class TestTilted:
                 if run > x:
                     acc += prob * math.exp(psi - lam * run)
             assert acc == pytest.approx(exact_tail(spec, x).p_hat, rel=1e-11)
-        # the same identity over the histogram route's tabulated two-part
-        # law, sum_{a,b} pmf_A(a) pmf_B(b) w(a + b) 1{a + b > x}
-        for base in (RADEMACHER, THREE_POINT):
+        # the same identity over the parts' tilted sum laws from _part_law,
+        # sum_{a,b} pmf_A(a) pmf_B(b) w(a + b) 1{a + b > x}
+        for base in (RADEMACHER, THREE_POINT, IRRATIONAL):
             spec = MartingaleSpec.variance_switching(base, n=12, rho=rho)
             psi = tilting.cumulant_process(spec, lam)
-            (a, pmf_a), (b, pmf_b) = montecarlo._lattice_law(spec, lam)
+            (a, pmf_a), (b, pmf_b) = [montecarlo._part_law(d, c, lam) for d, c in spec.iid_parts()]
             total = np.add.outer(a, b)
             weighted = np.outer(pmf_a, pmf_b) * np.exp(psi - lam * total)
             for x in (0.0, 0.6, 1.2, 2.5):
@@ -280,12 +294,14 @@ class TestTilted:
         assert abs(crude.p_hat - tilt.p_hat) <= 3.5 * combined
 
     def test_parallel_invariance(self, monkeypatch):
-        # the irrational table and the gaussian are sampled draw by draw in a
-        # thread pool, the others from their histograms
+        # the irrational table at n = 100 (C(102, 2) = 5151 count vectors,
+        # over BLOCK) and the gaussian are sampled draw by draw in a thread
+        # pool, the others from their histograms
         for spec in (rademacher_spec(20),
                      three_point_spec(20),
                      MartingaleSpec.variance_switching(RADEMACHER, n=12, rho=0.5),
                      MartingaleSpec.iid(IRRATIONAL, n=20, normalized=True),
+                     MartingaleSpec.iid(IRRATIONAL, n=100, normalized=True),
                      gaussian_spec(15)):
             results = []
             for w in ("1", "2", "8"):
@@ -294,10 +310,11 @@ class TestTilted:
             assert results[0].p_hat == results[1].p_hat == results[2].p_hat
             assert results[0].std_err == results[1].std_err == results[2].std_err
 
-    def test_histogram_route_choice(self):
-        # finite parts on lattices with at most BLOCK atoms each and at most
-        # HISTOGRAM_CELLS atoms in their product take the histogram route;
-        # everything else is sampled draw by draw
+    def test_histogram_route_choice(self, monkeypatch):
+        # finite parts whose sum laws have at most BLOCK atoms each and at
+        # most HISTOGRAM_CELLS atoms in their product take the histogram
+        # route, on a lattice or off one; everything else is sampled draw by
+        # draw
         for spec, sizes in ((rademacher_spec(20), [21]),
                             (rademacher_spec(4095), [4096]),
                             (three_point_spec(400), [1201]),
@@ -307,11 +324,20 @@ class TestTilted:
                             (MartingaleSpec.variance_switching(THREE_POINT, n=200, rho=0.5),
                              [301, 301]),
                             (MartingaleSpec.variance_switching(THREE_POINT, n=240, rho=0.5),
-                             [361, 361])):  # 130321 cells, just under 2^17
-            laws = montecarlo._lattice_law(spec, 0.7)
+                             [361, 361]),  # 130321 cells, just under 2^17
+                            (MartingaleSpec.iid(IRRATIONAL, n=20, normalized=True), [231]),
+                            (MartingaleSpec.iid(IRRATIONAL, n=89, normalized=True),
+                             [4095]),  # C(91, 2) count vectors
+                            (MartingaleSpec.variance_switching(IRRATIONAL, n=12, rho=0.5),
+                             [28, 28])):
+            laws = sampled_laws(monkeypatch, spec, 0.7)
             assert [len(atoms) for atoms, _ in laws] == [len(pmf) for _, pmf in laws] == sizes
-        for spec in (MartingaleSpec.iid(IRRATIONAL, n=20, normalized=True),
-                     MartingaleSpec.variance_switching(IRRATIONAL, n=12, rho=0.5),
+            assert [montecarlo._part_size(d, c) for d, c in spec.iid_parts()] == sizes
+            for (atoms, pmf), (d, count) in zip(laws, spec.iid_parts()):
+                want_atoms, want_pmf = montecarlo._part_law(d, count, 0.7)
+                assert np.array_equal(atoms, want_atoms) and np.array_equal(pmf, want_pmf)
+        for spec in (MartingaleSpec.iid(IRRATIONAL, n=90, normalized=True),  # C(92, 2) = 4186
+                     MartingaleSpec.variance_switching(IRRATIONAL, n=400, rho=0.5),
                      rademacher_spec(5000),  # 5001 atoms
                      rademacher_spec(4096),  # 4097 atoms
                      # parts of 4097 atoms, one over BLOCK
@@ -320,19 +346,21 @@ class TestTilted:
                      MartingaleSpec.variance_switching(THREE_POINT, n=242, rho=0.5),
                      gaussian_spec(15),
                      gaussian_varswitch_spec(12)):
-            assert montecarlo._lattice_law(spec, 0.7) is None
+            assert sampled_laws(monkeypatch, spec, 0.7) is None
 
     def test_per_draw_route_agrees(self, monkeypatch):
-        # the same calls with BLOCK too small for a part's 91 atoms go draw by
-        # draw; both routes must sit within 3.5 se of the exact tail
+        # the same calls with BLOCK too small for parts of 91 atoms (or 496
+        # count vectors) go draw by draw; both routes must sit within 3.5 se
+        # of the exact tail
         blocks = (montecarlo.BLOCK, 64)
         for spec in (three_point_spec(30),
-                     MartingaleSpec.variance_switching(THREE_POINT, n=60, rho=0.5)):
+                     MartingaleSpec.variance_switching(THREE_POINT, n=60, rho=0.5),
+                     MartingaleSpec.iid(IRRATIONAL, n=30, normalized=True)):
             exact = exact_tail(spec, 2.0).p_hat
             lam = saddlepoint_lambda(spec, 2.0)
             for block in blocks:
                 monkeypatch.setattr(montecarlo, "BLOCK", block)
-                assert (montecarlo._lattice_law(spec, lam) is None) == (block == 64)
+                assert (sampled_laws(monkeypatch, spec, lam) is None) == (block == 64)
                 for est in (tilted_tail_estimate(spec, 2.0, lam, 50_000, seed=13),
                             crude_tail_estimate(spec, 2.0, 50_000, seed=13)):
                     assert abs(est.p_hat - exact) <= 3.5 * est.std_err
@@ -387,40 +415,59 @@ class TestTilted:
 
 
 class TestLatticeLaw:
-    """The histogram route's tabulated tilted law of a three-point sum."""
+    """_part_law's tilted sum law of a three-point lattice table: its count
+    vectors up to n = 2, where they are the fewer, the lattice table after."""
 
     @staticmethod
-    def lattice_index(spec, atoms):
+    def on_lattice(spec, atoms, pmf):
+        """The law's mass at each lattice offset 0..3n from n * values[0]."""
         values = spec.step_distribution.table()[0]
-        return np.rint((atoms - spec.n * values[0]) / (values[1] - values[0])).astype(int)
+        offsets = (atoms - spec.n * values[0]) / (values[1] - values[0])
+        index = np.rint(offsets).astype(int)
+        assert np.all(np.abs(offsets - index) <= 1e-9)
+        return np.bincount(index, weights=pmf, minlength=3 * spec.n + 1)
+
+    @staticmethod
+    def exact_power(probs, n):
+        """The pmf of n draws from the offsets {0, 1, 3} with the given float
+        probs, as normalized rationals: the step polynomial's n-th power,
+        taken in integers over the probs' common power-of-two denominator."""
+        ratios = [Fraction(p) for p in probs]
+        den = max(r.denominator for r in ratios)
+        c0, c1, c3 = (r.numerator * (den // r.denominator) for r in ratios)
+        step = [c0, c1, 0, c3]
+        law = [1]
+        for _ in range(n):
+            law = [sum(law[i - j] * step[j] for j in range(4) if 0 <= i - j < len(law))
+                   for i in range(len(law) + 3)]
+        total = sum(law)
+        return [Fraction(c, total) for c in law]
 
     def test_matches_count_vectors(self):
-        for n in (1, 2, 7, 30, 100, 400):
+        # every sum of n draws is a lattice atom, and up to n = 100 and tilts
+        # where most of the table underflows, each representable mass is the
+        # exact power's to 1e-12
+        for n in (1, 2, 7, 30, 100):
             spec = three_point_spec(n)
+            assert montecarlo._part_size(spec.step_distribution, n) == min(
+                math.comb(n + 2, 2), 3 * n + 1)
             for lam in (0.0, 0.7, 3.0, 20.0):
-                ((atoms, pmf),) = montecarlo._lattice_law(spec, lam)
-                assert np.array_equal(self.lattice_index(spec, atoms), np.arange(3 * n + 1))
-                values, probs = tilting.tilted_table(spec.step_distribution, lam)
-                law_atoms, law_pmf = montecarlo._sum_law(values, probs, n)
-                merged = np.bincount(self.lattice_index(spec, law_atoms), weights=law_pmf,
-                                     minlength=len(pmf))
-                keep = merged > 1e-300
-                assert np.all(np.abs(pmf[keep] / merged[keep] - 1.0) <= 1e-12), (n, lam)
+                law = montecarlo._part_law(spec.step_distribution, n, lam)
+                assert len(law[0]) == montecarlo._part_size(spec.step_distribution, n)
+                pmf = self.on_lattice(spec, *law)
+                _, probs = tilting.tilted_table(spec.step_distribution, lam)
+                want = np.array([float(w) for w in self.exact_power(probs, n)])
+                keep = want > 1e-300
+                assert np.all(np.abs(pmf[keep] / want[keep] - 1.0) <= 1e-12), (n, lam)
 
     def test_matches_exact_rationals(self):
         for n in (1, 2, 5, 13, 30):
             spec = three_point_spec(n)
             for lam in (0.0, 0.7, 3.0):
-                ((_, pmf),) = montecarlo._lattice_law(spec, lam)
+                pmf = self.on_lattice(spec, *montecarlo._part_law(spec.step_distribution, n, lam))
                 _, probs = tilting.tilted_table(spec.step_distribution, lam)
-                step = [Fraction(probs[0]), Fraction(probs[1]), Fraction(0), Fraction(probs[2])]
-                law = [Fraction(1)]
-                for _ in range(n):
-                    law = [sum(law[i - j] * step[j] for j in range(4) if 0 <= i - j < len(law))
-                           for i in range(len(law) + 3)]
-                total = sum(law)
-                for got, want in zip(pmf, law):
-                    assert abs(Fraction(got) - want / total) <= Fraction(1, 10**13) * want / total
+                for got, want in zip(pmf, self.exact_power(probs, n), strict=True):
+                    assert abs(Fraction(got) - want) <= Fraction(1, 10**13) * want
 
 
 class TestSaddlepoint:
@@ -603,12 +650,80 @@ class TestExactTail:
             assert exact_tail(spec, x).p_hat == pytest.approx(brute(x), abs=1e-14)
 
     def test_too_large_rejected(self):
-        # a 6-atom law at n = 100 has C(105, 5) ~ 9.7e7 count vectors, far
-        # above the cap; the check is arithmetic, made before any allocation
+        # six atoms on no lattice at n = 100 have C(105, 5) ~ 9.7e7 count
+        # vectors, far above the cap; the check is arithmetic, made before
+        # any allocation
+        table = IncrementDistribution.finite_table(
+            [(math.sqrt(v), 1.0 / 6.0) for v in (0, 1, 2, 3, 5, 7)])
+        assert table.lattice is None and math.comb(105, 5) * 6 > ENUM_LIMIT
+        for method in EXACT_METHODS:
+            with pytest.raises(DomainError, match="too-large"):
+                exact_tail(MartingaleSpec.iid(table, n=100), 1.0, method=method)
+        # a lattice sum past CONVOLVE_ATOMS is refused the same way, from its
+        # atom count alone: 3e15 + 1 atoms could not even be allocated
+        for n in (CONVOLVE_ATOMS // 3 + 1, 10**15):
+            with pytest.raises(DomainError, match="too-large"):
+                exact_tail(three_point_spec(n), 1.0)
+
+    def test_uniform_lattice_at_n100(self):
+        # the six atoms {0, ..., 5} lie on a lattice, so n = 100 takes 501
+        # atoms, not C(105, 5) count vectors.  S = X_n + 250 is a sum of 100
+        # uniform draws on {0, ..., 5}; by inclusion-exclusion the number of
+        # draw sequences with S = s is sum_j (-1)^j C(100, j) C(s - 6j + 99, 99)
         table = IncrementDistribution.finite_table([(v, 1.0 / 6.0) for v in range(6)])
-        assert math.comb(105, 5) * 6 > ENUM_LIMIT
-        with pytest.raises(DomainError, match="too-large"):
-            exact_tail(MartingaleSpec.iid(table, n=100), 1.0, method="exact_enum")
+        spec = MartingaleSpec.iid(table, n=100)
+
+        def ways(s):
+            return sum((-1) ** j * math.comb(100, j) * math.comb(s - 6 * j + 99, 99)
+                       for j in range(min(100, s // 6) + 1))
+
+        for x in (-20.5, 0.5, 10.5, 40.5):
+            want = Fraction(sum(ways(s) for s in range(math.ceil(250 + x), 501)), 6**100)
+            for method in EXACT_METHODS:
+                got = exact_tail(spec, x, method=method)
+                assert got.method == "exact_enum"
+                assert abs(Fraction(got.p_hat) / want - 1) <= Fraction(1, 10**14)
+
+    def test_sparse_lattice_takes_count_vectors(self):
+        # {0, 1, 1000} lies on a lattice, but at n = 200 its 200001 lattice
+        # atoms outnumber its C(202, 2) = 20301 count vectors, which are
+        # built instead.  Against a nested binomial: c ~ Bin(n, 1/4) draws
+        # are 1000 and b ~ Bin(n - c, 1/3) of the others are 1
+        table = IncrementDistribution.finite_table([(0.0, 0.5), (1.0, 0.25), (1000.0, 0.25)])
+        spec = MartingaleSpec.iid(table, n=200)
+        assert montecarlo._part_size(table, 200) == math.comb(202, 2)
+        c = np.arange(201)
+        for x in (-0.5, 1000.5, 30000.5):
+            t = x + 200 * 250.25  # the table was centred at its mean 250.25
+            above = binom.sf(np.floor(t - 1000 * c), 200 - c, 1 / 3)
+            want = math.fsum(binom.pmf(c, 200, 0.25) * above)
+            assert exact_tail(spec, x).p_hat == pytest.approx(want, rel=1e-12)
+
+    def test_near_lattice_not_snapped(self):
+        # 2 + 1e-9 is off the lattice {-1, 0, 2}: the top atom of X_10, of
+        # mass 4^-10, sits 1e-8 above the lattice's, and both engines see it
+        table = IncrementDistribution.finite_table(
+            [(-1.0, 0.5), (0.0, 0.25), (2.0 + 1e-9, 0.25)])
+        assert table.lattice is None and THREE_POINT.lattice[1].tolist() == [0, 1, 3]
+        spec = MartingaleSpec.iid(table, n=10)
+        for method in EXACT_METHODS:
+            got = exact_tail(spec, 10 * table.values[-1] - 5e-9, method).p_hat
+            assert got == pytest.approx(0.25**10, rel=1e-12)
+
+    def test_three_point_at_scale(self):
+        # {-1, 0, 2} where the paper's claims matter, against a nested
+        # binomial: j zeros ~ Bin(n, 1/4), and c ~ Bin(n - j, 2/3) of the
+        # other draws are -1, so X_n > x iff 2(n - j) - 3c > x sqrt(1.5 n).
+        # (At n = 1000 the engine is within 4e-16 of the exact rationals and
+        # this oracle within 1.3e-14.)
+        for n in (1000, 3300, 16000):
+            j = np.arange(n + 1)
+            for x in (1.0, 3.0):
+                c_max = np.ceil((2 * (n - j) - x * math.sqrt(1.5 * n)) / 3) - 1
+                want = math.fsum(binom.pmf(j, n, 0.25) * binom.cdf(c_max, n - j, 2 / 3))
+                got = exact_tail(three_point_spec(n), x)
+                assert got.method == "exact_enum"
+                assert got.p_hat == pytest.approx(want, rel=1e-13, abs=0.0), (n, x)
 
     def test_varswitch_zero_sum_ties(self):
         # c_hi/c_lo is irrational, so X_n = c_hi A + c_lo B is 0 only at
@@ -861,7 +976,7 @@ class TestMdp:
             assert row.p_exact == row.p_hat
 
     def test_rademacher_cross_check(self):
-        # binomial closed form for Rademacher, count vectors for three points
+        # binomial closed form for Rademacher, the lattice table for three points
         for family, n in ((rademacher_spec, 4096), (three_point_spec, 1024)):
             rows = mdp_diagnostic(family, lambda n: n**0.25, 1.0, [n],
                                   samples=100_000, seed=6)
@@ -871,12 +986,17 @@ class TestMdp:
             assert row.target == -0.5
 
     def test_p_exact_nan_past_enum_limit(self):
-        # C(4098, 2) * 3 count-vector entries exceed the cap: no exact value,
-        # but the tilted row is still reported
+        # {-1, 0, sqrt 2} lies on no lattice, and at n = 4096 its C(4098, 2) * 3
+        # count-vector entries exceed the cap: no exact value, but the tilted
+        # row is still reported.  The three-point lattice law at the same n
+        # is exact (12289 atoms).
         assert math.comb(4098, 2) * 3 > ENUM_LIMIT
-        rows = mdp_diagnostic(three_point_spec, lambda n: n**0.25, 1.0, [4096],
-                              samples=1_000, seed=6)
-        assert math.isnan(rows[0].p_exact) and rows[0].feasible
+        irrational = lambda n: MartingaleSpec.iid(IRRATIONAL, n=n, normalized=True)  # noqa: E731
+        for family, exact in ((irrational, False), (three_point_spec, True)):
+            (row,) = mdp_diagnostic(family, lambda n: n**0.25, 1.0, [4096],
+                                    samples=1_000, seed=6)
+            assert row.feasible and math.isnan(row.p_exact) != exact
+        assert row.p_exact == exact_tail(three_point_spec(4096), 4096**0.25).p_hat
 
     def test_infeasible_row_reported(self):
         rows = mdp_diagnostic(rademacher_spec, lambda n: n**0.25, 1.0, [4096],
