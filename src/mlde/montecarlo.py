@@ -19,7 +19,7 @@ Estimators
 
 One builder, ``_part_law``, gives each part's tilted sum law to the oracles
 and the sampler alike: a binomial pmf for two atoms, a polynomial power on a
-larger lattice, or the count vectors where they are fewer.
+larger lattice, or the count vectors where they are cheaper to build.
 
 Sampling draws each part's sufficient statistic: binomial counts for a
 two-atom table, multinomial counts for a larger one, both over the part's
@@ -65,7 +65,6 @@ MAX_SAMPLES = 1 << 30  # largest sample count an estimator takes (2^18 blocks of
 # and three runs, one worker, 2 vCPUs, numpy 2.4.6).
 HISTOGRAM_CELLS = 1 << 17
 WINDOW_SD = 12  # half-width, in binomial sds, of the atom window a two-point KS tries first
-_EMPTY_SUM = (np.zeros(1), np.ones(1))  # (atoms, pmf): a one-part spec's outer part
 
 
 # -- result containers --------------------------------------------------------
@@ -224,36 +223,41 @@ def _check_samples(n_samples, least=0):
         raise ConfigError(f"samples = {n_samples} outside [{least}, {MAX_SAMPLES}]")
 
 
-def _part_size(d, count) -> int:
-    """Atoms of _part_law's sum law of count draws from d, by arithmetic: the
-    fewer of C(count + m - 1, m - 1) count vectors and count*k_max + 1 on a lattice."""
+def _part_route(d, count):
+    """(atoms, on_lattice, cap): the form _part_law builds for count draws
+    from d, by arithmetic, and that form's atom cap.  Both caps take about
+    1 s, count vectors growing linearly and a 3+ atom power as atoms
+    squared, so such a lattice table takes the smaller share of its cap."""
     lattice, m = d.lattice, len(d.values)
-    vectors = math.comb(count + m - 1, m - 1)
-    return vectors if lattice is None else min(vectors, count * int(lattice[1][-1]) + 1)
+    vectors, cap = math.comb(count + m - 1, m - 1), ENUM_LIMIT // m
+    if lattice is None:
+        return vectors, False, cap
+    atoms = count * int(lattice[1][-1]) + 1
+    if m == 2:  # a binomial pmf: its atoms are its count vectors
+        return atoms, True, cap
+    if (atoms / CONVOLVE_ATOMS) ** 2 <= vectors / cap:
+        return atoms, True, CONVOLVE_ATOMS
+    return vectors, False, cap
 
 
 def _part_law(d, count, lam):
     """(ascending atoms, pmf) of the sum of count iid draws from d's
-    lam-tilted table, refused as too-large before any allocation.
+    lam-tilted table, in _part_route's form, refused past its cap.
 
-    The smaller representation is built (_part_size).  On a lattice
-    v_0 + g*{0, k_1, ...} the atoms are count*v_0 + i*g, as _stat_block
-    computes two-atom sums, and the pmf is binomial for two atoms, else the
-    count-th power of the tilted step polynomial by binary powering
-    (np.convolve of non-negative terms).  Otherwise it enumerates the count
-    vectors; each vector's probability is a chain of conditional binomials:
-    atom j takes Binomial(left, p_j / sum_{i>=j} p_i) of the draws the earlier
-    atoms left over (the top atom keeps mass at every tilt >= 0)."""
-    size, lattice, m = _part_size(d, count), d.lattice, len(d.values)
-    on_lattice = lattice is not None and size == count * int(lattice[1][-1]) + 1
-    # a two-atom part's atoms are its count vectors, m entries each
-    cap = CONVOLVE_ATOMS if on_lattice and m > 2 else ENUM_LIMIT // m
+    On a lattice v_0 + g*{0, k_1, ...} the atoms are count*v_0 + i*g, as
+    _stat_block computes two-atom sums, and the pmf is binomial for two
+    atoms, else the count-th power of the tilted step polynomial by binary
+    powering (np.convolve of non-negative terms).  Otherwise each count
+    vector's probability is a chain of conditional binomials: atom j takes
+    Binomial(left, p_j / sum_{i>=j} p_i) of the draws the earlier atoms left."""
+    size, on_lattice, cap = _part_route(d, count)
     if size > cap:
-        raise DomainError(f"too-large: {count} draws of {m} atoms make {size} sums, over {cap}")
+        raise DomainError(f"too-large: {count} draws of {len(d.values)} atoms make "
+                          f"{size} {'sums' if on_lattice else 'count vectors'}, over {cap}")
     values, probs = tilting.tilted_table(d, lam)
     if on_lattice:
-        (g, k), i = lattice, np.arange(size)
-        if m == 2:
+        (g, k), i = d.lattice, np.arange(size)
+        if len(k) == 2:
             pmf = binom.pmf(i, count, probs[1])
         else:
             step, pmf = np.zeros(k[-1] + 1), np.ones(1)
@@ -283,7 +287,7 @@ def _weighted_tail(spec, x, lam, n_samples, seed):
     resolve_workers()  # a bad MLDE_THREADS is refused on either route
     psi = tilting.cumulant_process(spec, lam)
     parts = spec.iid_parts() if spec.dist.kind != "gaussian" else ()
-    sizes = [_part_size(d, count) for d, count in parts]
+    sizes = [_part_route(d, count)[0] for d, count in parts]
     if parts and max(sizes) <= BLOCK and math.prod(sizes) <= HISTOGRAM_CELLS:
         laws = [_part_law(d, count, lam) for d, count in parts]
         s1, s2 = _histogram_sums(laws, x, lam, psi, n_samples, seed)
@@ -304,8 +308,12 @@ def _histogram_sums(laws, x, lam, psi, n_samples, seed):
     so the sums have their per-draw distribution.  A one-part spec's outer
     part is the atom 0 holding all N draws."""
     rng = block_rng(seed, 0)
-    (outer_atoms, outer_pmf), (atoms, pmf) = ([_EMPTY_SUM] + laws)[-2:]
-    outer_counts = rng.multinomial(n_samples, outer_pmf) if len(laws) > 1 else [n_samples]
+    atoms, pmf = laws[-1]
+    if len(laws) > 1:
+        outer_atoms, outer_pmf = laws[0]
+        outer_counts = rng.multinomial(n_samples, outer_pmf)
+    else:
+        outer_atoms, outer_counts = np.zeros(1), np.array([n_samples])
     s1 = s2 = 0.0
     for a, c in zip(outer_atoms, outer_counts):
         if c == 0:
@@ -439,8 +447,9 @@ def _binomial_tail(n, v_lo, v_hi, p_hi, x):
 def _enum_tail(spec, x) -> float:
     """P(X_n > x) for a finite spec from its parts' sum laws: a second part's
     tail is read from its suffix sums at x minus each atom of the first."""
-    laws = [_EMPTY_SUM] + [_part_law(d, count, 0.0) for d, count in spec.iid_parts()]
-    (first_atoms, first_pmf), (atoms, pmf) = laws[-2:]
+    laws = [_part_law(d, count, 0.0) for d, count in spec.iid_parts()]
+    first_atoms, first_pmf = laws[0] if len(laws) > 1 else (np.zeros(1), np.ones(1))
+    atoms, pmf = laws[-1]
     suffix = np.append(np.cumsum(pmf[::-1])[::-1], 0.0)
     above = suffix[np.searchsorted(atoms, x - first_atoms, side="right")]
     return min(float(np.dot(first_pmf, above)), 1.0)
@@ -460,8 +469,9 @@ def exact_tail(spec: MartingaleSpec, x: float, method: str = "exact") -> TailEst
         p = bounds.gaussian_tail(x / math.sqrt(spec.total_variance()))
         tag = "exact_gaussian"
     else:
-        (d, _), *rest = spec.iid_parts()
-        if method == "exact" and not rest and len(d.values) == 2:
+        parts = spec.iid_parts()
+        d = parts[0][0]
+        if method == "exact" and len(parts) == 1 and len(d.values) == 2:
             (v_lo, v_hi), (_, p_hi) = tilting.tilted_table(d, 0.0)
             p = _binomial_tail(spec.n, v_lo, v_hi, p_hi, x)
             tag = "exact_binomial"
@@ -718,8 +728,10 @@ def mdp_diagnostic(
             exact = exact_tail(spec, threshold)
         except DomainError:  # a part's sum law past _part_law's caps
             exact = None
-        est = exact if spec.dist.kind == "gaussian" else estimate_tail(
-            spec, threshold, "tilted", lam_policy, samples, seed, cert)
+        if spec.dist.kind == "gaussian":
+            est = exact
+        else:
+            est = estimate_tail(spec, threshold, "tilted", lam_policy, samples, seed, cert)
         p_exact = exact.p_hat if exact is not None else math.nan
         feasible = est.p_hat > 0.0
         value = math.log(est.p_hat) / a_n**2 if feasible else math.nan

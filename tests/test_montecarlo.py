@@ -332,7 +332,7 @@ class TestTilted:
                              [28, 28])):
             laws = sampled_laws(monkeypatch, spec, 0.7)
             assert [len(atoms) for atoms, _ in laws] == [len(pmf) for _, pmf in laws] == sizes
-            assert [montecarlo._part_size(d, c) for d, c in spec.iid_parts()] == sizes
+            assert [montecarlo._part_route(d, c)[0] for d, c in spec.iid_parts()] == sizes
             for (atoms, pmf), (d, count) in zip(laws, spec.iid_parts()):
                 want_atoms, want_pmf = montecarlo._part_law(d, count, 0.7)
                 assert np.array_equal(atoms, want_atoms) and np.array_equal(pmf, want_pmf)
@@ -415,8 +415,8 @@ class TestTilted:
 
 
 class TestLatticeLaw:
-    """_part_law's tilted sum law of a three-point lattice table: its count
-    vectors up to n = 2, where they are the fewer, the lattice table after."""
+    """_part_law's tilted sum law of a three-point lattice table, always
+    built on its lattice (3n + 1 atoms, far cheaper than its count vectors)."""
 
     @staticmethod
     def on_lattice(spec, atoms, pmf):
@@ -443,20 +443,36 @@ class TestLatticeLaw:
         total = sum(law)
         return [Fraction(c, total) for c in law]
 
+    @staticmethod
+    def nested_binomial(probs, n):
+        """The same pmf summed over the count vectors: c3 ~ Bin(n, p3) draws
+        take the offset 3 and c1 ~ Bin(n - c3, p1 / (p0 + p1)) of the others 1."""
+        p0, p1, p3 = probs
+        law = np.zeros(3 * n + 1)
+        for c3 in range(n + 1):
+            c1 = np.arange(n - c3 + 1)
+            law[c1 + 3 * c3] += binom.pmf(c3, n, p3) * binom.pmf(c1, n - c3, p1 / (p0 + p1))
+        return law
+
     def test_matches_count_vectors(self):
-        # every sum of n draws is a lattice atom, and up to n = 100 and tilts
-        # where most of the table underflows, each representable mass is the
-        # exact power's to 1e-12
-        for n in (1, 2, 7, 30, 100):
+        # every sum of n draws is a lattice atom, and at tilts where most of
+        # the table underflows each representable mass is within 1e-12 of
+        # the exact power (up to n = 100) or of the nested binomial sum over
+        # the count vectors (at n = 400, where the integer power takes
+        # about a minute per tilt; that sum is within 1.3e-13 of it)
+        for n in (1, 2, 7, 30, 100, 400):
             spec = three_point_spec(n)
-            assert montecarlo._part_size(spec.step_distribution, n) == min(
-                math.comb(n + 2, 2), 3 * n + 1)
+            assert montecarlo._part_route(spec.step_distribution, n) == (
+                3 * n + 1, True, CONVOLVE_ATOMS)
             for lam in (0.0, 0.7, 3.0, 20.0):
                 law = montecarlo._part_law(spec.step_distribution, n, lam)
-                assert len(law[0]) == montecarlo._part_size(spec.step_distribution, n)
+                assert len(law[0]) == 3 * n + 1
                 pmf = self.on_lattice(spec, *law)
                 _, probs = tilting.tilted_table(spec.step_distribution, lam)
-                want = np.array([float(w) for w in self.exact_power(probs, n)])
+                if n <= 100:
+                    want = np.array([float(w) for w in self.exact_power(probs, n)])
+                else:
+                    want = self.nested_binomial(probs, n)
                 keep = want > 1e-300
                 assert np.all(np.abs(pmf[keep] / want[keep] - 1.0) <= 1e-12), (n, lam)
 
@@ -685,19 +701,26 @@ class TestExactTail:
                 assert abs(Fraction(got.p_hat) / want - 1) <= Fraction(1, 10**14)
 
     def test_sparse_lattice_takes_count_vectors(self):
-        # {0, 1, 1000} lies on a lattice, but at n = 200 its 200001 lattice
-        # atoms outnumber its C(202, 2) = 20301 count vectors, which are
-        # built instead.  Against a nested binomial: c ~ Bin(n, 1/4) draws
-        # are 1000 and b ~ Bin(n - c, 1/3) of the others are 1
-        table = IncrementDistribution.finite_table([(0.0, 0.5), (1.0, 0.25), (1000.0, 0.25)])
-        spec = MartingaleSpec.iid(table, n=200)
-        assert montecarlo._part_size(table, 200) == math.comb(202, 2)
-        c = np.arange(201)
-        for x in (-0.5, 1000.5, 30000.5):
-            t = x + 200 * 250.25  # the table was centred at its mean 250.25
-            above = binom.sf(np.floor(t - 1000 * c), 200 - c, 1 / 3)
-            want = math.fsum(binom.pmf(c, 200, 0.25) * above)
-            assert exact_tail(spec, x).p_hat == pytest.approx(want, rel=1e-12)
+        # {0, 1, top} lies on a lattice, but its count vectors are built
+        # when they are the cheaper form: at top = 1000, n = 200 the 200001
+        # lattice atoms are over CONVOLVE_ATOMS; at top = 100, n = 2000 too,
+        # while the 2003001 count vectors fit ENUM_LIMIT; at top = 250,
+        # n = 500 the power of 125001 atoms would take about as long as the
+        # cap allows, the 125751 count vectors a few ms.  Against a nested
+        # binomial: c ~ Bin(n, 1/4) draws are top and b ~ Bin(n - c, 1/3) of
+        # the others are 1.  The count vectors' log-gamma pmfs lose digits
+        # like eps*n*log(n): 1.0e-12 at n = 2000
+        for top, n, rel in ((1000, 200, 1e-12), (100, 2000, 5e-12), (250, 500, 1e-12)):
+            table = IncrementDistribution.finite_table([(0.0, 0.5), (1.0, 0.25), (top, 0.25)])
+            spec = MartingaleSpec.iid(table, n=n)
+            assert montecarlo._part_route(table, n)[:2] == (math.comb(n + 2, 2), False)
+            c = np.arange(n + 1)
+            mean = 0.25 + 0.25 * top  # the table was centred at its mean
+            for x in (-0.5, top + 0.5, 0.15 * top * n + 0.5):
+                above = binom.sf(np.floor(x + n * mean - top * c), n - c, 1 / 3)
+                want = math.fsum(binom.pmf(c, n, 0.25) * above)
+                got = exact_tail(spec, x).p_hat
+                assert got == pytest.approx(want, rel=rel, abs=0.0), (top, n, x)
 
     def test_near_lattice_not_snapped(self):
         # 2 + 1e-9 is off the lattice {-1, 0, 2}: the top atom of X_10, of
