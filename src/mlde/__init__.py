@@ -25,7 +25,6 @@ from .montecarlo import (
     estimate_tail,
     exact_tail,
     fit_constant,
-    lattice_ks,
     mdp_diagnostic,
     ratio_experiment,
     saddlepoint_lambda,

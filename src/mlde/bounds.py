@@ -31,7 +31,6 @@ class BoundEnvelope:
     lower_ratio: float
     upper_ratio: float
     valid: bool
-    range_note: str = ""
 
 
 def gaussian_tail(x: float) -> float:
@@ -84,20 +83,8 @@ def theorems_envelope(x: float, epsilon: float, delta: float) -> BoundEnvelope:
     delta <= ALPHA0 for the lower side)."""
     upper = theorem1_upper(x, epsilon, delta)
     lower = theorem2_lower(x, epsilon, delta)
-    notes = []
-    if x > ALPHA / epsilon:
-        notes.append(f"x > alpha/epsilon = {ALPHA / epsilon:.6g}")
-    if x > ALPHA0 / epsilon:
-        notes.append(f"x > alpha0/epsilon = {ALPHA0 / epsilon:.6g}")
-    if delta > ALPHA0:
-        notes.append(f"delta > alpha0 = {ALPHA0:.6g}")
-    return BoundEnvelope(
-        x=x,
-        lower_ratio=lower,
-        upper_ratio=upper,
-        valid=not notes,
-        range_note="; ".join(notes),
-    )
+    valid = not (x > ALPHA / epsilon or x > ALPHA0 / epsilon or delta > ALPHA0)
+    return BoundEnvelope(x=x, lower_ratio=lower, upper_ratio=upper, valid=valid)
 
 
 def conjugate_rate_bound(lam: float, epsilon: float, delta: float) -> float:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -133,13 +134,6 @@ class IncrementDistribution:
             return sigma**k * 2 ** (k / 2.0) * math.gamma((k + 1) / 2.0) / math.sqrt(math.pi)
         return math.fsum(p * abs(v) ** k for v, p in zip(self.values, self.probs))
 
-    @property
-    def max_abs(self) -> float:
-        """Support bound; inf for gaussian."""
-        if self.kind == "gaussian":
-            return math.inf
-        return max(abs(v) for v in self.values)
-
     # -- transforms --------------------------------------------------------
 
     def scaled(self, c: float) -> "IncrementDistribution":
@@ -169,14 +163,21 @@ class IncrementDistribution:
 
     @cached_property
     def lattice(self):
-        """(g, k) with values = values[0] + g*k for integer offsets k from 0 and
-        g the smallest gap, each value within 1e-12 of the largest |value| (the
-        rounding of a table on a lattice, not a table near one), or None."""
+        """(g, k) with values = values[0] + g*k for integer offsets k from 0,
+        each value within 1e-12 of the largest |value| (the rounding of a
+        table on a lattice, not a table near one), or None.  g is the gcd of
+        the gaps: the smallest gap over the lcm q of the denominators of each
+        gap's ratio to it, as a fraction of denominator at most 1000; a
+        lattice needs q <= 1000 too."""
         values = self.table()[0]
-        g = float(np.min(np.diff(values)))
+        gaps = np.diff(values)
+        ratios = [Fraction(r).limit_denominator(1000) for r in gaps / gaps.min()]
+        q = math.lcm(*(r.denominator for r in ratios))
+        g = float(gaps.min()) / q
         k = np.rint((values - values[0]) / g)
         tol = 1e-12 * np.abs(values).max()
-        return (g, k.astype(int)) if (np.abs(values[0] + g * k - values) <= tol).all() else None
+        on = q <= 1000 and (np.abs(values[0] + g * k - values) <= tol).all()
+        return (g, k.astype(int)) if on else None
 
 
 @dataclass(frozen=True)
@@ -205,13 +206,6 @@ class MartingaleSpec:
         return MartingaleSpec(n=int(n), rule="variance_switching", dist=base, rho=float(rho))
 
     # -- per-step laws -----------------------------------------------------
-
-    @property
-    def step_distribution(self) -> IncrementDistribution:
-        """The (common) one-step law of an iid spec."""
-        if self.rule != "iid":
-            raise ValueError("step_distribution is only defined for iid specs")
-        return self._parts[0][0]
 
     def iid_parts(self) -> tuple:
         """The terminal law as independent iid parts: ((law, count), ...).

@@ -15,7 +15,8 @@ Estimators
   closed form for iid two-atom tables, and for any other finite spec the
   parts' sum laws, a second part's tail read from sorted suffix sums.
 * exact distances: the KS distance of X_n to the normal, read at the atoms
-  of its sum law.
+  of its sum law (a binomial window for iid two-point laws, else the parts'
+  sum laws folded and sorted).
 
 One builder, ``_part_law``, gives each part's tilted sum law to the oracles
 and the sampler alike: a binomial pmf for two atoms, a polynomial power on a
@@ -58,11 +59,14 @@ CONVOLVE_ATOMS = 1 << 17
 EXACT_METHODS = ("exact", "exact_enum")
 TAIL_METHODS = ("crude", "tilted") + EXACT_METHODS
 MAX_SAMPLES = 1 << 30  # largest sample count an estimator takes (2^18 blocks of BLOCK)
-# Largest product of the parts' atom counts the histogram route draws over.
-# Its cost grows like (outer atoms drawn) x (inner atoms): on the three-point
-# varswitch law at N = 1e4 samples, 361^2 cells took 3.3-4.7 ms against
-# 8.2-10.7 ms per draw, and 721^2 cells 6.7-7.4 ms against 6.5-7.2 ms (five
-# and three runs, one worker, 2 vCPUs, numpy 2.4.6).
+# Largest product of the parts' atom counts the histogram route draws over,
+# and the two-part KS folds into the law of X_n.  The draw's cost grows like
+# (outer atoms drawn) x (inner atoms): on the three-point varswitch law at
+# N = 1e4 samples, 361^2 cells took 3.3-4.7 ms against 8.2-10.7 ms per draw,
+# and 721^2 cells 6.7-7.4 ms against 6.5-7.2 ms (five and three runs, one
+# worker, 2 vCPUs, numpy 2.4.6).  The Rademacher varswitch fold took 14-15 ms
+# at 362^2 cells and 89-96 ms at 1001^2, peaking at 65 and 132 MB RSS
+# against 55 MB after import (five runs, one core, numpy 2.4.6).
 HISTOGRAM_CELLS = 1 << 17
 WINDOW_SD = 12  # half-width, in binomial sds, of the atom window a two-point KS tries first
 
@@ -483,27 +487,15 @@ def exact_tail(spec: MartingaleSpec, x: float, method: str = "exact") -> TailEst
 
 
 # -- exact distribution-distance machinery ------------------------------------
-# The KS distance of a lattice law to the normal is the supremum of |F - Phi|
+# The KS distance of a finite law to the normal is the supremum of |F - Phi|
 # at its atoms.  A two-point law's sum is binomial: its supremum is taken over
 # the atoms within WINDOW_SD sds of the tilted mean when a tail bound certifies
 # that no atom outside can hold it, and over all n + 1 atoms otherwise.
 
-def lattice_ks(values, probs) -> float:
-    """sup_x |F(x) - Phi(x)| for a discrete law: the supremum is attained at
-    an atom, from the left or the right, so it equals
-    max_a max(|F(a) - Phi(a)|, |F(a-) - Phi(a)|)."""
-    values = np.asarray(values, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    uniq, inverse = np.unique(values, return_inverse=True)
-    mass = np.zeros(len(uniq))
-    np.add.at(mass, inverse, probs)
-    cdf = np.cumsum(mass)
-    return _ks_from_cdf(uniq, cdf)
-
-
 def _ks_from_cdf(atoms, cdf, below=0.0) -> float:
-    """max |F - Phi| over the atoms from each side; below is F just left of
-    the first atom."""
+    """max |F - Phi| over the ascending atoms from each side; below is F just
+    left of the first atom.  A run of equal atoms cannot move the supremum:
+    each partial cdf in the run lies between F(a-) and F(a), both read here."""
     left = np.concatenate([[below], cdf[:-1]])
     phi = 1.0 - 0.5 * special.erfc(atoms / math.sqrt(2.0))
     return float(np.max(np.maximum(np.abs(cdf - phi), np.abs(left - phi))))
@@ -511,19 +503,32 @@ def _ks_from_cdf(atoms, cdf, below=0.0) -> float:
 
 def _recentred_lattice_ks(spec, lam: float) -> float:
     """Exact KS distance to the standard normal of X_n - B_n(lam) under the
-    lam-tilted law, for one-part finite (and gaussian) specs.
+    lam-tilted law, for every finite (and gaussian) spec.
 
-    A table of three or more atoms reads the tilted sum law _part_law builds.
-    A two-point law takes the supremum over the atoms within WINDOW_SD
+    An iid two-point law takes the supremum over the atoms within WINDOW_SD
     binomial sds of the tilted mean when the tail bound certifies that window
-    (see below), and over all n + 1 atoms otherwise."""
-    ((d, n),) = spec.iid_parts()
+    (see below), and over all n + 1 atoms otherwise.  Any other finite spec
+    reads the tilted law of X_n as ascending atoms and pmf: _part_law's table
+    for one part; for two, the parts' tables folded cell by cell, refused
+    before any allocation when their atom counts multiply past
+    HISTOGRAM_CELLS."""
+    parts = spec.iid_parts()
     shift = tilting.drift_process(spec, lam)
-    if d.kind == "gaussian":
+    if spec.dist.kind == "gaussian":
         return 0.0  # exactly normal at every tilt
-    if len(d.values) != 2:
-        atoms, pmf = _part_law(d, n, lam)
-        return lattice_ks(atoms - shift, pmf)
+    d, n = parts[0]
+    if len(parts) > 1 or len(d.values) != 2:
+        cells = math.prod(_part_route(*part)[0] for part in parts)
+        if len(parts) > 1 and cells > HISTOGRAM_CELLS:
+            raise DomainError(f"too-large: the parts' sum laws make {cells} cells, "
+                              f"over {HISTOGRAM_CELLS}")
+        laws = [_part_law(*part, lam) for part in parts]
+        atoms, pmf = laws[0]
+        for more_atoms, more_pmf in laws[1:]:
+            atoms = np.add.outer(atoms, more_atoms).ravel()
+            pmf = np.outer(pmf, more_pmf).ravel()
+        order = np.argsort(atoms, kind="stable")
+        return _ks_from_cdf(atoms[order] - shift, np.cumsum(pmf[order]))
     values, probs = tilting.tilted_table(d, lam)
     if n + 1 > ENUM_LIMIT:
         raise DomainError(f"too-large: {n + 1} lattice atoms exceed {ENUM_LIMIT}")
@@ -560,14 +565,14 @@ def conjugate_clt_check(model_family, lam: float, n_list) -> tuple:
     """One RateRow per n: the exact KS of the recentred martingale under the
     tilted law against the normal limit, with the rate budget
     lam*eps + eps|log eps| + delta and the fitted constant.  lam = 0 is the
-    plain rate curve, the KS distance of X_n itself."""
+    plain rate curve, the KS distance of X_n itself.  Every finite or
+    gaussian spec is read, iid or variance switching; a law past
+    _recentred_lattice_ks's caps raises DomainError (too-large)."""
     if not 0.0 <= lam < math.inf:
         raise DomainError(f"lam = {lam!r} must be finite and >= 0")
     rows = []
     for n in n_list:
         spec = model_family(int(n))
-        if len(spec.iid_parts()) > 1:
-            raise DomainError("rate curves need one-part (iid) specs")
         cert = conditions.certify(spec)
         ks = _recentred_lattice_ks(spec, lam)
         budget = bounds.conjugate_rate_bound(lam, cert.epsilon, cert.delta)

@@ -68,7 +68,7 @@ def test_criterion_02_oracle_equivalence():
         signs = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
         for normalized in (False, True):
             spec = MartingaleSpec.iid(RADEMACHER, n=n, normalized=normalized)
-            scale = spec.step_distribution.max_abs
+            scale = max(abs(v) for v in spec.iid_parts()[0][0].values)
             path_sums = (signs * scale).sum(axis=1)
             # atoms sit at scale*(2k-n); thresholds at every midpoint between
             # atoms plus one beyond each end
@@ -107,7 +107,7 @@ def test_criterion_03_is_unbiasedness_and_variance_ratio():
     # under the t-tilted lattice law: E_t[Z^r] = sum_{atoms > x} pmf(k)
     # e^((r-1)(Psi_n(t) - t a_k)).  At t = 0 every weight is 1, and Z is the
     # crude estimator's indicator.
-    s = spec.step_distribution.max_abs
+    s = max(abs(v) for v in spec.iid_parts()[0][0].values)
     k = np.arange(21)
     atoms = s * (2.0 * k - 20.0)
     hit = atoms > x
@@ -245,13 +245,13 @@ def test_criterion_07_moment_drift_cumulant_checks():
     greports = tilting.check_lemma2_lemma3(gspec, ggrid, certificate=gcert)
     g2, g3 = tilting.fitted_drift_cumulant_constants(greports)
     gauss_zero = g2 == 0.0 and g3 == 0.0
-    gauss_lemma1 = tilting.check_lemma1(gspec.step_distribution, gcert.epsilon).holds
+    gauss_lemma1 = tilting.check_lemma1(gspec.iid_parts()[0][0], gcert.epsilon).holds
 
     all_hold = True
     for n in (100, 400):
         spec = rademacher_spec(n)
         cert = conditions.certify(spec)
-        assert tilting.check_lemma1(spec.step_distribution, cert.epsilon).holds
+        assert tilting.check_lemma1(spec.iid_parts()[0][0], cert.epsilon).holds
         grid = np.linspace(0.0, 0.5 / cert.epsilon, 26)
         reports = tilting.check_lemma2_lemma3(spec, grid, certificate=cert)
         c2, c3 = tilting.fitted_drift_cumulant_constants(reports)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mlde import cli, model, montecarlo
@@ -287,6 +289,53 @@ class TestGridsAndLists:
             assert run(["conjugate-clt", *model, "--n-list", "1,100,1000",
                         "--lambda", "0", "--out", str(conj)]) == 0
             assert read(clt / "clt_rate.csv") == read(conj / "conjugate_clt.csv")
+
+
+    def test_varswitch_rate_rows(self, tmp_path):
+        # two-part specs take the folded law: clt-rate is still conjugate-clt
+        # at lambda 0, byte for byte, and past HISTOGRAM_CELLS both exit 3
+        # before writing anything
+        vs = ["--model", "varswitch", "--rho", "0.5", "--n", "10"]
+        clt, conj = tmp_path / "clt", tmp_path / "conj"
+        assert run(["clt-rate", *vs, "--n-list", "20,200", "--out", str(clt)]) == 0
+        assert run(["conjugate-clt", *vs, "--n-list", "20,200", "--lambda", "0",
+                    "--out", str(conj)]) == 0
+        assert read(clt / "clt_rate.csv") == read(conj / "conjugate_clt.csv")
+        for argv in (["clt-rate"], ["conjugate-clt", "--lambda", "0.5"]):
+            out = tmp_path / argv[0]
+            assert run([*argv, *vs, "--n-list", "2000", "--out", str(out)]) == 3
+            assert not list(out.glob("*.csv"))
+
+    def test_three_point_varswitch_rows(self, tmp_path):
+        # the oracle: each part's tilted law on the integer offsets of
+        # {-1, 0, 2} by 100 plain convolutions, scaled by its branch's sd
+        # sqrt((1 +- rho) / (1.5 n)) and folded over both parts
+        cfg = tmp_path / "vs3.cfg"
+        cfg.write_text("model = varswitch\nn = 200\nrho = 0.5\n" + THREE)
+        assert run(["conjugate-clt", "--spec-file", str(cfg), "--n-list", "200",
+                    "--lambda", "0,0.5,1", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "conjugate_clt.csv").read_text().splitlines()
+        header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        assert len(rows) == 3
+        for lam, row in zip((0.0, 0.5, 1.0), rows):
+            atoms, pmf, shift = np.zeros(1), np.ones(1), 0.0
+            for scale in (math.sqrt(1.5 / 300), math.sqrt(0.5 / 300)):
+                tilt = np.array([0.5, 0.25, 0.0, 0.25]) * np.exp(lam * scale * np.arange(-1, 3))
+                tilt /= tilt.sum()
+                law = np.ones(1)
+                for _ in range(100):
+                    law = np.convolve(law, tilt)
+                shift += 100 * scale * float(np.dot(np.arange(-1, 3), tilt))
+                atoms = np.add.outer(atoms, scale * (np.arange(len(law)) - 100)).ravel()
+                pmf = np.outer(pmf, law).ravel()
+            order = np.argsort(atoms)
+            atoms, cdf = atoms[order] - shift, np.cumsum(pmf[order])
+            phi = np.array([0.5 * math.erfc(-a / math.sqrt(2.0)) for a in atoms])
+            left = np.concatenate([[0.0], cdf[:-1]])
+            want = float(np.max(np.maximum(np.abs(cdf - phi), np.abs(left - phi))))
+            got = float(row[header.index("ks_distance")])
+            assert float(row[header.index("lambda")]) == lam
+            assert got == pytest.approx(want, rel=1e-11), lam
 
 
 class TestMdpCommand:

@@ -25,7 +25,6 @@ from mlde.montecarlo import (
     estimate_tail,
     exact_tail,
     fit_constant,
-    lattice_ks,
     mdp_diagnostic,
     ratio_experiment,
     saddlepoint_lambda,
@@ -198,7 +197,7 @@ class TestTilted:
         # sum_k pmf_tilted(k) * w(k) * 1{x_k > x} must equal the base tail
         # exactly; validates the weight used by the binomial fast path
         spec = rademacher_spec(12)
-        s = spec.step_distribution.max_abs
+        s = max(abs(v) for v in spec.iid_parts()[0][0].values)
         lam = 1.7
         p_hi = math.exp(lam * s) / (2 * math.cosh(lam * s))
         psi = 12 * math.log(math.cosh(lam * s))
@@ -214,7 +213,7 @@ class TestTilted:
         # against the same builder's untilted law
         for spec in (three_point_spec(12), MartingaleSpec.iid(IRRATIONAL, n=8, normalized=True)):
             psi = tilting.cumulant_process(spec, lam)
-            atoms, pmf = montecarlo._part_law(spec.step_distribution, spec.n, lam)
+            atoms, pmf = montecarlo._part_law(spec.iid_parts()[0][0], spec.n, lam)
             for x in (0.0, 0.5, 1.5, 2.5):
                 lhs = float(np.sum(pmf * np.exp(psi - lam * atoms) * (atoms > x)))
                 assert lhs == pytest.approx(exact_tail(spec, x).p_hat, rel=1e-12)
@@ -421,7 +420,7 @@ class TestLatticeLaw:
     @staticmethod
     def on_lattice(spec, atoms, pmf):
         """The law's mass at each lattice offset 0..3n from n * values[0]."""
-        values = spec.step_distribution.table()[0]
+        values = spec.iid_parts()[0][0].table()[0]
         offsets = (atoms - spec.n * values[0]) / (values[1] - values[0])
         index = np.rint(offsets).astype(int)
         assert np.all(np.abs(offsets - index) <= 1e-9)
@@ -462,13 +461,13 @@ class TestLatticeLaw:
         # about a minute per tilt; that sum is within 1.3e-13 of it)
         for n in (1, 2, 7, 30, 100, 400):
             spec = three_point_spec(n)
-            assert montecarlo._part_route(spec.step_distribution, n) == (
+            assert montecarlo._part_route(spec.iid_parts()[0][0], n) == (
                 3 * n + 1, True, CONVOLVE_ATOMS)
             for lam in (0.0, 0.7, 3.0, 20.0):
-                law = montecarlo._part_law(spec.step_distribution, n, lam)
+                law = montecarlo._part_law(spec.iid_parts()[0][0], n, lam)
                 assert len(law[0]) == 3 * n + 1
                 pmf = self.on_lattice(spec, *law)
-                _, probs = tilting.tilted_table(spec.step_distribution, lam)
+                _, probs = tilting.tilted_table(spec.iid_parts()[0][0], lam)
                 if n <= 100:
                     want = np.array([float(w) for w in self.exact_power(probs, n)])
                 else:
@@ -480,8 +479,8 @@ class TestLatticeLaw:
         for n in (1, 2, 5, 13, 30):
             spec = three_point_spec(n)
             for lam in (0.0, 0.7, 3.0):
-                pmf = self.on_lattice(spec, *montecarlo._part_law(spec.step_distribution, n, lam))
-                _, probs = tilting.tilted_table(spec.step_distribution, lam)
+                pmf = self.on_lattice(spec, *montecarlo._part_law(spec.iid_parts()[0][0], n, lam))
+                _, probs = tilting.tilted_table(spec.iid_parts()[0][0], lam)
                 for got, want in zip(pmf, self.exact_power(probs, n), strict=True):
                     assert abs(Fraction(got) - want) <= Fraction(1, 10**13) * want
 
@@ -652,7 +651,7 @@ class TestExactTail:
             [(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)]
         )
         spec = MartingaleSpec.iid(table, n=5, normalized=True)
-        values, probs = spec.step_distribution.table()
+        values, probs = spec.iid_parts()[0][0].table()
 
         def brute(x):
             total = 0.0
@@ -733,6 +732,23 @@ class TestExactTail:
             got = exact_tail(spec, 10 * table.values[-1] - 5e-9, method).p_hat
             assert got == pytest.approx(0.25**10, rel=1e-12)
 
+    def test_lattice_step_is_gcd_of_gaps(self):
+        # {0, 2, 5} has gaps 2 and 3, so its lattice step is 1, not the
+        # smallest gap: X_4000 takes 20001 atoms, not C(4002, 2) count
+        # vectors past the cap.  Against a nested binomial: c ~ Bin(n, 1/4)
+        # draws are 5 and b ~ Bin(n - c, 1/3) of the others are 2, and the
+        # table was centred at its mean 7/4
+        table = IncrementDistribution.finite_table([(0.0, 0.5), (2.0, 0.25), (5.0, 0.25)])
+        assert table.lattice[0] == 1.0 and table.lattice[1].tolist() == [0, 2, 5]
+        n = 4000
+        c = np.arange(n + 1)
+        for x in (0.5, 100.5, 400.5):
+            above = binom.sf(np.floor((x + 1.75 * n - 5 * c) / 2), n - c, 1 / 3)
+            want = math.fsum(binom.pmf(c, n, 0.25) * above)
+            got = exact_tail(MartingaleSpec.iid(table, n=n), x)
+            assert got.method == "exact_enum"
+            assert got.p_hat == pytest.approx(want, rel=1e-13, abs=0.0), x
+
     def test_three_point_at_scale(self):
         # {-1, 0, 2} where the paper's claims matter, against a nested
         # binomial: j zeros ~ Bin(n, 1/4), and c ~ Bin(n - j, 2/3) of the
@@ -758,7 +774,10 @@ class TestExactTail:
                 assert abs(exact_tail(spec, 0.0).p_hat - (1.0 - p_zero**2) / 2.0) <= 1e-14
 
 
-class TestLatticeKs:
+class TestKsFromCdf:
+    """_ks_from_cdf against a dense scan of sup |F - Phi|, on the laws the
+    removed merging reader was checked on."""
+
     def dense_scan(self, values, probs):
         values = np.asarray(values)
         order = np.argsort(values)
@@ -776,7 +795,7 @@ class TestLatticeKs:
             mean, sd = n * prob, math.sqrt(n * prob * (1 - prob))
             values = (k - mean) / sd
             probs = binom.pmf(k, n, prob)
-            assert lattice_ks(values, probs) == pytest.approx(
+            assert montecarlo._ks_from_cdf(values, np.cumsum(probs)) == pytest.approx(
                 self.dense_scan(values, probs), abs=1e-9
             )
 
@@ -787,13 +806,26 @@ class TestLatticeKs:
         mean, sd = n * prob, math.sqrt(n * prob * (1 - prob))
         values = (k - mean) / sd
         probs = binom.pmf(k, n, prob)
-        assert lattice_ks(values, probs) == pytest.approx(
+        assert montecarlo._ks_from_cdf(values, np.cumsum(probs)) == pytest.approx(
             self.dense_scan(values, probs), abs=1e-9
         )
 
-    def test_merges_duplicate_atoms(self):
-        ks = lattice_ks([0.0, 0.0, 1.0], [0.25, 0.25, 0.5])
-        assert ks == lattice_ks([0.0, 1.0], [0.5, 0.5])
+    def test_split_duplicate_atoms(self):
+        # each atom's mass split over a run of equal atoms: every partial cdf
+        # in a run lies between F(a-) and F(a), so the KS is the merged law's
+        assert montecarlo._ks_from_cdf(
+            np.array([0.0, 0.0, 1.0]), np.cumsum([0.25, 0.25, 0.5])
+        ) == montecarlo._ks_from_cdf(np.array([0.0, 1.0]), np.cumsum([0.5, 0.5]))
+        rng = np.random.default_rng(17)
+        for n, prob in ((6, 0.3), (40, 0.5)):
+            k = np.arange(n + 1)
+            values = (k - n * prob) / math.sqrt(n * prob * (1 - prob))
+            probs = binom.pmf(k, n, prob)
+            runs = rng.integers(1, 4, size=n + 1)
+            pieces = np.concatenate([rng.dirichlet(np.ones(r)) * p for r, p in zip(runs, probs)])
+            merged = montecarlo._ks_from_cdf(values, np.cumsum(probs))
+            split = montecarlo._ks_from_cdf(np.repeat(values, runs), np.cumsum(pieces))
+            assert split == pytest.approx(merged, rel=1e-14, abs=1e-15)
 
 
 class TestRateCurves:
@@ -844,7 +876,7 @@ class TestRateCurves:
 
         lam = 0.8
         spec = family(5)
-        step = spec.step_distribution
+        step = spec.iid_parts()[0][0]
         t_values, t_probs = tilting.tilted_table(step, lam)
         shift = tilting.drift_process(spec, lam)
         atoms, weights = {}, {}
@@ -863,6 +895,79 @@ class TestRateCurves:
             sup = max(sup, abs(f - (1.0 - bounds.gaussian_tail(float(t)))))
         (row,) = conjugate_clt_check(family, lam, [5])
         assert row.ks_distance == pytest.approx(sup, abs=1e-9)
+
+
+def parts_bruteforce_ks(spec, lam):
+    """KS of X_n - B_n(lam) under the lam-tilted law, from every draw of each
+    part: tilted tables and drift by hand, atoms equal to 12 decimals merged,
+    and sup |F - Phi| read at each merged atom and just left of it."""
+    tables, shift = [], 0.0
+    for d, count in spec.iid_parts():
+        values, probs = np.array(d.values), np.array(d.probs) * np.exp(lam * np.array(d.values))
+        probs /= probs.sum()
+        tables += [(values, probs)] * count
+        shift += count * float(np.dot(values, probs))
+    merged = {}
+    for combo in itertools.product(*(range(len(v)) for v, _ in tables)):
+        s = sum(v[i] for (v, _), i in zip(tables, combo)) - shift
+        p = math.prod(q[i] for (_, q), i in zip(tables, combo))
+        atom = merged.setdefault(round(s, 12), [s, 0.0])
+        atom[1] += p
+    sup, cdf = 0.0, 0.0
+    for key in sorted(merged):
+        s, p = merged[key]
+        phi = 1.0 - bounds.gaussian_tail(s)
+        sup = max(sup, abs(cdf - phi), abs(cdf + p - phi))
+        cdf += p
+    return sup
+
+
+class TestTwoPartKs:
+    """The KS of a variance-switching spec reads the two parts' tilted laws
+    folded into the sorted law of X_n."""
+
+    def test_against_bruteforce(self):
+        # rho = 0.6 puts the high branch at twice the low one, so sums of the
+        # two parts tie; rho = 0.5 (ratio sqrt 3) has no ties across parts
+        for base, n, rho, lam in itertools.product(
+                (RADEMACHER, THREE_POINT), (4, 6), (0.5, 0.6), (0.0, 0.7)):
+            spec = MartingaleSpec.variance_switching(base, n=n, rho=rho)
+            got = montecarlo._recentred_lattice_ks(spec, lam)
+            assert got == pytest.approx(parts_bruteforce_ks(spec, lam), abs=1e-13), (n, rho, lam)
+
+    def test_rho_zero_is_the_iid_law(self):
+        # at rho = 0 both parts are the iid step: the folded law is the
+        # binomial law the iid two-point window reads
+        for n, lam in itertools.product((2, 10, 100, 700), (0.0, 0.5, 2.0)):
+            spec = MartingaleSpec.variance_switching(RADEMACHER, n=n, rho=0.0)
+            assert (n // 2 + 1) ** 2 <= montecarlo.HISTOGRAM_CELLS
+            want = montecarlo._recentred_lattice_ks(rademacher_spec(n), lam)
+            assert montecarlo._recentred_lattice_ks(spec, lam) == pytest.approx(
+                want, rel=1e-12), (n, lam)
+
+    def test_rate_rows(self):
+        def family(n):
+            return MartingaleSpec.variance_switching(THREE_POINT, n=n, rho=0.5)
+
+        rows = conjugate_clt_check(family, 0.7, [4, 6])
+        for row in rows:
+            cert = conditions.certify(family(row.n))
+            assert (row.epsilon, row.delta) == (cert.epsilon, cert.delta)
+            assert row.ks_distance == pytest.approx(
+                parts_bruteforce_ks(family(row.n), 0.7), abs=1e-13)
+        assert clt_rate_curve(family, [4, 6]) == conjugate_clt_check(family, 0.0, [4, 6])
+
+    def test_too_large_before_any_law(self, monkeypatch):
+        # 1001 x 1001 cells are past HISTOGRAM_CELLS: refused from the atom
+        # counts alone, before either part's law is built
+        def family(n):
+            return MartingaleSpec.variance_switching(RADEMACHER, n=n, rho=0.5)
+
+        assert 1001**2 > montecarlo.HISTOGRAM_CELLS
+        monkeypatch.setattr(montecarlo, "_part_law", None)
+        for lam in (0.0, 0.5):
+            with pytest.raises(DomainError, match="too-large"):
+                conjugate_clt_check(family, lam, [2000])
 
 
 def two_point_spec(p, n):

@@ -96,13 +96,13 @@ class TestStepQuantities:
 
     def test_tilted_model_step_law(self):
         # the tilted gaussian step is N(lam sigma^2, sigma^2)
-        step = MartingaleSpec.iid(GAUSSIAN, n=4, normalized=True).step_distribution
+        step = MartingaleSpec.iid(GAUSSIAN, n=4, normalized=True).iid_parts()[0][0]
         assert step_drift(step, 2.0) == pytest.approx(0.5)
         h = 1e-6
         assert (step_drift(step, 2.0 + h) - step_drift(step, 2.0 - h)) / (2 * h) == \
             pytest.approx(0.25)
         # the tilted rademacher step puts e^(+-lam s) / (2 cosh(lam s)) on +-s
-        step = MartingaleSpec.iid(RADEMACHER, n=4, normalized=True).step_distribution
+        step = MartingaleSpec.iid(RADEMACHER, n=4, normalized=True).iid_parts()[0][0]
         values, probs = tilted_table(step, 2.0)
         np.testing.assert_allclose(values, [-0.5, 0.5])
         np.testing.assert_allclose(probs, np.exp([-1.0, 1.0]) / (2.0 * math.cosh(1.0)),
@@ -318,7 +318,7 @@ class TestLemmaChecks:
     def test_tilted_variance_perturbation_bound(self):
         # |tilted var - var| <= c * lam * eps * var with a finite fitted c
         spec = MartingaleSpec.iid(RADEMACHER, n=100, normalized=True)
-        d = spec.step_distribution
+        d = spec.iid_parts()[0][0]
         eps = conditions.certify(spec).epsilon
         var = d.variance
         cs = []
