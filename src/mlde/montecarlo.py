@@ -12,8 +12,9 @@ Estimators
   carries the weight exp(-lam * X_n + Psi_n(lam)), with Psi_n deterministic
   (one cumulant_process call), so the weighted indicator is unbiased.
 * exact oracles: the closed-form normal tail for gaussian specs, the binomial
-  closed form for iid two-atom tables, and for any other finite spec the
-  parts' sum laws, a second part's tail read from sorted suffix sums.
+  law (``binom``) for iid two-atom tables, and for any other finite spec the
+  parts' sum laws, a second part's tail read from sorted suffix sums; each
+  law is built once per call, however many thresholds read it.
 * exact distances: the KS distance of X_n to the normal, read at the atoms
   of its sum law (a binomial window for iid two-point laws, else the parts'
   sum laws folded and sorted).
@@ -42,10 +43,10 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
-from scipy import special
 
 from . import bounds, conditions, tilting
 from .errors import ConfigError, DomainError
@@ -68,6 +69,9 @@ MAX_SAMPLES = 1 << 30  # largest sample count an estimator takes (2^18 blocks of
 # at 362^2 cells and 89-96 ms at 1001^2, peaking at 65 and 132 MB RSS
 # against 55 MB after import (five runs, one core, numpy 2.4.6).
 HISTOGRAM_CELLS = 1 << 17
+# Most atoms a binomial table spans (about 80 sds, so n up to 2.7e9 at
+# p = 1/2); 775,801 atoms (n = 4e8) took 0.045 s and 27 MB RSS over import.
+BINOMIAL_ATOMS = 1 << 21
 WINDOW_SD = 12  # half-width, in binomial sds, of the atom window a two-point KS tries first
 
 
@@ -141,29 +145,203 @@ class MdpRow:
     a_eps: float
 
 
-# -- the binomial law from scipy.special ---------------------------------------
-# For 0 <= k <= n.  sf and cdf are Boost's regularized incomplete beta, the
-# ibeta behind scipy's binomial distribution, and match it bit for bit; cdf
-# sees p only through 1 - p, so it is scipy's cdf at 1 - (1 - p), which is p
-# for every p >= 1/2.  pmf sums log C(n, k) p^k (1-p)^(n-k) from log-gammas;
-# log C(n, k) is exactly 0 at k = 0 and k = n, so pmf never exceeds 1 there.
+# -- the binomial law ----------------------------------------------------------
+# Binomial(n, p) is tabulated over the atoms where its pmf is at least 2^-1100
+# (every other atom holds less than one subnormal double), outward from the
+# mode by the ratio recurrence, scaled by 2^SHIFT so that the whole table and
+# its partial sums are normal doubles: a subnormal tail is rounded only once,
+# by the final ldexp.  The mode's pmf is Loader's saddlepoint form (C. Loader,
+# "Fast and accurate computation of binomial probabilities", 2000), or the
+# power p^n or (1 - p)^n at an edge, where those also replace the recurrence's
+# last term.  The recurrence's odds p/q are rounded once, and that error,
+# which would compound over k, is taken out to first order, so each pmf value
+# is good to a few ulps plus a random walk of roundings over its distance
+# from the mode.  sf and cdf take p as given and keep relative accuracy in
+# both tails: below the mode the cdf is a prefix sum from the table's low
+# end, above it the sf a suffix sum from its high end, each 1 minus the other
+# on the far side.  Against exact sums over n <= 1e6 they stay within
+# 6 eps (1 + |ln P|) relative wherever P >= 1e-300 (scipy.stats.binom: 131).
 
-def _binom_sf(k, n, p):
-    k = np.asarray(k)
-    return np.where(k < n, special.betainc(k + 1, np.maximum(n - k, 1), p), 0.0)
+_SHIFT = 1000
+_TINY = 2.0 ** -100  # 2^-1100 after the shift
+# Loader's stirlerr(n) = ln n! - (n + 1/2) ln n + n - ln sqrt(2 pi) for n < 16
+_STIRLERR = (0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+             0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+             0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+             0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+             0.006408994188004207, 0.0059513701127588475, 0.005554733551962801)
 
 
-def _binom_cdf(k, n, p):
-    k = np.asarray(k)
-    return np.where(k < n, special.betainc(np.maximum(n - k, 1), k + 1, 1.0 - p), 1.0)
+def _stirlerr(n):
+    if n < 16:
+        return _STIRLERR[n]
+    nn = float(n) * n  # the Stirling series 1/12n - 1/360n^3 + ... to 1/1188n^9
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
 
 
-def _binom_pmf(k, n, p):
-    log_comb = special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
-    return np.exp(log_comb + special.xlogy(k, p) + special.xlog1py(n - k, -p))
+def _bd0(x, m):
+    """x log(x/m) + m - x without cancellation (Loader's deviance)."""
+    if abs(x - m) >= 0.1 * (x + m):
+        return x * math.log(x / m) + m - x
+    v = (x - m) / (x + m)
+    s, term, v2, j = (x - m) * v, 2.0 * x * v, v * v, 1
+    while True:
+        term *= v2
+        s1 = s + term / (2 * j + 1)
+        if s1 == s:
+            return s
+        s, j = s1, j + 1
 
 
-binom = SimpleNamespace(pmf=_binom_pmf, cdf=_binom_cdf, sf=_binom_sf)
+def _run(top, steps, ratio, odds, a, b, sd):
+    """2^SHIFT pmf(mode +- j) for j = 1, 2, ... while at least _TINY: top
+    times the cumulative products of (a - j) / (b + j) * ratio, where ratio is
+    the rounded odds = (num, den), p/(1 - p) or its inverse; its rounding
+    error, the same at every step, is taken out at the end."""
+    if steps == 0 or ratio == 0.0:
+        return np.zeros(0)
+    width, runs, done = 64 + math.ceil(40 * sd), [], 0
+    while done < steps and (not runs or runs[-1][-1] >= _TINY):  # else double the width
+        j = np.arange(done + 1, min(steps, done + width) + 1, dtype=float)
+        f = (a - j) / (b + j) * ratio
+        f[0] *= runs[-1][-1] if runs else top
+        runs.append(np.cumprod(f, out=f))
+        done, width = done + len(j), 2 * width
+    run = np.concatenate(runs) if len(runs) > 1 else runs[0]
+    run = run[:np.count_nonzero(run >= _TINY)]  # it falls away from the mode
+    (num, den), (r_num, r_den) = odds, ratio.as_integer_ratio()
+    err = (num * r_den - den * r_num) / (den * r_num)  # odds / ratio - 1, rounded once
+    return run * (1.0 + err * np.arange(1, len(run) + 1))
+
+
+class _Binomial:
+    """Binomial(n, p) as lo and t: t[i] = 2^SHIFT pmf(lo + i), for 0 <= p <= 1."""
+
+    def __init__(self, n, p):
+        n, p = int(n), float(p)
+        q = 1.0 - p
+        mode = min(n, math.floor((n + 1) * p))
+        # q^n for the exact 1 - p, which is q + ((1 - q) - p) with each step exact
+        qn = q**n * math.exp(n * ((1.0 - q) - p) / q) if q else float(n == 0)
+        if mode == 0:
+            anchor = qn
+        elif mode == n:
+            anchor = p**n
+        else:
+            lc = (_stirlerr(n) - _stirlerr(mode) - _stirlerr(n - mode)
+                  - _bd0(mode, n * p) - _bd0(n - mode, n * q))
+            anchor = math.exp(lc) / math.sqrt(math.tau * (mode * (n - mode) / n))
+        top, sd = math.ldexp(anchor, _SHIFT), math.sqrt(n * p * q)
+        span = min(n + 1, 2 * (64 + math.ceil(40 * sd)))
+        if span > BINOMIAL_ATOMS:
+            raise DomainError(f"too-large: Binomial({n}, {p:.6g}) spans about {span} "
+                              f"atoms, over {BINOMIAL_ATOMS}")
+        num, den = p.as_integer_ratio()  # the exact odds are num : (den - num)
+        up = _run(top, n - mode, p / q if q else 0.0, (num, den - num), n - mode + 1, mode, sd)
+        down = _run(top, mode, q / p if p else 0.0, (den - num, num), mode + 1, n - mode, sd)
+        self.n, self.mode, self.lo = n, mode, mode - len(down)
+        self.t = np.concatenate([down[::-1], [top], up])
+        if self.lo == 0 and qn >= 2.0**-1022:  # the edges are powers
+            self.t[0] = math.ldexp(qn, _SHIFT)
+        if mode + len(up) == n and p**n >= 2.0**-1022:
+            self.t[-1] = math.ldexp(p**n, _SHIFT)
+
+    def pmf(self):
+        """pmf over 0..n."""
+        out = np.zeros(self.n + 1)
+        out[self.lo:self.lo + len(self.t)] = np.ldexp(self.t, -_SHIFT)
+        return out
+
+    @cached_property
+    def _sums(self):
+        """2^SHIFT P(X < lo + i) and 2^SHIFT P(X >= lo + i) for i = 0..len(t)."""
+        return (np.concatenate([[0.0], np.cumsum(self.t)]),
+                np.concatenate([np.cumsum(self.t[::-1])[::-1], [0.0]]))
+
+    def tails(self, k):
+        """(P(X <= k), P(X > k)) for the integers k."""
+        k = np.asarray(k)
+        i = np.clip(k - self.lo + 1, 0, len(self.t))
+        below, above = (np.ldexp(sums[i], -_SHIFT) for sums in self._sums)
+        lower = k < self.mode
+        return np.where(lower, below, 1.0 - above), np.where(lower, 1.0 - below, above)
+
+
+binom = SimpleNamespace(
+    pmf=lambda k, n, p: _Binomial(n, p).pmf()[k],
+    cdf=lambda k, n, p: _Binomial(n, p).tails(k)[0],
+    sf=lambda k, n, p: _Binomial(n, p).tails(k)[1],
+)
+
+
+# -- the normal cdf, elementwise ----------------------------------------------
+# erfc on arrays, in the three ranges of |z| that Sun's fdlibm uses: 1 - erf
+# from an odd polynomial below 0.84375; erf(1 + s) about a constant up to
+# 1.25; past that exp(-z^2 - 0.5625 + T(1/z^2)) / z with z^2 split so that
+# the large exponent is exact, zero past 28 (erfc(27.3) is below the least
+# double).  The polynomials and the rationals T are this module's own
+# Chebyshev and least-squares fits, good to 2e-19 and 8e-19 absolute, so each
+# value is within 4 ulps of the exact erfc, as math.erfc is.
+
+_ERF_SMALL = (0.1283791670955126, -0.3761263890318375, 0.11283791670954745,
+              -0.026866170645031, 0.005223977624080742, -0.000854832691425112,
+              0.00012055327421282683, -1.4925463570287675e-05, 1.6457914349746103e-06,
+              -1.630309508468887e-07, 1.4205594850504056e-08, -8.879702704985848e-10)
+_ERF_ONE = 0.845062911510467529297  # erf(1 + s) - _ERF_ONE, in s:
+_ERF_NEAR_ONE = (-0.00236211856075266, 0.4151074974205947, -0.41510749742059466,
+                 0.13836916580686376, 0.0691845829034265, -0.06918458290310657,
+                 0.00461230552739543, 0.015154718119182887, -0.0047770306909146526,
+                 -0.001885185895224439, 0.0012262811577777677, 8.545410460388881e-05,
+                 -0.00019975766916207862, 1.9294086636295247e-05, 1.915566076622264e-05)
+# T = log(z e^(z^2) erfc z) + 0.5625 as P(s) / Q(s), s = 1/z^2, Q(0) = 1
+_TAIL_NEAR = ((-0.009864944074277845, -0.6934251126788548, -10.530352246369503,
+               -62.05228575459192, -161.0956111925312, -182.55057629248375,
+               -80.10966167029872, -9.637224295162609),
+              (1.0, 19.607332552127534, 137.01866833219447, 431.42723270149986,
+               638.9516827777379, 423.48425263538746, 106.90735959257844,
+               6.445772410742081, -0.05902810570680169))  # 1.25 <= z < 1/0.35
+_TAIL_FAR = ((-0.0098649429247001, -0.7986931575204482, -17.715143072937543,
+              -159.92671454779872, -633.3134202975687, -1015.6878071296269,
+              -477.72731395735025),
+             (1.0, 30.27824487180667, 324.48445586146113, 1527.2995609131358,
+              3173.164696646999, 2525.9178559570287, 468.42057742642857,
+              -22.070243608196))  # 1/0.35 <= z < 28
+
+
+def _poly(coef, s):
+    acc = coef[-1]
+    for c in coef[-2::-1]:
+        acc = c + s * acc
+    return acc
+
+
+def _erfc(z):
+    """erfc of every element of z."""
+    z = np.asarray(z, dtype=float)
+    out = np.where(z < 0.0, 2.0, np.where(np.isnan(z), np.nan, 0.0))
+    a = np.abs(z)
+    m = a < 0.84375
+    x = z[m]
+    y = _poly(_ERF_SMALL, x * x)  # erf(x) = x + x y
+    out[m] = np.where(x < 0.25, 1.0 - (x + x * y), 0.5 - (x * y + (x - 0.5)))
+    m = (a >= 0.84375) & (a < 1.25)
+    x = z[m]
+    d = _poly(_ERF_NEAR_ONE, np.abs(x) - 1.0)
+    out[m] = np.where(x > 0.0, (1.0 - _ERF_ONE) - d, 1.0 + (_ERF_ONE + d))
+    m = (a >= 1.25) & (a < 28.0) & (z > -6.0)  # erfc(-6) is 2 to the last bit
+    x, a = z[m], a[m]
+    s = 1.0 / (a * a)
+    t = np.where(a < 1 / 0.35, _poly(_TAIL_NEAR[0], s) / _poly(_TAIL_NEAR[1], s),
+                 _poly(_TAIL_FAR[0], s) / _poly(_TAIL_FAR[1], s))
+    high = (a.view(np.int64) & ~np.int64(0xFFFFFFFF)).view(float)  # 21 bits: exact square
+    r = np.exp(-high * high - 0.5625) * np.exp((high - a) * (high + a) + t) / a
+    out[m] = np.where(x > 0.0, r, 2.0 - r)
+    return out
+
+
+def _normal_cdf(x):
+    """Phi of every element of x, relatively accurate in both tails."""
+    return 0.5 * _erfc(np.asarray(x) / -math.sqrt(2.0))
 
 
 # -- deterministic parallel plumbing ------------------------------------------
@@ -277,8 +455,12 @@ def _part_law(d, count, lam):
         sizes = left + 1  # each vector so far branches on k = 0..left
         rows = np.repeat(np.arange(len(left)), sizes)
         k = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        # one binomial table per distinct count left, laid end to end
+        counts = np.unique(left)
+        starts = np.cumsum(counts + 1) - (counts + 1)
+        tables = np.concatenate([_Binomial(c, p / r).pmf() for c in counts])
         atoms = atoms[rows] + k * v
-        pmf = pmf[rows] * binom.pmf(k, left[rows], p / r)
+        pmf = pmf[rows] * tables[starts[np.searchsorted(counts, left)][rows] + k]
         left = left[rows] - k
     atoms = atoms + left * values[-1]
     order = np.argsort(atoms, kind="stable")
@@ -437,53 +619,46 @@ def _drift_supremum(spec) -> float:
 
 # -- exact oracles -------------------------------------------------------------
 
-def _binomial_tail(n, v_lo, v_hi, p_hi, x):
-    """P(sum > x) for n iid draws from a two-point law, strict inequality."""
-    t = (x - n * v_lo) / (v_hi - v_lo)
-    k_min = math.floor(t) + 1
-    if k_min > n:
-        return 0.0
-    if k_min <= 0:
-        return 1.0
-    return float(binom.sf(k_min - 1, n, p_hi))
-
-
-def _enum_tail(spec, x) -> float:
-    """P(X_n > x) for a finite spec from its parts' sum laws: a second part's
-    tail is read from its suffix sums at x minus each atom of the first."""
-    laws = [_part_law(d, count, 0.0) for d, count in spec.iid_parts()]
-    first_atoms, first_pmf = laws[0] if len(laws) > 1 else (np.zeros(1), np.ones(1))
-    atoms, pmf = laws[-1]
-    suffix = np.append(np.cumsum(pmf[::-1])[::-1], 0.0)
-    above = suffix[np.searchsorted(atoms, x - first_atoms, side="right")]
-    return min(float(np.dot(first_pmf, above)), 1.0)
-
-
-def exact_tail(spec: MartingaleSpec, x: float, method: str = "exact") -> TailEstimate:
-    """Exact P(X_n > x).  "exact" takes the closed-form normal tail (gaussian
-    specs, tagged exact_gaussian), the binomial closed form (iid two-point
-    laws, exact_binomial) or the parts' sum laws from _part_law (any other
-    finite spec, exact_enum); "exact_enum" forces the table engine on any
-    finite spec.  A part past _part_law's caps raises DomainError."""
+def _exact_oracle(spec: MartingaleSpec, method: str):
+    """x -> exact_tail(spec, x, method), with every part's law built once."""
     if method not in EXACT_METHODS:
         raise ConfigError(f"unknown exact method {method!r}")
     if spec.dist.kind == "gaussian":
         if method != "exact":
             raise DomainError(f"method {method!r} unavailable for gaussian laws")
-        p = bounds.gaussian_tail(x / math.sqrt(spec.total_variance()))
-        tag = "exact_gaussian"
-    else:
-        parts = spec.iid_parts()
-        d = parts[0][0]
-        if method == "exact" and len(parts) == 1 and len(d.values) == 2:
-            (v_lo, v_hi), (_, p_hi) = tilting.tilted_table(d, 0.0)
-            p = _binomial_tail(spec.n, v_lo, v_hi, p_hi, x)
-            tag = "exact_binomial"
-        else:
-            p = _enum_tail(spec, x)
-            tag = "exact_enum"
-    return TailEstimate(x=x, p_hat=p, std_err=0.0, n_samples=0, method=tag,
-                        seed=0, lambda_used=0.0)
+        sd = math.sqrt(spec.total_variance())
+        tag, tail = "exact_gaussian", lambda x: bounds.gaussian_tail(x / sd)
+    elif method == "exact" and len(spec.iid_parts()) == 1 and len(spec.dist.values) == 2:
+        ((d, n),) = spec.iid_parts()
+        (v_lo, v_hi), (_, p_hi) = tilting.tilted_table(d, 0.0)
+        law = _Binomial(n, p_hi)
+
+        def tail(x):  # k_min or more of the n draws on the upper value
+            k_min = math.floor((x - n * v_lo) / (v_hi - v_lo)) + 1
+            return 0.0 if k_min > n else 1.0 if k_min <= 0 else float(law.tails(k_min - 1)[1])
+        tag = "exact_binomial"
+    else:  # a second part's tail read from its suffix sums at x minus each atom of the first
+        laws = [_part_law(d, count, 0.0) for d, count in spec.iid_parts()]
+        first_atoms, first_pmf = laws[0] if len(laws) > 1 else (np.zeros(1), np.ones(1))
+        atoms, pmf = laws[-1]
+        suffix = np.append(np.cumsum(pmf[::-1])[::-1], 0.0)
+
+        def tail(x):
+            above = suffix[np.searchsorted(atoms, x - first_atoms, side="right")]
+            return min(float(np.dot(first_pmf, above)), 1.0)
+        tag = "exact_enum"
+    return lambda x: TailEstimate(x=x, p_hat=tail(x), std_err=0.0, n_samples=0,
+                                  method=tag, seed=0, lambda_used=0.0)
+
+
+def exact_tail(spec: MartingaleSpec, x: float, method: str = "exact") -> TailEstimate:
+    """Exact P(X_n > x).  "exact" takes the closed-form normal tail (gaussian
+    specs, tagged exact_gaussian), the binomial law (iid two-point laws,
+    exact_binomial) or the parts' sum laws from _part_law (any other finite
+    spec, exact_enum); "exact_enum" forces the table engine on any finite
+    spec.  A law past its cap (_part_law's, or BINOMIAL_ATOMS) raises
+    DomainError."""
+    return _exact_oracle(spec, method)(x)
 
 
 # -- exact distribution-distance machinery ------------------------------------
@@ -495,9 +670,11 @@ def exact_tail(spec: MartingaleSpec, x: float, method: str = "exact") -> TailEst
 def _ks_from_cdf(atoms, cdf, below=0.0) -> float:
     """max |F - Phi| over the ascending atoms from each side; below is F just
     left of the first atom.  A run of equal atoms cannot move the supremum:
-    each partial cdf in the run lies between F(a-) and F(a), both read here."""
+    each partial cdf in the run lies between F(a-) and F(a), both read here.
+    The result is as accurate as F and Phi are absolutely: Phi is
+    _normal_cdf, within 4 ulps of exact at every atom."""
     left = np.concatenate([[below], cdf[:-1]])
-    phi = 1.0 - 0.5 * special.erfc(atoms / math.sqrt(2.0))
+    phi = _normal_cdf(atoms)
     return float(np.max(np.maximum(np.abs(cdf - phi), np.abs(left - phi))))
 
 
@@ -511,7 +688,12 @@ def _recentred_lattice_ks(spec, lam: float) -> float:
     reads the tilted law of X_n as ascending atoms and pmf: _part_law's table
     for one part; for two, the parts' tables folded cell by cell, refused
     before any allocation when their atom counts multiply past
-    HISTOGRAM_CELLS."""
+    HISTOGRAM_CELLS.
+
+    The two-point F is binom.cdf, within 6 eps (1 + |ln F|) relative of the
+    exact cdf, and one (n, p) gives one table whatever atoms are read, so
+    the window and the full range share their bits; the distance is then
+    good to a few 1e-16 absolute."""
     parts = spec.iid_parts()
     shift = tilting.drift_process(spec, lam)
     if spec.dist.kind == "gaussian":
@@ -552,10 +734,10 @@ def _recentred_lattice_ks(spec, lam: float) -> float:
         # its largest atom).  The full range has nothing outside.
         outside = 0.0
         if lo > 0:
-            outside = max(below, 0.5 * float(special.erfc(-atom(lo - 1) / math.sqrt(2.0))))
+            outside = max(below, 0.5 * math.erfc(-atom(lo - 1) / math.sqrt(2.0)))
         if hi < n:
             outside = max(outside, float(binom.sf(hi, n, p)),
-                          0.5 * float(special.erfc(atom(hi + 1) / math.sqrt(2.0))))
+                          0.5 * math.erfc(atom(hi + 1) / math.sqrt(2.0)))
         if outside <= 0.5 * ks:
             break
     return ks
@@ -661,10 +843,15 @@ def ratio_experiment(
         raise DomainError(f"ratio_experiment requires x >= 0, got {min(x_grid):.6g}")
     cert = conditions.certify(spec)
     eps, delta = cert.epsilon, cert.delta
+    if method in EXACT_METHODS:  # every part's law built once, for all rows
+        estimate = _exact_oracle(spec, method)
+    else:
+        def estimate(x):
+            return estimate_tail(spec, x, method, lam_policy, samples, seed, cert)
     raw = []
     pairs = []
     for x in x_grid:
-        est = estimate_tail(spec, x, method, lam_policy, samples, seed, cert)
+        est = estimate(x)
         tail = bounds.gaussian_tail(x)
         # both probabilities must be representable for the ratio to carry
         # information; far-tail underflow marks the row infeasible

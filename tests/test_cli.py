@@ -662,9 +662,9 @@ class TestEqualLaws:
 
 
 class TestImports:
-    def test_library_needs_scipy_special_only(self, tmp_path):
-        # a fresh interpreter runs every subcommand, then looks for the
-        # scipy subpackages the library no longer imports
+    def test_library_needs_no_scipy(self, tmp_path):
+        # a fresh interpreter runs every subcommand and then finds no scipy
+        # module loaded; a second one runs them with scipy made unimportable
         rad = ["--model", "rademacher", "--normalized"]
         three = tmp_path / "three.cfg"
         three.write_text("values = -1, 0, 2\nprobs = 0.5, 0.25, 0.25\n")
@@ -684,17 +684,20 @@ class TestImports:
         ]
         script = (
             "import json, sys\n"
+            "if sys.argv[3] == 'blocked':\n"
+            "    sys.modules['scipy'] = None  # any import of scipy now fails\n"
             "from mlde.cli import run\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert run([*argv, '--out', sys.argv[2]]) == 0, argv\n"
-            "print(json.dumps([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize')\n"
-            "                  if m in sys.modules]))\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands),
-                               str(tmp_path / "out")],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        for mode in ("importable", "blocked"):
+            proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands),
+                                   str(tmp_path / "out"), mode],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            loaded = json.loads(proc.stdout.splitlines()[-1])
+            assert loaded == ([] if mode == "importable" else ["scipy"]), (mode, loaded)

@@ -1,3 +1,5 @@
+import decimal
+import functools
 import itertools
 import math
 import os
@@ -7,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
-from scipy import special
 from scipy.stats import binom
 
 from mlde import bounds, conditions, montecarlo, tilting
@@ -70,38 +71,135 @@ def binomial_ks(n):
     return np.unique(np.r_[np.arange(min(n, 40) + 1), np.linspace(0, n, 41).astype(int), n - 1])
 
 
+EPS = np.finfo(float).eps
+# scipy.stats.binom's worst relative errors, in units of eps (1 + |ln P|), on
+# TestBinomialLaw's grid against exact_binomial_tails: 131.2 for sf and 131.1
+# for cdf, both at n = 1e6 (scipy 1.17.1)
+SF_C = CDF_C = 132
+DEC = decimal.Context(prec=50, Emin=-10**9, Emax=10**9)
+PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+# B_2j / (2j (2j - 1)), the Stirling series of ln m! past (m + 1/2) ln m - m + ln sqrt(2 pi)
+STIRLING = [Fraction(1, 12), Fraction(-1, 360), Fraction(1, 1260), Fraction(-1, 1680),
+            Fraction(1, 1188), Fraction(-691, 360360), Fraction(1, 156), Fraction(-3617, 122400)]
+
+
+def exact_binomial_pmf(n, p):
+    """(lo, pmf): Binomial(n, p)'s pmf over lo, lo + 1, ... to 50 digits,
+    holding all but 1e-340 of its mass, from the standard library alone.
+
+    Up to n = 100 each term is an exact Fraction.  Past that a decimal ratio
+    recurrence runs from an anchor: q^n at k = 0 (or p^n at k = n) when the
+    mode is within 1000 of that end, else the mode's pmf from the Stirling
+    series of the three log-factorials (error below 1e-50 past m = 1000)."""
+    hi_p = Fraction(p)
+    lo_p = 1 - hi_p
+    if n <= 100:
+        exact = (math.comb(n, k) * hi_p**k * lo_p ** (n - k) for k in range(n + 1))
+        return 0, [DEC.divide(decimal.Decimal(f.numerator), decimal.Decimal(f.denominator))
+                   for f in exact]
+    with decimal.localcontext(DEC):
+        dp, dq = decimal.Decimal(p), 1 - decimal.Decimal(p)
+        mode = min(n, math.floor((n + 1) * hi_p))
+        if mode < 1000 or n - mode < 1000:
+            start = 0 if mode < n - mode else n
+            anchor = dq**n if start == 0 else dp**n
+        else:
+            def ln_factorial(m):
+                m = decimal.Decimal(m)
+                s = (m + decimal.Decimal(0.5)) * m.ln() - m + (2 * PI).ln() / 2
+                for j, c in enumerate(STIRLING, 1):
+                    s += decimal.Decimal(c.numerator) / c.denominator / m ** (2 * j - 1)
+                return s
+            start = mode
+            anchor = (ln_factorial(n) - ln_factorial(mode) - ln_factorial(n - mode)
+                      + mode * dp.ln() + (n - mode) * dq.ln()).exp()
+        tiny = decimal.Decimal("1e-345")
+        up, term, k = [], anchor, start
+        while k < n and (term >= tiny or k <= mode):
+            term = term * (n - k) * dp / ((k + 1) * dq)
+            up.append(term)
+            k += 1
+        down, term, k = [], anchor, start
+        while k > 0 and (term >= tiny or k >= mode):
+            term = term * k * dq / ((n - k + 1) * dp)
+            down.append(term)
+            k -= 1
+    return start - len(down), down[::-1] + [anchor] + up
+
+
+@functools.lru_cache(maxsize=None)
+def exact_binomial_tails(n, p):
+    """k -> (P(X <= k), P(X > k)) to 50 digits, from exact_binomial_pmf."""
+    lo, pmf = exact_binomial_pmf(n, p)
+    with decimal.localcontext(DEC):
+        below = [decimal.Decimal(0), *itertools.accumulate(pmf)]
+        above = [*itertools.accumulate(pmf[::-1])][::-1] + [decimal.Decimal(0)]
+    return lambda k: (below[min(max(k - lo + 1, 0), len(pmf))],
+                      above[min(max(k - lo + 1, 0), len(pmf))])
+
+
+def worst_binomial_error(law, side, ns, ps):
+    """max over the grid of the relative error of law(k, n, p) against the
+    exact tail, in units of eps (1 + |ln P|), wherever P >= 1e-300."""
+    worst = 0.0
+    for n in ns:
+        k = binomial_ks(n)
+        for p in ps:
+            got = law(k, n, p)
+            tails = exact_binomial_tails(n, p)
+            for ki, g in zip(k, got):
+                want = tails(int(ki))[side]
+                if want < decimal.Decimal("1e-300"):
+                    continue
+                with decimal.localcontext(DEC):
+                    rel = abs(decimal.Decimal(float(g)) - want) / want
+                worst = max(worst, float(rel) / (EPS * (1.0 + abs(float(want.ln())))))
+    return worst
+
+
 class TestBinomialLaw:
-    """montecarlo.binom (scipy.special only) against scipy.stats.binom."""
+    """montecarlo.binom against exact binomial tails: Fraction sums to n = 100,
+    50-digit decimal sums past that.  Each bound c is the worst case of
+    scipy.stats.binom on the same grid against the same oracle, rounded up;
+    scipy's cdf and sf are Boost's ibeta, which takes p as given."""
 
     NS = (1, 2, 3, 7, 22, 100, 1000, 3300, 100_000, 1_000_000)
     PS = (0.0, 1.0, 1e-6, 0.123, 0.3, 1.0 / 3.0, 0.5, 0.7, 1.0 - 1e-9)
 
-    def test_sf_bitwise(self):
-        for n in self.NS:
-            k = binomial_ks(n)
-            for p in self.PS:
-                np.testing.assert_array_equal(montecarlo.binom.sf(k, n, p),
-                                              binom.sf(k, n, p), err_msg=f"{n} {p}")
+    def test_sf_exact(self):
+        assert worst_binomial_error(montecarlo.binom.sf, 1, self.NS, self.PS) <= SF_C
 
-    def test_cdf_bitwise(self):
-        # cdf takes p through 1 - p, so it is scipy's cdf at q = 1 - (1 - p):
-        # p itself for every p >= 1/2 and for the grid's 0 and 0.123, its
-        # neighbouring double for 1e-6, 0.3 and 1/3
-        for n in self.NS:
-            k = binomial_ks(n)
-            for p in self.PS:
-                q = 1.0 - (1.0 - p)
-                np.testing.assert_array_equal(montecarlo.binom.cdf(k, n, p),
-                                              binom.cdf(k, n, q), err_msg=f"{n} {p}")
-        assert [1.0 - (1.0 - p) == p for p in self.PS].count(False) == 3
+    def test_cdf_exact(self):
+        assert worst_binomial_error(montecarlo.binom.cdf, 0, self.NS, self.PS) <= CDF_C
+
+    def test_cdf_takes_p_as_given(self):
+        # for these p, 1 - (1 - p) is a neighbouring double, and a cdf that
+        # read p through 1 - p was up to 5.5e-12 relative off at n = 1e5: the
+        # grid tells the two apart by far more than CDF_C
+        ps = (1e-6, 0.3, 1.0 / 3.0)
+        assert all(1.0 - (1.0 - p) != p for p in ps)
+        assert worst_binomial_error(montecarlo.binom.cdf, 0, (1000, 100_000), ps) <= CDF_C
+        through_q = lambda k, n, p: binom.cdf(k, n, 1.0 - (1.0 - p))  # noqa: E731
+        assert worst_binomial_error(through_q, 0, (1000, 100_000), ps) > 50 * CDF_C
+
+    def test_edge_atoms_are_exact_powers(self):
+        # P(X = n) = p^n and P(X = 0) = q^n come from pow, not from the
+        # recurrence, wherever they are normal doubles (q = 1 - p is exact here)
+        for n, p in itertools.product((5, 16, 100, 1000), (0.5, 0.25, 0.75)):
+            if p**n >= 2.0**-1022:
+                assert float(montecarlo.binom.sf(n - 1, n, p)) == p**n, (n, p)
+            if (1.0 - p) ** n >= 2.0**-1022:
+                assert float(montecarlo.binom.cdf(0, n, p)) == (1.0 - p) ** n, (n, p)
 
     def test_pmf_against_exact_rationals(self):
-        # pmf = exp(L), L = lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1)
-        # + k log p + (n-k) log1p(-p).  exp turns an absolute error d in L
-        # into a relative error d.  Each term is good to an ulp or two of its
-        # size, and the log-gammas are at most lgamma(n+1) <= (n+1) log(n+2).
-        # Hence |rel err| <= c eps (1 + |k log p| + |(n-k) log(1-p)|
-        # + (n+1) log(n+2)) with c a few units; c = 4 here (worst seen 0.98).
+        # The bound is that of a log-gamma pmf, exp(L) with L = lgamma(n+1)
+        # - lgamma(k+1) - lgamma(n-k+1) + k log p + (n-k) log1p(-p): exp
+        # turns an absolute error d in L into a relative error d, each term is
+        # good to an ulp or two of its size, and the log-gammas are at most
+        # lgamma(n+1) <= (n+1) log(n+2).  Hence |rel err| <= c eps (1 + |k log
+        # p| + |(n-k) log(1-p)| + (n+1) log(n+2)) with c a few units; c = 4.
+        # The ratio-recurrence table stays inside it: a few ulps at the mode
+        # plus a random walk of roundings over |k - mode| steps.
         eps = np.finfo(float).eps
         for n in (1, 2, 3, 5, 10, 22, 100, 1000, 3300):
             ks = range(n + 1) if n <= 22 else [int(k) for k in np.linspace(0, n, 7)]
@@ -680,6 +778,14 @@ class TestExactTail:
             with pytest.raises(DomainError, match="too-large"):
                 exact_tail(three_point_spec(n), 1.0)
 
+    def test_binomial_past_its_cap(self):
+        # the binomial table spans about 80 sds: n = 1e9 fits, n = 1e12 is
+        # refused before any allocation
+        p = exact_tail(rademacher_spec(10**9), 1.0).p_hat
+        assert p == pytest.approx(bounds.gaussian_tail(1.0), rel=1e-3)
+        with pytest.raises(DomainError, match="too-large"):
+            exact_tail(rademacher_spec(10**12), 1.0)
+
     def test_uniform_lattice_at_n100(self):
         # the six atoms {0, ..., 5} lie on a lattice, so n = 100 takes 501
         # atoms, not C(105, 5) count vectors.  S = X_n + 250 is a sum of 100
@@ -707,9 +813,11 @@ class TestExactTail:
         # n = 500 the power of 125001 atoms would take about as long as the
         # cap allows, the 125751 count vectors a few ms.  Against a nested
         # binomial: c ~ Bin(n, 1/4) draws are top and b ~ Bin(n - c, 1/3) of
-        # the others are 1.  The count vectors' log-gamma pmfs lose digits
-        # like eps*n*log(n): 1.0e-12 at n = 2000
-        for top, n, rel in ((1000, 200, 1e-12), (100, 2000, 5e-12), (250, 500, 1e-12)):
+        # the others are 1.  The two agree to 3.2e-14 over these cases; 1e-13
+        # leaves room for the rounding of scipy's terms in the oracle.  A
+        # log-gamma pmf, whose error grows like eps*n*log(n), was 1.0e-12 off
+        # at n = 2000.
+        for top, n, rel in ((1000, 200, 1e-13), (100, 2000, 1e-13), (250, 500, 1e-13)):
             table = IncrementDistribution.finite_table([(0.0, 0.5), (1.0, 0.25), (top, 0.25)])
             spec = MartingaleSpec.iid(table, n=n)
             assert montecarlo._part_route(table, n)[:2] == (math.comb(n + 2, 2), False)
@@ -772,6 +880,58 @@ class TestExactTail:
             for rho in (0.3, 0.5):
                 spec = MartingaleSpec.variance_switching(RADEMACHER, n=n, rho=rho)
                 assert abs(exact_tail(spec, 0.0).p_hat - (1.0 - p_zero**2) / 2.0) <= 1e-14
+
+
+def exact_erfc(z):
+    """erfc(z) to 60 digits, from the standard library alone: the series
+    e^(-z^2) sum 2^k z^(2k+1) / (2k+1)!! of erf below |z| = 6 (at most 17
+    digits cancel in 1 - erf there), the Laplace continued fraction past it
+    (200 terms converge beyond 1e-70 from z = 6 on), and erfc(-z) = 2 -
+    erfc(z)."""
+    with decimal.localcontext(decimal.Context(prec=80, Emin=-10**9, Emax=10**9)):
+        x = abs(decimal.Decimal(z))
+        if x < 6:
+            term = total = x
+            k = 0
+            while term > total * decimal.Decimal("1e-80"):
+                k += 1
+                term *= 2 * x * x / (2 * k + 1)
+                total += term
+            tail = 1 - 2 / PI.sqrt() * (-x * x).exp() * total
+        else:
+            frac = x
+            for k in range(200, 0, -1):
+                frac = x + decimal.Decimal(k) / 2 / frac
+            tail = (-x * x).exp() / PI.sqrt() / frac
+        return +(tail if z >= 0 else 2 - tail)
+
+
+class TestNormalCdf:
+    """montecarlo._erfc, the elementwise erfc under _normal_cdf and so under
+    every KS distance, against exact values."""
+
+    # a grid over [-40, 40] that also crosses each range boundary of _erfc
+    GRID = np.unique(np.r_[np.linspace(-40.0, 40.0, 1601), np.linspace(-6.5, 6.5, 521),
+                           np.linspace(26.0, 28.0, 81), [0.84375, 1.25, 1 / 0.35, 28.0],
+                           np.nextafter([0.84375, 1.25, 1 / 0.35, 28.0], 0.0)])
+
+    def test_within_ulps_of_exact(self):
+        # Past |z| = 1.25 a value is exp(a) exp(b) / z with a exact: two exps
+        # (each within 1 ulp), a product and a quotient (1/2 ulp each) and the
+        # fitted exponent b (under 1/4 ulp), so at most 3.25 ulps; below 1.25,
+        # a polynomial and two roundings.  math.erfc has the same form.
+        for z, got in zip(self.GRID, montecarlo._erfc(self.GRID)):
+            want = exact_erfc(float(z))
+            assert abs(decimal.Decimal(float(got)) - want) <= 4 * decimal.Decimal(
+                math.ulp(float(want))), z
+
+    def test_edges(self):
+        np.testing.assert_array_equal(
+            montecarlo._erfc(np.array([-np.inf, -40.0, 0.0, 27.5, 40.0, np.inf])),
+            [2.0, 2.0, 1.0, 0.0, 0.0, 0.0])
+        assert np.isnan(montecarlo._erfc(np.array([np.nan]))[0])
+        np.testing.assert_array_equal(montecarlo._normal_cdf(np.array([0.0, -40.0, 40.0])),
+                                      [0.5, 0.0, 1.0])
 
 
 class TestKsFromCdf:
@@ -978,14 +1138,15 @@ def two_point_spec(p, n):
 
 def full_range_ks(spec, lam):
     """The two-point KS over all n + 1 atoms: max |F - Phi| at each atom and
-    just left of it, written out independently of the library's window."""
+    just left of it, written out independently of the library's window, with
+    the library's F and Phi."""
     ((d, n),) = spec.iid_parts()
     values, probs = tilting.tilted_table(d, lam)
     k = np.arange(n + 1)
     atoms = n * values[0] + k * (values[1] - values[0]) - tilting.drift_process(spec, lam)
     cdf = montecarlo.binom.cdf(k, n, probs[1])
     left = np.concatenate([[0.0], cdf[:-1]])
-    phi = 1.0 - 0.5 * special.erfc(atoms / math.sqrt(2.0))
+    phi = montecarlo._normal_cdf(atoms)
     return float(np.max(np.maximum(np.abs(cdf - phi), np.abs(left - phi))))
 
 
@@ -1046,6 +1207,26 @@ class TestTwoPointKsWindow:
 
 
 class TestRatioExperiment:
+    def test_exact_rows_share_one_law(self, monkeypatch):
+        # an exact ratio_experiment builds each part's law once and reads
+        # every row from it, the same numbers exact_tail gives row by row
+        grid = np.linspace(0.0, 3.0, 11)
+        cases = ((rademacher_spec(400), ["_Binomial"]),
+                 (three_point_spec(400), ["_part_law"]),
+                 (MartingaleSpec.variance_switching(THREE_POINT, n=40, rho=0.5),
+                  ["_part_law", "_part_law"]))
+        for spec, laws in cases:
+            want = [exact_tail(spec, x).p_hat for x in grid]
+            built = []
+            with monkeypatch.context() as m:
+                for name in ("_part_law", "_Binomial"):
+                    real = getattr(montecarlo, name)
+                    m.setattr(montecarlo, name,
+                              lambda *a, real=real, name=name: built.append(name) or real(*a))
+                rows = ratio_experiment(spec, grid).rows
+            assert built == laws
+            assert [row.p_hat for row in rows] == want
+
     def test_gaussian_exactness(self):
         result = ratio_experiment(gaussian_spec(100), np.arange(0.0, 5.01, 0.5))
         for row in result.rows:
