@@ -12,16 +12,15 @@ Estimators
   carries the weight exp(-lam * X_n + Psi_n(lam)), with Psi_n deterministic
   (one cumulant_process call), so the weighted indicator is unbiased.
 * exact oracles: the closed-form normal tail for gaussian specs, the binomial
-  law (``binom``) for iid two-atom tables, and for any other finite spec the
-  parts' sum laws, a second part's tail read from sorted suffix sums; each
-  law is built once per call, however many thresholds read it.
+  law (``_Binomial``) for iid two-atom tables, and for any other finite spec
+  the parts' sum laws, a second part's tail read from sorted suffix sums;
+  each law is built once per call, however many thresholds read it.
 * exact distances: the KS distance of X_n to the normal, read at the atoms
-  of its sum law (a binomial window for iid two-point laws, else the parts'
-  sum laws folded and sorted).
+  of its sum law (one part's law, or two parts' laws folded and sorted).
 
 One builder, ``_part_law``, gives each part's tilted sum law to the oracles
-and the sampler alike: a binomial pmf for two atoms, a polynomial power on a
-larger lattice, or the count vectors where they are cheaper to build.
+and the sampler alike: the binomial table for two atoms, a polynomial power
+on a larger lattice, or the count vectors where they are cheaper to build.
 
 Sampling draws each part's sufficient statistic: binomial counts for a
 two-atom table, multinomial counts for a larger one, both over the part's
@@ -72,7 +71,6 @@ HISTOGRAM_CELLS = 1 << 17
 # Most atoms a binomial table spans (about 80 sds, so n up to 2.7e9 at
 # p = 1/2); 775,801 atoms (n = 4e8) took 0.045 s and 27 MB RSS over import.
 BINOMIAL_ATOMS = 1 << 21
-WINDOW_SD = 12  # half-width, in binomial sds, of the atom window a two-point KS tries first
 
 
 # -- result containers --------------------------------------------------------
@@ -267,6 +265,7 @@ class _Binomial:
         return np.where(lower, below, 1.0 - above), np.where(lower, 1.0 - below, above)
 
 
+# scipy.stats.binom's spelling of the law, for callers outside the library
 binom = SimpleNamespace(
     pmf=lambda k, n, p: _Binomial(n, p).pmf()[k],
     cdf=lambda k, n, p: _Binomial(n, p).tails(k)[0],
@@ -409,14 +408,16 @@ def _part_route(d, count):
     """(atoms, on_lattice, cap): the form _part_law builds for count draws
     from d, by arithmetic, and that form's atom cap.  Both caps take about
     1 s, count vectors growing linearly and a 3+ atom power as atoms
-    squared, so such a lattice table takes the smaller share of its cap."""
+    squared, so such a lattice table takes the smaller share of its cap.
+    A two-atom table is binomial, at most count + 1 atoms, and capped by
+    _Binomial itself (BINOMIAL_ATOMS), not here."""
     lattice, m = d.lattice, len(d.values)
     vectors, cap = math.comb(count + m - 1, m - 1), ENUM_LIMIT // m
     if lattice is None:
         return vectors, False, cap
     atoms = count * int(lattice[1][-1]) + 1
-    if m == 2:  # a binomial pmf: its atoms are its count vectors
-        return atoms, True, cap
+    if m == 2:
+        return atoms, True, math.inf
     if (atoms / CONVOLVE_ATOMS) ** 2 <= vectors / cap:
         return atoms, True, CONVOLVE_ATOMS
     return vectors, False, cap
@@ -427,10 +428,12 @@ def _part_law(d, count, lam):
     lam-tilted table, in _part_route's form, refused past its cap.
 
     On a lattice v_0 + g*{0, k_1, ...} the atoms are count*v_0 + i*g, as
-    _stat_block computes two-atom sums, and the pmf is binomial for two
-    atoms, else the count-th power of the tilted step polynomial by binary
-    powering (np.convolve of non-negative terms).  Otherwise each count
-    vector's probability is a chain of conditional binomials: atom j takes
+    _stat_block computes two-atom sums.  For two atoms the pmf is the
+    binomial table over its own span, the i holding more than 2^-1100 of
+    the mass; otherwise it is the count-th power of the tilted step
+    polynomial by binary powering (np.convolve of non-negative terms),
+    over every i up to count * k_last.  Off a lattice each count vector's
+    probability is a chain of conditional binomials: atom j takes
     Binomial(left, p_j / sum_{i>=j} p_i) of the draws the earlier atoms left."""
     size, on_lattice, cap = _part_route(d, count)
     if size > cap:
@@ -438,17 +441,19 @@ def _part_law(d, count, lam):
                           f"{size} {'sums' if on_lattice else 'count vectors'}, over {cap}")
     values, probs = tilting.tilted_table(d, lam)
     if on_lattice:
-        (g, k), i = d.lattice, np.arange(size)
+        g, k = d.lattice
         if len(k) == 2:
-            pmf = binom.pmf(i, count, probs[1])
+            law = _Binomial(count, probs[1])
+            i, pmf = np.arange(law.lo, law.lo + len(law.t)), np.ldexp(law.t, -_SHIFT)
         else:
-            step, pmf = np.zeros(k[-1] + 1), np.ones(1)
+            i, step, pmf = np.arange(size), np.zeros(k[-1] + 1), np.ones(1)
             step[k] = probs
             for bit in bin(count)[2:]:  # high bit first
                 pmf = np.convolve(pmf, pmf)
                 if bit == "1":
                     pmf = np.convolve(pmf, step)
-        return count * values[0] + i * g, pmf / pmf.sum()
+        pmf /= pmf.sum()  # in place: each copy of a large table raises the peak RSS
+        return count * values[0] + i * g, pmf
     rest = np.cumsum(probs[::-1])[::-1]
     atoms, pmf, left = np.zeros(1), np.ones(1), np.array([count])
     for v, p, r in zip(values[:-1], probs[:-1], rest[:-1]):
@@ -634,6 +639,8 @@ def _exact_oracle(spec: MartingaleSpec, method: str):
         law = _Binomial(n, p_hi)
 
         def tail(x):  # k_min or more of the n draws on the upper value
+            if math.isinf(x):
+                return float(x < 0.0)
             k_min = math.floor((x - n * v_lo) / (v_hi - v_lo)) + 1
             return 0.0 if k_min > n else 1.0 if k_min <= 0 else float(law.tails(k_min - 1)[1])
         tag = "exact_binomial"
@@ -663,18 +670,25 @@ def exact_tail(spec: MartingaleSpec, x: float, method: str = "exact") -> TailEst
 
 # -- exact distribution-distance machinery ------------------------------------
 # The KS distance of a finite law to the normal is the supremum of |F - Phi|
-# at its atoms.  A two-point law's sum is binomial: its supremum is taken over
-# the atoms within WINDOW_SD sds of the tilted mean when a tail bound certifies
-# that no atom outside can hold it, and over all n + 1 atoms otherwise.
+# at its atoms, each approached from both sides.
 
-def _ks_from_cdf(atoms, cdf, below=0.0) -> float:
-    """max |F - Phi| over the ascending atoms from each side; below is F just
-    left of the first atom.  A run of equal atoms cannot move the supremum:
-    each partial cdf in the run lies between F(a-) and F(a), both read here.
-    The result is as accurate as F and Phi are absolutely: Phi is
-    _normal_cdf, within 4 ulps of exact at every atom."""
-    left = np.concatenate([[below], cdf[:-1]])
-    phi = _normal_cdf(atoms)
+def _ks_from_cdf(atoms, cdf) -> float:
+    """max |F - Phi| over the ascending atoms from each side.  A run of equal
+    atoms cannot move the supremum: each partial cdf in the run lies between
+    F(a-) and F(a), both read here.
+
+    Only the atoms from the first with F >= eps to the first with
+    F >= F_end - eps are read, where eps = 2^-50 and F_end, the last entry,
+    is 1 up to the rounding of the sum.  F and Phi are monotone, so a term
+    below them is at most max(eps, Phi at the first), which is within eps
+    of that atom's left term |F(a-) - Phi(a)|; a term above them is within
+    eps of the last atom's term or at most eps + |1 - F_end|.  The result is
+    within eps of the full range's, and as accurate as F and Phi are
+    absolutely: Phi is _normal_cdf, within 4 ulps of exact at every atom."""
+    eps = 2.0**-50
+    lo, hi = np.searchsorted(cdf, [eps, cdf[-1] - eps])
+    left = np.concatenate([cdf[lo - 1:lo] if lo else [0.0], cdf[lo:hi]])
+    cdf, phi = cdf[lo:hi + 1], _normal_cdf(atoms[lo:hi + 1])
     return float(np.max(np.maximum(np.abs(cdf - phi), np.abs(left - phi))))
 
 
@@ -682,65 +696,25 @@ def _recentred_lattice_ks(spec, lam: float) -> float:
     """Exact KS distance to the standard normal of X_n - B_n(lam) under the
     lam-tilted law, for every finite (and gaussian) spec.
 
-    An iid two-point law takes the supremum over the atoms within WINDOW_SD
-    binomial sds of the tilted mean when the tail bound certifies that window
-    (see below), and over all n + 1 atoms otherwise.  Any other finite spec
-    reads the tilted law of X_n as ascending atoms and pmf: _part_law's table
-    for one part; for two, the parts' tables folded cell by cell, refused
-    before any allocation when their atom counts multiply past
-    HISTOGRAM_CELLS.
-
-    The two-point F is binom.cdf, within 6 eps (1 + |ln F|) relative of the
-    exact cdf, and one (n, p) gives one table whatever atoms are read, so
-    the window and the full range share their bits; the distance is then
-    good to a few 1e-16 absolute."""
-    parts = spec.iid_parts()
-    shift = tilting.drift_process(spec, lam)
+    The tilted law of X_n is read as ascending atoms and pmf: _part_law's
+    table for one part; for two, the parts' tables folded cell by cell and
+    sorted, refused before any allocation when their atom counts multiply
+    past HISTOGRAM_CELLS.  _ks_from_cdf reads it at the atoms, so the
+    distance is good to a few 1e-16 absolute."""
     if spec.dist.kind == "gaussian":
         return 0.0  # exactly normal at every tilt
-    d, n = parts[0]
-    if len(parts) > 1 or len(d.values) != 2:
-        cells = math.prod(_part_route(*part)[0] for part in parts)
-        if len(parts) > 1 and cells > HISTOGRAM_CELLS:
-            raise DomainError(f"too-large: the parts' sum laws make {cells} cells, "
-                              f"over {HISTOGRAM_CELLS}")
-        laws = [_part_law(*part, lam) for part in parts]
-        atoms, pmf = laws[0]
-        for more_atoms, more_pmf in laws[1:]:
-            atoms = np.add.outer(atoms, more_atoms).ravel()
-            pmf = np.outer(pmf, more_pmf).ravel()
+    parts = spec.iid_parts()
+    cells = math.prod(_part_route(*part)[0] for part in parts)
+    if len(parts) > 1 and cells > HISTOGRAM_CELLS:
+        raise DomainError(f"too-large: the parts' sum laws make {cells} cells, "
+                          f"over {HISTOGRAM_CELLS}")
+    (atoms, pmf), *rest = [_part_law(*part, lam) for part in parts]
+    if rest:
+        ((more_atoms, more_pmf),) = rest
+        atoms = np.add.outer(atoms, more_atoms).ravel()
         order = np.argsort(atoms, kind="stable")
-        return _ks_from_cdf(atoms[order] - shift, np.cumsum(pmf[order]))
-    values, probs = tilting.tilted_table(d, lam)
-    if n + 1 > ENUM_LIMIT:
-        raise DomainError(f"too-large: {n + 1} lattice atoms exceed {ENUM_LIMIT}")
-    p, step = probs[1], values[1] - values[0]
-
-    def atom(k):  # X_n - B_n(lam) when k of the n draws take the upper value
-        return n * values[0] + k * step - shift
-
-    mid, half = n * p, WINDOW_SD * math.sqrt(n * probs[0] * p)
-    window = (max(0, math.floor(mid - half)), min(n, math.ceil(mid + half)))
-    for lo, hi in (window, (0, n)):
-        k = np.arange(lo, hi + 1)
-        below = float(binom.cdf(lo - 1, n, p)) if lo > 0 else 0.0
-        ks = _ks_from_cdf(atom(k), binom.cdf(k, n, p), below)
-        # F and Phi are monotone, so each term at an atom outside [lo, hi]
-        # is at most F(lo-1) or Phi(a_{lo-1}) below the window and 1 - F(hi)
-        # or 1 - Phi(a_{hi+1}) above it.  The terms are computed elementwise,
-        # so a window whose outside bound is under half its maximum returns
-        # the full range's maximum bit for bit; the factor 2 leaves room for
-        # rounding, which is far below the KS of a lattice law (at least half
-        # its largest atom).  The full range has nothing outside.
-        outside = 0.0
-        if lo > 0:
-            outside = max(below, 0.5 * math.erfc(-atom(lo - 1) / math.sqrt(2.0)))
-        if hi < n:
-            outside = max(outside, float(binom.sf(hi, n, p)),
-                          0.5 * math.erfc(atom(hi + 1) / math.sqrt(2.0)))
-        if outside <= 0.5 * ks:
-            break
-    return ks
+        atoms, pmf = atoms[order], np.outer(pmf, more_pmf).ravel()[order]
+    return _ks_from_cdf(atoms - tilting.drift_process(spec, lam), np.cumsum(pmf))
 
 
 def conjugate_clt_check(model_family, lam: float, n_list) -> tuple:
@@ -748,8 +722,9 @@ def conjugate_clt_check(model_family, lam: float, n_list) -> tuple:
     tilted law against the normal limit, with the rate budget
     lam*eps + eps|log eps| + delta and the fitted constant.  lam = 0 is the
     plain rate curve, the KS distance of X_n itself.  Every finite or
-    gaussian spec is read, iid or variance switching; a law past
-    _recentred_lattice_ks's caps raises DomainError (too-large)."""
+    gaussian spec is read, iid or variance switching; a part's law past
+    _part_law's caps (BINOMIAL_ATOMS for two atoms), or two parts' fold
+    past HISTOGRAM_CELLS, raises DomainError (too-large)."""
     if not 0.0 <= lam < math.inf:
         raise DomainError(f"lam = {lam!r} must be finite and >= 0")
     rows = []

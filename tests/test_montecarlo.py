@@ -411,7 +411,9 @@ class TestTilted:
         # finite parts whose sum laws have at most BLOCK atoms each and at
         # most HISTOGRAM_CELLS atoms in their product take the histogram
         # route, on a lattice or off one; everything else is sampled draw by
-        # draw
+        # draw.  The route reads count + 1 atoms for a two-atom part, while
+        # its binomial table spans only the atoms holding more than 2^-1100
+        # of the mass (2411 of Rademacher n = 4095's 4096 at this tilt)
         for spec, sizes in ((rademacher_spec(20), [21]),
                             (rademacher_spec(4095), [4096]),
                             (three_point_spec(400), [1201]),
@@ -428,9 +430,10 @@ class TestTilted:
                             (MartingaleSpec.variance_switching(IRRATIONAL, n=12, rho=0.5),
                              [28, 28])):
             laws = sampled_laws(monkeypatch, spec, 0.7)
-            assert [len(atoms) for atoms, _ in laws] == [len(pmf) for _, pmf in laws] == sizes
             assert [montecarlo._part_route(d, c)[0] for d, c in spec.iid_parts()] == sizes
-            for (atoms, pmf), (d, count) in zip(laws, spec.iid_parts()):
+            for (atoms, pmf), (d, count), size in zip(laws, spec.iid_parts(), sizes):
+                assert len(atoms) == len(pmf) <= size
+                assert len(atoms) == size or len(d.values) == 2
                 want_atoms, want_pmf = montecarlo._part_law(d, count, 0.7)
                 assert np.array_equal(atoms, want_atoms) and np.array_equal(pmf, want_pmf)
         for spec in (MartingaleSpec.iid(IRRATIONAL, n=90, normalized=True),  # C(92, 2) = 4186
@@ -703,14 +706,17 @@ class TestExactTail:
         assert ratio_experiment(spec, [1.0]).rows[0].p_hat == exact_tail(spec, 1.0).p_hat
 
     def test_binomial_equals_enumeration(self):
-        # n = 30 has 2^30 paths but only 31 count vectors
+        # n = 30 has 2^30 paths but only 31 count vectors; an infinite
+        # threshold is the sure or the impossible event on both routes
         for n in (*range(1, 9), 30):
             spec = MartingaleSpec.iid(RADEMACHER, n=n)
             thresholds = np.arange(-n - 1, n + 2, 2.0) + 0.0  # mid-atom offsets
-            for x in thresholds:
+            for x in (*thresholds, -math.inf, math.inf):
                 binomial = exact_tail(spec, float(x) + 1.0)  # exact: the closed form
                 assert binomial.method == "exact_binomial"
                 b = binomial.p_hat
+                if math.isinf(x):
+                    assert b == float(x < 0.0)
                 e = exact_tail(spec, float(x) + 1.0, method="exact_enum").p_hat
                 assert abs(b - e) <= 1e-14
 
@@ -1097,7 +1103,7 @@ class TestTwoPartKs:
 
     def test_rho_zero_is_the_iid_law(self):
         # at rho = 0 both parts are the iid step: the folded law is the
-        # binomial law the iid two-point window reads
+        # binomial law the iid two-point KS reads
         for n, lam in itertools.product((2, 10, 100, 700), (0.0, 0.5, 2.0)):
             spec = MartingaleSpec.variance_switching(RADEMACHER, n=n, rho=0.0)
             assert (n // 2 + 1) ** 2 <= montecarlo.HISTOGRAM_CELLS
@@ -1137,9 +1143,9 @@ def two_point_spec(p, n):
 
 
 def full_range_ks(spec, lam):
-    """The two-point KS over all n + 1 atoms: max |F - Phi| at each atom and
-    just left of it, written out independently of the library's window, with
-    the library's F and Phi."""
+    """(KS, F): the two-point KS over all n + 1 atoms, max |F - Phi| at each
+    atom and just left of it, written out independently of the library's
+    reader with the library's Phi and F = binom.cdf, and that F."""
     ((d, n),) = spec.iid_parts()
     values, probs = tilting.tilted_table(d, lam)
     k = np.arange(n + 1)
@@ -1147,63 +1153,92 @@ def full_range_ks(spec, lam):
     cdf = montecarlo.binom.cdf(k, n, probs[1])
     left = np.concatenate([[0.0], cdf[:-1]])
     phi = montecarlo._normal_cdf(atoms)
-    return float(np.max(np.maximum(np.abs(cdf - phi), np.abs(left - phi))))
+    return float(np.max(np.maximum(np.abs(cdf - phi), np.abs(left - phi)))), cdf
 
 
-def window(spec, lam):
-    """The atoms [lo, hi] within WINDOW_SD sds of the tilted mean."""
+def reader_cdf(spec, lam):
+    """The running sum of _part_law's binomial table over all n + 1 atoms:
+    0 below its span and its last value above it."""
     ((d, n),) = spec.iid_parts()
-    _, (q, p) = tilting.tilted_table(d, lam)
-    half = montecarlo.WINDOW_SD * math.sqrt(n * q * p)
-    return max(0, math.floor(n * p - half)), min(n, math.ceil(n * p + half))
+    values, _ = tilting.tilted_table(d, lam)
+    atoms, pmf = montecarlo._part_law(d, n, lam)
+    lo = round((atoms[0] - n * values[0]) / (values[1] - values[0]))
+    cdf = np.cumsum(pmf)
+    return np.concatenate([np.zeros(lo), cdf, np.full(n + 1 - lo - len(cdf), cdf[-1])])
 
 
-class TestTwoPointKsWindow:
-    """The two-point KS reads a certified window of atoms, never a different
-    number than the full range."""
+KS_TRIM = 2.0**-50  # the reader skips atoms with F below it or within it of F's total
+
+
+class TestTwoPointKs:
+    """An iid two-point law's KS reads _part_law's binomial table like any
+    other one-part law: one table per row, its atoms trimmed where F is
+    within KS_TRIM of 0 or of its total."""
 
     PS = (0.5, 0.05, 0.95) + tuple(np.random.default_rng(2026).uniform(0.0, 1.0, 2))
     NS = (1, 2, 10, 100, 4096, 100_000, 1_000_000)
     LAMS = (0.0, 0.5, 1.0, 3.0, 50.0)
 
-    def test_window_equals_full_range_bitwise(self):
-        covering = 0
-        for p, n, lam in itertools.product(self.PS, self.NS, self.LAMS):
-            spec = two_point_spec(p, n)
+    def test_equals_full_range(self):
+        # |sup_reader - sup_full| is at most the trim's KS_TRIM (F and Phi
+        # are monotone, so a skipped term is within KS_TRIM of the edge
+        # term kept) plus the largest gap between the two F's (the sup is
+        # 1-Lipschitz in F, and both read the same atoms and Phi).  That gap
+        # is the rounding of two sums over the same table, which must stay
+        # at a few ulps of 1 so that it cannot hide a wrong F; it reaches
+        # 7.8e-15 here, above the mode at n = 1e6, and the distances differ
+        # by at most 1.2e-15.  The wide unnormalized laws (sd 1000 and
+        # 30000) have most atoms trimmed on both sides.
+        cases = [(two_point_spec(p, n), lam)
+                 for p, n, lam in itertools.product(self.PS, self.NS, self.LAMS)]
+        cases += [(MartingaleSpec.iid(IncrementDistribution.scaled_rademacher(scale),
+                                      n=1_000_000), lam)
+                  for scale, lam in itertools.product((1.0, 30.0), (0.0, 0.5))]
+        for spec, lam in cases:
+            want, cdf = full_range_ks(spec, lam)
+            gap = float(np.max(np.abs(reader_cdf(spec, lam) - cdf)))
+            assert gap <= 64 * EPS, (spec.n, lam)
             got = montecarlo._recentred_lattice_ks(spec, lam)
-            assert got == full_range_ks(spec, lam), (p, n, lam)
-            covering += window(spec, lam) == (0, n)
-        # the grid holds cases whose window already is the full range
-        assert covering >= 10
+            assert abs(got - want) <= KS_TRIM + gap, (spec.n, lam)
 
-    def count_cdf_arguments(self, monkeypatch):
-        counted = []
-        cdf = montecarlo.binom.cdf
-
-        def counting(k, n, p):
-            counted.append(np.size(k))
-            return cdf(k, n, p)
-
-        monkeypatch.setattr(montecarlo.binom, "cdf", counting)
-        return counted
-
-    def test_window_used_at_large_n(self, monkeypatch):
-        counted = self.count_cdf_arguments(monkeypatch)
-        (row,) = clt_rate_curve(rademacher_spec, [1_000_000])
-        assert 0 < sum(counted) < 100_000
-        assert row.ks_distance == full_range_ks(rademacher_spec(1_000_000), 0.0)
-
-    def test_uncertified_window_falls_back_to_full_range(self, monkeypatch):
-        # at lam = 50 the tilted law puts 0.99995 on the upper step: the
-        # count of upper draws has sd 0.067, so the window is the top two
-        # atoms; the atom just below it sits 0.4 under the tilted mean, and
-        # Phi there (0.34) is above half the window's maximum (0.4996)
+    def test_narrow_law_at_lambda_50(self):
+        # at lam = 50 the tilted law puts 0.99995 on the upper step, so the
+        # upper count has sd 0.067 and the supremum 0.4996 is 1 - Phi at the
+        # top atom.  The atom below the top two has F = 1.2e-5 but Phi = 0.34:
+        # a trim that needs Phi small where F is small (the old 12-sd
+        # window's certificate failed here) cannot hold, and the reader's
+        # trim leans on F and monotonicity alone
         spec = rademacher_spec(100)
-        assert window(spec, 50.0) == (99, 100)
-        counted = self.count_cdf_arguments(monkeypatch)
+        ((d, n),) = spec.iid_parts()
+        values, _ = tilting.tilted_table(d, 50.0)
+        below = n * values[0] + 98 * (values[1] - values[0]) - tilting.drift_process(spec, 50.0)
+        assert montecarlo._normal_cdf(below) == pytest.approx(0.34, abs=0.01)
         ks = montecarlo._recentred_lattice_ks(spec, 50.0)
-        assert sum(counted) == 2 + 1 + 101  # window, F(98), then all atoms
-        assert ks == full_range_ks(spec, 50.0)
+        assert ks == pytest.approx(0.4996377774644585, abs=1e-15)
+        want, cdf = full_range_ks(spec, 50.0)
+        assert abs(ks - want) <= KS_TRIM + float(np.max(np.abs(reader_cdf(spec, 50.0) - cdf)))
+
+    def test_one_binomial_build_per_row(self, monkeypatch):
+        # each row builds its binomial table once and reads F from it; the
+        # scipy-shaped montecarlo.binom is not read at all
+        built = []
+        real = montecarlo._Binomial
+        monkeypatch.setattr(montecarlo, "_Binomial", lambda *a: built.append(a) or real(*a))
+        monkeypatch.setattr(montecarlo, "binom", None)
+        rows = conjugate_clt_check(rademacher_spec, 0.0, [100, 1_000_000])
+        rows += conjugate_clt_check(lambda n: two_point_spec(0.05, n), 3.0, [4096])
+        assert [n for n, _ in built] == [100, 1_000_000, 4096]
+        assert rows[1].ks_distance * 1000 == pytest.approx(1 / math.sqrt(math.tau), rel=1e-6)
+
+    def test_reach(self):
+        # the KS of 2e7 Rademacher steps reads a table of some 180,000
+        # atoms: ks * sqrt(n) is about 1/sqrt(2 pi), half the central atom's
+        # mass; at n = 1e12 the table is past BINOMIAL_ATOMS and refused
+        (row,) = conjugate_clt_check(rademacher_spec, 0.0, [20_000_000])
+        assert row.ks_distance * math.sqrt(20_000_000) == pytest.approx(
+            1 / math.sqrt(math.tau), rel=1e-7)
+        with pytest.raises(DomainError, match="too-large"):
+            conjugate_clt_check(rademacher_spec, 0.0, [10**12])
 
 
 class TestRatioExperiment:
