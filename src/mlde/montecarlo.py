@@ -26,14 +26,10 @@ Sampling draws each part's sufficient statistic: binomial counts for a
 two-atom table, multinomial counts for a larger one, both over the part's
 tilted table (``tilting.tilted_table``, the one tilt of a finite law), and a
 single normal draw for gaussian specs, in fixed-size blocks from
-counter-based sub-streams reduced in a fixed pairwise order.  A finite spec
-whose parts' sum laws have at most BLOCK atoms each, HISTOGRAM_CELLS in
-their product, draws the sample's histogram instead (``_histogram_sums``):
-Multinomial(N, tilted law) over the first part's atoms, then for each drawn
-atom a, Multinomial(count at a, .) over the last part's atoms above the
-threshold minus a and a miss category; a one-part spec is the single atom 0
-holding all N draws.  Either route gives bit-identical estimates for any
-worker count at a fixed seed.
+counter-based sub-streams reduced in a fixed pairwise order; a finite spec
+whose sum laws are small enough for the sample count N (``_weighted_tail``)
+draws the histogram of the N draws instead (``_histogram_sums``).  Either
+route gives bit-identical estimates for any worker count at a fixed seed.
 """
 
 from __future__ import annotations
@@ -60,7 +56,11 @@ EXACT_METHODS = ("exact", "exact_enum")
 TAIL_METHODS = ("crude", "tilted") + EXACT_METHODS
 MAX_SAMPLES = 1 << 30  # largest sample count an estimator takes (2^18 blocks of BLOCK)
 # Largest product of the parts' atom counts the histogram route draws over,
-# and the two-part KS folds into the law of X_n.  The draw's cost grows like
+# and the two-part KS folds into the law of X_n.  A binomial table's draw
+# costs about its span, N draws one by one about N: tilted Rademacher at
+# n = 1e4, 1e5 and 1e6 took 0.36-0.56, 0.65-1.0 and 2.0-2.8 ms from 4128,
+# 12778 and 40128 atoms, against 8.4-11.8 ms for 1e5 draws and 0.08-0.16 ms
+# for 100 (medians of 7, three runs).  With two parts the draw's cost grows like
 # (outer atoms drawn) x (inner atoms): on the three-point varswitch law at
 # N = 1e4 samples, 361^2 cells took 3.3-4.7 ms against 8.2-10.7 ms per draw,
 # and 721^2 cells 6.7-7.4 ms against 6.5-7.2 ms (five and three runs, one
@@ -212,6 +212,11 @@ def _run(top, steps, ratio, odds, a, b, sd):
     return run * (1.0 + err * np.arange(1, len(run) + 1))
 
 
+def _binomial_span(n, sd):
+    """The atoms _Binomial first tabulates for n draws of sd: about 80 sds."""
+    return min(n + 1, 2 * (64 + math.ceil(40 * sd)))
+
+
 class _Binomial:
     """Binomial(n, p) as lo and t: t[i] = 2^SHIFT pmf(lo + i), for 0 <= p <= 1."""
 
@@ -230,7 +235,7 @@ class _Binomial:
                   - _bd0(mode, n * p) - _bd0(n - mode, n * q))
             anchor = math.exp(lc) / math.sqrt(math.tau * (mode * (n - mode) / n))
         top, sd = math.ldexp(anchor, _SHIFT), math.sqrt(n * p * q)
-        span = min(n + 1, 2 * (64 + math.ceil(40 * sd)))
+        span = _binomial_span(n, sd)
         if span > BINOMIAL_ATOMS:
             raise DomainError(f"too-large: Binomial({n}, {p:.6g}) spans about {span} "
                               f"atoms, over {BINOMIAL_ATOMS}")
@@ -409,15 +414,15 @@ def _part_route(d, count):
     from d, by arithmetic, and that form's atom cap.  Both caps take about
     1 s, count vectors growing linearly and a 3+ atom power as atoms
     squared, so such a lattice table takes the smaller share of its cap.
-    A two-atom table is binomial, at most count + 1 atoms, and capped by
-    _Binomial itself (BINOMIAL_ATOMS), not here."""
+    A two-atom table is binomial, _binomial_span atoms at the widest tilt
+    (p = 1/2), and capped by _Binomial itself (BINOMIAL_ATOMS), not here."""
     lattice, m = d.lattice, len(d.values)
     vectors, cap = math.comb(count + m - 1, m - 1), ENUM_LIMIT // m
     if lattice is None:
         return vectors, False, cap
-    atoms = count * int(lattice[1][-1]) + 1
     if m == 2:
-        return atoms, True, math.inf
+        return _binomial_span(count, math.sqrt(count) / 2), True, math.inf
+    atoms = count * int(lattice[1][-1]) + 1
     if (atoms / CONVOLVE_ATOMS) ** 2 <= vectors / cap:
         return atoms, True, CONVOLVE_ATOMS
     return vectors, False, cap
@@ -473,13 +478,15 @@ def _part_law(d, count, lam):
 
 
 def _weighted_tail(spec, x, lam, n_samples, seed):
-    """(p, se) from the histogram of the parts' tilted sum laws when each has
-    at most BLOCK atoms, HISTOGRAM_CELLS in their product, else per draw."""
+    """(p, se) from the histogram of the parts' tilted sum laws when their atom
+    counts multiply to at most HISTOGRAM_CELLS and each is at most BLOCK, or
+    max(BLOCK, n_samples) for a binomial table, else per draw."""
     resolve_workers()  # a bad MLDE_THREADS is refused on either route
     psi = tilting.cumulant_process(spec, lam)
     parts = spec.iid_parts() if spec.dist.kind != "gaussian" else ()
     sizes = [_part_route(d, count)[0] for d, count in parts]
-    if parts and max(sizes) <= BLOCK and math.prod(sizes) <= HISTOGRAM_CELLS:
+    caps = [max(BLOCK, n_samples) if len(d.values) == 2 else BLOCK for d, _ in parts]
+    if parts and all(s <= c for s, c in zip(sizes, caps)) and math.prod(sizes) <= HISTOGRAM_CELLS:
         laws = [_part_law(d, count, lam) for d, count in parts]
         s1, s2 = _histogram_sums(laws, x, lam, psi, n_samples, seed)
     else:
@@ -638,11 +645,9 @@ def _exact_oracle(spec: MartingaleSpec, method: str):
         (v_lo, v_hi), (_, p_hi) = tilting.tilted_table(d, 0.0)
         law = _Binomial(n, p_hi)
 
-        def tail(x):  # k_min or more of the n draws on the upper value
-            if math.isinf(x):
-                return float(x < 0.0)
-            k_min = math.floor((x - n * v_lo) / (v_hi - v_lo)) + 1
-            return 0.0 if k_min > n else 1.0 if k_min <= 0 else float(law.tails(k_min - 1)[1])
+        def tail(x):  # k_min or more of the n draws on the upper value, -inf at x = -inf
+            k_min = np.floor((x - n * v_lo) / (v_hi - v_lo)) + 1
+            return 0.0 if k_min > n else 1.0 if k_min <= 0 else float(law.tails(int(k_min) - 1)[1])
         tag = "exact_binomial"
     else:  # a second part's tail read from its suffix sums at x minus each atom of the first
         laws = [_part_law(d, count, 0.0) for d, count in spec.iid_parts()]
@@ -664,7 +669,9 @@ def exact_tail(spec: MartingaleSpec, x: float, method: str = "exact") -> TailEst
     exact_binomial) or the parts' sum laws from _part_law (any other finite
     spec, exact_enum); "exact_enum" forces the table engine on any finite
     spec.  A law past its cap (_part_law's, or BINOMIAL_ATOMS) raises
-    DomainError."""
+    DomainError, as does a nan x, before any work."""
+    if math.isnan(x):
+        raise DomainError("threshold x is nan")
     return _exact_oracle(spec, method)(x)
 
 
@@ -770,7 +777,9 @@ def fit_constant(observed) -> float:
 
 def estimate_tail(spec, x, method, lam_policy, samples, seed, cert=None) -> TailEstimate:
     """P(X_n > x) by one of TAIL_METHODS: crude, tilted at the tilt
-    resolve_tilt picks, or exact_tail's route."""
+    resolve_tilt picks, or exact_tail's route.  A nan x raises DomainError."""
+    if math.isnan(x):
+        raise DomainError("threshold x is nan")
     _check_samples(samples)
     if method in EXACT_METHODS:
         return exact_tail(spec, x, method)
@@ -811,11 +820,12 @@ def ratio_experiment(
     envelopes, with the smallest constant c* making
     |log ratio| <= c* (x^3 eps + x^2 delta^2 + (1+x)(eps|log eps| + delta))
     hold over all feasible rows.  The envelopes are stated for x >= 0, so a
-    negative threshold raises DomainError before any estimate."""
+    negative or nan threshold raises DomainError before any estimate."""
     _check_samples(samples)
     x_grid = [float(x) for x in x_grid]
-    if any(x < 0.0 for x in x_grid):
-        raise DomainError(f"ratio_experiment requires x >= 0, got {min(x_grid):.6g}")
+    for x in x_grid:  # nan fails x >= 0 too
+        if not x >= 0.0:
+            raise DomainError(f"ratio_experiment requires x >= 0, got {x:.6g}")
     cert = conditions.certify(spec)
     eps, delta = cert.epsilon, cert.delta
     if method in EXACT_METHODS:  # every part's law built once, for all rows

@@ -19,6 +19,7 @@ from mlde.montecarlo import (
     ENUM_LIMIT,
     EXACT_METHODS,
     MAX_SAMPLES,
+    TAIL_METHODS,
     _pool_size,
     clt_rate_curve,
     conjugate_clt_check,
@@ -55,14 +56,14 @@ def three_point_spec(n):
     return MartingaleSpec.iid(THREE_POINT, n=n, normalized=True)
 
 
-def sampled_laws(monkeypatch, spec, lam):
-    """The part laws a tilted estimate draws its histogram from, or None when
-    it samples draw by draw."""
+def sampled_laws(monkeypatch, spec, lam, samples=100):
+    """The part laws a tilted estimate of samples draws draws its histogram
+    from, or None when it samples draw by draw."""
     seen = []
     with monkeypatch.context() as m:
         m.setattr(montecarlo, "_histogram_sums", lambda laws, *_: seen.append(laws) or (0.0, 0.0))
         m.setattr(montecarlo, "_per_draw_sums", lambda *_: (0.0, 0.0))
-        tilted_tail_estimate(spec, 0.0, lam, 100, seed=1)
+        tilted_tail_estimate(spec, 0.0, lam, samples, seed=1)
     return seen[0] if seen else None
 
 
@@ -393,60 +394,95 @@ class TestTilted:
     def test_parallel_invariance(self, monkeypatch):
         # the irrational table at n = 100 (C(102, 2) = 5151 count vectors,
         # over BLOCK) and the gaussian are sampled draw by draw in a thread
-        # pool, the others from their histograms
-        for spec in (rademacher_spec(20),
-                     three_point_spec(20),
-                     MartingaleSpec.variance_switching(RADEMACHER, n=12, rho=0.5),
-                     MartingaleSpec.iid(IRRATIONAL, n=20, normalized=True),
-                     MartingaleSpec.iid(IRRATIONAL, n=100, normalized=True),
-                     gaussian_spec(15)):
+        # pool, the others from their histograms; Rademacher n = 10000 (a
+        # binomial table of 4128 atoms) takes the histogram at 30000 draws,
+        # and at 4100, fewer than its atoms, two blocks draw by draw
+        for spec, samples in ((rademacher_spec(20), 30_000),
+                              (three_point_spec(20), 30_000),
+                              (MartingaleSpec.variance_switching(RADEMACHER, n=12, rho=0.5),
+                               30_000),
+                              (MartingaleSpec.iid(IRRATIONAL, n=20, normalized=True), 30_000),
+                              (MartingaleSpec.iid(IRRATIONAL, n=100, normalized=True), 30_000),
+                              (gaussian_spec(15), 30_000),
+                              (rademacher_spec(10_000), 30_000),
+                              (rademacher_spec(10_000), 4100)):
             results = []
             for w in ("1", "2", "8"):
                 monkeypatch.setenv("MLDE_THREADS", w)
-                results.append(tilted_tail_estimate(spec, 1.0, 0.8, 30_000, seed=9))
+                results.append(tilted_tail_estimate(spec, 1.0, 0.8, samples, seed=9))
             assert results[0].p_hat == results[1].p_hat == results[2].p_hat
             assert results[0].std_err == results[1].std_err == results[2].std_err
 
     def test_histogram_route_choice(self, monkeypatch):
-        # finite parts whose sum laws have at most BLOCK atoms each and at
-        # most HISTOGRAM_CELLS atoms in their product take the histogram
-        # route, on a lattice or off one; everything else is sampled draw by
-        # draw.  The route reads count + 1 atoms for a two-atom part, while
-        # its binomial table spans only the atoms holding more than 2^-1100
-        # of the mass (2411 of Rademacher n = 4095's 4096 at this tilt)
-        for spec, sizes in ((rademacher_spec(20), [21]),
-                            (rademacher_spec(4095), [4096]),
-                            (three_point_spec(400), [1201]),
-                            (MartingaleSpec.iid(RADEMACHER, n=30), [31]),
-                            (MartingaleSpec.variance_switching(RADEMACHER, n=12, rho=0.5),
-                             [7, 7]),
-                            (MartingaleSpec.variance_switching(THREE_POINT, n=200, rho=0.5),
-                             [301, 301]),
-                            (MartingaleSpec.variance_switching(THREE_POINT, n=240, rho=0.5),
-                             [361, 361]),  # 130321 cells, just under 2^17
-                            (MartingaleSpec.iid(IRRATIONAL, n=20, normalized=True), [231]),
-                            (MartingaleSpec.iid(IRRATIONAL, n=89, normalized=True),
-                             [4095]),  # C(91, 2) count vectors
-                            (MartingaleSpec.variance_switching(IRRATIONAL, n=12, rho=0.5),
-                             [28, 28])):
-            laws = sampled_laws(monkeypatch, spec, 0.7)
+        # finite parts whose sum laws have at most BLOCK atoms each (a
+        # binomial table: max(BLOCK, N) for N draws) and at most
+        # HISTOGRAM_CELLS atoms in their product take the histogram route, on
+        # a lattice or off one; everything else is sampled draw by draw.  The
+        # route reads a two-atom part at its binomial table's span at p = 1/2,
+        # 2 (64 + ceil(20 sqrt(count))) atoms or count + 1 if fewer, while the
+        # table holds only the atoms with more than 2^-1100 of the mass
+        for spec, sizes, samples in (
+                (rademacher_spec(20), [21], 100),
+                (rademacher_spec(4095), [2688], 100),
+                (rademacher_spec(4096), [2688], 100),
+                (rademacher_spec(5000), [2958], 100),
+                (rademacher_spec(10_000), [4128], 4128),
+                (rademacher_spec(10_000), [4128], 100_000),
+                (rademacher_spec(100_000), [12778], 100_000),
+                (rademacher_spec(1_000_000), [40128], 100_000),
+                (three_point_spec(400), [1201], 100),
+                (MartingaleSpec.iid(RADEMACHER, n=30), [31], 100),
+                (MartingaleSpec.variance_switching(RADEMACHER, n=12, rho=0.5), [7, 7], 100),
+                (MartingaleSpec.variance_switching(THREE_POINT, n=200, rho=0.5),
+                 [301, 301], 100),
+                (MartingaleSpec.variance_switching(THREE_POINT, n=240, rho=0.5),
+                 [361, 361], 100),  # 130321 cells, just under 2^17
+                (MartingaleSpec.iid(IRRATIONAL, n=20, normalized=True), [231], 100),
+                (MartingaleSpec.iid(IRRATIONAL, n=89, normalized=True),
+                 [4095], 100),  # C(91, 2) count vectors
+                (MartingaleSpec.variance_switching(IRRATIONAL, n=12, rho=0.5), [28, 28], 100)):
+            laws = sampled_laws(monkeypatch, spec, 0.7, samples)
             assert [montecarlo._part_route(d, c)[0] for d, c in spec.iid_parts()] == sizes
             for (atoms, pmf), (d, count), size in zip(laws, spec.iid_parts(), sizes):
                 assert len(atoms) == len(pmf) <= size
                 assert len(atoms) == size or len(d.values) == 2
                 want_atoms, want_pmf = montecarlo._part_law(d, count, 0.7)
                 assert np.array_equal(atoms, want_atoms) and np.array_equal(pmf, want_pmf)
-        for spec in (MartingaleSpec.iid(IRRATIONAL, n=90, normalized=True),  # C(92, 2) = 4186
-                     MartingaleSpec.variance_switching(IRRATIONAL, n=400, rho=0.5),
-                     rademacher_spec(5000),  # 5001 atoms
-                     rademacher_spec(4096),  # 4097 atoms
-                     # parts of 4097 atoms, one over BLOCK
-                     MartingaleSpec.variance_switching(RADEMACHER, n=8192, rho=0.5),
-                     # 364^2 cells, over the cap with parts far under BLOCK
-                     MartingaleSpec.variance_switching(THREE_POINT, n=242, rho=0.5),
-                     gaussian_spec(15),
-                     gaussian_varswitch_spec(12)):
-            assert sampled_laws(monkeypatch, spec, 0.7) is None
+        for spec, samples in (
+                (MartingaleSpec.iid(IRRATIONAL, n=90, normalized=True), 100),  # C(92, 2) = 4186
+                # a table of 3+ atoms keeps to BLOCK, however many draws
+                (MartingaleSpec.iid(IRRATIONAL, n=90, normalized=True), 100_000),
+                (MartingaleSpec.variance_switching(IRRATIONAL, n=400, rho=0.5), 100),
+                # binomial tables over max(BLOCK, N) atoms
+                (rademacher_spec(10_000), 4127),  # 4128 atoms
+                (rademacher_spec(100_000), 100),  # 12778 atoms
+                (rademacher_spec(1_000_000), 40_000),  # 40128 atoms
+                # 400128 atoms, over HISTOGRAM_CELLS at any N
+                (rademacher_spec(100_000_000), 1_000_000),
+                # parts of 2688 atoms, 2688^2 cells over HISTOGRAM_CELLS
+                (MartingaleSpec.variance_switching(RADEMACHER, n=8192, rho=0.5), 100_000),
+                # 364^2 cells, over the cap with parts far under BLOCK
+                (MartingaleSpec.variance_switching(THREE_POINT, n=242, rho=0.5), 100),
+                (gaussian_spec(15), 100),
+                (gaussian_varswitch_spec(12), 100)):
+            assert sampled_laws(monkeypatch, spec, 0.7, samples) is None
+
+    def test_two_point_route_boundary(self, monkeypatch):
+        # Rademacher n = 10000 at x = n^(1/4): the binomial table spans 4128
+        # atoms, so 1e5 draws take the histogram route and 2000 draw by
+        # draw; either route's estimates sit within 3.5 se of the exact tail.
+        # Crude sees no hit of a 6e-24 tail in 1e5 draws, so it is read at
+        # x = 1 instead.
+        spec = rademacher_spec(10_000)
+        x = 10_000**0.25
+        lam = saddlepoint_lambda(spec, x)
+        for samples, histogram in ((100_000, True), (2000, False)):
+            assert (sampled_laws(monkeypatch, spec, lam, samples) is not None) == histogram
+            for est, threshold in ((tilted_tail_estimate(spec, x, lam, samples, seed=17), x),
+                                   (crude_tail_estimate(spec, 1.0, samples, seed=17), 1.0)):
+                exact = exact_tail(spec, threshold).p_hat
+                assert est.std_err > 0.0
+                assert abs(est.p_hat - exact) <= 3.5 * est.std_err
 
     def test_per_draw_route_agrees(self, monkeypatch):
         # the same calls with BLOCK too small for parts of 91 atoms (or 496
@@ -1393,3 +1429,21 @@ class TestValidation:
                                             [100], samples=too_many, seed=1)):
             with pytest.raises(ConfigError, match="samples"):
                 call()
+
+    def test_nan_threshold_rejected(self, monkeypatch):
+        # no route has an answer for x = nan, so each call refuses it before
+        # building a law, drawing a sample, solving a tilt or certifying
+        def no_work(*args, **kwargs):
+            raise AssertionError("work was done for a nan threshold")
+        for name in ("_exact_oracle", "_weighted_tail", "saddlepoint_lambda"):
+            monkeypatch.setattr(montecarlo, name, no_work)
+        monkeypatch.setattr(conditions, "certify", no_work)
+        for spec in (rademacher_spec(10), three_point_spec(10), gaussian_spec(10)):
+            for method in TAIL_METHODS:
+                calls = [lambda: estimate_tail(spec, math.nan, method, "saddlepoint", 1000, 1),
+                         lambda: ratio_experiment(spec, [1.0, math.nan], method, 1000, 1)]
+                if method in EXACT_METHODS:
+                    calls.append(lambda: exact_tail(spec, math.nan, method))
+                for call in calls:
+                    with pytest.raises(DomainError, match="nan"):
+                        call()
