@@ -227,21 +227,6 @@ def _config_dict(args) -> dict:
     return out
 
 
-def argv_from_config(command: str, config: dict) -> list:
-    """Rebuild an argv that reproduces a sidecar's run."""
-    argv = [command]
-    for key, value in sorted(config.items()):
-        flag = "--" + key.replace("_", "-")
-        if flag == "--lam":
-            flag = "--lambda"
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        else:
-            argv.extend([flag, str(value)])
-    return argv
-
-
 def _emit(out_dir: Path, stem, args, spec, cert, rows, results, started):
     """Write <stem>.csv from rows (none when rows is None) and the <stem>.json
     sidecar; returns the CSV path."""

@@ -28,8 +28,10 @@ tilted table (``tilting.tilted_table``, the one tilt of a finite law), and a
 single normal draw for gaussian specs, in fixed-size blocks from
 counter-based sub-streams reduced in a fixed pairwise order; a finite spec
 whose sum laws are small enough for the sample count N (``_weighted_tail``)
-draws the histogram of the N draws instead (``_histogram_sums``).  Either
-route gives bit-identical estimates for any worker count at a fixed seed.
+draws the histogram of the N draws instead (``_histogram_sums``): the first
+part's counts, then one multinomial call for the second part's counts at
+every drawn atom of the first.  Either route gives bit-identical estimates
+for any worker count at a fixed seed.
 """
 
 from __future__ import annotations
@@ -55,19 +57,24 @@ CONVOLVE_ATOMS = 1 << 17
 EXACT_METHODS = ("exact", "exact_enum")
 TAIL_METHODS = ("crude", "tilted") + EXACT_METHODS
 MAX_SAMPLES = 1 << 30  # largest sample count an estimator takes (2^18 blocks of BLOCK)
-# Largest product of the parts' atom counts the histogram route draws over,
-# and the two-part KS folds into the law of X_n.  A binomial table's draw
-# costs about its span, N draws one by one about N: tilted Rademacher at
-# n = 1e4, 1e5 and 1e6 took 0.36-0.56, 0.65-1.0 and 2.0-2.8 ms from 4128,
-# 12778 and 40128 atoms, against 8.4-11.8 ms for 1e5 draws and 0.08-0.16 ms
-# for 100 (medians of 7, three runs).  With two parts the draw's cost grows like
-# (outer atoms drawn) x (inner atoms): on the three-point varswitch law at
-# N = 1e4 samples, 361^2 cells took 3.3-4.7 ms against 8.2-10.7 ms per draw,
-# and 721^2 cells 6.7-7.4 ms against 6.5-7.2 ms (five and three runs, one
-# worker, 2 vCPUs, numpy 2.4.6).  The Rademacher varswitch fold took 14-15 ms
-# at 362^2 cells and 89-96 ms at 1001^2, peaking at 65 and 132 MB RSS
-# against 55 MB after import (five runs, one core, numpy 2.4.6).
+# Largest product of the parts' atom counts the histogram route draws over.
+# A binomial table's draw costs about its span, N draws one by one about N:
+# tilted Rademacher at n = 1e4, 1e5 and 1e6 took 0.36-0.56, 0.65-1.0 and
+# 2.0-2.8 ms from 4128, 12778 and 40128 atoms, against 8.4-11.8 ms for 1e5
+# draws and 0.08-0.16 ms for 100 (medians of 7, three runs).  With two parts
+# the draw costs about (outer atoms drawn) x (inner atoms): on the tilted
+# three-point varswitch law at x = 2, 361^2 cells took 1.2-2.0 ms against
+# 7.5-9.0 ms per draw at N = 1e4, 601^2 cells 2.7-3.8 against 6.7-6.8 ms at
+# N = 1e4 and 3.9-4.5 against 53-62 ms at N = 1e5, and 1201^2 cells 6.1-7.5
+# against 5.1-5.9 ms at N = 1e4 (medians of 7, two runs, one core, numpy
+# 2.4.6).
 HISTOGRAM_CELLS = 1 << 17
+# Largest product of the parts' atom counts the two-part KS folds into the
+# law of X_n.  The Rademacher varswitch fold took 118-144 ms and 92 MB peak
+# RSS at 1001^2 cells (n = 2000), 114-132 ms and 94 MB at 1024^2 (n = 2046)
+# and 304-361 ms and 182 MB at 1918^2 (n = 4000), from 30 MB after import
+# (three runs each, one core, numpy 2.4.6).
+FOLD_CELLS = 1 << 20
 # Most atoms a binomial table spans (about 80 sds, so n up to 2.7e9 at
 # p = 1/2); 775,801 atoms (n = 4e8) took 0.045 s and 27 MB RSS over import.
 BINOMIAL_ATOMS = 1 << 21
@@ -503,28 +510,42 @@ def _histogram_sums(laws, x, lam, psi, n_samples, seed):
     outer law); given it, the c_a draws at a split over the inner atoms b
     above x - a and a miss category as Multinomial(c_a, .).  These counts
     are jointly Multinomial(N, outer law x inner law) over the cells a + b > x,
-    so the sums have their per-draw distribution.  A one-part spec's outer
-    part is the atom 0 holding all N draws."""
+    so the sums have their per-draw distribution.  The splits are one
+    rng.multinomial(c, P) call, a row of P per drawn outer atom in ascending
+    order: zeros below its cut, the inner pmf above, the miss mass last (so
+    numpy's running remainder never cancels on a small tail).  numpy draws a
+    zero category as 0 without using the stream, so the counts, and each
+    row's own np.dot, are those of one call per row.  A one-part spec is one
+    row, all N draws at the outer atom 0."""
     rng = block_rng(seed, 0)
     atoms, pmf = laws[-1]
     if len(laws) > 1:
         outer_atoms, outer_pmf = laws[0]
         outer_counts = rng.multinomial(n_samples, outer_pmf)
-    else:
-        outer_atoms, outer_counts = np.zeros(1), np.array([n_samples])
+        drawn = outer_counts > 0
+        outer_atoms, outer_counts = outer_atoms[drawn], outer_counts[drawn]
+        cut = np.searchsorted(atoms, x - outer_atoms, side="right")
+        lo = cut.min()  # the columns below it are zero in every row
+        p = np.where(np.arange(lo, len(atoms) + 1) >= cut[:, None], np.append(pmf[lo:], 0.0), 0.0)
+        p[:, -1] = np.maximum(0.0, 1.0 - p[:, :-1].sum(axis=1))
+        counts = rng.multinomial(outer_counts, p)[:, :-1]
+        del p  # before the weights' K x M temporary: two such matrices at the peak, not three
+    else:  # one row, no zeros: numpy's 1-D form, about 15 us a call cheaper
+        outer_atoms, lo = np.zeros(1), np.searchsorted(atoms, x, side="right")
+        tail = pmf[lo:]
+        counts = rng.multinomial(n_samples, np.append(tail, max(0.0, 1.0 - tail.sum())))[None, :-1]
+    hit = counts > 0  # weights of undrawn atoms far below may overflow
+    k = counts[hit].astype(float)
+    w = np.exp(psi - lam * (outer_atoms[:, None] + atoms[lo:])[hit])
+    ww = w * w
     s1 = s2 = 0.0
-    for a, c in zip(outer_atoms, outer_counts):
-        if c == 0:
-            continue
-        # the miss category goes last, so numpy's running remainder never
-        # cancels on a small tail
-        cut = np.searchsorted(atoms, x - a, side="right")
-        counts = rng.multinomial(c, np.append(pmf[cut:], max(0.0, 1.0 - pmf[cut:].sum())))[:-1]
-        hit = counts > 0  # weights of undrawn atoms far below may overflow
-        w = np.exp(psi - lam * (a + atoms[cut:][hit]))
-        s1 += float(np.dot(counts[hit], w))
-        s2 += float(np.dot(counts[hit], w * w))
-    return s1, s2
+    start = 0
+    for size in hit.sum(axis=1).tolist():
+        end = start + size
+        s1 += k[start:end].dot(w[start:end])
+        s2 += k[start:end].dot(ww[start:end])
+        start = end
+    return float(s1), float(s2)
 
 
 def _per_draw_sums(spec, x, lam, psi, n_samples, seed):
@@ -706,15 +727,15 @@ def _recentred_lattice_ks(spec, lam: float) -> float:
     The tilted law of X_n is read as ascending atoms and pmf: _part_law's
     table for one part; for two, the parts' tables folded cell by cell and
     sorted, refused before any allocation when their atom counts multiply
-    past HISTOGRAM_CELLS.  _ks_from_cdf reads it at the atoms, so the
+    past FOLD_CELLS.  _ks_from_cdf reads it at the atoms, so the
     distance is good to a few 1e-16 absolute."""
     if spec.dist.kind == "gaussian":
         return 0.0  # exactly normal at every tilt
     parts = spec.iid_parts()
     cells = math.prod(_part_route(*part)[0] for part in parts)
-    if len(parts) > 1 and cells > HISTOGRAM_CELLS:
+    if len(parts) > 1 and cells > FOLD_CELLS:
         raise DomainError(f"too-large: the parts' sum laws make {cells} cells, "
-                          f"over {HISTOGRAM_CELLS}")
+                          f"over {FOLD_CELLS}")
     (atoms, pmf), *rest = [_part_law(*part, lam) for part in parts]
     if rest:
         ((more_atoms, more_pmf),) = rest
@@ -731,7 +752,7 @@ def conjugate_clt_check(model_family, lam: float, n_list) -> tuple:
     plain rate curve, the KS distance of X_n itself.  Every finite or
     gaussian spec is read, iid or variance switching; a part's law past
     _part_law's caps (BINOMIAL_ATOMS for two atoms), or two parts' fold
-    past HISTOGRAM_CELLS, raises DomainError (too-large)."""
+    past FOLD_CELLS, raises DomainError (too-large)."""
     if not 0.0 <= lam < math.inf:
         raise DomainError(f"lam = {lam!r} must be finite and >= 0")
     rows = []

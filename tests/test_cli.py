@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mlde import cli, model, montecarlo
-from mlde.cli import argv_from_config, run
+from mlde.cli import run
 from mlde.errors import ConfigError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -155,6 +155,21 @@ class TestTail:
             assert outputs(tmp_path / str(i)) == shared[i], argv
 
 
+def argv_from_config(command: str, config: dict) -> list:
+    """Rebuild an argv that reproduces a sidecar's run."""
+    argv = [command]
+    for key, value in sorted(config.items()):
+        flag = "--" + key.replace("_", "-")
+        if flag == "--lam":
+            flag = "--lambda"
+        if isinstance(value, bool):
+            if value:
+                argv.append(flag)
+        else:
+            argv.extend([flag, str(value)])
+    return argv
+
+
 class TestSidecarRoundTrip:
     def test_rerun_from_sidecar(self, tmp_path):
         rad = ["--model", "rademacher", "--n", "16", "--normalized"]
@@ -293,8 +308,8 @@ class TestGridsAndLists:
 
     def test_varswitch_rate_rows(self, tmp_path):
         # two-part specs take the folded law: clt-rate is still conjugate-clt
-        # at lambda 0, byte for byte, and past HISTOGRAM_CELLS both exit 3
-        # before writing anything
+        # at lambda 0, byte for byte, and past FOLD_CELLS both exit 3 before
+        # writing anything
         vs = ["--model", "varswitch", "--rho", "0.5", "--n", "10"]
         clt, conj = tmp_path / "clt", tmp_path / "conj"
         assert run(["clt-rate", *vs, "--n-list", "20,200", "--out", str(clt)]) == 0
@@ -303,7 +318,7 @@ class TestGridsAndLists:
         assert read(clt / "clt_rate.csv") == read(conj / "conjugate_clt.csv")
         for argv in (["clt-rate"], ["conjugate-clt", "--lambda", "0.5"]):
             out = tmp_path / argv[0]
-            assert run([*argv, *vs, "--n-list", "2000", "--out", str(out)]) == 3
+            assert run([*argv, *vs, "--n-list", "2048", "--out", str(out)]) == 3
             assert not list(out.glob("*.csv"))
 
     def test_three_point_varswitch_rows(self, tmp_path):

@@ -67,6 +67,31 @@ def sampled_laws(monkeypatch, spec, lam, samples=100):
     return seen[0] if seen else None
 
 
+def loop_histogram_sums(laws, x, lam, psi, n_samples, seed):
+    """The histogram draw with one Multinomial(c_a, inner atoms above x - a
+    + miss) call per drawn outer atom a, in ascending order, and each row's
+    sums added as they are drawn: the reference _histogram_sums matches bit
+    for bit."""
+    rng = montecarlo.block_rng(seed, 0)
+    atoms, pmf = laws[-1]
+    if len(laws) > 1:
+        outer_atoms, outer_pmf = laws[0]
+        outer_counts = rng.multinomial(n_samples, outer_pmf)
+    else:
+        outer_atoms, outer_counts = np.zeros(1), np.array([n_samples])
+    s1 = s2 = 0.0
+    for a, c in zip(outer_atoms, outer_counts):
+        if c == 0:
+            continue
+        cut = np.searchsorted(atoms, x - a, side="right")
+        counts = rng.multinomial(c, np.append(pmf[cut:], max(0.0, 1.0 - pmf[cut:].sum())))[:-1]
+        hit = counts > 0
+        w = np.exp(psi - lam * (a + atoms[cut:][hit]))
+        s1 += float(np.dot(counts[hit], w))
+        s2 += float(np.dot(counts[hit], w * w))
+    return s1, s2
+
+
 def binomial_ks(n):
     """Every k for small n, else a spread of k with both ends: 0, n - 1, n."""
     return np.unique(np.r_[np.arange(min(n, 40) + 1), np.linspace(0, n, 41).astype(int), n - 1])
@@ -503,13 +528,13 @@ class TestTilted:
 
     def test_crude_far_tail_miss_last(self, monkeypatch):
         # 2^30 crude draws cost O(atoms) on the histogram route, so a tail of
-        # 1.6e-8 gets about 17 hits.  The multinomial sees the tail atoms
-        # first and the miss category last: numpy's running remainder starts
-        # at 1 and loses only the tail, where a leading miss would leave it
-        # 1 - (1 - tail), which cancels.
-        spec = rademacher_spec(60)
-        x = 5.3  # between the atoms 40/sqrt(60) and 42/sqrt(60)
-        pvals = []
+        # about 1.6e-8 gets about 17 hits.  Each row of the inner multinomial
+        # holds zeros below its cut, the tail atoms above it and the miss
+        # category last: numpy's running remainder starts at 1 and loses only
+        # the tail, where a leading miss would leave it 1 - (1 - tail), which
+        # cancels.  One part draws one row; two parts one row per drawn atom
+        # of the first part (x = 5.25 leaves a tail of 1.9e-8).
+        calls = []
         real = montecarlo.block_rng
 
         class Spy:
@@ -517,20 +542,38 @@ class TestTilted:
                 self.rng = rng
 
             def multinomial(self, n, p):
-                pvals.append(np.array(p))
-                return self.rng.multinomial(n, p)
+                calls.append((np.array(p), self.rng.multinomial(n, p)))
+                return calls[-1][1]
 
         monkeypatch.setattr(montecarlo, "block_rng", lambda seed, b: Spy(real(seed, b)))
-        est = crude_tail_estimate(spec, x, MAX_SAMPLES, seed=21)
-        exact = exact_tail(spec, x).p_hat
-        assert exact == pytest.approx(
-            math.fsum(math.comb(60, k) for k in range(51, 61)) / 2.0**60, rel=1e-12)
-        (p,) = pvals
-        assert len(p) == 10 + 1
-        assert math.fsum(p[:-1]) == pytest.approx(exact, rel=1e-12)
-        assert p[-1] == 1.0 - p[:-1].sum()
-        assert est.p_hat > 0.0
-        assert abs(est.p_hat - exact) <= 3.5 * est.std_err
+        # x = 5.3 is between the atoms 40/sqrt(60) and 42/sqrt(60)
+        for spec, x in ((rademacher_spec(60), 5.3),
+                        (MartingaleSpec.variance_switching(RADEMACHER, n=60, rho=0.5), 5.25)):
+            calls.clear()
+            est = crude_tail_estimate(spec, x, MAX_SAMPLES, seed=21)
+            exact = exact_tail(spec, x).p_hat
+            laws = [montecarlo._part_law(d, count, 0.0) for d, count in spec.iid_parts()]
+            atoms, pmf = laws[-1]
+            *outer, (p, _) = calls
+            if outer:
+                ((_, outer_counts),) = outer
+                a = laws[0][0][outer_counts > 0]
+            else:
+                a = np.zeros(1)
+                assert exact == pytest.approx(
+                    math.fsum(math.comb(60, k) for k in range(51, 61)) / 2.0**60, rel=1e-12)
+                assert p.shape == (10 + 1,)
+                assert math.fsum(p[:-1]) == pytest.approx(exact, rel=1e-12)
+            p = np.atleast_2d(p)
+            cut = np.searchsorted(atoms, x - a, side="right")
+            lo = cut.min()  # the columns start at the lowest cut
+            assert p.shape == (len(a), len(atoms) - lo + 1)
+            for row, c in zip(p, cut):
+                assert not row[:c - lo].any() and row[c - lo:-1].all()  # zeros only before the cut
+                assert np.array_equal(row[c - lo:-1], pmf[c:])
+                assert row[-1] == 1.0 - row[:-1].sum()
+            assert est.p_hat > 0.0
+            assert abs(est.p_hat - exact) <= 3.5 * est.std_err
 
     def test_pool_size_clamped(self):
         cpus = os.cpu_count() or 1
@@ -548,6 +591,52 @@ class TestTilted:
         # sampling noise and must not trip the estimate validator
         est = tilted_tail_estimate(rademacher_spec(8), -5.0, 0.7, 5_000, seed=4)
         assert abs(est.p_hat - 1.0) <= 3.5 * est.std_err
+
+
+class TestHistogramSums:
+    """The inner draws of the histogram route are one multinomial call over a
+    row per drawn outer atom, bit for bit the per-atom loop it replaced."""
+
+    SPECS = (MartingaleSpec.variance_switching(RADEMACHER, n=200, rho=0.5),
+             MartingaleSpec.variance_switching(THREE_POINT, n=60, rho=0.5),
+             MartingaleSpec.variance_switching(IRRATIONAL, n=12, rho=0.5),  # 28 x 28
+             rademacher_spec(400),
+             three_point_spec(100))
+
+    def test_matches_per_atom_loop(self, monkeypatch):
+        x = 2.0
+        for spec in self.SPECS:
+            for lam in (0.0, saddlepoint_lambda(spec, x)):  # crude, tilted
+                laws = sampled_laws(monkeypatch, spec, lam, 100_000)
+                assert laws is not None
+                psi = tilting.cumulant_process(spec, lam)
+                for seed, threshold in itertools.product(range(30), (x, x + 1, math.inf, -math.inf)):
+                    args = (laws, threshold, lam, psi, 100_000, seed)
+                    assert montecarlo._histogram_sums(*args) == loop_histogram_sums(*args), (
+                        spec, lam, seed, threshold)
+
+    def test_one_inner_multinomial_call(self, monkeypatch):
+        # one call draws every inner row; a second part adds only its own
+        # histogram's call before it
+        calls = []
+        real = montecarlo.block_rng
+
+        class Spy:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def multinomial(self, n, p):
+                calls.append(np.ndim(p))
+                return self.rng.multinomial(n, p)
+
+        monkeypatch.setattr(montecarlo, "block_rng", lambda seed, b: Spy(real(seed, b)))
+        for spec in self.SPECS:
+            two = len(spec.iid_parts()) == 2
+            for estimate in (lambda: crude_tail_estimate(spec, 1.0, 100_000, seed=5),
+                             lambda: tilted_tail_estimate(spec, 2.0, 0.8, 100_000, seed=5)):
+                calls.clear()
+                estimate()
+                assert calls == ([1, 2] if two else [1]), spec
 
 
 class TestLatticeLaw:
@@ -1139,10 +1228,11 @@ class TestTwoPartKs:
 
     def test_rho_zero_is_the_iid_law(self):
         # at rho = 0 both parts are the iid step: the folded law is the
-        # binomial law the iid two-point KS reads
-        for n, lam in itertools.product((2, 10, 100, 700), (0.0, 0.5, 2.0)):
+        # binomial law the iid two-point KS reads, up to 1024^2 = FOLD_CELLS
+        # cells at n = 2046
+        for n, lam in itertools.product((2, 10, 100, 700, 2046), (0.0, 0.5, 2.0)):
             spec = MartingaleSpec.variance_switching(RADEMACHER, n=n, rho=0.0)
-            assert (n // 2 + 1) ** 2 <= montecarlo.HISTOGRAM_CELLS
+            assert (n // 2 + 1) ** 2 <= montecarlo.FOLD_CELLS
             want = montecarlo._recentred_lattice_ks(rademacher_spec(n), lam)
             assert montecarlo._recentred_lattice_ks(spec, lam) == pytest.approx(
                 want, rel=1e-12), (n, lam)
@@ -1160,16 +1250,16 @@ class TestTwoPartKs:
         assert clt_rate_curve(family, [4, 6]) == conjugate_clt_check(family, 0.0, [4, 6])
 
     def test_too_large_before_any_law(self, monkeypatch):
-        # 1001 x 1001 cells are past HISTOGRAM_CELLS: refused from the atom
-        # counts alone, before either part's law is built
+        # 1025 x 1025 cells are past FOLD_CELLS: refused from the atom counts
+        # alone, before either part's law is built
         def family(n):
             return MartingaleSpec.variance_switching(RADEMACHER, n=n, rho=0.5)
 
-        assert 1001**2 > montecarlo.HISTOGRAM_CELLS
+        assert 1025**2 > montecarlo.FOLD_CELLS
         monkeypatch.setattr(montecarlo, "_part_law", None)
         for lam in (0.0, 0.5):
             with pytest.raises(DomainError, match="too-large"):
-                conjugate_clt_check(family, lam, [2000])
+                conjugate_clt_check(family, lam, [2048])
 
 
 def two_point_spec(p, n):
