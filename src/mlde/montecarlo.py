@@ -11,16 +11,20 @@ Estimators
 * tilted: importance sampling under the exponentially tilted law; each draw
   carries the weight exp(-lam * X_n + Psi_n(lam)), with Psi_n deterministic
   (one cumulant_process call), so the weighted indicator is unbiased.
-* exact oracles: the closed-form normal tail for gaussian specs, the binomial
-  law (``_Binomial``) for iid two-atom tables, and for any other finite spec
-  the parts' sum laws, a second part's tail read from sorted suffix sums;
-  each law is built once per call, however many thresholds read it.
+* exact oracles: the closed-form normal tail for gaussian specs; for every
+  finite spec the last part's tail at x minus each atom of the first (or at
+  x), built once per call, however many thresholds read it.
 * exact distances: the KS distance of X_n to the normal, read at the atoms
   of its sum law (one part's law, or two parts' laws folded and sorted).
 
 One builder, ``_part_law``, gives each part's tilted sum law to the oracles
 and the sampler alike: the binomial table for two atoms, a polynomial power
 on a larger lattice, or the count vectors where they are cheaper to build.
+Each is a ``_Law`` whose ``above`` is the one tie rule, in float arithmetic:
+on a lattice floor((x - base) / g) says which atoms lie above x, and an atom
+equal to x is not above it.  Every exact reader and both of the sampler's
+cuts use it, so ``exact`` and ``exact_enum`` give the same bits and the
+sampler puts an atom at x on the same side as they do.
 
 Sampling draws each part's sufficient statistic: binomial counts for a
 two-atom table, multinomial counts for a larger one, both over the part's
@@ -161,10 +165,10 @@ class MdpRow:
 # last term.  The recurrence's odds p/q are rounded once, and that error,
 # which would compound over k, is taken out to first order, so each pmf value
 # is good to a few ulps plus a random walk of roundings over its distance
-# from the mode.  sf and cdf take p as given and keep relative accuracy in
-# both tails: below the mode the cdf is a prefix sum from the table's low
-# end, above it the sf a suffix sum from its high end, each 1 minus the other
-# on the far side.  Against exact sums over n <= 1e6 they stay within
+# from the mode.  Its _Law's tails take p as given and keep relative
+# accuracy in both tails: a prefix sum from the table's low end below the
+# mode, a suffix sum from its high end above it, each 1 minus the other on
+# the far side.  Against exact sums over n <= 1e6 they stay within
 # 6 eps (1 + |ln P|) relative wherever P >= 1e-300 (scipy.stats.binom: 131).
 
 _SHIFT = 1000
@@ -262,26 +266,71 @@ class _Binomial:
         out[self.lo:self.lo + len(self.t)] = np.ldexp(self.t, -_SHIFT)
         return out
 
-    @cached_property
-    def _sums(self):
-        """2^SHIFT P(X < lo + i) and 2^SHIFT P(X >= lo + i) for i = 0..len(t)."""
-        return (np.concatenate([[0.0], np.cumsum(self.t)]),
-                np.concatenate([np.cumsum(self.t[::-1])[::-1], [0.0]]))
+    def law(self, base=0.0, g=1.0):
+        """The _Law of base + g X."""
+        i = np.arange(self.lo, self.lo + len(self.t))
+        return _Law(base + i * g, self.t, _SHIFT, (base, g, self.lo), self.mode - self.lo)
 
-    def tails(self, k):
-        """(P(X <= k), P(X > k)) for the integers k."""
-        k = np.asarray(k)
-        i = np.clip(k - self.lo + 1, 0, len(self.t))
-        below, above = (np.ldexp(sums[i], -_SHIFT) for sums in self._sums)
-        lower = k < self.mode
-        return np.where(lower, below, 1.0 - above), np.where(lower, 1.0 - below, above)
+
+class _Law:
+    """A sum law: ascending atoms, scaled = 2^shift pmf (the binomial
+    table's 2^_SHIFT, else 1), the index of its mode and, on a lattice,
+    (base, g, lo) with atoms[i] = base + (lo + i) g.  above is the one
+    place where an atom at a threshold is put on a side of it."""
+
+    def __init__(self, atoms, scaled, shift=0, lattice=None, mode=None):
+        self.atoms, self.scaled, self.shift, self.lattice = atoms, scaled, shift, lattice
+        self.mode = int(np.argmax(scaled)) if mode is None else mode
+
+    @cached_property
+    def pmf(self):
+        """The pmf the sampler and the KS read: unscaled, and then normalized."""
+        if not self.shift:
+            return self.scaled
+        pmf = np.ldexp(self.scaled, -self.shift)
+        pmf /= pmf.sum()  # in place: each copy of a large table raises the peak RSS
+        return pmf
+
+    def above(self, y):
+        """The index of the first atom above each y: off a lattice the first
+        atom greater than y; on one floor((y - base) / g) + 1 - lo in float
+        arithmetic, clipped to the table, and one further where that atom's
+        value equals y, since the quotient can round below an atom's own
+        offset: with base = -6c and g = 2c the atom base + 3g is 0.0, but
+        (0.0 - base) / g can round to 2.9999999999999996."""
+        a = self.atoms
+        if self.lattice is None:
+            return np.searchsorted(a, y, side="right")
+        base, g, lo = self.lattice
+        i = np.maximum(np.floor((y - base) / g) + (1 - lo), 0.0)
+        i = np.minimum(i, len(a)).astype(np.intp)  # clipped to the table
+        return i + ((i < len(a)) & (a[np.minimum(i, len(a) - 1)] == y))
+
+    @cached_property
+    def _sums(self):  # 2^shift P(X < atoms[i]) and 2^shift P(X >= atoms[i]), i = 0..len
+        s = self.scaled
+        return (np.concatenate(([0.0], np.cumsum(s))),
+                np.concatenate((np.cumsum(s[::-1])[::-1], [0.0])))
+
+    def tails(self, i):
+        """(P(X < atoms[i]), P(X >= atoms[i])): the partial sum that leaves
+        out the mode, unscaled once, and 1 minus it."""
+        below, upper = (np.ldexp(s[i], -self.shift) for s in self._sums)
+        low = i <= self.mode
+        return np.where(low, below, 1.0 - upper), np.where(low, 1.0 - below, upper)
+
+
+def _binomial_tails(k, n, p):
+    """(P(X <= k), P(X > k)) for X ~ Binomial(n, p) at the integers k."""
+    law = _Binomial(n, p).law()
+    return law.tails(law.above(k))
 
 
 # scipy.stats.binom's spelling of the law, for callers outside the library
 binom = SimpleNamespace(
     pmf=lambda k, n, p: _Binomial(n, p).pmf()[k],
-    cdf=lambda k, n, p: _Binomial(n, p).tails(k)[0],
-    sf=lambda k, n, p: _Binomial(n, p).tails(k)[1],
+    cdf=lambda k, n, p: _binomial_tails(k, n, p)[0],
+    sf=lambda k, n, p: _binomial_tails(k, n, p)[1],
 )
 
 
@@ -436,13 +485,13 @@ def _part_route(d, count):
 
 
 def _part_law(d, count, lam):
-    """(ascending atoms, pmf) of the sum of count iid draws from d's
-    lam-tilted table, in _part_route's form, refused past its cap.
+    """The _Law of the sum of count iid draws from d's lam-tilted table, in
+    _part_route's form, refused past its cap.
 
     On a lattice v_0 + g*{0, k_1, ...} the atoms are count*v_0 + i*g, as
-    _stat_block computes two-atom sums.  For two atoms the pmf is the
+    _stat_block computes two-atom sums.  For two atoms the law is the
     binomial table over its own span, the i holding more than 2^-1100 of
-    the mass; otherwise it is the count-th power of the tilted step
+    the mass; otherwise the pmf is the count-th power of the tilted step
     polynomial by binary powering (np.convolve of non-negative terms),
     over every i up to count * k_last.  Off a lattice each count vector's
     probability is a chain of conditional binomials: atom j takes
@@ -453,19 +502,17 @@ def _part_law(d, count, lam):
                           f"{size} {'sums' if on_lattice else 'count vectors'}, over {cap}")
     values, probs = tilting.tilted_table(d, lam)
     if on_lattice:
-        g, k = d.lattice
+        (g, k), base = d.lattice, count * values[0]
         if len(k) == 2:
-            law = _Binomial(count, probs[1])
-            i, pmf = np.arange(law.lo, law.lo + len(law.t)), np.ldexp(law.t, -_SHIFT)
-        else:
-            i, step, pmf = np.arange(size), np.zeros(k[-1] + 1), np.ones(1)
-            step[k] = probs
-            for bit in bin(count)[2:]:  # high bit first
-                pmf = np.convolve(pmf, pmf)
-                if bit == "1":
-                    pmf = np.convolve(pmf, step)
+            return _Binomial(count, probs[1]).law(base, g)
+        step, pmf = np.zeros(k[-1] + 1), np.ones(1)
+        step[k] = probs
+        for bit in bin(count)[2:]:  # high bit first
+            pmf = np.convolve(pmf, pmf)
+            if bit == "1":
+                pmf = np.convolve(pmf, step)
         pmf /= pmf.sum()  # in place: each copy of a large table raises the peak RSS
-        return count * values[0] + i * g, pmf
+        return _Law(base + np.arange(size) * g, pmf, lattice=(base, g, 0))
     rest = np.cumsum(probs[::-1])[::-1]
     atoms, pmf, left = np.zeros(1), np.ones(1), np.array([count])
     for v, p, r in zip(values[:-1], probs[:-1], rest[:-1]):
@@ -481,7 +528,7 @@ def _part_law(d, count, lam):
         left = left[rows] - k
     atoms = atoms + left * values[-1]
     order = np.argsort(atoms, kind="stable")
-    return atoms[order], pmf[order]
+    return _Law(atoms[order], pmf[order])
 
 
 def _weighted_tail(spec, x, lam, n_samples, seed):
@@ -489,6 +536,8 @@ def _weighted_tail(spec, x, lam, n_samples, seed):
     counts multiply to at most HISTOGRAM_CELLS and each is at most BLOCK, or
     max(BLOCK, n_samples) for a binomial table, else per draw."""
     resolve_workers()  # a bad MLDE_THREADS is refused on either route
+    if math.isnan(x):
+        raise DomainError("threshold x is nan")
     psi = tilting.cumulant_process(spec, lam)
     parts = spec.iid_parts() if spec.dist.kind != "gaussian" else ()
     sizes = [_part_route(d, count)[0] for d, count in parts]
@@ -518,20 +567,20 @@ def _histogram_sums(laws, x, lam, psi, n_samples, seed):
     row's own np.dot, are those of one call per row.  A one-part spec is one
     row, all N draws at the outer atom 0."""
     rng = block_rng(seed, 0)
-    atoms, pmf = laws[-1]
+    law = laws[-1]
+    atoms, pmf = law.atoms, law.pmf
     if len(laws) > 1:
-        outer_atoms, outer_pmf = laws[0]
-        outer_counts = rng.multinomial(n_samples, outer_pmf)
+        outer_counts = rng.multinomial(n_samples, laws[0].pmf)
         drawn = outer_counts > 0
-        outer_atoms, outer_counts = outer_atoms[drawn], outer_counts[drawn]
-        cut = np.searchsorted(atoms, x - outer_atoms, side="right")
+        outer_atoms, outer_counts = laws[0].atoms[drawn], outer_counts[drawn]
+        cut = law.above(x - outer_atoms)
         lo = cut.min()  # the columns below it are zero in every row
         p = np.where(np.arange(lo, len(atoms) + 1) >= cut[:, None], np.append(pmf[lo:], 0.0), 0.0)
         p[:, -1] = np.maximum(0.0, 1.0 - p[:, :-1].sum(axis=1))
         counts = rng.multinomial(outer_counts, p)[:, :-1]
         del p  # before the weights' K x M temporary: two such matrices at the peak, not three
     else:  # one row, no zeros: numpy's 1-D form, about 15 us a call cheaper
-        outer_atoms, lo = np.zeros(1), np.searchsorted(atoms, x, side="right")
+        outer_atoms, lo = np.zeros(1), law.above(x)
         tail = pmf[lo:]
         counts = rng.multinomial(n_samples, np.append(tail, max(0.0, 1.0 - tail.sum())))[None, :-1]
     hit = counts > 0  # weights of undrawn atoms far below may overflow
@@ -661,36 +710,25 @@ def _exact_oracle(spec: MartingaleSpec, method: str):
             raise DomainError(f"method {method!r} unavailable for gaussian laws")
         sd = math.sqrt(spec.total_variance())
         tag, tail = "exact_gaussian", lambda x: bounds.gaussian_tail(x / sd)
-    elif method == "exact" and len(spec.iid_parts()) == 1 and len(spec.dist.values) == 2:
-        ((d, n),) = spec.iid_parts()
-        (v_lo, v_hi), (_, p_hi) = tilting.tilted_table(d, 0.0)
-        law = _Binomial(n, p_hi)
-
-        def tail(x):  # k_min or more of the n draws on the upper value, -inf at x = -inf
-            k_min = np.floor((x - n * v_lo) / (v_hi - v_lo)) + 1
-            return 0.0 if k_min > n else 1.0 if k_min <= 0 else float(law.tails(int(k_min) - 1)[1])
-        tag = "exact_binomial"
-    else:  # a second part's tail read from its suffix sums at x minus each atom of the first
-        laws = [_part_law(d, count, 0.0) for d, count in spec.iid_parts()]
-        first_atoms, first_pmf = laws[0] if len(laws) > 1 else (np.zeros(1), np.ones(1))
-        atoms, pmf = laws[-1]
-        suffix = np.append(np.cumsum(pmf[::-1])[::-1], 0.0)
+    else:  # the last part's tail at x minus each atom of the first, weighted by its pmf
+        *first, law = [_part_law(d, count, 0.0) for d, count in spec.iid_parts()]
+        atoms, pmf = (first[0].atoms, first[0].pmf) if first else (0.0, 1.0)
 
         def tail(x):
-            above = suffix[np.searchsorted(atoms, x - first_atoms, side="right")]
-            return min(float(np.dot(first_pmf, above)), 1.0)
-        tag = "exact_enum"
+            return min(float(np.dot(pmf, law.tails(law.above(x - atoms))[1])), 1.0)
+        two_point = method == "exact" and not first and len(spec.dist.values) == 2
+        tag = "exact_binomial" if two_point else "exact_enum"
     return lambda x: TailEstimate(x=x, p_hat=tail(x), std_err=0.0, n_samples=0,
                                   method=tag, seed=0, lambda_used=0.0)
 
 
 def exact_tail(spec: MartingaleSpec, x: float, method: str = "exact") -> TailEstimate:
-    """Exact P(X_n > x).  "exact" takes the closed-form normal tail (gaussian
-    specs, tagged exact_gaussian), the binomial law (iid two-point laws,
-    exact_binomial) or the parts' sum laws from _part_law (any other finite
-    spec, exact_enum); "exact_enum" forces the table engine on any finite
-    spec.  A law past its cap (_part_law's, or BINOMIAL_ATOMS) raises
-    DomainError, as does a nan x, before any work."""
+    """Exact P(X_n > x): the closed-form normal tail for gaussian specs
+    (exact_gaussian, "exact" only), the parts' sum laws from _part_law for
+    every finite spec.  The two methods differ there only in the tag:
+    "exact" writes exact_binomial for an iid two-point law.  A law past its
+    cap (_part_law's, or BINOMIAL_ATOMS) raises DomainError, as does a nan
+    x, before any work."""
     if math.isnan(x):
         raise DomainError("threshold x is nan")
     return _exact_oracle(spec, method)(x)
@@ -736,7 +774,8 @@ def _recentred_lattice_ks(spec, lam: float) -> float:
     if len(parts) > 1 and cells > FOLD_CELLS:
         raise DomainError(f"too-large: the parts' sum laws make {cells} cells, "
                           f"over {FOLD_CELLS}")
-    (atoms, pmf), *rest = [_part_law(*part, lam) for part in parts]
+    # atoms and pmf only, so that no binomial law's scaled table outlives its pmf
+    (atoms, pmf), *rest = [(law.atoms, law.pmf) for law in (_part_law(*p, lam) for p in parts)]
     if rest:
         ((more_atoms, more_pmf),) = rest
         atoms = np.add.outer(atoms, more_atoms).ravel()

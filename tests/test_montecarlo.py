@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from scipy.stats import binom
 
-from mlde import bounds, conditions, montecarlo, tilting
+from mlde import bounds, cli, conditions, montecarlo, tilting
 from mlde.errors import ConfigError, DomainError
 from mlde.model import IncrementDistribution, MartingaleSpec
 from mlde.montecarlo import (
@@ -73,17 +73,18 @@ def loop_histogram_sums(laws, x, lam, psi, n_samples, seed):
     sums added as they are drawn: the reference _histogram_sums matches bit
     for bit."""
     rng = montecarlo.block_rng(seed, 0)
-    atoms, pmf = laws[-1]
+    law = laws[-1]
+    atoms, pmf = law.atoms, law.pmf
     if len(laws) > 1:
-        outer_atoms, outer_pmf = laws[0]
-        outer_counts = rng.multinomial(n_samples, outer_pmf)
+        outer_atoms = laws[0].atoms
+        outer_counts = rng.multinomial(n_samples, laws[0].pmf)
     else:
         outer_atoms, outer_counts = np.zeros(1), np.array([n_samples])
     s1 = s2 = 0.0
     for a, c in zip(outer_atoms, outer_counts):
         if c == 0:
             continue
-        cut = np.searchsorted(atoms, x - a, side="right")
+        cut = law.above(x - a)
         counts = rng.multinomial(c, np.append(pmf[cut:], max(0.0, 1.0 - pmf[cut:].sum())))[:-1]
         hit = counts > 0
         w = np.exp(psi - lam * (a + atoms[cut:][hit]))
@@ -268,6 +269,25 @@ class TestCrude:
             math.sqrt(est.p_hat * (1 - est.p_hat) / est.n_samples), rel=1e-12
         )
 
+    def test_tie_on_the_oracle_side(self):
+        # x = 2.4 of the grid 0:80:0.8 is an atom of normalized Rademacher at
+        # n = 6400, of mass 5.6e-4.  The law's floor rule puts it not above x,
+        # and a searchsorted cut on the float atoms puts it above; the
+        # sampler's cut is the law's, so 1e8 crude draws (se 8.9e-6, a
+        # histogram over the binomial table) sit on exact_tail's side,
+        # some 60 se from the other
+        spec = rademacher_spec(6400)
+        x = cli._parse_grid("0:80:0.8")[3]
+        law = montecarlo._part_law(spec.iid_parts()[0][0], 6400, 0.0)
+        other_cut = np.searchsorted(law.atoms, x, side="right")
+        assert law.above(x) == other_cut + 1
+        exact = exact_tail(spec, x).p_hat
+        other = float(law.tails(other_cut)[1])
+        assert other - exact == pytest.approx(law.pmf[other_cut], rel=1e-9)
+        est = crude_tail_estimate(spec, x, 10**8, seed=3)
+        assert abs(est.p_hat - exact) <= 5.0 * est.std_err
+        assert abs(est.p_hat - other) > 5.0 * est.std_err
+
 
 class TestTilted:
     def test_zero_tilt_is_crude_bitwise(self):
@@ -337,7 +357,8 @@ class TestTilted:
         # against the same builder's untilted law
         for spec in (three_point_spec(12), MartingaleSpec.iid(IRRATIONAL, n=8, normalized=True)):
             psi = tilting.cumulant_process(spec, lam)
-            atoms, pmf = montecarlo._part_law(spec.iid_parts()[0][0], spec.n, lam)
+            law = montecarlo._part_law(spec.iid_parts()[0][0], spec.n, lam)
+            atoms, pmf = law.atoms, law.pmf
             for x in (0.0, 0.5, 1.5, 2.5):
                 lhs = float(np.sum(pmf * np.exp(psi - lam * atoms) * (atoms > x)))
                 assert lhs == pytest.approx(exact_tail(spec, x).p_hat, rel=1e-12)
@@ -371,9 +392,9 @@ class TestTilted:
         for base in (RADEMACHER, THREE_POINT, IRRATIONAL):
             spec = MartingaleSpec.variance_switching(base, n=12, rho=rho)
             psi = tilting.cumulant_process(spec, lam)
-            (a, pmf_a), (b, pmf_b) = [montecarlo._part_law(d, c, lam) for d, c in spec.iid_parts()]
-            total = np.add.outer(a, b)
-            weighted = np.outer(pmf_a, pmf_b) * np.exp(psi - lam * total)
+            a, b = [montecarlo._part_law(d, c, lam) for d, c in spec.iid_parts()]
+            total = np.add.outer(a.atoms, b.atoms)
+            weighted = np.outer(a.pmf, b.pmf) * np.exp(psi - lam * total)
             for x in (0.0, 0.6, 1.2, 2.5):
                 lhs = float(np.sum(weighted * (total > x)))
                 assert lhs == pytest.approx(exact_tail(spec, x).p_hat, rel=1e-12)
@@ -468,11 +489,12 @@ class TestTilted:
                 (MartingaleSpec.variance_switching(IRRATIONAL, n=12, rho=0.5), [28, 28], 100)):
             laws = sampled_laws(monkeypatch, spec, 0.7, samples)
             assert [montecarlo._part_route(d, c)[0] for d, c in spec.iid_parts()] == sizes
-            for (atoms, pmf), (d, count), size in zip(laws, spec.iid_parts(), sizes):
-                assert len(atoms) == len(pmf) <= size
-                assert len(atoms) == size or len(d.values) == 2
-                want_atoms, want_pmf = montecarlo._part_law(d, count, 0.7)
-                assert np.array_equal(atoms, want_atoms) and np.array_equal(pmf, want_pmf)
+            for law, (d, count), size in zip(laws, spec.iid_parts(), sizes):
+                assert len(law.atoms) == len(law.pmf) <= size
+                assert len(law.atoms) == size or len(d.values) == 2
+                want = montecarlo._part_law(d, count, 0.7)
+                assert np.array_equal(law.atoms, want.atoms)
+                assert np.array_equal(law.pmf, want.pmf)
         for spec, samples in (
                 (MartingaleSpec.iid(IRRATIONAL, n=90, normalized=True), 100),  # C(92, 2) = 4186
                 # a table of 3+ atoms keeps to BLOCK, however many draws
@@ -553,11 +575,11 @@ class TestTilted:
             est = crude_tail_estimate(spec, x, MAX_SAMPLES, seed=21)
             exact = exact_tail(spec, x).p_hat
             laws = [montecarlo._part_law(d, count, 0.0) for d, count in spec.iid_parts()]
-            atoms, pmf = laws[-1]
+            atoms, pmf = laws[-1].atoms, laws[-1].pmf
             *outer, (p, _) = calls
             if outer:
                 ((_, outer_counts),) = outer
-                a = laws[0][0][outer_counts > 0]
+                a = laws[0].atoms[outer_counts > 0]
             else:
                 a = np.zeros(1)
                 assert exact == pytest.approx(
@@ -565,7 +587,7 @@ class TestTilted:
                 assert p.shape == (10 + 1,)
                 assert math.fsum(p[:-1]) == pytest.approx(exact, rel=1e-12)
             p = np.atleast_2d(p)
-            cut = np.searchsorted(atoms, x - a, side="right")
+            cut = laws[-1].above(x - a)
             lo = cut.min()  # the columns start at the lowest cut
             assert p.shape == (len(a), len(atoms) - lo + 1)
             for row, c in zip(p, cut):
@@ -644,13 +666,13 @@ class TestLatticeLaw:
     built on its lattice (3n + 1 atoms, far cheaper than its count vectors)."""
 
     @staticmethod
-    def on_lattice(spec, atoms, pmf):
+    def on_lattice(spec, law):
         """The law's mass at each lattice offset 0..3n from n * values[0]."""
         values = spec.iid_parts()[0][0].table()[0]
-        offsets = (atoms - spec.n * values[0]) / (values[1] - values[0])
+        offsets = (law.atoms - spec.n * values[0]) / (values[1] - values[0])
         index = np.rint(offsets).astype(int)
         assert np.all(np.abs(offsets - index) <= 1e-9)
-        return np.bincount(index, weights=pmf, minlength=3 * spec.n + 1)
+        return np.bincount(index, weights=law.pmf, minlength=3 * spec.n + 1)
 
     @staticmethod
     def exact_power(probs, n):
@@ -691,8 +713,8 @@ class TestLatticeLaw:
                 3 * n + 1, True, CONVOLVE_ATOMS)
             for lam in (0.0, 0.7, 3.0, 20.0):
                 law = montecarlo._part_law(spec.iid_parts()[0][0], n, lam)
-                assert len(law[0]) == 3 * n + 1
-                pmf = self.on_lattice(spec, *law)
+                assert len(law.atoms) == 3 * n + 1
+                pmf = self.on_lattice(spec, law)
                 _, probs = tilting.tilted_table(spec.iid_parts()[0][0], lam)
                 if n <= 100:
                     want = np.array([float(w) for w in self.exact_power(probs, n)])
@@ -705,7 +727,7 @@ class TestLatticeLaw:
         for n in (1, 2, 5, 13, 30):
             spec = three_point_spec(n)
             for lam in (0.0, 0.7, 3.0):
-                pmf = self.on_lattice(spec, *montecarlo._part_law(spec.iid_parts()[0][0], n, lam))
+                pmf = self.on_lattice(spec, montecarlo._part_law(spec.iid_parts()[0][0], n, lam))
                 _, probs = tilting.tilted_table(spec.iid_parts()[0][0], lam)
                 for got, want in zip(pmf, self.exact_power(probs, n), strict=True):
                     assert abs(Fraction(got) - want) <= Fraction(1, 10**13) * want
@@ -842,8 +864,29 @@ class TestExactTail:
                 b = binomial.p_hat
                 if math.isinf(x):
                     assert b == float(x < 0.0)
-                e = exact_tail(spec, float(x) + 1.0, method="exact_enum").p_hat
-                assert abs(b - e) <= 1e-14
+                assert exact_tail(spec, float(x) + 1.0, method="exact_enum").p_hat == b
+
+    def test_methods_agree_to_the_bit(self):
+        # one law and one reader serve both methods, so they give the same
+        # bits at every threshold: the grids' own thresholds (each an atom of
+        # normalized Rademacher, where the table reader once counted the atom
+        # at x above x on 16 of 41 rows at n = 400), every atom of X_n, the
+        # midpoints between atoms, and +-inf
+        def atoms_of(spec):
+            laws = [montecarlo._part_law(d, c, 0.0) for d, c in spec.iid_parts()]
+            return functools.reduce(np.add.outer, [law.atoms for law in laws]).ravel()
+
+        cases = ((rademacher_spec(400), cli._parse_grid("0:4:0.1")),
+                 (rademacher_spec(6400), cli._parse_grid("0:80:0.8")),
+                 (three_point_spec(14), []),
+                 (MartingaleSpec.variance_switching(RADEMACHER, n=22, rho=0.5), []),
+                 (MartingaleSpec.variance_switching(THREE_POINT, n=40, rho=0.5), []))
+        for spec, grid in cases:
+            atoms = np.unique(atoms_of(spec))
+            thresholds = [*grid, *atoms, *(atoms[1:] + atoms[:-1]) / 2, -math.inf, math.inf]
+            exact, enum = (montecarlo._exact_oracle(spec, method) for method in EXACT_METHODS)
+            for x in map(float, thresholds):
+                assert exact(x).p_hat == enum(x).p_hat, (spec, x)
 
     def test_varswitch_against_bruteforce(self):
         # independent pure-python oracle over all sign paths
@@ -1287,9 +1330,9 @@ def reader_cdf(spec, lam):
     0 below its span and its last value above it."""
     ((d, n),) = spec.iid_parts()
     values, _ = tilting.tilted_table(d, lam)
-    atoms, pmf = montecarlo._part_law(d, n, lam)
-    lo = round((atoms[0] - n * values[0]) / (values[1] - values[0]))
-    cdf = np.cumsum(pmf)
+    law = montecarlo._part_law(d, n, lam)
+    lo = round((law.atoms[0] - n * values[0]) / (values[1] - values[0]))
+    cdf = np.cumsum(law.pmf)
     return np.concatenate([np.zeros(lo), cdf, np.full(n + 1 - lo - len(cdf), cdf[-1])])
 
 
@@ -1372,7 +1415,7 @@ class TestRatioExperiment:
         # an exact ratio_experiment builds each part's law once and reads
         # every row from it, the same numbers exact_tail gives row by row
         grid = np.linspace(0.0, 3.0, 11)
-        cases = ((rademacher_spec(400), ["_Binomial"]),
+        cases = ((rademacher_spec(400), ["_part_law", "_Binomial"]),
                  (three_point_spec(400), ["_part_law"]),
                  (MartingaleSpec.variance_switching(THREE_POINT, n=40, rho=0.5),
                   ["_part_law", "_part_law"]))
@@ -1537,3 +1580,16 @@ class TestValidation:
                 for call in calls:
                     with pytest.raises(DomainError, match="nan"):
                         call()
+
+    def test_nan_threshold_rejected_by_the_estimators(self, monkeypatch):
+        # called directly, the estimators refuse it too, before any draw: the
+        # law's floor rule has no atom index for nan
+        def no_draw(*args):
+            raise AssertionError("a nan threshold was sampled")
+        for name in ("_histogram_sums", "_per_draw_sums"):
+            monkeypatch.setattr(montecarlo, name, no_draw)
+        for spec in (rademacher_spec(10), three_point_spec(10), gaussian_spec(10)):
+            for call in (lambda: crude_tail_estimate(spec, math.nan, 1000, seed=1),
+                         lambda: tilted_tail_estimate(spec, math.nan, 0.5, 1000, seed=1)):
+                with pytest.raises(DomainError, match="nan"):
+                    call()
