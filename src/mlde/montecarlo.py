@@ -20,11 +20,13 @@ Estimators
 One builder, ``_part_law``, gives each part's tilted sum law to the oracles
 and the sampler alike: the binomial table for two atoms, a polynomial power
 on a larger lattice, or the count vectors where they are cheaper to build.
-Each is a ``_Law`` whose ``above`` is the one tie rule, in float arithmetic:
-on a lattice floor((x - base) / g) says which atoms lie above x, and an atom
-equal to x is not above it.  Every exact reader and both of the sampler's
-cuts use it, so ``exact`` and ``exact_enum`` give the same bits and the
-sampler puts an atom at x on the same side as they do.
+Each is a ``_Law``, and one tie rule in float arithmetic, ``_first_above``,
+says which of its atoms lie above x: on a lattice those that both
+floor((x - base) / g) and their float values put above it, off one those
+greater than x.  Every exact
+reader, both of the histogram's cuts and the per-draw hit read it, so
+``exact`` and ``exact_enum`` give the same bits and the sampler puts an atom
+at x on the same side as they do.
 
 Sampling draws each part's sufficient statistic: binomial counts for a
 two-atom table, multinomial counts for a larger one, both over the part's
@@ -228,10 +230,68 @@ def _binomial_span(n, sd):
     return min(n + 1, 2 * (64 + math.ceil(40 * sd)))
 
 
-class _Binomial:
-    """Binomial(n, p) as lo and t: t[i] = 2^SHIFT pmf(lo + i), for 0 <= p <= 1."""
+def _first_above(y, base, g):
+    """The one tie rule, on the lattice base + j g: the least j whose atom
+    lies above each y, in float arithmetic.  It is floor((y - base) / g) + 1,
+    one further where that atom, computed as base + j g, is not above y: the
+    quotient can round below an atom's own offset (with base = -6c and g = 2c
+    the atom base + 3g is 0.0, but (0.0 - base) / g can round to
+    2.9999999999999996, and so can (1e-17 - base) / g).  An atom lies above y
+    only when both its offset and its value say so: a y within the
+    quotient's rounding of an atom, on either side, is at it, and j never
+    falls as y grows."""
+    j = np.floor((y - base) / g) + 1.0
+    return j + (base + j * g <= y)
 
-    def __init__(self, n, p):
+
+class _Law:
+    """A sum law: ascending atoms, scaled = 2^shift pmf (2^_SHIFT for a
+    binomial table, else 1) and, on a lattice, (base, g, lo) with atoms[i] =
+    base + (lo + i) g.  pmf, which the sampler and the KS read, is unscaled
+    and normalized; above and tails read which atoms lie above a threshold."""
+
+    def __init__(self, atoms, scaled, shift=0, lattice=None):
+        self.atoms, self.scaled, self.shift, self.lattice = atoms, scaled, shift, lattice
+        # in place when unscaled, so the tails read it too (a copy of a large
+        # table raises the peak RSS)
+        self.pmf = np.ldexp(scaled, -shift) if shift else scaled
+        self.pmf /= self.pmf.sum()
+
+    @cached_property
+    def mode(self):
+        return int(np.argmax(self.scaled))
+
+    def above(self, y):
+        """The index of the first atom above each y: by _first_above on a
+        lattice, else the first atom whose value is greater than y."""
+        if self.lattice is None:
+            return np.searchsorted(self.atoms, y, side="right")
+        base, g, lo = self.lattice
+        i = _first_above(y, base, g) - lo
+        if np.ndim(i):
+            return np.minimum(np.maximum(i, 0), len(self.atoms)).astype(np.intp)
+        return int(min(max(i, 0), len(self.atoms)))  # a few us less than the ufuncs
+
+    @cached_property
+    def _sums(self):  # 2^shift P(X < atoms[i]) and 2^shift P(X >= atoms[i]), i = 0..len
+        s = self.scaled
+        return (np.concatenate(([0.0], np.cumsum(s))),
+                np.concatenate((np.cumsum(s[::-1])[::-1], [0.0])))
+
+    def tails(self, y):
+        """(P(X <= y), P(X > y)) at each y: the partial sum that leaves out
+        the mode, unscaled once, and 1 minus it."""
+        i = self.above(y)
+        below, upper = (np.ldexp(s[i], -self.shift) for s in self._sums)
+        low = i <= self.mode
+        return np.where(low, below, 1.0 - upper), np.where(low, 1.0 - below, upper)
+
+
+class _Binomial(_Law):
+    """Binomial(n, p), 0 <= p <= 1, as the _Law of base + g X over lo..lo +
+    len(scaled) - 1: scaled[i] = 2^SHIFT pmf(lo + i)."""
+
+    def __init__(self, n, p, base=0.0, g=1.0):
         n, p = int(n), float(p)
         q = 1.0 - p
         mode = min(n, math.floor((n + 1) * p))
@@ -253,84 +313,26 @@ class _Binomial:
         num, den = p.as_integer_ratio()  # the exact odds are num : (den - num)
         up = _run(top, n - mode, p / q if q else 0.0, (num, den - num), n - mode + 1, mode, sd)
         down = _run(top, mode, q / p if p else 0.0, (den - num, num), mode + 1, n - mode, sd)
-        self.n, self.mode, self.lo = n, mode, mode - len(down)
-        self.t = np.concatenate([down[::-1], [top], up])
-        if self.lo == 0 and qn >= 2.0**-1022:  # the edges are powers
-            self.t[0] = math.ldexp(qn, _SHIFT)
+        lo, t = mode - len(down), np.concatenate([down[::-1], [top], up])
+        if lo == 0 and qn >= 2.0**-1022:  # the edges are powers
+            t[0] = math.ldexp(qn, _SHIFT)
         if mode + len(up) == n and p**n >= 2.0**-1022:
-            self.t[-1] = math.ldexp(p**n, _SHIFT)
+            t[-1] = math.ldexp(p**n, _SHIFT)
+        super().__init__(base + np.arange(lo, lo + len(t)) * g, t, _SHIFT, (base, g, lo))
+        self.n, self.mode = n, len(down)
 
-    def pmf(self):
+    def dense(self):
         """pmf over 0..n."""
-        out = np.zeros(self.n + 1)
-        out[self.lo:self.lo + len(self.t)] = np.ldexp(self.t, -_SHIFT)
+        out, lo = np.zeros(self.n + 1), self.lattice[2]
+        out[lo:lo + len(self.pmf)] = self.pmf
         return out
-
-    def law(self, base=0.0, g=1.0):
-        """The _Law of base + g X."""
-        i = np.arange(self.lo, self.lo + len(self.t))
-        return _Law(base + i * g, self.t, _SHIFT, (base, g, self.lo), self.mode - self.lo)
-
-
-class _Law:
-    """A sum law: ascending atoms, scaled = 2^shift pmf (the binomial
-    table's 2^_SHIFT, else 1), the index of its mode and, on a lattice,
-    (base, g, lo) with atoms[i] = base + (lo + i) g.  above is the one
-    place where an atom at a threshold is put on a side of it."""
-
-    def __init__(self, atoms, scaled, shift=0, lattice=None, mode=None):
-        self.atoms, self.scaled, self.shift, self.lattice = atoms, scaled, shift, lattice
-        self.mode = int(np.argmax(scaled)) if mode is None else mode
-
-    @cached_property
-    def pmf(self):
-        """The pmf the sampler and the KS read: unscaled, and then normalized."""
-        if not self.shift:
-            return self.scaled
-        pmf = np.ldexp(self.scaled, -self.shift)
-        pmf /= pmf.sum()  # in place: each copy of a large table raises the peak RSS
-        return pmf
-
-    def above(self, y):
-        """The index of the first atom above each y: off a lattice the first
-        atom greater than y; on one floor((y - base) / g) + 1 - lo in float
-        arithmetic, clipped to the table, and one further where that atom's
-        value equals y, since the quotient can round below an atom's own
-        offset: with base = -6c and g = 2c the atom base + 3g is 0.0, but
-        (0.0 - base) / g can round to 2.9999999999999996."""
-        a = self.atoms
-        if self.lattice is None:
-            return np.searchsorted(a, y, side="right")
-        base, g, lo = self.lattice
-        i = np.maximum(np.floor((y - base) / g) + (1 - lo), 0.0)
-        i = np.minimum(i, len(a)).astype(np.intp)  # clipped to the table
-        return i + ((i < len(a)) & (a[np.minimum(i, len(a) - 1)] == y))
-
-    @cached_property
-    def _sums(self):  # 2^shift P(X < atoms[i]) and 2^shift P(X >= atoms[i]), i = 0..len
-        s = self.scaled
-        return (np.concatenate(([0.0], np.cumsum(s))),
-                np.concatenate((np.cumsum(s[::-1])[::-1], [0.0])))
-
-    def tails(self, i):
-        """(P(X < atoms[i]), P(X >= atoms[i])): the partial sum that leaves
-        out the mode, unscaled once, and 1 minus it."""
-        below, upper = (np.ldexp(s[i], -self.shift) for s in self._sums)
-        low = i <= self.mode
-        return np.where(low, below, 1.0 - upper), np.where(low, 1.0 - below, upper)
-
-
-def _binomial_tails(k, n, p):
-    """(P(X <= k), P(X > k)) for X ~ Binomial(n, p) at the integers k."""
-    law = _Binomial(n, p).law()
-    return law.tails(law.above(k))
 
 
 # scipy.stats.binom's spelling of the law, for callers outside the library
 binom = SimpleNamespace(
-    pmf=lambda k, n, p: _Binomial(n, p).pmf()[k],
-    cdf=lambda k, n, p: _binomial_tails(k, n, p)[0],
-    sf=lambda k, n, p: _binomial_tails(k, n, p)[1],
+    pmf=lambda k, n, p: _Binomial(n, p).dense()[k],
+    cdf=lambda k, n, p: _Binomial(n, p).tails(k)[0],
+    sf=lambda k, n, p: _Binomial(n, p).tails(k)[1],
 )
 
 
@@ -442,21 +444,25 @@ def _pairwise(parts):
 
 # -- tilted sampling of the parts' sufficient statistics ---------------------
 
-def _stat_block(spec: MartingaleSpec, lam: float, rng, m: int):
-    """X_n for m draws under the lam-tilted law, summed part by part from
-    each part's sufficient statistic."""
-    if spec.dist.kind == "gaussian":
-        v = spec.total_variance()
-        return lam * v + math.sqrt(v) * rng.standard_normal(m)
-    xn = 0.0
-    for d, count in spec.iid_parts():
-        values, probs = tilting.tilted_table(d, lam)
-        if len(values) == 2:
-            k = rng.binomial(count, probs[1], size=m)
-            xn = xn + (count * values[0] + k * (values[1] - values[0]))
-        else:
-            xn = xn + rng.multinomial(count, probs, size=m) @ values
-    return xn
+def _part_draws(d, count, lam, rng, m):
+    """m draws of the sum of count iid draws from d's lam-tilted table, from
+    its sufficient statistic, and y -> which of them lie above y.  Each sum
+    has the bits of _part_law's atom: count*v_0 + i*g on a lattice, whose
+    offsets i are read by _first_above; off one the count vector's terms
+    added in its order, and a sum lies above y when it is greater."""
+    values, probs = tilting.tilted_table(d, lam)
+    if len(values) == 2:
+        i = rng.binomial(count, probs[1], size=m)
+    else:
+        counts = rng.multinomial(count, probs, size=m)
+        if d.lattice is None:
+            sums = 0.0
+            for v, k in zip(values, counts.T):
+                sums = sums + k * v
+            return sums, lambda y: sums > y
+        i = counts @ d.lattice[1]
+    base, g = count * values[0], d.lattice[0]
+    return base + i * g, lambda y: i >= _first_above(y, base, g)
 
 
 def _check_samples(n_samples, least=0):
@@ -489,7 +495,7 @@ def _part_law(d, count, lam):
     _part_route's form, refused past its cap.
 
     On a lattice v_0 + g*{0, k_1, ...} the atoms are count*v_0 + i*g, as
-    _stat_block computes two-atom sums.  For two atoms the law is the
+    _part_draws computes them.  For two atoms the law is the
     binomial table over its own span, the i holding more than 2^-1100 of
     the mass; otherwise the pmf is the count-th power of the tilted step
     polynomial by binary powering (np.convolve of non-negative terms),
@@ -504,14 +510,13 @@ def _part_law(d, count, lam):
     if on_lattice:
         (g, k), base = d.lattice, count * values[0]
         if len(k) == 2:
-            return _Binomial(count, probs[1]).law(base, g)
+            return _Binomial(count, probs[1], base, g)
         step, pmf = np.zeros(k[-1] + 1), np.ones(1)
         step[k] = probs
         for bit in bin(count)[2:]:  # high bit first
             pmf = np.convolve(pmf, pmf)
             if bit == "1":
                 pmf = np.convolve(pmf, step)
-        pmf /= pmf.sum()  # in place: each copy of a large table raises the peak RSS
         return _Law(base + np.arange(size) * g, pmf, lattice=(base, g, 0))
     rest = np.cumsum(probs[::-1])[::-1]
     atoms, pmf, left = np.zeros(1), np.ones(1), np.array([count])
@@ -522,7 +527,7 @@ def _part_law(d, count, lam):
         # one binomial table per distinct count left, laid end to end
         counts = np.unique(left)
         starts = np.cumsum(counts + 1) - (counts + 1)
-        tables = np.concatenate([_Binomial(c, p / r).pmf() for c in counts])
+        tables = np.concatenate([_Binomial(c, p / r).dense() for c in counts])
         atoms = atoms[rows] + k * v
         pmf = pmf[rows] * tables[starts[np.searchsorted(counts, left)][rows] + k]
         left = left[rows] - k
@@ -598,12 +603,21 @@ def _histogram_sums(laws, x, lam, psi, n_samples, seed):
 
 
 def _per_draw_sums(spec, x, lam, psi, n_samples, seed):
+    """(sum w, sum w^2) over the hits of n_samples draws made one by one, in
+    blocks: a draw is a hit where its last part lies above x minus its first,
+    as in _histogram_sums."""
     n_blocks = (n_samples + BLOCK - 1) // BLOCK
 
     def one(b):
-        m = BLOCK if b < n_blocks - 1 else n_samples - (n_blocks - 1) * BLOCK
-        xn = _stat_block(spec, lam, block_rng(seed, b), m)
-        hit = xn > x
+        m, rng = min(BLOCK, n_samples - b * BLOCK), block_rng(seed, b)
+        if spec.dist.kind == "gaussian":
+            v = spec.total_variance()
+            xn = lam * v + math.sqrt(v) * rng.standard_normal(m)
+            hit = xn > x
+        else:
+            *first, (last, above) = [_part_draws(d, c, lam, rng, m) for d, c in spec.iid_parts()]
+            a = first[0][0] if first else 0.0
+            xn, hit = a + last, above(x - a)
         z = np.zeros(m)
         z[hit] = np.exp(psi - lam * xn[hit])
         return np.array([float(np.sum(z)), float(np.dot(z, z))])
@@ -715,7 +729,7 @@ def _exact_oracle(spec: MartingaleSpec, method: str):
         atoms, pmf = (first[0].atoms, first[0].pmf) if first else (0.0, 1.0)
 
         def tail(x):
-            return min(float(np.dot(pmf, law.tails(law.above(x - atoms))[1])), 1.0)
+            return min(float(np.dot(pmf, law.tails(x - atoms)[1])), 1.0)
         two_point = method == "exact" and not first and len(spec.dist.values) == 2
         tag = "exact_binomial" if two_point else "exact_enum"
     return lambda x: TailEstimate(x=x, p_hat=tail(x), std_err=0.0, n_samples=0,

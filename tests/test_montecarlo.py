@@ -269,7 +269,7 @@ class TestCrude:
             math.sqrt(est.p_hat * (1 - est.p_hat) / est.n_samples), rel=1e-12
         )
 
-    def test_tie_on_the_oracle_side(self):
+    def test_tie_on_the_oracle_side(self, monkeypatch):
         # x = 2.4 of the grid 0:80:0.8 is an atom of normalized Rademacher at
         # n = 6400, of mass 5.6e-4.  The law's floor rule puts it not above x,
         # and a searchsorted cut on the float atoms puts it above; the
@@ -282,9 +282,17 @@ class TestCrude:
         other_cut = np.searchsorted(law.atoms, x, side="right")
         assert law.above(x) == other_cut + 1
         exact = exact_tail(spec, x).p_hat
-        other = float(law.tails(other_cut)[1])
+        other = float(law.tails(law.atoms[other_cut - 1])[1])  # P(X >= that atom)
         assert other - exact == pytest.approx(law.pmf[other_cut], rel=1e-9)
         est = crude_tail_estimate(spec, x, 10**8, seed=3)
+        assert abs(est.p_hat - exact) <= 5.0 * est.std_err
+        assert abs(est.p_hat - other) > 5.0 * est.std_err
+        # the per-draw route (forced here with no histogram cells) reads a
+        # draw's lattice offset by the same rule: 4e6 draws (se 4.5e-5) sit
+        # on exact_tail's side, the two sides 12.6 se apart
+        monkeypatch.setattr(montecarlo, "HISTOGRAM_CELLS", 0)
+        monkeypatch.setattr(montecarlo, "_histogram_sums", None)
+        est = crude_tail_estimate(spec, x, 4 * 10**6, seed=3)
         assert abs(est.p_hat - exact) <= 5.0 * est.std_err
         assert abs(est.p_hat - other) > 5.0 * est.std_err
 
@@ -458,6 +466,19 @@ class TestTilted:
                 results.append(tilted_tail_estimate(spec, 1.0, 0.8, samples, seed=9))
             assert results[0].p_hat == results[1].p_hat == results[2].p_hat
             assert results[0].std_err == results[1].std_err == results[2].std_err
+
+    def test_per_draw_sums_are_the_laws_atoms(self):
+        # each part's per-draw sum has the bits of an atom of _part_law's law
+        # on every form (binomial, lattice power, count vectors off a
+        # lattice), and the draws above x are those at or past law.above(x)
+        off = IncrementDistribution.finite_table([(-1.0, 0.5), (0.3, 0.3), (math.sqrt(2), 0.2)])
+        for d, count in ((RADEMACHER, 50), (THREE_POINT, 40), (off, 30)):
+            law = montecarlo._part_law(d, count, 0.4)
+            sums, above = montecarlo._part_draws(d, count, 0.4, montecarlo.block_rng(1, 0), 4096)
+            idx = np.searchsorted(law.atoms, sums)
+            assert np.array_equal(law.atoms[idx], sums), d
+            for x in (*law.atoms, *(law.atoms[1:] + law.atoms[:-1]) / 2):
+                assert np.array_equal(above(x), idx >= law.above(x)), (d, x)
 
     def test_histogram_route_choice(self, monkeypatch):
         # finite parts whose sum laws have at most BLOCK atoms each (a
@@ -870,8 +891,9 @@ class TestExactTail:
         # one law and one reader serve both methods, so they give the same
         # bits at every threshold: the grids' own thresholds (each an atom of
         # normalized Rademacher, where the table reader once counted the atom
-        # at x above x on 16 of 41 rows at n = 400), every atom of X_n, the
-        # midpoints between atoms, and +-inf
+        # at x above x on 16 of 41 rows at n = 400), every atom of X_n, one
+        # ulp and 1e-17 either side of it, the midpoints between atoms, and
+        # +-inf; read in ascending order, the tail never rises
         def atoms_of(spec):
             laws = [montecarlo._part_law(d, c, 0.0) for d, c in spec.iid_parts()]
             return functools.reduce(np.add.outer, [law.atoms for law in laws]).ravel()
@@ -883,10 +905,16 @@ class TestExactTail:
                  (MartingaleSpec.variance_switching(THREE_POINT, n=40, rho=0.5), []))
         for spec, grid in cases:
             atoms = np.unique(atoms_of(spec))
-            thresholds = [*grid, *atoms, *(atoms[1:] + atoms[:-1]) / 2, -math.inf, math.inf]
+            near = [np.nextafter(atoms, -math.inf), np.nextafter(atoms, math.inf),
+                    atoms - 1e-17, atoms + 1e-17]
+            thresholds = np.sort([*grid, *atoms, *np.concatenate(near),
+                                  *(atoms[1:] + atoms[:-1]) / 2, -math.inf, math.inf])
             exact, enum = (montecarlo._exact_oracle(spec, method) for method in EXACT_METHODS)
+            tails = []
             for x in map(float, thresholds):
-                assert exact(x).p_hat == enum(x).p_hat, (spec, x)
+                tails.append(exact(x).p_hat)
+                assert tails[-1] == enum(x).p_hat, (spec, x)
+            assert all(np.diff(tails) <= 0.0), spec
 
     def test_varswitch_against_bruteforce(self):
         # independent pure-python oracle over all sign paths
@@ -1049,11 +1077,16 @@ class TestExactTail:
     def test_varswitch_zero_sum_ties(self):
         # c_hi/c_lo is irrational, so X_n = c_hi A + c_lo B is 0 only at
         # A = B = 0, and by symmetry P(X_n > 0) = (1 - P(A = 0)^2) / 2
+        # at x = 0 and a fraction of an ulp above it: on Rademacher varswitch
+        # n = 12 the lattice quotient of 0.0, 1e-17 and 5e-324 rounds below
+        # the offset of the atom 0.0, which is still not above x
         for n in (4, 8, 12):
             p_zero = math.comb(n // 2, n // 4) / 2 ** (n // 2)
             for rho in (0.3, 0.5):
                 spec = MartingaleSpec.variance_switching(RADEMACHER, n=n, rho=rho)
-                assert abs(exact_tail(spec, 0.0).p_hat - (1.0 - p_zero**2) / 2.0) <= 1e-14
+                for x in (0.0, 1e-17, math.ulp(0.0)):
+                    got = exact_tail(spec, x).p_hat
+                    assert abs(got - (1.0 - p_zero**2) / 2.0) <= 1e-14, (n, rho, x)
 
 
 def exact_erfc(z):
@@ -1396,7 +1429,7 @@ class TestTwoPointKs:
         monkeypatch.setattr(montecarlo, "binom", None)
         rows = conjugate_clt_check(rademacher_spec, 0.0, [100, 1_000_000])
         rows += conjugate_clt_check(lambda n: two_point_spec(0.05, n), 3.0, [4096])
-        assert [n for n, _ in built] == [100, 1_000_000, 4096]
+        assert [args[0] for args in built] == [100, 1_000_000, 4096]
         assert rows[1].ks_distance * 1000 == pytest.approx(1 / math.sqrt(math.tau), rel=1e-6)
 
     def test_reach(self):
