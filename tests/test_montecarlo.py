@@ -450,7 +450,9 @@ class TestTilted:
         # over BLOCK) and the gaussian are sampled draw by draw in a thread
         # pool, the others from their histograms; Rademacher n = 10000 (a
         # binomial table of 4128 atoms) takes the histogram at 30000 draws,
-        # and at 4100, fewer than its atoms, two blocks draw by draw
+        # and at 4100, fewer than its atoms, two blocks draw by draw; the
+        # three-point varswitch law at n = 400 has 601^2 cells, over
+        # HISTOGRAM_CELLS, so its two parts are drawn per sample in 8 blocks
         for spec, samples in ((rademacher_spec(20), 30_000),
                               (three_point_spec(20), 30_000),
                               (MartingaleSpec.variance_switching(RADEMACHER, n=12, rho=0.5),
@@ -459,7 +461,9 @@ class TestTilted:
                               (MartingaleSpec.iid(IRRATIONAL, n=100, normalized=True), 30_000),
                               (gaussian_spec(15), 30_000),
                               (rademacher_spec(10_000), 30_000),
-                              (rademacher_spec(10_000), 4100)):
+                              (rademacher_spec(10_000), 4100),
+                              (MartingaleSpec.variance_switching(THREE_POINT, n=400, rho=0.5),
+                               30_000)):
             results = []
             for w in ("1", "2", "8"):
                 monkeypatch.setenv("MLDE_THREADS", w)
@@ -1114,29 +1118,33 @@ def exact_erfc(z):
 
 
 class TestNormalCdf:
-    """montecarlo._erfc, the elementwise erfc under _normal_cdf and so under
-    every KS distance, against exact values."""
+    """montecarlo._normal_cdf, the Phi under every KS distance, against exact
+    values and against bounds.gaussian_tail."""
 
-    # a grid over [-40, 40] that also crosses each range boundary of _erfc
+    # a grid over [-40, 40], dense where erfc leaves 2 and reaches 0, and
+    # across the range boundaries of fdlibm's erfc (0.84375, 1.25, 1/0.35, 28)
     GRID = np.unique(np.r_[np.linspace(-40.0, 40.0, 1601), np.linspace(-6.5, 6.5, 521),
                            np.linspace(26.0, 28.0, 81), [0.84375, 1.25, 1 / 0.35, 28.0],
                            np.nextafter([0.84375, 1.25, 1 / 0.35, 28.0], 0.0)])
 
     def test_within_ulps_of_exact(self):
-        # Past |z| = 1.25 a value is exp(a) exp(b) / z with a exact: two exps
-        # (each within 1 ulp), a product and a quotient (1/2 ulp each) and the
-        # fitted exponent b (under 1/4 ulp), so at most 3.25 ulps; below 1.25,
-        # a polynomial and two roundings.  math.erfc has the same form.
-        for z, got in zip(self.GRID, montecarlo._erfc(self.GRID)):
+        # halving is exact, so 2 Phi(x) is the platform's erfc at the double
+        # z = x / -sqrt(2) that _normal_cdf computes, within 4 ulps of exact
+        x = self.GRID * -math.sqrt(2.0)
+        for z, got in zip(x / -math.sqrt(2.0), 2.0 * montecarlo._normal_cdf(x)):
             want = exact_erfc(float(z))
             assert abs(decimal.Decimal(float(got)) - want) <= 4 * decimal.Decimal(
                 math.ulp(float(want))), z
+        # one erfc at one double for both tails: Phi(-x) is gaussian_tail(x), to the bit
+        for x, got in zip(self.GRID, montecarlo._normal_cdf(-self.GRID)):
+            assert got == bounds.gaussian_tail(float(x)), x
 
     def test_edges(self):
-        np.testing.assert_array_equal(
-            montecarlo._erfc(np.array([-np.inf, -40.0, 0.0, 27.5, 40.0, np.inf])),
-            [2.0, 2.0, 1.0, 0.0, 0.0, 0.0])
-        assert np.isnan(montecarlo._erfc(np.array([np.nan]))[0])
+        # erfc at z = -inf, -40, 0, 27.5, 40, inf is 2, 2, 1, 0, 0, 0
+        z = np.array([-np.inf, -40.0, 0.0, 27.5, 40.0, np.inf])
+        np.testing.assert_array_equal(montecarlo._normal_cdf(z * -math.sqrt(2.0)),
+                                      [1.0, 1.0, 0.5, 0.0, 0.0, 0.0])
+        assert np.isnan(montecarlo._normal_cdf(np.array([np.nan]))[0])
         np.testing.assert_array_equal(montecarlo._normal_cdf(np.array([0.0, -40.0, 40.0])),
                                       [0.5, 0.0, 1.0])
 
