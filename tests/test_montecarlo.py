@@ -474,11 +474,16 @@ class TestTilted:
     def test_per_draw_sums_are_the_laws_atoms(self):
         # each part's per-draw sum has the bits of an atom of _part_law's law
         # on every form (binomial, lattice power, count vectors off a
-        # lattice), and the draws above x are those at or past law.above(x)
+        # lattice, count vectors folded onto a sparse one whose centred
+        # values are not dyadic), and the draws above x are those at or past
+        # law.above(x).  The sparse table is drawn untilted: at 0.4 nearly
+        # every draw is its top atom
         off = IncrementDistribution.finite_table([(-1.0, 0.5), (0.3, 0.3), (math.sqrt(2), 0.2)])
-        for d, count in ((RADEMACHER, 50), (THREE_POINT, 40), (off, 30)):
-            law = montecarlo._part_law(d, count, 0.4)
-            sums, above = montecarlo._part_draws(d, count, 0.4, montecarlo.block_rng(1, 0), 4096)
+        sparse = IncrementDistribution.finite_table([(0.0, 0.5), (1.0, 0.3), (40.0, 0.2)])
+        for d, count, lam in ((RADEMACHER, 50, 0.4), (THREE_POINT, 40, 0.4), (off, 30, 0.4),
+                              (sparse, 200, 0.0)):
+            law = montecarlo._part_law(d, count, lam)
+            sums, above = montecarlo._part_draws(d, count, lam, montecarlo.block_rng(1, 0), 4096)
             idx = np.searchsorted(law.atoms, sums)
             assert np.array_equal(law.atoms[idx], sums), d
             for x in (*law.atoms, *(law.atoms[1:] + law.atoms[:-1]) / 2):
@@ -1034,6 +1039,26 @@ class TestExactTail:
                 want = math.fsum(binom.pmf(c, n, 0.25) * above)
                 got = exact_tail(spec, x).p_hat
                 assert got == pytest.approx(want, rel=rel, abs=0.0), (top, n, x)
+        # those tables' centred values are dyadic, so even float sums were
+        # exact.  {0, 1, 40} at (0.5, 0.3, 0.2) is centred at 8.3: its count
+        # vectors must sum their integer offsets, or vectors on one lattice
+        # point give atoms a rounding apart and a threshold on that point
+        # splits the atom's mass (8.5 % off at offset 3444).  The 20301
+        # vectors fold onto 7260 atoms base + i g, read here at every 7th
+        # offset against the nested binomial: c ~ Bin(n, 0.2) draws are 40
+        # and b ~ Bin(n - c, 3/8) of the others are 1
+        table = IncrementDistribution.finite_table([(0.0, 0.5), (1.0, 0.3), (40.0, 0.2)])
+        n = 200
+        assert montecarlo._part_route(table, n)[:2] == (math.comb(n + 2, 2), False)
+        law = montecarlo._part_law(table, n, 0.0)
+        assert len(law.atoms) == 7260
+        (base, g), c = law.lattice, np.arange(n + 1)
+        weights = binom.pmf(c, n, 0.2)
+        tail = montecarlo._exact_oracle(MartingaleSpec.iid(table, n=n), "exact")  # exact_tail's reader
+        for i in range(0, 40 * n + 1, 7):
+            want = math.fsum(weights * binom.sf(i - 40 * c, n - c, 0.375))
+            got = tail(base + i * g).p_hat
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), i
 
     def test_near_lattice_not_snapped(self):
         # 2 + 1e-9 is off the lattice {-1, 0, 2}: the top atom of X_10, of
