@@ -21,12 +21,12 @@ One builder, ``_part_law``, gives each part's tilted sum law to the oracles
 and the sampler alike: the binomial table for two atoms, a polynomial power
 on a larger lattice, or the count vectors, equal sums folded, where they
 are cheaper to build.  Each is a ``_Law``, on a lattice with atoms base +
-offset*g in every form, and one tie rule in float arithmetic,
-``_first_above``, says which of its atoms lie above x: on a lattice those
-that both floor((x - base) / g) and their float values put above it, off
-one those greater than x.  Every exact reader, both of the histogram's cuts
-and the per-draw hit read it, so ``exact`` and ``exact_enum`` give the same
-bits and the sampler puts an atom at x on the same side as they do.
+offset*g in every form.  One tie rule in float arithmetic, ``_cut``, gives
+the least value an atom above x must have: on a lattice the first atom that
+both floor((x - base) / g) and its float value put above x, off one the
+next double.  Every exact reader and every sampled hit compare with it, so
+``exact`` and ``exact_enum`` give the same bits and the sampler puts an
+atom at x on the same side as they do.
 
 Sampling draws each part's sufficient statistic: binomial counts for a
 two-atom table, multinomial counts for a larger one, both over the part's
@@ -36,8 +36,9 @@ counter-based sub-streams reduced in a fixed pairwise order; a finite spec
 whose sum laws are small enough for the sample count N (``_weighted_tail``)
 draws the histogram of the N draws instead (``_histogram_sums``): the first
 part's counts, then one multinomial call for the second part's counts at
-every drawn atom of the first.  Either route gives bit-identical estimates
-for any worker count at a fixed seed.
+every drawn atom of the first.  One kernel, ``_weigh``, weighs both routes'
+hits, k draws at each.  Either route gives bit-identical estimates for any
+worker count at a fixed seed.
 """
 
 from __future__ import annotations
@@ -230,18 +231,22 @@ def _binomial_span(n, sd):
     return min(n + 1, 2 * (64 + math.ceil(40 * sd)))
 
 
-def _first_above(y, base, g):
-    """The one tie rule, on the lattice base + j g: the least j whose atom
-    lies above each y, in float arithmetic.  It is floor((y - base) / g) + 1,
+def _cut(y, lattice):
+    """The one tie rule: the least value an atom must have to lie above each
+    y, in float arithmetic.  Off a lattice it is the next double past y.  On
+    the lattice base + j g it is the atom at j = floor((y - base) / g) + 1,
     one further where that atom, computed as base + j g, is not above y: the
     quotient can round below an atom's own offset (with base = -6c and g = 2c
     the atom base + 3g is 0.0, but (0.0 - base) / g can round to
     2.9999999999999996, and so can (1e-17 - base) / g).  An atom lies above y
     only when both its offset and its value say so: a y within the
-    quotient's rounding of an atom, on either side, is at it, and j never
-    falls as y grows."""
+    quotient's rounding of an atom, on either side, is at it, and the cut
+    never falls as y grows."""
+    if lattice is None:
+        return np.nextafter(y, np.inf)
+    base, g = lattice
     j = np.floor((y - base) / g) + 1.0
-    return j + (base + j * g <= y)
+    return base + (j + (base + j * g <= y)) * g
 
 
 class _Law:
@@ -262,12 +267,8 @@ class _Law:
         return int(np.argmax(self.scaled))
 
     def above(self, y):
-        """The index of the first atom above each y: the first at or past
-        _first_above's lattice point, else the first greater than y."""
-        if self.lattice is None:
-            return np.searchsorted(self.atoms, y, side="right")
-        base, g = self.lattice
-        return np.searchsorted(self.atoms, base + _first_above(y, base, g) * g)
+        """The index of the first atom above each y: the first at or past its _cut."""
+        return np.searchsorted(self.atoms, _cut(y, self.lattice))
 
     @cached_property
     def _sums(self):  # 2^shift P(X < atoms[i]) and 2^shift P(X >= atoms[i]), i = 0..len
@@ -383,22 +384,20 @@ def _pairwise(parts):
 # -- tilted sampling of the parts' sufficient statistics ---------------------
 
 def _part_draws(d, count, lam, rng, m):
-    """m draws of the sum of count iid draws from d's lam-tilted table, from
-    its sufficient statistic, and y -> which of them lie above y.  Each sum
-    has the bits of _part_law's atom: count*v_0 + i*g on a lattice, whose
-    offsets i are read by _first_above; off one the count vector's terms
-    added in its order, and a sum lies above y when it is greater."""
+    """(sums, lattice): m draws of the sum of count iid draws from d's
+    lam-tilted table, from its sufficient statistic, and the lattice _cut
+    reads them on.  Each sum has the bits of _part_law's atom: count*v_0 +
+    i*g on a lattice, off one the count vector's terms added in its order."""
     values, probs = tilting.tilted_table(d, lam)
     if len(values) == 2:
         i = rng.binomial(count, probs[1], size=m)
     else:
         counts = rng.multinomial(count, probs, size=m)
         if d.lattice is None:
-            sums = sum(k * v for v, k in zip(values, counts.T))
-            return sums, lambda y: sums > y
+            return sum(k * v for v, k in zip(values, counts.T)), None
         i = counts @ d.lattice[1]
     base, g = count * values[0], d.lattice[0]
-    return base + i * g, lambda y: i >= _first_above(y, base, g)
+    return base + i * g, (base, g)
 
 
 def _check_samples(n_samples, least=0):
@@ -470,9 +469,12 @@ def _part_law(d, count, lam):
         sums = sums[rows] + k * v
         pmf = pmf[rows] * tables[starts[np.searchsorted(counts, left)][rows] + k]
         left = left[rows] - k
-    del rows, k  # before the fold's temporaries (2,003,001 vectors: 206 MB peak RSS, not 236)
-    sums, where = np.unique(sums + left * terms[-1], return_inverse=True)
-    pmf = np.bincount(where, pmf)
+    sums += left * terms[-1]
+    del rows, k, left  # before the fold's temporaries
+    order = np.argsort(sums, kind="stable")  # each sum's terms in input order for bincount
+    sums, pmf = sums[order], pmf[order]
+    new = np.append(True, sums[1:] != sums[:-1])
+    pmf, sums = np.bincount(np.cumsum(new) - 1, pmf), sums[new]
     return _Law(sums, pmf) if g is None else _Law(base + sums * g, pmf, lattice=(base, g))
 
 
@@ -497,6 +499,14 @@ def _weighted_tail(spec, x, lam, n_samples, seed):
     return p, math.sqrt(var / n_samples)
 
 
+def _weigh(sums, psi, lam, k):
+    """(sum k w, sum k w^2) over hits at the sums, k draws at each, where
+    w = exp(psi - lam * sum) is a hit's weight: the one reduction of both
+    sampling routes."""
+    w = np.exp(psi - lam * sums)
+    return np.array([np.dot(k, w), np.dot(k, w * w)])
+
+
 def _histogram_sums(laws, x, lam, psi, n_samples, seed):
     """(sum w, sum w^2) over the hits of n_samples draws, from their histogram.
 
@@ -508,9 +518,9 @@ def _histogram_sums(laws, x, lam, psi, n_samples, seed):
     rng.multinomial(c, P) call, a row of P per drawn outer atom in ascending
     order: zeros below its cut, the inner pmf above, the miss mass last (so
     numpy's running remainder never cancels on a small tail).  numpy draws a
-    zero category as 0 without using the stream, so the counts, and each
-    row's own np.dot, are those of one call per row.  A one-part spec is one
-    row, all N draws at the outer atom 0."""
+    zero category as 0 without using the stream, so the counts are those of
+    one call per row; _weigh reduces every row's hits at once.  A one-part
+    spec is one row, all N draws at the outer atom 0."""
     rng = block_rng(seed, 0)
     law = laws[-1]
     atoms, pmf = law.atoms, law.pmf
@@ -529,38 +539,26 @@ def _histogram_sums(laws, x, lam, psi, n_samples, seed):
         tail = pmf[lo:]
         counts = rng.multinomial(n_samples, np.append(tail, max(0.0, 1.0 - tail.sum())))[None, :-1]
     hit = counts > 0  # weights of undrawn atoms far below may overflow
-    k = counts[hit].astype(float)
-    w = np.exp(psi - lam * (outer_atoms[:, None] + atoms[lo:])[hit])
-    ww = w * w
-    s1 = s2 = 0.0
-    start = 0
-    for size in hit.sum(axis=1).tolist():
-        end = start + size
-        s1 += k[start:end].dot(w[start:end])
-        s2 += k[start:end].dot(ww[start:end])
-        start = end
+    s1, s2 = _weigh((outer_atoms[:, None] + atoms[lo:])[hit], psi, lam, counts[hit].astype(float))
     return float(s1), float(s2)
 
 
 def _per_draw_sums(spec, x, lam, psi, n_samples, seed):
     """(sum w, sum w^2) over the hits of n_samples draws made one by one, in
-    blocks: a draw is a hit where its last part lies above x minus its first,
-    as in _histogram_sums."""
+    blocks: a draw is a hit where its last part is at or past the _cut of x
+    minus its first, as in _histogram_sums."""
     n_blocks = (n_samples + BLOCK - 1) // BLOCK
 
     def one(b):
         m, rng = min(BLOCK, n_samples - b * BLOCK), block_rng(seed, b)
         if spec.dist.kind == "gaussian":
             v = spec.total_variance()
-            xn = lam * v + math.sqrt(v) * rng.standard_normal(m)
-            hit = xn > x
+            a, last, lattice = 0.0, lam * v + math.sqrt(v) * rng.standard_normal(m), None
         else:
-            *first, (last, above) = [_part_draws(d, c, lam, rng, m) for d, c in spec.iid_parts()]
+            *first, (last, lattice) = [_part_draws(d, c, lam, rng, m) for d, c in spec.iid_parts()]
             a = first[0][0] if first else 0.0
-            xn, hit = a + last, above(x - a)
-        z = np.zeros(m)
-        z[hit] = np.exp(psi - lam * xn[hit])
-        return np.array([float(np.sum(z)), float(np.dot(z, z))])
+        hit = last >= _cut(x - a, lattice)
+        return _weigh((a + last)[hit], psi, lam, np.ones(np.count_nonzero(hit)))
 
     s1, s2 = _pairwise(_map_blocks(one, n_blocks))
     return float(s1), float(s2)

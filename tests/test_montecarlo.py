@@ -69,9 +69,9 @@ def sampled_laws(monkeypatch, spec, lam, samples=100):
 
 def loop_histogram_sums(laws, x, lam, psi, n_samples, seed):
     """The histogram draw with one Multinomial(c_a, inner atoms above x - a
-    + miss) call per drawn outer atom a, in ascending order, and each row's
-    sums added as they are drawn: the reference _histogram_sums matches bit
-    for bit."""
+    + miss) call per drawn outer atom a, in ascending order, each row's hit
+    counts and sums collected and weighed once by the samplers' one kernel:
+    the reference _histogram_sums matches bit for bit."""
     rng = montecarlo.block_rng(seed, 0)
     law = laws[-1]
     atoms, pmf = law.atoms, law.pmf
@@ -80,17 +80,17 @@ def loop_histogram_sums(laws, x, lam, psi, n_samples, seed):
         outer_counts = rng.multinomial(n_samples, laws[0].pmf)
     else:
         outer_atoms, outer_counts = np.zeros(1), np.array([n_samples])
-    s1 = s2 = 0.0
+    k, sums = [], []
     for a, c in zip(outer_atoms, outer_counts):
         if c == 0:
             continue
         cut = law.above(x - a)
         counts = rng.multinomial(c, np.append(pmf[cut:], max(0.0, 1.0 - pmf[cut:].sum())))[:-1]
         hit = counts > 0
-        w = np.exp(psi - lam * (a + atoms[cut:][hit]))
-        s1 += float(np.dot(counts[hit], w))
-        s2 += float(np.dot(counts[hit], w * w))
-    return s1, s2
+        k.append(counts[hit])
+        sums.append(a + atoms[cut:][hit])
+    s1, s2 = montecarlo._weigh(np.concatenate(sums), psi, lam, np.concatenate(k).astype(float))
+    return float(s1), float(s2)
 
 
 def binomial_ks(n):
@@ -475,19 +475,38 @@ class TestTilted:
         # each part's per-draw sum has the bits of an atom of _part_law's law
         # on every form (binomial, lattice power, count vectors off a
         # lattice, count vectors folded onto a sparse one whose centred
-        # values are not dyadic), and the draws above x are those at or past
-        # law.above(x).  The sparse table is drawn untilted: at 0.4 nearly
-        # every draw is its top atom
+        # values are not dyadic), and a draw is a hit, at or past the _cut of
+        # x minus the first part's draw, exactly when its atom is at or past
+        # law.above of the same threshold.  The thresholds are those
+        # TestExactTail::test_methods_agree_to_the_bit reads: every atom of
+        # X_n, one ulp and 1e-17 either side of it, the midpoints and +-inf.
+        # The two-part case draws the first part before the last, as
+        # _per_draw_sums does; its 512 draws, 30 distinct first-part sums,
+        # are each read at its 22,327 thresholds.  The sparse table is drawn
+        # untilted: at 0.4 nearly every draw is its top atom
         off = IncrementDistribution.finite_table([(-1.0, 0.5), (0.3, 0.3), (math.sqrt(2), 0.2)])
         sparse = IncrementDistribution.finite_table([(0.0, 0.5), (1.0, 0.3), (40.0, 0.2)])
-        for d, count, lam in ((RADEMACHER, 50, 0.4), (THREE_POINT, 40, 0.4), (off, 30, 0.4),
-                              (sparse, 200, 0.0)):
-            law = montecarlo._part_law(d, count, lam)
-            sums, above = montecarlo._part_draws(d, count, lam, montecarlo.block_rng(1, 0), 4096)
-            idx = np.searchsorted(law.atoms, sums)
-            assert np.array_equal(law.atoms[idx], sums), d
-            for x in (*law.atoms, *(law.atoms[1:] + law.atoms[:-1]) / 2):
-                assert np.array_equal(above(x), idx >= law.above(x)), (d, x)
+        varswitch = MartingaleSpec.variance_switching(THREE_POINT, n=40, rho=0.5)
+        for parts, lam, m in ((((RADEMACHER, 50),), 0.4, 4096), (((THREE_POINT, 40),), 0.4, 4096),
+                              (((off, 30),), 0.4, 4096), (((sparse, 200),), 0.0, 4096),
+                              (varswitch.iid_parts(), 0.4, 512)):
+            rng = montecarlo.block_rng(1, 0)
+            laws = [montecarlo._part_law(d, count, lam) for d, count in parts]
+            draws = [montecarlo._part_draws(d, count, lam, rng, m) for d, count in parts]
+            for law, (sums, _) in zip(laws, draws):
+                idx = np.searchsorted(law.atoms, sums)
+                assert np.array_equal(law.atoms[idx], sums), parts
+            *first, (sums, lattice) = draws
+            a, idx = first[0][0] if first else 0.0, np.searchsorted(laws[-1].atoms, sums)
+            atoms = np.unique(functools.reduce(np.add.outer, [law.atoms for law in laws]))
+            thresholds = np.concatenate([atoms, np.nextafter(atoms, -math.inf),
+                                         np.nextafter(atoms, math.inf), atoms - 1e-17,
+                                         atoms + 1e-17, (atoms[1:] + atoms[:-1]) / 2,
+                                         [-math.inf, math.inf]])
+            for x in np.array_split(thresholds, len(thresholds) // 64 + 1):  # 64 rows at a time
+                y = x[:, None] - a
+                assert np.array_equal(sums >= montecarlo._cut(y, lattice),
+                                      idx >= laws[-1].above(y)), (parts, x)
 
     def test_histogram_route_choice(self, monkeypatch):
         # finite parts whose sum laws have at most BLOCK atoms each (a
@@ -647,7 +666,8 @@ class TestTilted:
 
 class TestHistogramSums:
     """The inner draws of the histogram route are one multinomial call over a
-    row per drawn outer atom, bit for bit the per-atom loop it replaced."""
+    row per drawn outer atom, bit for bit a call per row, and one reduction
+    weighs every row's hits."""
 
     SPECS = (MartingaleSpec.variance_switching(RADEMACHER, n=200, rho=0.5),
              MartingaleSpec.variance_switching(THREE_POINT, n=60, rho=0.5),
