@@ -94,8 +94,8 @@ class IncrementDistribution:
         d = IncrementDistribution(
             kind="finite_table", values=tuple(values), probs=tuple(probs)
         )
-        if d.variance <= 0.0:
-            raise ConfigError("finite_table must have positive variance")
+        if not 0.0 < d.variance < math.inf:
+            raise ConfigError("finite_table must have positive, finite variance")
         return d
 
     @staticmethod
@@ -125,7 +125,10 @@ class IncrementDistribution:
             if k % 2 == 1:
                 return 0.0
             return self.sigma2 ** (k // 2) * _double_factorial(k - 1)
-        return math.fsum(p * v**k for v, p in zip(self.values, self.probs))
+        try:
+            return math.fsum(p * v**k for v, p in zip(self.values, self.probs))
+        except OverflowError:  # a power or the sum past the double range
+            return math.inf
 
     def abs_moment(self, k: int) -> float:
         """Exact E |eta|^k."""

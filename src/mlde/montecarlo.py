@@ -25,14 +25,13 @@ offset*g in every form.  One tie rule in float arithmetic, ``_cut``, gives
 the least value an atom above x must have: on a lattice the first atom that
 both floor((x - base) / g) and its float value put above x, off one the
 next double.  Every exact reader and every sampled hit compare with it, so
-``exact`` and ``exact_enum`` give the same bits and the sampler puts an
-atom at x on the same side as they do.
+the sampler puts an atom at x on the same side as exact_tail does.
 
 Sampling draws each part's sufficient statistic: binomial counts for a
 two-atom table, multinomial counts for a larger one, both over the part's
 tilted table (``tilting.tilted_table``, the one tilt of a finite law), and a
 single normal draw for gaussian specs, in fixed-size blocks from
-counter-based sub-streams reduced in a fixed pairwise order; a finite spec
+counter-based sub-streams, added by math.fsum in block order; a finite spec
 whose sum laws are small enough for the sample count N (``_weighted_tail``)
 draws the histogram of the N draws instead (``_histogram_sums``): the first
 part's counts, then one multinomial call for the second part's counts at
@@ -61,6 +60,7 @@ ENUM_LIMIT = 1 << 24  # largest count-vector table (vectors x atoms) _part_law b
 # as atoms^2: 0.18-0.20 s at 48,001 atoms, 0.52-0.55 s at 90,001, 1.0-1.1 s
 # at 131,071, each under 30 MB peak RSS (3 runs, one core, numpy 2.4.6).
 CONVOLVE_ATOMS = 1 << 17
+# exact_tail's one route by either spelling; the benchmark pins "exact_enum"
 EXACT_METHODS = ("exact", "exact_enum")
 TAIL_METHODS = ("crude", "tilted") + EXACT_METHODS
 MAX_SAMPLES = 1 << 30  # largest sample count an estimator takes (2^18 blocks of BLOCK)
@@ -339,10 +339,15 @@ binom = SimpleNamespace(
 def _normal_cdf(x):
     """Phi of every element of x, relatively accurate in both tails: math.erfc
     at the double -x/sqrt(2), as bounds.gaussian_tail reads it (called
-    directly, since the tracer counts each gaussian_tail call)."""
+    directly, since the tracer counts each gaussian_tail call).  math.erfc
+    is exactly 2 below -5.8635847487551676 and 0 past 27.226364135742184
+    (found by bisection), so only the elements between, and nan, are mapped."""
     z = np.asarray(x, dtype=float) / -math.sqrt(2.0)
+    low = z < -5.8635847487551676
+    out, mid = np.where(low, 1.0, 0.0), ~(low | (z > 27.226364135742184))
     # fromiter over a list: 1.3-1.6x faster than a list comprehension at 1e4-1e5 atoms
-    return 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
+    out[mid] = 0.5 * np.fromiter(map(math.erfc, z[mid].tolist()), float)
+    return out
 
 
 # -- deterministic parallel plumbing ------------------------------------------
@@ -355,30 +360,6 @@ def resolve_workers() -> int:
     except ValueError:
         raise ConfigError(f"bad worker count {workers!r}")
     return max(1, workers)
-
-
-def _pool_size(workers: int, n_blocks: int) -> int:
-    """Threads worth starting: no more than requested, CPUs, or blocks."""
-    return max(1, min(workers, os.cpu_count() or 1, n_blocks))
-
-
-def _map_blocks(fn, n_blocks: int):
-    workers = _pool_size(resolve_workers(), n_blocks)
-    if workers <= 1:
-        return [fn(b) for b in range(n_blocks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_blocks)))
-
-
-def _pairwise(parts):
-    """Fixed-shape pairwise tree sum; independent of how parts were produced."""
-    parts = list(parts)
-    while len(parts) > 1:
-        parts = [
-            parts[i] + parts[i + 1] if i + 1 < len(parts) else parts[i]
-            for i in range(0, len(parts), 2)
-        ]
-    return parts[0]
 
 
 # -- tilted sampling of the parts' sufficient statistics ---------------------
@@ -546,7 +527,9 @@ def _histogram_sums(laws, x, lam, psi, n_samples, seed):
 def _per_draw_sums(spec, x, lam, psi, n_samples, seed):
     """(sum w, sum w^2) over the hits of n_samples draws made one by one, in
     blocks: a draw is a hit where its last part is at or past the _cut of x
-    minus its first, as in _histogram_sums."""
+    minus its first, as in _histogram_sums.  The blocks run on up to
+    MLDE_THREADS workers (one per CPU and per block at most), and math.fsum
+    adds their sums in block order, so no worker count moves the result."""
     n_blocks = (n_samples + BLOCK - 1) // BLOCK
 
     def one(b):
@@ -560,8 +543,13 @@ def _per_draw_sums(spec, x, lam, psi, n_samples, seed):
         hit = last >= _cut(x - a, lattice)
         return _weigh((a + last)[hit], psi, lam, np.ones(np.count_nonzero(hit)))
 
-    s1, s2 = _pairwise(_map_blocks(one, n_blocks))
-    return float(s1), float(s2)
+    workers = min(resolve_workers(), os.cpu_count() or 1, n_blocks)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            sums = list(pool.map(one, range(n_blocks)))
+    else:
+        sums = [one(b) for b in range(n_blocks)]
+    return tuple(math.fsum(column) for column in zip(*sums))
 
 
 def crude_tail_estimate(
@@ -582,8 +570,8 @@ def tilted_tail_estimate(
     spec: MartingaleSpec, x: float, lam: float, n_samples: int, seed: int
 ) -> TailEstimate:
     """Importance-sampling estimate of P(X_n > x) under the lam-tilted law."""
-    if lam < 0:
-        raise DomainError("lam must be >= 0")
+    if not 0.0 <= lam < math.inf:
+        raise DomainError(f"lam = {lam!r} must be finite and >= 0")
     _check_samples(n_samples, least=100)
     p, se = _weighted_tail(spec, x, lam, n_samples, seed)
     return TailEstimate(x=x, p_hat=p, std_err=se, n_samples=n_samples,
@@ -606,7 +594,7 @@ def saddlepoint_lambda(spec: MartingaleSpec, x: float) -> float:
     cannot be resolved; only the top atom of X_n lies above such an x, so the
     tilt is taken at the midpoint of X_n's two top atoms, whose event
     {X_n > midpoint} is the same {X_n = top}."""
-    if x < 0:
+    if not x >= 0:  # nan too
         raise DomainError("x must be >= 0")
     if x == 0.0:
         return 0.0
@@ -653,13 +641,9 @@ def _drift_supremum(spec) -> float:
 
 # -- exact oracles -------------------------------------------------------------
 
-def _exact_oracle(spec: MartingaleSpec, method: str):
-    """x -> exact_tail(spec, x, method), with every part's law built once."""
-    if method not in EXACT_METHODS:
-        raise ConfigError(f"unknown exact method {method!r}")
+def _exact_oracle(spec: MartingaleSpec):
+    """x -> exact_tail(spec, x), with every part's law built once."""
     if spec.dist.kind == "gaussian":
-        if method != "exact":
-            raise DomainError(f"method {method!r} unavailable for gaussian laws")
         sd = math.sqrt(spec.total_variance())
         tag, tail = "exact_gaussian", lambda x: bounds.gaussian_tail(x / sd)
     else:  # the last part's tail at x minus each atom of the first, weighted by its pmf
@@ -668,22 +652,21 @@ def _exact_oracle(spec: MartingaleSpec, method: str):
 
         def tail(x):
             return min(float(np.dot(pmf, law.tails(x - atoms)[1])), 1.0)
-        two_point = method == "exact" and not first and len(spec.dist.values) == 2
+        two_point = not first and len(spec.dist.values) == 2
         tag = "exact_binomial" if two_point else "exact_enum"
     return lambda x: TailEstimate(x=x, p_hat=tail(x), std_err=0.0, n_samples=0,
                                   method=tag, seed=0, lambda_used=0.0)
 
 
-def exact_tail(spec: MartingaleSpec, x: float, method: str = "exact") -> TailEstimate:
+def exact_tail(spec: MartingaleSpec, x: float) -> TailEstimate:
     """Exact P(X_n > x): the closed-form normal tail for gaussian specs
-    (exact_gaussian, "exact" only), the parts' sum laws from _part_law for
-    every finite spec.  The two methods differ there only in the tag:
-    "exact" writes exact_binomial for an iid two-point law.  A law past its
-    cap (_part_law's, or BINOMIAL_ATOMS) raises DomainError, as does a nan
-    x, before any work."""
+    (tagged exact_gaussian), the parts' sum laws from _part_law for every
+    finite spec (exact_binomial for an iid two-point law, else exact_enum).
+    A law past its cap (_part_law's, or BINOMIAL_ATOMS) raises DomainError,
+    as does a nan x, before any work."""
     if math.isnan(x):
         raise DomainError("threshold x is nan")
-    return _exact_oracle(spec, method)(x)
+    return _exact_oracle(spec)(x)
 
 
 # -- exact distribution-distance machinery ------------------------------------
@@ -795,7 +778,7 @@ def estimate_tail(spec, x, method, lam_policy, samples, seed, cert=None) -> Tail
         raise DomainError("threshold x is nan")
     _check_samples(samples)
     if method in EXACT_METHODS:
-        return exact_tail(spec, x, method)
+        return exact_tail(spec, x)
     if method == "crude":
         return crude_tail_estimate(spec, x, samples, seed)
     if method == "tilted":
@@ -842,7 +825,7 @@ def ratio_experiment(
     cert = conditions.certify(spec)
     eps, delta = cert.epsilon, cert.delta
     if method in EXACT_METHODS:  # every part's law built once, for all rows
-        estimate = _exact_oracle(spec, method)
+        estimate = _exact_oracle(spec)
     else:
         def estimate(x):
             return estimate_tail(spec, x, method, lam_policy, samples, seed, cert)

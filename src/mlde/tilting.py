@@ -109,7 +109,7 @@ def solve_lambda_bar(x: float, epsilon: float, delta: float, c: float) -> float:
 
     Satisfies c0*x <= result <= x on the admissible range.
     """
-    if x < 0:
+    if not x >= 0:  # nan too
         raise DomainError("x must be >= 0")
     if epsilon <= 0 or c < 0:
         raise DomainError("epsilon must be > 0 and c >= 0")
@@ -125,7 +125,7 @@ def solve_lambda_under(x: float, epsilon: float, delta: float, c: float) -> floa
     range where the lower-bound construction applies.  Satisfies
     x <= result <= 2x on that range.
     """
-    if x < 0:
+    if not x >= 0:  # nan too
         raise DomainError("x must be >= 0")
     if epsilon <= 0 or c < 0:
         raise DomainError("epsilon must be > 0 and c >= 0")

@@ -119,6 +119,17 @@ class TestRatioEnvelopes:
         env2 = theorems_envelope(95.0, 0.01, 0.0)
         assert not env2.valid
 
+    @pytest.mark.parametrize("eps, delta, name", [
+        (0.0, 0.1, "epsilon"), (0.6, 0.1, "epsilon"), (math.nan, 0.1, "epsilon"),
+        (0.1, -0.1, "delta"), (0.1, 0.6, "delta"), (0.1, math.nan, "delta")])
+    def test_parameters_out_of_range_rejected(self, eps, delta, name):
+        # epsilon in (0, 1/2] and delta in [0, 1/2], checked by every envelope
+        for call in (lambda: theorem1_upper(1.0, eps, delta),
+                     lambda: theorem2_lower(1.0, eps, delta),
+                     lambda: conjugate_rate_bound(0.5, eps, delta)):
+            with pytest.raises(DomainError, match=name):
+                call()
+
     def test_bound_expression_positive_at_zero(self):
         assert ratio_bound_expression(0.0, 0.01, 0.0) > 0.0
 

@@ -49,14 +49,42 @@ class TestCertify:
         assert code == 3
 
 
+class TestLargeValuedTables:
+    # a moment past the double range reads as inf, so the certificate refuses
+    # the law (exit 3), and a table whose variance overflows is a
+    # configuration error (exit 2); the exact tail needs neither
+    @pytest.mark.parametrize("scale, argv, code", [
+        ("1e11", ["certify"], 3),
+        ("1e20", ["ratio-table", "--x-grid", "0:2:1"], 3),
+        ("1e20", ["lemmas"], 3),
+        ("1e20", ["clt-rate", "--n-list", "10,100"], 3),
+        ("1e200", ["tail", "--x", "1", "--method", "exact"], 2),
+        ("1e20", ["tail", "--x", "1", "--method", "exact"], 0),
+    ], ids=["certify", "ratio-table", "lemmas", "clt-rate", "tail-overflow", "tail"])
+    def test_exit_code(self, tmp_path, scale, argv, code):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f"values = -{scale}, {scale}\nprobs = 0.5, 0.5\n")
+        out = tmp_path / "out"
+        assert run([*argv, "--model", f"finite:{cfg}", "--n", "100", "--out", str(out)]) == code
+        if argv[0] == "tail" and code == 0:
+            assert (out / "tail.csv").read_bytes() == (
+                b"x,p_hat,std_err,n_samples,method,seed,lambda_used\r\n"
+                b"1.0,0.4602053813064105,0.0,0,exact_binomial,0,0.0\r\n")
+
+
 class TestTail:
     def test_exact_enum_row(self, tmp_path):
-        code = run(["tail", "--model", "rademacher", "--n", "20", "--normalized",
-                    "--x", "2.0", "--method", "exact_enum", "--out", str(tmp_path)])
-        assert code == 0
-        header, row = (tmp_path / "tail.csv").read_text().strip().splitlines()
+        # exact_enum spells exact's one route: the same CSV, tagged with the
+        # law's form, the binomial table of a two-atom iid law
+        for method in ("exact", "exact_enum"):
+            code = run(["tail", "--model", "rademacher", "--n", "20", "--normalized",
+                        "--x", "2.0", "--method", method, "--out", str(tmp_path / method)])
+            assert code == 0
+        text = (tmp_path / "exact_enum" / "tail.csv").read_text()
+        assert text == (tmp_path / "exact" / "tail.csv").read_text()
+        header, row = text.strip().splitlines()
         cells = dict(zip(header.split(","), row.split(",")))
-        assert cells["method"] == "exact_enum"
+        assert cells["method"] == "exact_binomial"
         assert float(cells["std_err"]) == 0.0
         assert float(cells["p_hat"]) == pytest.approx(0.020695, abs=1e-6)
 
@@ -240,6 +268,14 @@ class TestGridsAndLists:
                 assert (row["p_hat"], row["std_err"], row["feasible"]) == ("0.0", "0.0", "false")
         for method in ("tilted", "exact"):  # 1000 crude draws miss P(X > 4) = 2^-20
             assert all(row["feasible"] == "true" for row in rows[method][:-2]), method
+
+    def test_malformed_grid_and_list(self, tmp_path):
+        with pytest.raises(ConfigError, match="a:b:step"):
+            cli._parse_grid("1:2")
+        with pytest.raises(ConfigError, match="n list"):
+            cli._parse_n_list("1,x")
+        assert run(["certify", "--model", "rademacher", "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.iterdir())
 
     def test_grid_row_cap(self):
         assert len(cli._parse_grid(f"0:{cli.MAX_GRID_ROWS - 1}:1")) == cli.MAX_GRID_ROWS

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from mlde.errors import ConfigError
+from mlde.errors import ConfigError, UnsupportedKindError
 from mlde.model import (
     IncrementDistribution,
     MartingaleSpec,
+    block_rng,
     parse_config_dict,
     spec_from_dict,
     spec_to_dict,
@@ -99,6 +100,29 @@ class TestIncrementDistribution:
         assert abs(math.fsum(d.probs) - 1.0) <= 1e-12
         assert d.variance > 0
 
+    def test_bad_parameters_rejected(self):
+        for call in (lambda: IncrementDistribution.gaussian(0.0),
+                     lambda: IncrementDistribution.gaussian(math.inf),
+                     lambda: IncrementDistribution.scaled_rademacher(0.0)):
+            with pytest.raises(ConfigError):
+                call()
+        r = IncrementDistribution.scaled_rademacher(1.0)
+        with pytest.raises(ValueError, match="order"):
+            r.moment(-1)
+        with pytest.raises(ValueError, match="scale factor"):
+            r.scaled(0.0)
+        with pytest.raises(UnsupportedKindError):
+            IncrementDistribution.gaussian(1.0).table()
+
+    def test_moment_past_the_double_range(self):
+        # v**k past the largest double reads as inf, not an OverflowError,
+        # and a table whose variance is not finite is refused
+        d = IncrementDistribution.finite_table([(-1e11, 0.5), (1e11, 0.5)])
+        assert d.moment(28) == pytest.approx(1e308, rel=1e-12)
+        assert d.moment(30) == math.inf
+        with pytest.raises(ConfigError, match="finite variance"):
+            IncrementDistribution.finite_table([(-1e200, 0.5), (1e200, 0.5)])
+
     def test_symmetric_odd_moments_vanish(self):
         d = IncrementDistribution.finite_table(
             [(-2.0, 0.2), (-1.0, 0.3), (1.0, 0.3), (2.0, 0.2)]
@@ -118,6 +142,12 @@ class TestSpec:
         assert probs.tolist() == [0.5, 0.5]
         assert count == 4
         assert spec.n * max(abs(v) for v in step.values) == 2.0
+
+    def test_bad_step_count_and_seed_rejected(self):
+        with pytest.raises(ConfigError, match="n must be"):
+            MartingaleSpec.iid(IncrementDistribution.scaled_rademacher(1.0), n=0)
+        with pytest.raises(ConfigError, match="seed"):
+            block_rng(-1, 0)
 
     def test_varswitch_needs_even_n(self):
         base = IncrementDistribution.scaled_rademacher(1.0)
@@ -254,6 +284,10 @@ class TestSpecConfig:
         ):
             with pytest.raises(ConfigError):
                 parse_spec(text)
+
+    def test_comments_and_blank_lines_skipped(self):
+        text = "# a comment\n\n   \nmodel = rademacher  # trailing\n\t\nn = 4\n# n = 5\n"
+        assert parse_config_dict(text) == {"model": "rademacher", "n": 4}
 
     def test_table_files_load(self):
         # a bare table is a finite iid law; with model = varswitch it is the base

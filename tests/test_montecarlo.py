@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from mlde.montecarlo import (
     EXACT_METHODS,
     MAX_SAMPLES,
     TAIL_METHODS,
-    _pool_size,
+    TailEstimate,
     clt_rate_curve,
     conjugate_clt_check,
     crude_tail_estimate,
@@ -646,12 +647,28 @@ class TestTilted:
             assert est.p_hat > 0.0
             assert abs(est.p_hat - exact) <= 3.5 * est.std_err
 
-    def test_pool_size_clamped(self):
-        cpus = os.cpu_count() or 1
-        assert _pool_size(10**6, 10**6) == cpus
-        assert _pool_size(10**6, 3) == min(cpus, 3)
-        assert _pool_size(1, 100) == 1
-        assert _pool_size(0, 0) == 1
+    def test_worker_count_clamped(self, monkeypatch):
+        # _per_draw_sums starts min(MLDE_THREADS, CPUs, blocks) workers, and
+        # no pool at all for one worker or one block; the sums do not move
+        started = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        cpus, spec, sums = os.cpu_count() or 1, gaussian_spec(4), set()
+        for threads, blocks in (("1000000", 40), ("1000000", 3), ("1", 40), ("1000000", 1),
+                                ("2", 40)):
+            monkeypatch.setenv("MLDE_THREADS", threads)
+            started.clear()
+            got = montecarlo._per_draw_sums(spec, 1.0, 0.5, 0.125, blocks * montecarlo.BLOCK, 7)
+            workers = min(int(threads), cpus, blocks)
+            assert started == ([workers] if workers > 1 else []), (threads, blocks)
+            if blocks == 40:
+                sums.add(got)
+        assert len(sums) == 1
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(DomainError):
@@ -874,7 +891,8 @@ class TestSaddlepoint:
 class TestExactTail:
     def test_enumeration_small_case(self):
         spec = MartingaleSpec.iid(RADEMACHER, n=4)
-        est = exact_tail(spec, 3.0, method="exact_enum")
+        est = estimate_tail(spec, 3.0, "exact_enum", "saddlepoint", 0, 0)
+        assert est == exact_tail(spec, 3.0)
         assert est.p_hat == pytest.approx(1.0 / 16.0, abs=1e-15)
         assert est.std_err == 0.0
 
@@ -883,50 +901,56 @@ class TestExactTail:
         assert exact_tail(spec, 6.0).p_hat == 0.0
 
     def test_methods_are_exact_or_enum(self):
-        # "exact" already takes the binomial and normal closed forms wherever
-        # they apply, so they are tags of the route taken, not methods to ask
-        # for; "auto", its old second spelling, is gone
-        two_point = MartingaleSpec.iid(RADEMACHER, n=6)
-        assert exact_tail(two_point, 1.0).method == "exact_binomial"
-        assert exact_tail(two_point, 1.0, "exact") == exact_tail(two_point, 1.0)
-        assert exact_tail(two_point, 1.0, "exact_enum").method == "exact_enum"
-        assert exact_tail(gaussian_spec(6), 1.0, "exact").method == "exact_gaussian"
-        for spec in (two_point, gaussian_spec(6)):
+        # "exact" and "exact_enum" spell one route, whose tag is read from
+        # the spec's parts: exact_binomial for one two-atom part,
+        # exact_gaussian for a gaussian spec, else exact_enum.  The closed
+        # forms are tags, not methods to ask for; "auto" is gone
+        for spec, tag in ((MartingaleSpec.iid(RADEMACHER, n=6), "exact_binomial"),
+                          (rademacher_spec(6), "exact_binomial"),
+                          (three_point_spec(6), "exact_enum"),
+                          (MartingaleSpec.variance_switching(RADEMACHER, n=6, rho=0.5),
+                           "exact_enum"),
+                          (gaussian_spec(6), "exact_gaussian")):
+            est = exact_tail(spec, 0.5)
+            assert est.method == tag, spec
+            for method in EXACT_METHODS:
+                assert estimate_tail(spec, 0.5, method, "saddlepoint", 0, 0) == est, (spec, method)
             for method in ("exact_binomial", "exact_gaussian", "auto"):
                 with pytest.raises(ConfigError):
-                    exact_tail(spec, 1.0, method=method)
-                with pytest.raises(ConfigError):
                     estimate_tail(spec, 1.0, method, "saddlepoint", 0, 0)
-        with pytest.raises(DomainError):
-            exact_tail(gaussian_spec(6), 1.0, method="exact_enum")
         spec = rademacher_spec(16)  # ratio_experiment's default method is "exact"
         assert ratio_experiment(spec, [1.0]).rows[0].p_hat == exact_tail(spec, 1.0).p_hat
 
     def test_binomial_equals_enumeration(self):
-        # n = 30 has 2^30 paths but only 31 count vectors; an infinite
-        # threshold is the sure or the impossible event on both routes
+        # the binomial table against the exact count of sign paths above x,
+        # sum C(n, k) over 2k - n > x, as a rational: n = 30 has 2^30 paths
+        # but only 31 counts.  The largest error over this grid is 3.1e-16
+        # relative.  An infinite threshold is the sure or the impossible event
         for n in (*range(1, 9), 30):
             spec = MartingaleSpec.iid(RADEMACHER, n=n)
-            thresholds = np.arange(-n - 1, n + 2, 2.0) + 0.0  # mid-atom offsets
-            for x in (*thresholds, -math.inf, math.inf):
-                binomial = exact_tail(spec, float(x) + 1.0)  # exact: the closed form
+            thresholds = np.arange(-n, n + 1, 2.0)  # the atoms 2k - n
+            for x in map(float, thresholds):
+                binomial = exact_tail(spec, x)
                 assert binomial.method == "exact_binomial"
-                b = binomial.p_hat
-                if math.isinf(x):
-                    assert b == float(x < 0.0)
-                assert exact_tail(spec, float(x) + 1.0, method="exact_enum").p_hat == b
+                want = Fraction(sum(math.comb(n, k) for k in range(n + 1) if 2 * k - n > x), 2**n)
+                assert abs(Fraction(binomial.p_hat) - want) <= 2 * EPS * want, (n, x)
+            for x in (-math.inf, math.inf):
+                assert exact_tail(spec, x).p_hat == float(x < 0.0)
 
-    def test_methods_agree_to_the_bit(self):
-        # one law and one reader serve both methods, so they give the same
+    def test_methods_agree_to_the_bit(self, monkeypatch):
+        # one law and one reader serve both spellings, so they give the same
         # bits at every threshold: the grids' own thresholds (each an atom of
         # normalized Rademacher, where the table reader once counted the atom
         # at x above x on 16 of 41 rows at n = 400), every atom of X_n, one
         # ulp and 1e-17 either side of it, the midpoints between atoms, and
-        # +-inf; read in ascending order, the tail never rises
+        # +-inf; read in ascending order, the tail never rises.  Each spec's
+        # oracle is built once and read by every call
         def atoms_of(spec):
             laws = [montecarlo._part_law(d, c, 0.0) for d, c in spec.iid_parts()]
             return functools.reduce(np.add.outer, [law.atoms for law in laws]).ravel()
 
+        cached = functools.cache(montecarlo._exact_oracle)
+        monkeypatch.setattr(montecarlo, "_exact_oracle", cached)
         cases = ((rademacher_spec(400), cli._parse_grid("0:4:0.1")),
                  (rademacher_spec(6400), cli._parse_grid("0:80:0.8")),
                  (three_point_spec(14), []),
@@ -938,12 +962,13 @@ class TestExactTail:
                     atoms - 1e-17, atoms + 1e-17]
             thresholds = np.sort([*grid, *atoms, *np.concatenate(near),
                                   *(atoms[1:] + atoms[:-1]) / 2, -math.inf, math.inf])
-            exact, enum = (montecarlo._exact_oracle(spec, method) for method in EXACT_METHODS)
             tails = []
             for x in map(float, thresholds):
-                tails.append(exact(x).p_hat)
-                assert tails[-1] == enum(x).p_hat, (spec, x)
+                est = exact_tail(spec, x)
+                tails.append(est.p_hat)
+                assert estimate_tail(spec, x, "exact_enum", "saddlepoint", 0, 0) == est, (spec, x)
             assert all(np.diff(tails) <= 0.0), spec
+        assert cached.cache_info().currsize == len(cases)
 
     def test_varswitch_against_bruteforce(self):
         # independent pure-python oracle over all sign paths
@@ -1002,7 +1027,7 @@ class TestExactTail:
         assert table.lattice is None and math.comb(105, 5) * 6 > ENUM_LIMIT
         for method in EXACT_METHODS:
             with pytest.raises(DomainError, match="too-large"):
-                exact_tail(MartingaleSpec.iid(table, n=100), 1.0, method=method)
+                estimate_tail(MartingaleSpec.iid(table, n=100), 1.0, method, "saddlepoint", 0, 0)
         # a lattice sum past CONVOLVE_ATOMS is refused the same way, from its
         # atom count alone: 3e15 + 1 atoms could not even be allocated
         for n in (CONVOLVE_ATOMS // 3 + 1, 10**15):
@@ -1032,7 +1057,7 @@ class TestExactTail:
         for x in (-20.5, 0.5, 10.5, 40.5):
             want = Fraction(sum(ways(s) for s in range(math.ceil(250 + x), 501)), 6**100)
             for method in EXACT_METHODS:
-                got = exact_tail(spec, x, method=method)
+                got = estimate_tail(spec, x, method, "saddlepoint", 0, 0)
                 assert got.method == "exact_enum"
                 assert abs(Fraction(got.p_hat) / want - 1) <= Fraction(1, 10**14)
 
@@ -1074,7 +1099,7 @@ class TestExactTail:
         assert len(law.atoms) == 7260
         (base, g), c = law.lattice, np.arange(n + 1)
         weights = binom.pmf(c, n, 0.2)
-        tail = montecarlo._exact_oracle(MartingaleSpec.iid(table, n=n), "exact")  # exact_tail's reader
+        tail = montecarlo._exact_oracle(MartingaleSpec.iid(table, n=n))  # exact_tail's reader
         for i in range(0, 40 * n + 1, 7):
             want = math.fsum(weights * binom.sf(i - 40 * c, n - c, 0.375))
             got = tail(base + i * g).p_hat
@@ -1088,7 +1113,8 @@ class TestExactTail:
         assert table.lattice is None and THREE_POINT.lattice[1].tolist() == [0, 1, 3]
         spec = MartingaleSpec.iid(table, n=10)
         for method in EXACT_METHODS:
-            got = exact_tail(spec, 10 * table.values[-1] - 5e-9, method).p_hat
+            x = 10 * table.values[-1] - 5e-9
+            got = estimate_tail(spec, x, method, "saddlepoint", 0, 0).p_hat
             assert got == pytest.approx(0.25**10, rel=1e-12)
 
     def test_lattice_step_is_gcd_of_gaps(self):
@@ -1183,6 +1209,30 @@ class TestNormalCdf:
         # one erfc at one double for both tails: Phi(-x) is gaussian_tail(x), to the bit
         for x, got in zip(self.GRID, montecarlo._normal_cdf(-self.GRID)):
             assert got == bounds.gaussian_tail(float(x)), x
+
+    def test_fill_is_the_erfc_map(self):
+        # math.erfc is exactly 2 below -5.8635847487551676 and 0 past
+        # 27.226364135742184, so _normal_cdf fills those elements and maps
+        # the rest, with the bits of mapping them all: at nan, +-inf, +-0,
+        # 8 doubles either side of each x whose z is a threshold, the grid
+        # and [-1000, 1000], in any shape
+        def erfc_map(x):
+            z = np.asarray(x, dtype=float) / -math.sqrt(2.0)
+            return 0.5 * np.array([math.erfc(v) for v in z.ravel().tolist()]).reshape(z.shape)
+
+        windows = []
+        for t in (27.226364135742184, -5.8635847487551676):
+            x0 = t * -math.sqrt(2.0)
+            x = x0 + np.arange(-8, 9) * math.ulp(x0)
+            z = x / -math.sqrt(2.0)
+            assert t in z and z.min() < t < z.max()
+            windows.append(x)
+        x = np.concatenate([[math.nan, math.inf, -math.inf, 0.0, -0.0], *windows, self.GRID,
+                            np.linspace(-1000.0, 1000.0, 2001)])
+        for arr in (x, x[:len(x) // 2 * 2].reshape(2, -1)):
+            got, want = montecarlo._normal_cdf(arr), erfc_map(arr)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_edges(self):
         # erfc at z = -inf, -40, 0, 27.5, 40, inf is 2, 2, 1, 0, 0, 0
@@ -1658,14 +1708,61 @@ class TestValidation:
             monkeypatch.setattr(montecarlo, name, no_work)
         monkeypatch.setattr(conditions, "certify", no_work)
         for spec in (rademacher_spec(10), three_point_spec(10), gaussian_spec(10)):
+            with pytest.raises(DomainError, match="nan"):
+                exact_tail(spec, math.nan)
             for method in TAIL_METHODS:
                 calls = [lambda: estimate_tail(spec, math.nan, method, "saddlepoint", 1000, 1),
                          lambda: ratio_experiment(spec, [1.0, math.nan], method, 1000, 1)]
-                if method in EXACT_METHODS:
-                    calls.append(lambda: exact_tail(spec, math.nan, method))
                 for call in calls:
                     with pytest.raises(DomainError, match="nan"):
                         call()
+
+    def test_nonfinite_tilt_rejected(self, monkeypatch):
+        # lam = nan or inf is refused before any draw: nan had no atom index,
+        # and inf overflowed the tilted table first (a RuntimeWarning, which
+        # the test configuration makes an error)
+        def no_draw(*args):
+            raise AssertionError("a non-finite tilt was sampled")
+        for name in ("_histogram_sums", "_per_draw_sums"):
+            monkeypatch.setattr(montecarlo, name, no_draw)
+        for lam in (math.nan, math.inf):
+            for spec in (rademacher_spec(20), gaussian_spec(20)):
+                with pytest.raises(DomainError, match="finite and >= 0"):
+                    tilted_tail_estimate(spec, 1.0, lam, 1000, seed=1)
+
+    def test_nan_threshold_rejected_by_the_solvers(self, monkeypatch):
+        # each solver refuses x = nan before reading the drift: the
+        # saddlepoint loop once ran its 400 steps, the closed forms gave nan
+        def no_drift(*args):
+            raise AssertionError("the drift was read at a nan threshold")
+        for name in ("drift_process", "drift_slope"):
+            monkeypatch.setattr(tilting, name, no_drift)
+        for call in (lambda: saddlepoint_lambda(rademacher_spec(20), math.nan),
+                     lambda: tilting.solve_lambda_bar(math.nan, 0.1, 0.0, 1.0),
+                     lambda: tilting.solve_lambda_under(math.nan, 0.1, 0.0, 1.0)):
+            with pytest.raises(DomainError, match="x must be >= 0"):
+                call()
+
+    def test_tilt_policies(self):
+        # a number is taken as given, "paper" certifies the spec itself when
+        # no certificate is passed, and any other policy is refused
+        spec = rademacher_spec(100)
+        cert = conditions.certify(spec)
+        assert montecarlo.resolve_tilt(spec, 1.0, 0.25) == 0.25
+        assert (montecarlo.resolve_tilt(spec, 1.0, "paper")
+                == montecarlo.resolve_tilt(spec, 1.0, "paper", cert)
+                == tilting.solve_lambda_bar(1.0, cert.epsilon, cert.delta, bounds.C))
+        with pytest.raises(ConfigError, match="lambda policy"):
+            montecarlo.resolve_tilt(spec, 1.0, "nosuch")
+
+    @pytest.mark.parametrize("p_hat, std_err", [(-0.1, 0.0), (1.5, 0.0), (1.0 + 1e-8, 0.0),
+                                                (1.5, 0.05), (0.5, -1e-3)])
+    def test_estimate_out_of_range_rejected(self, p_hat, std_err):
+        # p_hat may pass 1 only by max(1e-9, 5 std_err), and std_err is >= 0
+        with pytest.raises(ValueError):
+            TailEstimate(x=1.0, p_hat=p_hat, std_err=std_err, n_samples=100, method="tilted",
+                         seed=1)
+        TailEstimate(x=1.0, p_hat=1.0 + 5e-10, std_err=0.0, n_samples=100, method="tilted", seed=1)
 
     def test_nan_threshold_rejected_by_the_estimators(self, monkeypatch):
         # called directly, the estimators refuse it too, before any draw: the
