@@ -48,7 +48,7 @@ def _bernstein_scan(dist: IncrementDistribution):
     for k in range(3, K_MAX + 1):
         mk = abs(dist.moment(k))
         if not math.isfinite(mk):
-            raise DomainError(f"moment of order {k} diverges")
+            raise DomainError(f"moment of order {k} is past the double range")
         if mk == 0.0:
             continue
         h = (2.0 * mk / (math.factorial(k) * m2)) ** (1.0 / (k - 2))

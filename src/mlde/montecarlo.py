@@ -582,18 +582,18 @@ def saddlepoint_lambda(spec: MartingaleSpec, x: float) -> float:
     """The tilt making the drift process hit x, to a relative width of 1e-10.
 
     A safeguarded Newton iteration on the exact, increasing drift B_n, whose
-    slope is the tilted predictable variance (``tilting.drift_slope``).  It
-    starts at x / B_n'(0) with the bracket [0, inf) and takes a Newton step
-    only when it stays inside the bracket and at most halves the previous
-    step; otherwise it doubles while no upper end is known, and bisects
-    after.  A Newton step already below the tolerance is confirmed by one
-    probe on the far side of the new iterate; when that probe fails, the
-    bracket is closed by bisection alone.  A gaussian spec solves in one step.
+    slope is the tilted predictable variance (``tilting.drift_slope``), from
+    x / B_n'(0) in the bracket [0, inf): a Newton step when it stays in the
+    bracket and at most halves the previous step, else doubling while no
+    upper end is known and bisection after.  It returns the Newton iterate
+    once that step is under half the tolerance (one step for a gaussian spec).
 
-    Within 1e-12 (relative) below the top of a finite support the drift
-    cannot be resolved; only the top atom of X_n lies above such an x, so the
-    tilt is taken at the midpoint of X_n's two top atoms, whose event
-    {X_n > midpoint} is the same {X_n = top}."""
+    A finite spec solves at min(x, m), m = top - g/2 the midpoint of X_n's
+    two top atoms (g the least top gap of its parts): above m, {X_n > x} is
+    {X_n = top}.  The tilt at m has bounded relative error: the deficit
+    top - X_n has tilted mean g/2 and is >= g off the top, so (Markov) the
+    top atom's tilted mass q is >= 1/2, and a draw weighing each hit p/q
+    has variance p^2 (1/q - 1) <= p^2."""
     if not x >= 0:  # nan too
         raise DomainError("x must be >= 0")
     if x == 0.0:
@@ -603,9 +603,9 @@ def saddlepoint_lambda(spec: MartingaleSpec, x: float) -> float:
         raise DomainError(
             f"threshold {x:.6g} at or beyond the maximal reachable drift {sup:.6g}"
         )
-    if x >= sup * (1.0 - 1e-12):
-        x = sup - 0.5 * min(d.values[-1] - d.values[-2] for d, _ in spec.iid_parts())
-    lo, hi, newton = 0.0, math.inf, True
+    if sup < math.inf:
+        x = min(x, sup - 0.5 * min(d.values[-1] - d.values[-2] for d, _ in spec.iid_parts()))
+    lo, hi = 0.0, math.inf
     lam = step = x / tilting.drift_slope(spec, 0.0)
     for _ in range(400):
         f = tilting.drift_process(spec, lam) - x
@@ -616,19 +616,12 @@ def saddlepoint_lambda(spec: MartingaleSpec, x: float) -> float:
         tol = 1e-10 * max(1.0, lam)
         if hi - lo <= tol:
             return 0.5 * (lo + hi)
-        if newton:
-            slope = tilting.drift_slope(spec, lam)  # 0 once the top atom holds all mass
-            new = lam - f / slope if slope > 0.0 else math.nan
-            if lo <= new <= hi and abs(new - lam) <= 0.5 * step:
-                if abs(new - lam) >= 0.5 * tol:
-                    lam, step = new, abs(new - lam)
-                    continue
-                probe = new + (0.5 * tol if f < 0.0 else -0.5 * tol)
-                if (tilting.drift_process(spec, probe) < x) != (f < 0.0):
-                    return new  # the root lies between lam and probe
-                lo, hi = (probe, hi) if f < 0.0 else (lo, probe)
-                newton = False
-        new = 2.0 * lam if hi == math.inf else 0.5 * (lo + hi)
+        slope = tilting.drift_slope(spec, lam)  # 0 once the top atom holds all mass
+        new = lam - f / slope if slope > 0.0 else math.nan
+        if not (lo <= new <= hi and abs(new - lam) <= 0.5 * step):
+            new = 2.0 * lam if hi == math.inf else 0.5 * (lo + hi)
+        elif abs(new - lam) < 0.5 * tol:
+            return new
         lam, step = new, abs(new - lam)
     raise DomainError("drift never reaches the threshold")
 

@@ -51,8 +51,10 @@ class TestCertify:
 
 class TestLargeValuedTables:
     # a moment past the double range reads as inf, so the certificate refuses
-    # the law (exit 3), and a table whose variance overflows is a
-    # configuration error (exit 2); the exact tail needs neither
+    # the law (exit 3) and names that cause: no moment of a finite law
+    # diverges, and the odd ones of these tables are exactly 0.  A table whose
+    # variance overflows is a configuration error (exit 2); the exact tail
+    # needs neither
     @pytest.mark.parametrize("scale, argv, code", [
         ("1e11", ["certify"], 3),
         ("1e20", ["ratio-table", "--x-grid", "0:2:1"], 3),
@@ -61,11 +63,13 @@ class TestLargeValuedTables:
         ("1e200", ["tail", "--x", "1", "--method", "exact"], 2),
         ("1e20", ["tail", "--x", "1", "--method", "exact"], 0),
     ], ids=["certify", "ratio-table", "lemmas", "clt-rate", "tail-overflow", "tail"])
-    def test_exit_code(self, tmp_path, scale, argv, code):
+    def test_exit_code(self, tmp_path, capsys, scale, argv, code):
         cfg = tmp_path / "big.cfg"
         cfg.write_text(f"values = -{scale}, {scale}\nprobs = 0.5, 0.5\n")
         out = tmp_path / "out"
         assert run([*argv, "--model", f"finite:{cfg}", "--n", "100", "--out", str(out)]) == code
+        if code == 3:
+            assert "is past the double range" in capsys.readouterr().err
         if argv[0] == "tail" and code == 0:
             assert (out / "tail.csv").read_bytes() == (
                 b"x,p_hat,std_err,n_samples,method,seed,lambda_used\r\n"
@@ -121,18 +125,24 @@ class TestTail:
                         "--seed", "9", "--out", str(out)]) == 0
         assert read(a / "tail.csv") == read(b / "tail.csv")
 
-    def test_non_finite_numbers_are_config_errors(self, tmp_path):
+    def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys):
+        # text is no number either: argparse refuses --x abc, and the tilt
+        # parser names a bad --lambda
         tail = ["tail", "--model", "rademacher", "--normalized", "--n", "100"]
         tilted = [*tail, "--x", "1", "--method", "tilted", "--seed", "1",
                   "--samples", "1000"]
         for argv in ([*tail, "--x", "nan", "--method", "exact"],
                      [*tail, "--x", "inf", "--method", "exact"],
+                     [*tail, "--x", "abc", "--method", "exact"],
                      [*tilted, "--lambda", "nan"],
                      [*tilted, "--lambda", "inf"],
+                     [*tilted, "--lambda", "abc"],
                      ["mdp", "--normalized", "--n", "10", "--x", "1", "--n-list", "100",
                       "--a-exponent", "nan", "--seed", "1", "--samples", "1000"]):
             assert exit_code([*argv, "--out", str(tmp_path)]) == 2, argv
         assert not list(tmp_path.glob("*.csv"))
+        err = capsys.readouterr().err
+        assert "'abc' is not a finite number" in err and "bad lambda 'abc'" in err
 
     def test_worker_count_invariance(self, tmp_path, monkeypatch):
         outs = []

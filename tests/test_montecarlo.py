@@ -39,6 +39,7 @@ GAUSSIAN = IncrementDistribution.gaussian(1.0)
 THREE_POINT = IncrementDistribution.finite_table([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)])
 IRRATIONAL = IncrementDistribution.finite_table(
     [(-1.0, 0.5), (0.0, 0.25), (math.sqrt(2.0), 0.25)])  # on no lattice
+SKEWED = IncrementDistribution.finite_table([(-1.0, 0.999), (999.0, 0.001)])
 
 
 def rademacher_spec(n):
@@ -820,12 +821,13 @@ class TestSaddlepoint:
     @staticmethod
     def bisection(spec, x):
         """The reference solve: bisection on the exact drift to a relative
-        width of 1e-10, with the same x = 0 case and top-atom band."""
+        width of 1e-10, with the same x = 0 case and the same threshold
+        min(x, midpoint of X_n's two top atoms) for a finite spec."""
         if x == 0.0:
             return 0.0
         sup = montecarlo._drift_supremum(spec)
-        if x >= sup * (1.0 - 1e-12):
-            x = sup - 0.5 * min(d.values[-1] - d.values[-2] for d, _ in spec.iid_parts())
+        if sup < math.inf:
+            x = min(x, sup - 0.5 * min(d.values[-1] - d.values[-2] for d, _ in spec.iid_parts()))
         hi = 1.0
         while tilting.drift_process(spec, hi) < x:
             hi *= 2.0
@@ -837,6 +839,19 @@ class TestSaddlepoint:
             else:
                 hi = mid
         return 0.5 * (lo + hi)
+
+    @staticmethod
+    def drift_calls(monkeypatch):
+        """The list of tilts at which tilting.drift_process is called from now on."""
+        calls = []
+        drift = tilting.drift_process
+
+        def counted(spec, lam):
+            calls.append(lam)
+            return drift(spec, lam)
+
+        monkeypatch.setattr(tilting, "drift_process", counted)
+        return calls
 
     def test_matches_bisection_oracle(self, monkeypatch):
         # the benchmark's grids, varswitch, the approach to the top of the
@@ -852,17 +867,9 @@ class TestSaddlepoint:
         cases += [(rademacher_spec(16), x) for x in (3.9, 3.999999, 4.0 * (1.0 - 1e-11))]
         cases += [(three_point_spec(100), f * top) for f in (0.3, 0.999, 1 - 1e-9, 1 - 1e-11)]
         # a skewed law whose tilted variance underflows to 0 at the overshoots
-        skewed = IncrementDistribution.finite_table([(-1.0, 0.999), (999.0, 0.001)])
-        cases += [(MartingaleSpec.iid(skewed, n=1), 950.0),
-                  (MartingaleSpec.iid(skewed, n=16), 0.9973 * 16 * 999.0)]
-        calls = []
-        drift = tilting.drift_process
-
-        def counted(spec, lam):
-            calls.append(lam)
-            return drift(spec, lam)
-
-        monkeypatch.setattr(tilting, "drift_process", counted)
+        cases += [(MartingaleSpec.iid(SKEWED, n=1), 950.0),
+                  (MartingaleSpec.iid(SKEWED, n=16), 0.9973 * 16 * 999.0)]
+        calls = self.drift_calls(monkeypatch)
         for spec, x in cases:
             calls.clear()
             want = self.bisection(spec, x)
@@ -876,16 +883,59 @@ class TestSaddlepoint:
                 assert saddlepoint_lambda(spec, x) == x / spec.total_variance()
 
     def test_top_atom_band(self):
-        # within 1e-12 below the top only the top atom lies above x; the tilt
-        # is the midpoint's of the two top atoms (3.5 and 4), and the tilted
-        # estimate of P(X_n = top) = 2^-16 stands
+        # above the midpoint 3.75 of the two top atoms (3.5 and 4) only the
+        # top atom lies above x, so the whole band up to the top solves at the
+        # midpoint, and a threshold below it at a smaller tilt.  The tilted
+        # estimate of P(X_n = top) = 2^-16 stands, with a relative standard
+        # error under 1/sqrt(N)
         spec = rademacher_spec(16)
-        x = 4.0 * (1.0 - 1e-13)
-        assert saddlepoint_lambda(spec, x) == saddlepoint_lambda(spec, 3.75)
-        exact = exact_tail(spec, x).p_hat
+        mid = saddlepoint_lambda(spec, 3.75)
+        for x in (3.75, 3.76, 3.9, 4.0 * (1.0 - 1e-9), 4.0 * (1.0 - 1e-13)):
+            assert saddlepoint_lambda(spec, x) == mid, x
+        assert saddlepoint_lambda(spec, 3.74) < mid
+        exact = exact_tail(spec, 3.9).p_hat
         assert exact == 2.0**-16
-        est = estimate_tail(spec, x, "tilted", "saddlepoint", 20_000, seed=5)
+        est = estimate_tail(spec, 3.9, "tilted", "saddlepoint", 20_000, seed=5)
+        assert est.lambda_used == mid
         assert abs(est.p_hat - exact) <= 3.5 * est.std_err
+        assert est.std_err <= exact / math.sqrt(20_000)
+
+    def test_near_top_drift_budget(self, monkeypatch):
+        # at x = top (1 - eps) the solve is the midpoint's of the two top
+        # atoms, wherever x lies above it: a few Newton steps each
+        specs = (rademacher_spec(16), three_point_spec(100), MartingaleSpec.iid(SKEWED, n=16),
+                 *(MartingaleSpec.variance_switching(d, n=200, rho=0.5)
+                   for d in (RADEMACHER, THREE_POINT)))
+        calls = self.drift_calls(monkeypatch)
+        for spec in specs:
+            top = montecarlo._drift_supremum(spec)
+            for eps in (1e-6, 1e-8, 1e-9, 1e-10, 1e-11):
+                calls.clear()
+                saddlepoint_lambda(spec, top * (1.0 - eps))
+                assert len(calls) <= 14, (spec, eps, len(calls))
+
+    def test_random_specs_match_bisection(self):
+        # 300 seeded specs: the two-, three- and off-lattice three-point
+        # tables and a skewed one, iid (normalized or not) or varswitch, n up
+        # to 1e5, 60 % of the thresholds within 1e-14 to 1 (relative) of the top
+        tables = (RADEMACHER, THREE_POINT, IRRATIONAL, SKEWED)
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            d = tables[rng.integers(4)]
+            n = int(10.0 ** rng.uniform(0.0, 5.0))
+            if rng.random() < 0.5:
+                spec = MartingaleSpec.variance_switching(d, n=max(2, n - n % 2),
+                                                         rho=rng.uniform(0.0, 0.9))
+            else:
+                spec = MartingaleSpec.iid(d, n=n, normalized=bool(rng.random() < 0.5))
+            top = montecarlo._drift_supremum(spec)
+            if rng.random() < 0.6:
+                x = top * (1.0 - 10.0 ** rng.uniform(-14.0, 0.0))
+            else:
+                x = top * rng.uniform(0.0, 1.0)
+            want = self.bisection(spec, x)
+            lam = saddlepoint_lambda(spec, x)
+            assert abs(lam - want) <= 2e-10 * max(1.0, lam), (spec, x, lam, want)
 
 
 class TestExactTail:

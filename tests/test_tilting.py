@@ -206,6 +206,13 @@ class TestSolvers:
         assert solve_lambda_bar(3.0, 0.5, 0.0, 0.0) == 3.0
         assert solve_lambda_under(2.0, 1e-15, 0.0, 1.0) == pytest.approx(2.0, rel=1e-12)
 
+    def test_constants_out_of_range(self):
+        # the closed forms need epsilon > 0 and c >= 0
+        for solve in (solve_lambda_bar, solve_lambda_under):
+            for eps, c in ((0.0, 1.0), (-0.01, 1.0), (0.01, -1.0)):
+                with pytest.raises(DomainError, match="epsilon must be > 0 and c >= 0"):
+                    solve(1.0, eps, 0.0, c)
+
     def test_under_discriminant_error(self):
         # c*x*eps = 0.3 makes the discriminant 1 - 1.2 < 0
         with pytest.raises(DomainError):
