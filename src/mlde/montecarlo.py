@@ -20,7 +20,7 @@ Estimators
 One builder, ``_part_law``, gives each part's tilted sum law to the oracles
 and the sampler alike: the binomial table for two atoms, a polynomial power
 on a larger lattice, or the count vectors, equal sums folded, where they
-are cheaper to build.  Each is a ``_Law``, on a lattice with atoms base +
+are priced lower.  Each is a ``_Law``, on a lattice with atoms base +
 offset*g in every form.  One tie rule in float arithmetic, ``_cut``, gives
 the least value an atom above x must have: on a lattice the first atom that
 both floor((x - base) / g) and its float value put above x, off one the
@@ -32,12 +32,15 @@ two-atom table, multinomial counts for a larger one, both over the part's
 tilted table (``tilting.tilted_table``, the one tilt of a finite law), and a
 single normal draw for gaussian specs, in fixed-size blocks from
 counter-based sub-streams, added by math.fsum in block order; a finite spec
-whose sum laws are small enough for the sample count N (``_weighted_tail``)
-draws the histogram of the N draws instead (``_histogram_sums``): the first
+draws the histogram of the N draws instead (``_histogram_sums``: the first
 part's counts, then one multinomial call for the second part's counts at
-every drawn atom of the first.  One kernel, ``_weigh``, weighs both routes'
-hits, k draws at each.  Either route gives bit-identical estimates for any
-worker count at a fixed seed.
+every drawn atom of the first) where that is priced lower (``_weighted_tail``).
+One cost model prices every build by arithmetic before it allocates, from
+unit costs measured once: a part's law, 6 ns a histogram cell (min(N, outer
+atoms) x inner atoms), 150 ns a draw and category; past TIME_BUDGET (2 s) or
+BYTE_BUDGET (256 MiB) a law, binomial table or KS fold is refused as
+too-large.  One kernel, ``_weigh``, weighs both routes' hits, k draws at each.
+Either route gives bit-identical estimates for any worker count at a fixed seed.
 """
 
 from __future__ import annotations
@@ -55,36 +58,21 @@ from . import bounds, conditions, tilting
 from .errors import ConfigError, DomainError
 from .model import BLOCK, MartingaleSpec, block_rng
 
-ENUM_LIMIT = 1 << 24  # largest count-vector table (vectors x atoms) _part_law builds
-# Most atoms _part_law powers a lattice table of 3+ atoms to; the time grows
-# as atoms^2: 0.18-0.20 s at 48,001 atoms, 0.52-0.55 s at 90,001, 1.0-1.1 s
-# at 131,071, each under 30 MB peak RSS (3 runs, one core, numpy 2.4.6).
-CONVOLVE_ATOMS = 1 << 17
 # exact_tail's one route by either spelling; the benchmark pins "exact_enum"
 EXACT_METHODS = ("exact", "exact_enum")
 TAIL_METHODS = ("crude", "tilted") + EXACT_METHODS
 MAX_SAMPLES = 1 << 30  # largest sample count an estimator takes (2^18 blocks of BLOCK)
-# Largest product of the parts' atom counts the histogram route draws over.
-# A binomial table's draw costs about its span, N draws one by one about N:
-# tilted Rademacher at n = 1e4, 1e5 and 1e6 took 0.36-0.56, 0.65-1.0 and
-# 2.0-2.8 ms from 4128, 12778 and 40128 atoms, against 8.4-11.8 ms for 1e5
-# draws and 0.08-0.16 ms for 100 (medians of 7, three runs).  With two parts
-# the draw costs about (outer atoms drawn) x (inner atoms): on the tilted
-# three-point varswitch law at x = 2, 361^2 cells took 1.2-2.0 ms against
-# 7.5-9.0 ms per draw at N = 1e4, 601^2 cells 2.7-3.8 against 6.7-6.8 ms at
-# N = 1e4 and 3.9-4.5 against 53-62 ms at N = 1e5, and 1201^2 cells 6.1-7.5
-# against 5.1-5.9 ms at N = 1e4 (medians of 7, two runs, one core, numpy
-# 2.4.6).
-HISTOGRAM_CELLS = 1 << 17
-# Largest product of the parts' atom counts the two-part KS folds into the
-# law of X_n.  The Rademacher varswitch fold took 100-145 ms and 87 MB peak
-# RSS at 1001^2 cells (n = 2000), 88-120 ms and 89 MB at 1024^2 (n = 2046)
-# and 305-319 ms and 171 MB at 1918^2 (n = 4000), from 30 MB after import
-# (three runs each, one core, numpy 2.4.6).
-FOLD_CELLS = 1 << 20
-# Most atoms a binomial table spans (about 80 sds, so n up to 2.7e9 at
-# p = 1/2); 775,801 atoms (n = 4e8) took 0.045 s and 27 MB RSS over import.
-BINOMIAL_ATOMS = 1 << 21
+# The cost model's budgets and unit costs, medians of 7 on one core of a shared 2-vCPU
+# x86_64 (numpy 2.4.6), never measured at run time: a route picks the random stream.
+TIME_BUDGET = 2.0  # seconds
+BYTE_BUDGET = 1 << 28
+_TABLE_S = 45e-6  # a _Binomial call: 41-63 us from 11 to 2001 atoms
+_ATOM_S = 30e-9  # and each atom of its table: 21-32 ns from 4128 to 800,128 atoms
+_POWER_S = 7e-11  # each squared atom of a lattice power: 62-93 ps from 4001 to 200,001 atoms
+_SORT_S = 150e-9  # each count vector (chain and fold) or fold cell: 82-183 ns
+_CELL_S = 6e-9  # each histogram cell: 2.9-14 ns on the crossover table at N >= 1e4
+_DRAW_S = 150e-9  # each draw and category of its parts: 70-250 ns
+_BYTES = 64  # at a build's peak, per table atom, count vector or fold cell: 31, 40-50, 59-63
 
 
 # -- result containers --------------------------------------------------------
@@ -231,6 +219,15 @@ def _binomial_span(n, sd):
     return min(n + 1, 2 * (64 + math.ceil(40 * sd)))
 
 
+def _afford(seconds, nbytes, what, *args):
+    """Refuse, before it allocates, a build priced past either budget; what.format(*args),
+    formatted only then, names it."""
+    if seconds > TIME_BUDGET or nbytes > BYTE_BUDGET:
+        raise DomainError(
+            f"too-large: {what.format(*args)} is priced at {seconds:.3g} s and "
+            f"{nbytes / 2**20:.4g} MiB, over {TIME_BUDGET} s or {BYTE_BUDGET >> 20} MiB")
+
+
 def _cut(y, lattice):
     """The one tie rule: the least value an atom must have to lie above each
     y, in float arithmetic.  Off a lattice it is the next double past y.  On
@@ -305,9 +302,8 @@ class _Binomial(_Law):
             anchor = math.exp(lc) / math.sqrt(math.tau * (mode * (n - mode) / n))
         top, sd = math.ldexp(anchor, _SHIFT), math.sqrt(n * p * q)
         span = _binomial_span(n, sd)
-        if span > BINOMIAL_ATOMS:
-            raise DomainError(f"too-large: Binomial({n}, {p:.6g}) spans about {span} "
-                              f"atoms, over {BINOMIAL_ATOMS}")
+        _afford(_TABLE_S + span * _ATOM_S, span * _BYTES, "Binomial({}, {:.6g}) over {} atoms",
+                n, p, span)
         num, den = p.as_integer_ratio()  # the exact odds are num : (den - num)
         up = _run(top, n - mode, p / q if q else 0.0, (num, den - num), n - mode + 1, mode, sd)
         down = _run(top, mode, q / p if p else 0.0, (den - num, num), mode + 1, n - mode, sd)
@@ -388,28 +384,27 @@ def _check_samples(n_samples, least=0):
 
 
 def _part_route(d, count):
-    """(atoms, powered, cap): the form _part_law builds for count draws from
-    d, by arithmetic, and that form's atom cap; powered names the binomial
-    table or power over every lattice offset, else count vectors.  Both caps
-    take about 1 s, count vectors growing linearly and a 3+ atom power as
-    atoms squared, so such a lattice table takes the smaller share of its cap.
-    A two-atom table is binomial, _binomial_span atoms at the widest tilt
-    (p = 1/2), and capped by _Binomial itself (BINOMIAL_ATOMS), not here."""
-    lattice, m = d.lattice, len(d.values)
-    vectors, cap = math.comb(count + m - 1, m - 1), ENUM_LIMIT // m
-    if lattice is None:
-        return vectors, False, cap
+    """(atoms, powered, seconds, bytes): the form _part_law builds for count
+    draws from d and its price, by arithmetic.  Two atoms are a binomial table
+    (_binomial_span at p = 1/2); more on a lattice v_0 + g*{0, ..., k_last}, the
+    power over count*k_last + 1 offsets or the count vectors (folding into at
+    most as many atoms), whichever is priced lower; off one, the count vectors."""
+    m = len(d.values)
     if m == 2:
-        return _binomial_span(count, math.sqrt(count) / 2), True, math.inf
-    atoms = count * int(lattice[1][-1]) + 1
-    if (atoms / CONVOLVE_ATOMS) ** 2 <= vectors / cap:
-        return atoms, True, CONVOLVE_ATOMS
-    return vectors, False, cap
+        span = _binomial_span(count, math.sqrt(count) / 2)
+        return span, True, _TABLE_S + span * _ATOM_S, span * _BYTES
+    vectors = min(math.comb(count + m - 1, m - 1), 1 << 64)  # past every budget, still a float
+    # the chain's binomial tables, one per count left at each atom but the last
+    seconds = (1 + (m - 2) * (count + 1)) * (_TABLE_S + (count + 1) * _ATOM_S) + vectors * _SORT_S
+    atoms = count * int(d.lattice[1][-1]) + 1 if d.lattice else vectors
+    if d.lattice and atoms**2 * _POWER_S < seconds:
+        return atoms, True, atoms**2 * _POWER_S, atoms * _BYTES
+    return min(vectors, atoms), False, seconds, vectors * _BYTES
 
 
 def _part_law(d, count, lam):
     """The _Law of the sum of count iid draws from d's lam-tilted table, in
-    _part_route's form, refused past its cap.
+    _part_route's form, refused (too-large) when priced past either budget.
 
     On a lattice v_0 + g*{0, k_1, ...} the atoms are count*v_0 + i*g in every
     form, as _part_draws computes them.  For two atoms the law is the
@@ -421,15 +416,13 @@ def _part_law(d, count, lam):
     Binomial(left, p_j / sum_{i>=j} p_i) of the draws the earlier atoms left,
     and its sum adds the offsets k_j (the values off a lattice); equal sums
     fold into one atom ({0, 1, 100} at n = 2000: 2,003,001 into 195,150)."""
-    size, powered, cap = _part_route(d, count)
-    if size > cap:
-        raise DomainError(f"too-large: {count} draws of {len(d.values)} atoms make "
-                          f"{size} {'sums' if powered else 'count vectors'}, over {cap}")
+    size, powered, seconds, nbytes = _part_route(d, count)
     values, probs = tilting.tilted_table(d, lam)
     (g, terms), base = d.lattice or (None, values), count * values[0]
+    if len(terms) == 2:
+        return _Binomial(count, probs[1], base, g)
+    _afford(seconds, nbytes, "{} draws of {} atoms, {} sums,", count, len(terms), size)
     if powered:
-        if len(terms) == 2:
-            return _Binomial(count, probs[1], base, g)
         step, pmf = np.zeros(terms[-1] + 1), np.ones(1)
         step[terms] = probs
         for bit in bin(count)[2:]:  # high bit first
@@ -440,18 +433,20 @@ def _part_law(d, count, lam):
     rest = np.cumsum(probs[::-1])[::-1]
     sums, pmf, left = np.zeros(1, terms.dtype), np.ones(1), np.array([count])
     for v, p, r in zip(terms[:-1], probs[:-1], rest[:-1]):
-        sizes = left + 1  # each vector so far branches on k = 0..left
-        rows = np.repeat(np.arange(len(left)), sizes)
-        k = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        # one binomial table per distinct count left, laid end to end
+        sizes = left + 1  # each vector so far branches on k = 0..left draws of v
+        k = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        # one binomial table per distinct count left, end to end; np.repeat, not a
+        # row index, keeps four length-V arrays alive at most: the fold sets the peak
         counts = np.unique(left)
         starts = np.cumsum(counts + 1) - (counts + 1)
-        tables = np.concatenate([_Binomial(c, p / r).dense() for c in counts])
-        sums = sums[rows] + k * v
-        pmf = pmf[rows] * tables[starts[np.searchsorted(counts, left)][rows] + k]
-        left = left[rows] - k
+        step = np.concatenate([_Binomial(c, p / r).dense() for c in counts])[
+            np.repeat(starts[np.searchsorted(counts, left)], sizes) + k]
+        step *= np.repeat(pmf, sizes)
+        pmf, sums = step, np.repeat(sums, sizes)
+        sums += k * v
+        left = np.subtract(np.repeat(left, sizes), k, out=k)  # in k's buffer
     sums += left * terms[-1]
-    del rows, k, left  # before the fold's temporaries
+    del k, left  # before the fold's temporaries
     order = np.argsort(sums, kind="stable")  # each sum's terms in input order for bincount
     sums, pmf = sums[order], pmf[order]
     new = np.append(True, sums[1:] != sums[:-1])
@@ -460,17 +455,23 @@ def _part_law(d, count, lam):
 
 
 def _weighted_tail(spec, x, lam, n_samples, seed):
-    """(p, se) from the histogram of the parts' tilted sum laws when their atom
-    counts multiply to at most HISTOGRAM_CELLS and each is at most BLOCK, or
-    max(BLOCK, n_samples) for a binomial table, else per draw."""
+    """(p, se) from the histogram of the parts' tilted sum laws (their builds
+    and min(N, outer atoms) x inner atoms cells) where it fits the budgets and
+    is priced below the n_samples draws (m - 1 categories per m-atom part)."""
     resolve_workers()  # a bad MLDE_THREADS is refused on either route
     if math.isnan(x):
         raise DomainError("threshold x is nan")
     psi = tilting.cumulant_process(spec, lam)
-    parts = spec.iid_parts() if spec.dist.kind != "gaussian" else ()
-    sizes = [_part_route(d, count)[0] for d, count in parts]
-    caps = [max(BLOCK, n_samples) if len(d.values) == 2 else BLOCK for d, _ in parts]
-    if parts and all(s <= c for s, c in zip(sizes, caps)) and math.prod(sizes) <= HISTOGRAM_CELLS:
+    parts = spec.iid_parts() if spec.dist.kind != "gaussian" else ()  # no parts: per draw
+    routes = [_part_route(d, count) for d, count in parts]
+    *outer, inner = [atoms for atoms, *_ in routes] or [0]
+    cells = inner * (min(n_samples, outer[0]) if outer else 1)
+    price, fits, draws = cells * _CELL_S, 16 * cells <= BYTE_BUDGET, 0.0  # two 8-byte matrices
+    for (d, _), (_, _, seconds, nbytes) in zip(parts, routes):
+        price += seconds
+        fits = fits and seconds <= TIME_BUDGET and nbytes <= BYTE_BUDGET
+        draws += n_samples * _DRAW_S * (len(d.values) - 1)
+    if fits and price < draws:
         laws = [_part_law(d, count, lam) for d, count in parts]
         s1, s2 = _histogram_sums(laws, x, lam, psi, n_samples, seed)
     else:
@@ -655,8 +656,8 @@ def exact_tail(spec: MartingaleSpec, x: float) -> TailEstimate:
     """Exact P(X_n > x): the closed-form normal tail for gaussian specs
     (tagged exact_gaussian), the parts' sum laws from _part_law for every
     finite spec (exact_binomial for an iid two-point law, else exact_enum).
-    A law past its cap (_part_law's, or BINOMIAL_ATOMS) raises DomainError,
-    as does a nan x, before any work."""
+    A law priced past TIME_BUDGET or BYTE_BUDGET raises DomainError
+    (too-large), as does a nan x, before any work."""
     if math.isnan(x):
         raise DomainError("threshold x is nan")
     return _exact_oracle(spec)(x)
@@ -693,16 +694,15 @@ def _recentred_lattice_ks(spec, lam: float) -> float:
 
     The tilted law of X_n is read as ascending atoms and pmf: _part_law's
     table for one part; for two, the parts' tables folded cell by cell and
-    sorted, refused before any allocation when their atom counts multiply
-    past FOLD_CELLS.  _ks_from_cdf reads it at the atoms, so the
+    sorted, refused before any allocation when the fold is priced past either
+    budget.  _ks_from_cdf reads it at the atoms, so the
     distance is good to a few 1e-16 absolute."""
     if spec.dist.kind == "gaussian":
         return 0.0  # exactly normal at every tilt
     parts = spec.iid_parts()
-    cells = math.prod(_part_route(*part)[0] for part in parts)
-    if len(parts) > 1 and cells > FOLD_CELLS:
-        raise DomainError(f"too-large: the parts' sum laws make {cells} cells, "
-                          f"over {FOLD_CELLS}")
+    if len(parts) > 1:
+        cells = math.prod(_part_route(*part)[0] for part in parts)
+        _afford(cells * _SORT_S, cells * _BYTES, "the fold of {} cells", cells)
     # atoms and pmf only, so that no binomial law's scaled table outlives its pmf
     (atoms, pmf), *rest = [(law.atoms, law.pmf) for law in (_part_law(*p, lam) for p in parts)]
     if rest:
@@ -718,9 +718,8 @@ def conjugate_clt_check(model_family, lam: float, n_list) -> tuple:
     tilted law against the normal limit, with the rate budget
     lam*eps + eps|log eps| + delta and the fitted constant.  lam = 0 is the
     plain rate curve, the KS distance of X_n itself.  Every finite or
-    gaussian spec is read, iid or variance switching; a part's law past
-    _part_law's caps (BINOMIAL_ATOMS for two atoms), or two parts' fold
-    past FOLD_CELLS, raises DomainError (too-large)."""
+    gaussian spec is read, iid or variance switching; a part's law or two
+    parts' fold priced past either budget raises DomainError (too-large)."""
     if not 0.0 <= lam < math.inf:
         raise DomainError(f"lam = {lam!r} must be finite and >= 0")
     rows = []
@@ -878,7 +877,7 @@ def mdp_diagnostic(
 
     Gaussian specs take the exact normal tail (lambda = 0); all others the
     tilted estimator.  p_exact is exact_tail's probability wherever it
-    covers the spec, and nan where a part's sum law is past _part_law's caps.
+    covers the spec, and nan where a part's sum law is priced past the budgets.
     p_hat = 0 rows are reported infeasible rather than mapped to -inf.
     """
     _check_samples(samples)
@@ -892,7 +891,7 @@ def mdp_diagnostic(
         threshold = a_n * x
         try:
             exact = exact_tail(spec, threshold)
-        except DomainError:  # a part's sum law past _part_law's caps
+        except DomainError:  # a part's sum law priced past the budgets
             exact = None
         if spec.dist.kind == "gaussian":
             est = exact

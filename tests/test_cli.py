@@ -354,8 +354,9 @@ class TestGridsAndLists:
 
     def test_varswitch_rate_rows(self, tmp_path):
         # two-part specs take the folded law: clt-rate is still conjugate-clt
-        # at lambda 0, byte for byte, and past FOLD_CELLS both exit 3 before
-        # writing anything
+        # at lambda 0, byte for byte, and where the fold is priced past the
+        # byte budget (2688^2 cells at n = 8192) both exit 3 before writing
+        # anything
         vs = ["--model", "varswitch", "--rho", "0.5", "--n", "10"]
         clt, conj = tmp_path / "clt", tmp_path / "conj"
         assert run(["clt-rate", *vs, "--n-list", "20,200", "--out", str(clt)]) == 0
@@ -364,7 +365,7 @@ class TestGridsAndLists:
         assert read(clt / "clt_rate.csv") == read(conj / "conjugate_clt.csv")
         for argv in (["clt-rate"], ["conjugate-clt", "--lambda", "0.5"]):
             out = tmp_path / argv[0]
-            assert run([*argv, *vs, "--n-list", "2048", "--out", str(out)]) == 3
+            assert run([*argv, *vs, "--n-list", "8192", "--out", str(out)]) == 3
             assert not list(out.glob("*.csv"))
 
     def test_three_point_varswitch_rows(self, tmp_path):

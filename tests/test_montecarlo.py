@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import os
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -16,8 +17,7 @@ from mlde import bounds, cli, conditions, montecarlo, tilting
 from mlde.errors import ConfigError, DomainError
 from mlde.model import IncrementDistribution, MartingaleSpec
 from mlde.montecarlo import (
-    CONVOLVE_ATOMS,
-    ENUM_LIMIT,
+    BYTE_BUDGET,
     EXACT_METHODS,
     MAX_SAMPLES,
     TAIL_METHODS,
@@ -289,10 +289,11 @@ class TestCrude:
         est = crude_tail_estimate(spec, x, 10**8, seed=3)
         assert abs(est.p_hat - exact) <= 5.0 * est.std_err
         assert abs(est.p_hat - other) > 5.0 * est.std_err
-        # the per-draw route (forced here with no histogram cells) reads a
-        # draw's lattice offset by the same rule: 4e6 draws (se 4.5e-5) sit
-        # on exact_tail's side, the two sides 12.6 se apart
-        monkeypatch.setattr(montecarlo, "HISTOGRAM_CELLS", 0)
+        # the per-draw route (taken here with draws priced at nothing, so no
+        # histogram is cheaper) reads a draw's lattice offset by the same
+        # rule: 4e6 draws (se 4.5e-5) sit on exact_tail's side, the two sides
+        # 12.6 se apart
+        monkeypatch.setattr(montecarlo, "_DRAW_S", 0.0)
         monkeypatch.setattr(montecarlo, "_histogram_sums", None)
         est = crude_tail_estimate(spec, x, 4 * 10**6, seed=3)
         assert abs(est.p_hat - exact) <= 5.0 * est.std_err
@@ -448,24 +449,25 @@ class TestTilted:
         assert abs(crude.p_hat - tilt.p_hat) <= 3.5 * combined
 
     def test_parallel_invariance(self, monkeypatch):
-        # the irrational table at n = 100 (C(102, 2) = 5151 count vectors,
-        # over BLOCK) and the gaussian are sampled draw by draw in a thread
-        # pool, the others from their histograms; Rademacher n = 10000 (a
-        # binomial table of 4128 atoms) takes the histogram at 30000 draws,
-        # and at 4100, fewer than its atoms, two blocks draw by draw; the
-        # three-point varswitch law at n = 400 has 601^2 cells, over
-        # HISTOGRAM_CELLS, so its two parts are drawn per sample in 8 blocks
-        for spec, samples in ((rademacher_spec(20), 30_000),
-                              (three_point_spec(20), 30_000),
-                              (MartingaleSpec.variance_switching(RADEMACHER, n=12, rho=0.5),
-                               30_000),
-                              (MartingaleSpec.iid(IRRATIONAL, n=20, normalized=True), 30_000),
-                              (MartingaleSpec.iid(IRRATIONAL, n=100, normalized=True), 30_000),
-                              (gaussian_spec(15), 30_000),
-                              (rademacher_spec(10_000), 30_000),
-                              (rademacher_spec(10_000), 4100),
-                              (MartingaleSpec.variance_switching(THREE_POINT, n=400, rho=0.5),
-                               30_000)):
+        # on either route no worker count moves an estimate.  The gaussian,
+        # Rademacher n = 1e6 at 4100 draws (its 40,128-atom table is priced
+        # above two blocks of draws) and the three-point varswitch law at
+        # n = 4000 (6001^2 cells, past the byte budget) are drawn one by one
+        # in 8, 2 and 8 blocks on the thread pool; the others take their
+        # histograms, the irrational table at n = 100 (5151 count vectors)
+        # and the three-point varswitch law at n = 400 (601^2 cells) included
+        for spec, samples, histogram in (
+                (rademacher_spec(20), 30_000, True),
+                (three_point_spec(20), 30_000, True),
+                (MartingaleSpec.variance_switching(RADEMACHER, n=12, rho=0.5), 30_000, True),
+                (MartingaleSpec.iid(IRRATIONAL, n=20, normalized=True), 30_000, True),
+                (MartingaleSpec.iid(IRRATIONAL, n=100, normalized=True), 30_000, True),
+                (gaussian_spec(15), 30_000, False),
+                (rademacher_spec(10_000), 30_000, True),
+                (rademacher_spec(1_000_000), 4100, False),
+                (MartingaleSpec.variance_switching(THREE_POINT, n=400, rho=0.5), 30_000, True),
+                (MartingaleSpec.variance_switching(THREE_POINT, n=4000, rho=0.5), 30_000, False)):
+            assert (sampled_laws(monkeypatch, spec, 0.8, samples) is not None) == histogram
             results = []
             for w in ("1", "2", "8"):
                 monkeypatch.setenv("MLDE_THREADS", w)
@@ -511,70 +513,67 @@ class TestTilted:
                                       idx >= laws[-1].above(y)), (parts, x)
 
     def test_histogram_route_choice(self, monkeypatch):
-        # finite parts whose sum laws have at most BLOCK atoms each (a
-        # binomial table: max(BLOCK, N) for N draws) and at most
-        # HISTOGRAM_CELLS atoms in their product take the histogram route, on
-        # a lattice or off one; everything else is sampled draw by draw.  The
-        # route reads a two-atom part at its binomial table's span at p = 1/2,
-        # 2 (64 + ceil(20 sqrt(count))) atoms or count + 1 if fewer, while the
-        # table holds only the atoms with more than 2^-1100 of the mass
-        for spec, sizes, samples in (
-                (rademacher_spec(20), [21], 100),
-                (rademacher_spec(4095), [2688], 100),
-                (rademacher_spec(4096), [2688], 100),
-                (rademacher_spec(5000), [2958], 100),
-                (rademacher_spec(10_000), [4128], 4128),
-                (rademacher_spec(10_000), [4128], 100_000),
-                (rademacher_spec(100_000), [12778], 100_000),
-                (rademacher_spec(1_000_000), [40128], 100_000),
-                (three_point_spec(400), [1201], 100),
-                (MartingaleSpec.iid(RADEMACHER, n=30), [31], 100),
-                (MartingaleSpec.variance_switching(RADEMACHER, n=12, rho=0.5), [7, 7], 100),
-                (MartingaleSpec.variance_switching(THREE_POINT, n=200, rho=0.5),
-                 [301, 301], 100),
-                (MartingaleSpec.variance_switching(THREE_POINT, n=240, rho=0.5),
-                 [361, 361], 100),  # 130321 cells, just under 2^17
-                (MartingaleSpec.iid(IRRATIONAL, n=20, normalized=True), [231], 100),
-                (MartingaleSpec.iid(IRRATIONAL, n=89, normalized=True),
-                 [4095], 100),  # C(91, 2) count vectors
-                (MartingaleSpec.variance_switching(IRRATIONAL, n=12, rho=0.5), [28, 28], 100)):
-            laws = sampled_laws(monkeypatch, spec, 0.7, samples)
+        # the route is arithmetic: the histogram where it fits the budgets
+        # and its price (the parts' builds and min(N, outer atoms) x inner
+        # atoms cells) is below N draws one by one, each priced by its
+        # categories.  Each row's route is the side measured faster, both
+        # routes called directly, tilted at x = 2 (ms, medians of 7, one
+        # core): the crossover table of the two varswitch laws (three-point
+        # n = 400: 0.19 vs 1.4 at N = 100, 6.8 vs 2.8, 72 vs 4.3 and 667 vs
+        # 5.4 per draw vs histogram; Rademacher n = 2046: 0.12 vs 1.5, 2.3 vs
+        # 3.2, 22 vs 3.9, 188 vs 5.3); the sparse lattice table {0, 1, 40} at
+        # n = 200 and 100 and the irrational one at n = 100, at N = 1e5 (26 vs
+        # 4.3, 45 vs 0.93, 51 vs 5.2) and at N = 1e3 (0.36 vs 4.1, 0.42 vs
+        # 0.93, 0.63 vs 8.6); and every Monte Carlo spec of the benchmark at
+        # its own N, which must stay on the histogram.  Each part's size is
+        # its atoms: a binomial table's span at p = 1/2, a power's offsets,
+        # or count vectors (on a lattice, at most its offsets: {0, 1, 100} at
+        # n = 2000 folds 2,003,001 vectors into at most 200,001 atoms)
+        sparse = IncrementDistribution.finite_table([(0.0, 0.5), (1.0, 0.3), (40.0, 0.2)])
+        wide = IncrementDistribution.finite_table([(0.0, 0.5), (1.0, 0.25), (100.0, 0.25)])
+        vs3 = MartingaleSpec.variance_switching(THREE_POINT, n=400, rho=0.5)
+        vsr = MartingaleSpec.variance_switching(RADEMACHER, n=2046, rho=0.5)
+        rows = [(vs3, n, n > 100, [601, 601]) for n in (100, 10**4, 10**5, 10**6)]
+        rows += [(vsr, n, n > 10**4, [1024, 1024]) for n in (100, 10**4, 10**5, 10**6)]
+        for n in (10**5, 10**3):
+            rows += [(MartingaleSpec.iid(sparse, n=200, normalized=True), n, n > 10**3, [8001]),
+                     (MartingaleSpec.iid(sparse, n=100, normalized=True), n, n > 10**3, [4001]),
+                     (MartingaleSpec.iid(IRRATIONAL, n=100, normalized=True), n, n > 10**3,
+                      [5151])]
+        rows += [  # the benchmark's specs
+            (MartingaleSpec.variance_switching(RADEMACHER, n=200, rho=0.5), 10**5, True, [101, 101]),
+            (MartingaleSpec.variance_switching(THREE_POINT, n=200, rho=0.5), 10**5, True,
+             [301, 301]),
+            (rademacher_spec(20), 10**6, True, [21]),
+            (three_point_spec(400), 10**6, True, [1201]),
+            (rademacher_spec(1600), 20_000, True, [1601]),
+            (rademacher_spec(100), 10**5, True, [101]),
+            (rademacher_spec(1000), 10**5, True, [1001]),
+            (rademacher_spec(10_000), 10**5, True, [4128]),
+            (MartingaleSpec.iid(wide, n=2000), 10**5, False, [200_001])]
+        for spec, samples, histogram, sizes in rows:
             assert [montecarlo._part_route(d, c)[0] for d, c in spec.iid_parts()] == sizes
-            for law, (d, count), size in zip(laws, spec.iid_parts(), sizes):
+            laws = sampled_laws(monkeypatch, spec, 0.7, samples)
+            assert (laws is not None) == histogram, (sizes, samples)
+            for law, (d, count), size in zip(laws or (), spec.iid_parts(), sizes):
                 assert len(law.atoms) == len(law.pmf) <= size
-                assert len(law.atoms) == size or len(d.values) == 2
                 want = montecarlo._part_law(d, count, 0.7)
                 assert np.array_equal(law.atoms, want.atoms)
                 assert np.array_equal(law.pmf, want.pmf)
-        for spec, samples in (
-                (MartingaleSpec.iid(IRRATIONAL, n=90, normalized=True), 100),  # C(92, 2) = 4186
-                # a table of 3+ atoms keeps to BLOCK, however many draws
-                (MartingaleSpec.iid(IRRATIONAL, n=90, normalized=True), 100_000),
-                (MartingaleSpec.variance_switching(IRRATIONAL, n=400, rho=0.5), 100),
-                # binomial tables over max(BLOCK, N) atoms
-                (rademacher_spec(10_000), 4127),  # 4128 atoms
-                (rademacher_spec(100_000), 100),  # 12778 atoms
-                (rademacher_spec(1_000_000), 40_000),  # 40128 atoms
-                # 400128 atoms, over HISTOGRAM_CELLS at any N
-                (rademacher_spec(100_000_000), 1_000_000),
-                # parts of 2688 atoms, 2688^2 cells over HISTOGRAM_CELLS
-                (MartingaleSpec.variance_switching(RADEMACHER, n=8192, rho=0.5), 100_000),
-                # 364^2 cells, over the cap with parts far under BLOCK
-                (MartingaleSpec.variance_switching(THREE_POINT, n=242, rho=0.5), 100),
-                (gaussian_spec(15), 100),
-                (gaussian_varswitch_spec(12), 100)):
-            assert sampled_laws(monkeypatch, spec, 0.7, samples) is None
+        # no finite part means no histogram, whatever N
+        for spec in (gaussian_spec(15), gaussian_varswitch_spec(12)):
+            assert sampled_laws(monkeypatch, spec, 0.7, MAX_SAMPLES) is None
 
     def test_two_point_route_boundary(self, monkeypatch):
-        # Rademacher n = 10000 at x = n^(1/4): the binomial table spans 4128
-        # atoms, so 1e5 draws take the histogram route and 2000 draw by
-        # draw; either route's estimates sit within 3.5 se of the exact tail.
-        # Crude sees no hit of a 6e-24 tail in 1e5 draws, so it is read at
-        # x = 1 instead.
+        # Rademacher n = 10000 at x = n^(1/4): the binomial table is priced
+        # at 4128 atoms, so 1e5 draws take the histogram route and 1000 draw
+        # by draw; either route's estimates sit within 3.5 se of the exact
+        # tail.  Crude sees no hit of a 6e-24 tail in 1e5 draws, so it is
+        # read at x = 1 instead.
         spec = rademacher_spec(10_000)
         x = 10_000**0.25
         lam = saddlepoint_lambda(spec, x)
-        for samples, histogram in ((100_000, True), (2000, False)):
+        for samples, histogram in ((100_000, True), (1000, False)):
             assert (sampled_laws(monkeypatch, spec, lam, samples) is not None) == histogram
             for est, threshold in ((tilted_tail_estimate(spec, x, lam, samples, seed=17), x),
                                    (crude_tail_estimate(spec, 1.0, samples, seed=17), 1.0)):
@@ -583,18 +582,17 @@ class TestTilted:
                 assert abs(est.p_hat - exact) <= 3.5 * est.std_err
 
     def test_per_draw_route_agrees(self, monkeypatch):
-        # the same calls with BLOCK too small for parts of 91 atoms (or 496
-        # count vectors) go draw by draw; both routes must sit within 3.5 se
-        # of the exact tail
-        blocks = (montecarlo.BLOCK, 64)
+        # the same calls with draws priced at nothing, so that no histogram
+        # is cheaper, go draw by draw; both routes must sit within 3.5 se of
+        # the exact tail
         for spec in (three_point_spec(30),
                      MartingaleSpec.variance_switching(THREE_POINT, n=60, rho=0.5),
                      MartingaleSpec.iid(IRRATIONAL, n=30, normalized=True)):
             exact = exact_tail(spec, 2.0).p_hat
             lam = saddlepoint_lambda(spec, 2.0)
-            for block in blocks:
-                monkeypatch.setattr(montecarlo, "BLOCK", block)
-                assert (sampled_laws(monkeypatch, spec, lam) is None) == (block == 64)
+            for draw_s in (montecarlo._DRAW_S, 0.0):
+                monkeypatch.setattr(montecarlo, "_DRAW_S", draw_s)
+                assert (sampled_laws(monkeypatch, spec, lam, 50_000) is None) == (draw_s == 0.0)
                 for est in (tilted_tail_estimate(spec, 2.0, lam, 50_000, seed=13),
                             crude_tail_estimate(spec, 2.0, 50_000, seed=13)):
                     assert abs(est.p_hat - exact) <= 3.5 * est.std_err
@@ -777,8 +775,7 @@ class TestLatticeLaw:
         # about a minute per tilt; that sum is within 1.3e-13 of it)
         for n in (1, 2, 7, 30, 100, 400):
             spec = three_point_spec(n)
-            assert montecarlo._part_route(spec.iid_parts()[0][0], n) == (
-                3 * n + 1, True, CONVOLVE_ATOMS)
+            assert montecarlo._part_route(spec.iid_parts()[0][0], n)[:2] == (3 * n + 1, True)
             for lam in (0.0, 0.7, 3.0, 20.0):
                 law = montecarlo._part_law(spec.iid_parts()[0][0], n, lam)
                 assert len(law.atoms) == 3 * n + 1
@@ -1068,25 +1065,31 @@ class TestExactTail:
         for x in (-0.3, 0.0, 0.4, 1.1):
             assert exact_tail(spec, x).p_hat == pytest.approx(brute(x), abs=1e-14)
 
-    def test_too_large_rejected(self):
+    def test_too_large_rejected(self, monkeypatch):
         # six atoms on no lattice at n = 100 have C(105, 5) ~ 9.7e7 count
-        # vectors, far above the cap; the check is arithmetic, made before
-        # any allocation
+        # vectors, priced far past the byte budget; the price is arithmetic,
+        # and the refusal comes before any allocation (numpy is never reached)
         table = IncrementDistribution.finite_table(
             [(math.sqrt(v), 1.0 / 6.0) for v in (0, 1, 2, 3, 5, 7)])
-        assert table.lattice is None and math.comb(105, 5) * 6 > ENUM_LIMIT
+        assert table.lattice is None and montecarlo._part_route(table, 100)[3] > 20 * BYTE_BUDGET
+        # a lattice power priced past the time budget is refused the same
+        # way, from its atom count alone: 300,001 atoms would take about 6 s,
+        # and 3e15 + 1 could not even be allocated
+        power = [montecarlo._part_route(THREE_POINT, n) for n in (10**5, 10**15)]
+        assert all(powered and seconds > 3 * montecarlo.TIME_BUDGET
+                   for _, powered, seconds, _ in power)
+        monkeypatch.setattr(montecarlo, "_Law", None)
+        monkeypatch.setattr(montecarlo.np, "convolve", None)
         for method in EXACT_METHODS:
             with pytest.raises(DomainError, match="too-large"):
                 estimate_tail(MartingaleSpec.iid(table, n=100), 1.0, method, "saddlepoint", 0, 0)
-        # a lattice sum past CONVOLVE_ATOMS is refused the same way, from its
-        # atom count alone: 3e15 + 1 atoms could not even be allocated
-        for n in (CONVOLVE_ATOMS // 3 + 1, 10**15):
+        for n in (10**5, 10**15):
             with pytest.raises(DomainError, match="too-large"):
                 exact_tail(three_point_spec(n), 1.0)
 
     def test_binomial_past_its_cap(self):
-        # the binomial table spans about 80 sds: n = 1e9 fits, n = 1e12 is
-        # refused before any allocation
+        # the binomial table spans about 80 sds: n = 1e9 fits the budgets,
+        # n = 1e12 (some 4e7 atoms) is refused before any allocation
         p = exact_tail(rademacher_spec(10**9), 1.0).p_hat
         assert p == pytest.approx(bounds.gaussian_tail(1.0), rel=1e-3)
         with pytest.raises(DomainError, match="too-large"):
@@ -1113,11 +1116,11 @@ class TestExactTail:
 
     def test_sparse_lattice_takes_count_vectors(self):
         # {0, 1, top} lies on a lattice, but its count vectors are built
-        # when they are the cheaper form: at top = 1000, n = 200 the 200001
-        # lattice atoms are over CONVOLVE_ATOMS; at top = 100, n = 2000 too,
-        # while the 2003001 count vectors fit ENUM_LIMIT; at top = 250,
-        # n = 500 the power of 125001 atoms would take about as long as the
-        # cap allows, the 125751 count vectors a few ms.  Against a nested
+        # where they are priced below the power: at top = 1000, n = 200 the
+        # power of 200,001 atoms is priced at 2.8 s, the 20,301 vectors at
+        # 13 ms; at top = 100, n = 2000 the power at 2.8 s, the 2,003,001
+        # vectors (at most 200,001 atoms) at 0.51 s; at top = 250, n = 500
+        # the power at 1.1 s, the 125,751 vectors at 49 ms.  Against a nested
         # binomial: c ~ Bin(n, 1/4) draws are top and b ~ Bin(n - c, 1/3) of
         # the others are 1.  The two agree to 3.2e-14 over these cases; 1e-13
         # leaves room for the rounding of scipy's terms in the oracle.  A
@@ -1126,7 +1129,8 @@ class TestExactTail:
         for top, n, rel in ((1000, 200, 1e-13), (100, 2000, 1e-13), (250, 500, 1e-13)):
             table = IncrementDistribution.finite_table([(0.0, 0.5), (1.0, 0.25), (top, 0.25)])
             spec = MartingaleSpec.iid(table, n=n)
-            assert montecarlo._part_route(table, n)[:2] == (math.comb(n + 2, 2), False)
+            assert montecarlo._part_route(table, n)[:2] == (
+                min(math.comb(n + 2, 2), top * n + 1), False)
             c = np.arange(n + 1)
             mean = 0.25 + 0.25 * top  # the table was centred at its mean
             for x in (-0.5, top + 0.5, 0.15 * top * n + 0.5):
@@ -1135,25 +1139,57 @@ class TestExactTail:
                 got = exact_tail(spec, x).p_hat
                 assert got == pytest.approx(want, rel=rel, abs=0.0), (top, n, x)
         # those tables' centred values are dyadic, so even float sums were
-        # exact.  {0, 1, 40} at (0.5, 0.3, 0.2) is centred at 8.3: its count
+        # exact.  {0, 1, 150} at (0.5, 0.3, 0.2) is centred at 30.3: its count
         # vectors must sum their integer offsets, or vectors on one lattice
         # point give atoms a rounding apart and a threshold on that point
-        # splits the atom's mass (8.5 % off at offset 3444).  The 20301
-        # vectors fold onto 7260 atoms base + i g, read here at every 7th
-        # offset against the nested binomial: c ~ Bin(n, 0.2) draws are 40
+        # splits the atom's mass (8.5 % off at an offset of {0, 1, 40}, which
+        # now takes the power of 8001 atoms).  The 20301 vectors fold onto
+        # 18975 atoms base + i g.  Both laws are read here at every 23rd
+        # offset against the nested binomial: c ~ Bin(n, 0.2) draws are top
         # and b ~ Bin(n - c, 3/8) of the others are 1
-        table = IncrementDistribution.finite_table([(0.0, 0.5), (1.0, 0.3), (40.0, 0.2)])
         n = 200
-        assert montecarlo._part_route(table, n)[:2] == (math.comb(n + 2, 2), False)
-        law = montecarlo._part_law(table, n, 0.0)
-        assert len(law.atoms) == 7260
-        (base, g), c = law.lattice, np.arange(n + 1)
-        weights = binom.pmf(c, n, 0.2)
-        tail = montecarlo._exact_oracle(MartingaleSpec.iid(table, n=n))  # exact_tail's reader
-        for i in range(0, 40 * n + 1, 7):
-            want = math.fsum(weights * binom.sf(i - 40 * c, n - c, 0.375))
-            got = tail(base + i * g).p_hat
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0), i
+        for top, atoms, powered in ((150, 18975, False), (40, 8001, True)):
+            table = IncrementDistribution.finite_table([(0.0, 0.5), (1.0, 0.3), (top, 0.2)])
+            assert montecarlo._part_route(table, n)[1] == powered
+            law = montecarlo._part_law(table, n, 0.0)
+            assert len(law.atoms) == atoms
+            (base, g), c = law.lattice, np.arange(n + 1)
+            weights = binom.pmf(c, n, 0.2)
+            tail = montecarlo._exact_oracle(MartingaleSpec.iid(table, n=n))  # exact_tail's reader
+            for i in range(0, top * n + 1, 23):
+                want = math.fsum(weights * binom.sf(i - top * c, n - c, 0.375))
+                got = tail(base + i * g).p_hat
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (top, i)
+
+    def test_chain_peak_below_fold(self, monkeypatch):
+        # the count-vector chain makes each length-V array once and drops it
+        # when done, so the fold after it (the argsort and the sorted copies)
+        # sets the build's peak memory, which _BYTES prices per vector: on
+        # {0, 1, 100} at n = 500 the chain's 125,751 vectors peaked at 7.8 MiB
+        # against the fold's 7.0 MiB while the chain indexed by a row array
+        # (at n = 2000: 108 against 95 MiB)
+        table = IncrementDistribution.finite_table([(0.0, 0.5), (1.0, 0.25), (100.0, 0.25)])
+        assert not montecarlo._part_route(table, 500)[1]
+        peaks = []
+
+        class Numpy:  # numpy, with the peak read and reset where the fold begins
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def argsort(self, *args, **kwargs):
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+                return np.argsort(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "np", Numpy())
+        tracemalloc.start()
+        try:
+            montecarlo._part_law(table, 500, 0.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        chain, fold = peaks
+        assert chain <= fold <= math.comb(502, 2) * montecarlo._BYTES
 
     def test_near_lattice_not_snapped(self):
         # 2 + 1e-9 is off the lattice {-1, 0, 2}: the top atom of X_10, of
@@ -1457,11 +1493,10 @@ class TestTwoPartKs:
 
     def test_rho_zero_is_the_iid_law(self):
         # at rho = 0 both parts are the iid step: the folded law is the
-        # binomial law the iid two-point KS reads, up to 1024^2 = FOLD_CELLS
-        # cells at n = 2046
+        # binomial law the iid two-point KS reads, up to 1024^2 cells at
+        # n = 2046
         for n, lam in itertools.product((2, 10, 100, 700, 2046), (0.0, 0.5, 2.0)):
             spec = MartingaleSpec.variance_switching(RADEMACHER, n=n, rho=0.0)
-            assert (n // 2 + 1) ** 2 <= montecarlo.FOLD_CELLS
             want = montecarlo._recentred_lattice_ks(rademacher_spec(n), lam)
             assert montecarlo._recentred_lattice_ks(spec, lam) == pytest.approx(
                 want, rel=1e-12), (n, lam)
@@ -1479,16 +1514,18 @@ class TestTwoPartKs:
         assert clt_rate_curve(family, [4, 6]) == conjugate_clt_check(family, 0.0, [4, 6])
 
     def test_too_large_before_any_law(self, monkeypatch):
-        # 1025 x 1025 cells are past FOLD_CELLS: refused from the atom counts
-        # alone, before either part's law is built
+        # at n = 8192 each part's binomial table spans 2688 atoms, and the
+        # 2688^2 cells are priced at 441 MiB, past the byte budget: refused
+        # from the atom counts alone, before either part's law is built
         def family(n):
             return MartingaleSpec.variance_switching(RADEMACHER, n=n, rho=0.5)
 
-        assert 1025**2 > montecarlo.FOLD_CELLS
+        assert [montecarlo._part_route(d, c)[0] for d, c in family(8192).iid_parts()] == [2688] * 2
+        assert 2688**2 * montecarlo._BYTES > BYTE_BUDGET
         monkeypatch.setattr(montecarlo, "_part_law", None)
         for lam in (0.0, 0.5):
             with pytest.raises(DomainError, match="too-large"):
-                conjugate_clt_check(family, lam, [2048])
+                conjugate_clt_check(family, lam, [8192])
 
 
 def two_point_spec(p, n):
@@ -1588,7 +1625,7 @@ class TestTwoPointKs:
     def test_reach(self):
         # the KS of 2e7 Rademacher steps reads a table of some 180,000
         # atoms: ks * sqrt(n) is about 1/sqrt(2 pi), half the central atom's
-        # mass; at n = 1e12 the table is past BINOMIAL_ATOMS and refused
+        # mass; at n = 1e12 the table is priced past the byte budget and refused
         (row,) = conjugate_clt_check(rademacher_spec, 0.0, [20_000_000])
         assert row.ks_distance * math.sqrt(20_000_000) == pytest.approx(
             1 / math.sqrt(math.tau), rel=1e-7)
@@ -1685,11 +1722,11 @@ class TestMdp:
             assert row.target == -0.5
 
     def test_p_exact_nan_past_enum_limit(self):
-        # {-1, 0, sqrt 2} lies on no lattice, and at n = 4096 its C(4098, 2) * 3
-        # count-vector entries exceed the cap: no exact value, but the tilted
-        # row is still reported.  The three-point lattice law at the same n
-        # is exact (12289 atoms).
-        assert math.comb(4098, 2) * 3 > ENUM_LIMIT
+        # {-1, 0, sqrt 2} lies on no lattice, and at n = 4096 its C(4098, 2)
+        # count vectors are priced past the byte budget: no exact value, but
+        # the tilted row is still reported (drawn one by one).  The
+        # three-point lattice law at the same n is exact (12289 atoms).
+        assert montecarlo._part_route(IRRATIONAL, 4096)[3] > BYTE_BUDGET
         irrational = lambda n: MartingaleSpec.iid(IRRATIONAL, n=n, normalized=True)  # noqa: E731
         for family, exact in ((irrational, False), (three_point_spec, True)):
             (row,) = mdp_diagnostic(family, lambda n: n**0.25, 1.0, [4096],
