@@ -10,7 +10,7 @@ enter the CSV body.  A finite:<path> target is read and validated as a
 --spec-file whose model is finite.
 
 Exit codes: 0 success, 2 configuration error, 3 domain/range error,
-4 infeasible estimate.  MLDE_THREADS caps the worker count.
+4 infeasible estimate.  The engine picks its own worker count (montecarlo._POOL_S).
 """
 
 from __future__ import annotations

@@ -39,8 +39,9 @@ One cost model prices every build by arithmetic before it allocates, from
 unit costs measured once: a part's law, 6 ns a histogram cell (min(N, outer
 atoms) x inner atoms), 150 ns a draw and category; past TIME_BUDGET (2 s) or
 BYTE_BUDGET (256 MiB) a law, binomial table or KS fold is refused as
-too-large.  One kernel, ``_weigh``, weighs both routes' hits, k draws at each.
-Either route gives bit-identical estimates for any worker count at a fixed seed.
+too-large; draws priced at _POOL_S or more run on one worker per CPU.  One
+kernel, ``_weigh``, weighs both routes' hits, k draws at each.  Either route
+gives bit-identical estimates for any worker count at a fixed seed.
 """
 
 from __future__ import annotations
@@ -73,6 +74,9 @@ _SORT_S = 150e-9  # each count vector (chain and fold) or fold cell: 82-183 ns
 _CELL_S = 6e-9  # each histogram cell: 2.9-14 ns on the crossover table at N >= 1e4
 _DRAW_S = 150e-9  # each draw and category of its parts: 70-250 ns
 _BYTES = 64  # at a build's peak, per table atom, count vector or fold cell: 31, 40-50, 59-63
+# Per-draw blocks priced at this or more run on min(CPUs, blocks) workers, the rest serially: on
+# the same machine 2 workers beat 1 in under 10 of 11 alternated pairs wherever priced at 15 ms
+_POOL_S = 16e-3  # or less, in 10-11 from 18 ms on; gaussian specs (priced 0) lost up to 1e6 draws
 
 
 # -- result containers --------------------------------------------------------
@@ -89,11 +93,11 @@ class TailEstimate:
 
     def __post_init__(self):
         # a weighted estimate may poke above 1 by sampling noise; anything
-        # beyond that indicates a broken weight computation
-        if self.p_hat < 0.0 or self.p_hat > 1.0 + max(1e-9, 5.0 * self.std_err):
+        # beyond that, or nan, indicates a broken weight computation
+        if not self.std_err >= 0.0:
+            raise ValueError(f"std_err = {self.std_err!r} must be >= 0")
+        if not 0.0 <= self.p_hat <= 1.0 + max(1e-9, 5.0 * self.std_err):
             raise ValueError(f"p_hat = {self.p_hat!r} outside [0, 1]")
-        if self.std_err < 0.0:
-            raise ValueError("std_err must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -221,11 +225,11 @@ def _binomial_span(n, sd):
 
 def _afford(seconds, nbytes, what, *args):
     """Refuse, before it allocates, a build priced past either budget; what.format(*args),
-    formatted only then, names it."""
+    formatted only then, names it, with the price in full so a refused one reads above it."""
     if seconds > TIME_BUDGET or nbytes > BYTE_BUDGET:
         raise DomainError(
-            f"too-large: {what.format(*args)} is priced at {seconds:.3g} s and "
-            f"{nbytes / 2**20:.4g} MiB, over {TIME_BUDGET} s or {BYTE_BUDGET >> 20} MiB")
+            f"too-large: {what.format(*args)} is priced at {float(seconds)!r} s and "
+            f"{nbytes / 2**20!r} MiB, over {TIME_BUDGET} s or {BYTE_BUDGET >> 20} MiB")
 
 
 def _cut(y, lattice):
@@ -346,18 +350,6 @@ def _normal_cdf(x):
     return out
 
 
-# -- deterministic parallel plumbing ------------------------------------------
-
-def resolve_workers() -> int:
-    """The worker count MLDE_THREADS asks for (1 when unset)."""
-    workers = os.environ.get("MLDE_THREADS", "1")
-    try:
-        workers = int(workers)
-    except ValueError:
-        raise ConfigError(f"bad worker count {workers!r}")
-    return max(1, workers)
-
-
 # -- tilted sampling of the parts' sufficient statistics ---------------------
 
 def _part_draws(d, count, lam, rng, m):
@@ -457,11 +449,15 @@ def _part_law(d, count, lam):
 def _weighted_tail(spec, x, lam, n_samples, seed):
     """(p, se) from the histogram of the parts' tilted sum laws (their builds
     and min(N, outer atoms) x inner atoms cells) where it fits the budgets and
-    is priced below the n_samples draws (m - 1 categories per m-atom part)."""
-    resolve_workers()  # a bad MLDE_THREADS is refused on either route
+    is priced below the n_samples draws (m - 1 categories per m-atom part), else
+    from the draws, pooled where they are priced at _POOL_S or more.  A tilt
+    whose Psi_n overflows, so that every weight would be nan, is refused first."""
     if math.isnan(x):
         raise DomainError("threshold x is nan")
-    psi = tilting.cumulant_process(spec, lam)
+    with np.errstate(over="ignore"):  # an overflowing term reads as inf, refused below
+        psi = tilting.cumulant_process(spec, lam)
+    if not math.isfinite(psi):
+        raise DomainError(f"Psi_n({lam:.6g}) = {psi}: the tilt overflows every weight")
     parts = spec.iid_parts() if spec.dist.kind != "gaussian" else ()  # no parts: per draw
     routes = [_part_route(d, count) for d, count in parts]
     *outer, inner = [atoms for atoms, *_ in routes] or [0]
@@ -475,7 +471,7 @@ def _weighted_tail(spec, x, lam, n_samples, seed):
         laws = [_part_law(d, count, lam) for d, count in parts]
         s1, s2 = _histogram_sums(laws, x, lam, psi, n_samples, seed)
     else:
-        s1, s2 = _per_draw_sums(spec, x, lam, psi, n_samples, seed)
+        s1, s2 = _per_draw_sums(spec, x, lam, psi, n_samples, seed, draws >= _POOL_S)
     p = s1 / n_samples
     var = max(s2 / n_samples - p * p, 0.0)
     return p, math.sqrt(var / n_samples)
@@ -525,12 +521,14 @@ def _histogram_sums(laws, x, lam, psi, n_samples, seed):
     return float(s1), float(s2)
 
 
-def _per_draw_sums(spec, x, lam, psi, n_samples, seed):
+def _per_draw_sums(spec, x, lam, psi, n_samples, seed, pooled):
     """(sum w, sum w^2) over the hits of n_samples draws made one by one, in
     blocks: a draw is a hit where its last part is at or past the _cut of x
-    minus its first, as in _histogram_sums.  The blocks run on up to
-    MLDE_THREADS workers (one per CPU and per block at most), and math.fsum
-    adds their sums in block order, so no worker count moves the result."""
+    minus its first, as in _histogram_sums.  The blocks run on min(CPUs,
+    blocks) workers where pooled (_weighted_tail prices the draws at
+    _POOL_S or more), serially otherwise.  Each block draws from its own
+    stream and math.fsum adds their sums in block order, so no worker count
+    moves the result."""
     n_blocks = (n_samples + BLOCK - 1) // BLOCK
 
     def one(b):
@@ -544,7 +542,7 @@ def _per_draw_sums(spec, x, lam, psi, n_samples, seed):
         hit = last >= _cut(x - a, lattice)
         return _weigh((a + last)[hit], psi, lam, np.ones(np.count_nonzero(hit)))
 
-    workers = min(resolve_workers(), os.cpu_count() or 1, n_blocks)
+    workers = min(os.cpu_count() or 1, n_blocks) if pooled else 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             sums = list(pool.map(one, range(n_blocks)))

@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 from scipy.special import logsumexp
 from scipy.stats import binom
 
-from mlde import bounds, conditions, tilting
+from mlde import bounds, conditions, montecarlo, tilting
 from mlde.cli import run as cli_run
 from mlde.model import IncrementDistribution, MartingaleSpec
 from mlde.montecarlo import (
@@ -334,6 +334,14 @@ def test_criterion_09_mdp_diagnostic():
 
 def test_criterion_10_worker_count_determinism(tmp_path, monkeypatch):
     started = time.monotonic()
+    # three-point varswitch at n = 4000 (6001^2 cells, past the byte budget)
+    # is drawn one by one, its 30,000 draws priced at 18 ms: pooled by the rule
+    (tmp_path / "vs3.cfg").write_text(
+        "model = varswitch\nn = 4000\nrho = 0.5\nvalues = -1, 0, 2\nprobs = 0.5, 0.25, 0.25\n")
+    per_draw = []
+    draw = montecarlo._per_draw_sums
+    monkeypatch.setattr(montecarlo, "_per_draw_sums",
+                        lambda *args: per_draw.append(args[-1]) or draw(*args))
     runs = {
         "tail-tilted": ["tail", "--model", "rademacher", "--n", "20", "--normalized",
                         "--x", "2.0", "--method", "tilted", "--samples", "100000",
@@ -347,22 +355,29 @@ def test_criterion_10_worker_count_determinism(tmp_path, monkeypatch):
         "mdp": ["mdp", "--model", "rademacher", "--normalized", "--n", "10",
                 "--x", "1.0", "--n-list", "10000", "--samples", "100000",
                 "--seed", "424242"],
+        "tail-varswitch-per-draw": ["tail", "--spec-file", str(tmp_path / "vs3.cfg"),
+                                    "--x", "2", "--method", "tilted", "--samples", "30000",
+                                    "--seed", "7"],
     }
+    assert cli_run(runs["tail-varswitch-per-draw"] + ["--out", str(tmp_path / "own")]) == 0
+    pooled = per_draw == [True]  # at the rule's own _POOL_S
     all_equal = True
     for name, argv in runs.items():
-        payloads = []
-        for workers in ("1", "8"):
-            monkeypatch.setenv("MLDE_THREADS", workers)
-            out = tmp_path / f"{name}-w{workers}"
+        payloads = set()
+        # the pool forced off (_POOL_S = inf) and on (_POOL_S = 0) at 1, 2 and 8 CPUs
+        for pool_s, cpus in ((math.inf, 1), (0.0, 1), (0.0, 2), (0.0, 8)):
+            monkeypatch.setattr(montecarlo, "_POOL_S", pool_s)
+            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+            out = tmp_path / f"{name}-{pool_s}-{cpus}"
             code = cli_run(argv + ["--out", str(out)])
             assert code == 0, name
             csvs = sorted(out.glob("*.csv"))
-            payloads.append(b"".join(p.read_bytes() for p in csvs))
-        all_equal &= payloads[0] == payloads[1]
+            payloads.add(b"".join(p.read_bytes() for p in csvs))
+        all_equal &= len(payloads) == 1
     elapsed = time.monotonic() - started
-    ok = all_equal and elapsed < 120.0
+    ok = all_equal and pooled and elapsed < 120.0
     assert report(
         10, ok,
-        f"{len(runs)} stochastic runs byte-identical across 1 vs 8 workers: "
-        f"{all_equal}; {elapsed:.1f}s",
+        f"{len(runs)} stochastic runs byte-identical, pool off and on at 1, 2 and 8 CPUs: "
+        f"{all_equal}; the per-draw spec pooled by the rule: {pooled}; {elapsed:.1f}s",
     )

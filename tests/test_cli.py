@@ -145,15 +145,32 @@ class TestTail:
         assert "'abc' is not a finite number" in err and "bad lambda 'abc'" in err
 
     def test_worker_count_invariance(self, tmp_path, monkeypatch):
-        outs = []
-        for workers in ("1", "8"):
-            monkeypatch.setenv("MLDE_THREADS", workers)
-            out = tmp_path / f"w{workers}"
-            assert run(["tail", "--model", "rademacher", "--n", "20", "--normalized",
-                        "--x", "2.0", "--method", "tilted", "--samples", "50000",
-                        "--seed", "5", "--out", str(out)]) == 0
-            outs.append(read(out / "tail.csv"))
-        assert outs[0] == outs[1]
+        # the pool forced off (_POOL_S = inf) and on (_POOL_S = 0) at 1, 2 and
+        # 8 CPUs writes the same bytes: a gaussian spec is drawn one by one,
+        # Rademacher n = 20 as a histogram
+        for model in ("rademacher", "gaussian"):
+            outs = set()
+            for pool_s, cpus in ((math.inf, 1), (0.0, 1), (0.0, 2), (0.0, 8)):
+                monkeypatch.setattr(montecarlo, "_POOL_S", pool_s)
+                monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+                out = tmp_path / f"{model}-{pool_s}-{cpus}"
+                assert run(["tail", "--model", model, "--n", "20", "--normalized",
+                            "--x", "2.0", "--method", "tilted", "--samples", "50000",
+                            "--seed", "5", "--out", str(out)]) == 0
+                outs.add(read(out / "tail.csv"))
+            assert len(outs) == 1, model
+
+    def test_overflowing_tilt_is_a_domain_error(self, tmp_path, capsys):
+        # a finite --lambda whose Psi_n overflows wrote p_hat = nan and exited
+        # 0 (tail) or 4 (mdp); it is refused before any row: exit 3, no CSV
+        draws = ["--x", "2", "--method", "tilted", "--samples", "1000", "--seed", "1"]
+        for argv in (["tail", "--model", "rademacher", "--n", "20", *draws, "--lambda", "1e308"],
+                     ["tail", "--model", "gaussian", "--n", "20", *draws, "--lambda", "1e200"],
+                     ["mdp", "--model", "rademacher", "--normalized", "--n", "10", "--x", "1",
+                      "--n-list", "100", "--lambda", "1e308", "--samples", "1000", "--seed", "1"]):
+            assert run([*argv, "--out", str(tmp_path)]) == 3, argv
+        assert not list(tmp_path.glob("*.csv"))
+        assert capsys.readouterr().err.count("the tilt overflows every weight") == 3
 
     def test_sample_cap(self, tmp_path):
         # 2^30 + 1 samples is refused before any row is computed

@@ -2,7 +2,7 @@ import decimal
 import functools
 import itertools
 import math
-import os
+import re
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -453,7 +453,8 @@ class TestTilted:
         # Rademacher n = 1e6 at 4100 draws (its 40,128-atom table is priced
         # above two blocks of draws) and the three-point varswitch law at
         # n = 4000 (6001^2 cells, past the byte budget) are drawn one by one
-        # in 8, 2 and 8 blocks on the thread pool; the others take their
+        # in 8, 2 and 8 blocks, with the pool forced off (_POOL_S = inf) and
+        # on (_POOL_S = 0) at 1, 2 and 8 CPUs; the others take their
         # histograms, the irrational table at n = 100 (5151 count vectors)
         # and the three-point varswitch law at n = 400 (601^2 cells) included
         for spec, samples, histogram in (
@@ -468,12 +469,13 @@ class TestTilted:
                 (MartingaleSpec.variance_switching(THREE_POINT, n=400, rho=0.5), 30_000, True),
                 (MartingaleSpec.variance_switching(THREE_POINT, n=4000, rho=0.5), 30_000, False)):
             assert (sampled_laws(monkeypatch, spec, 0.8, samples) is not None) == histogram
-            results = []
-            for w in ("1", "2", "8"):
-                monkeypatch.setenv("MLDE_THREADS", w)
-                results.append(tilted_tail_estimate(spec, 1.0, 0.8, samples, seed=9))
-            assert results[0].p_hat == results[1].p_hat == results[2].p_hat
-            assert results[0].std_err == results[1].std_err == results[2].std_err
+            results = set()
+            for pool_s, cpus in itertools.product((math.inf, 0.0), (1, 2, 8)):
+                monkeypatch.setattr(montecarlo, "_POOL_S", pool_s)
+                monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+                est = tilted_tail_estimate(spec, 1.0, 0.8, samples, seed=9)
+                results.add((est.p_hat, est.std_err))
+            assert len(results) == 1, spec
 
     def test_per_draw_sums_are_the_laws_atoms(self):
         # each part's per-draw sum has the bits of an atom of _part_law's law
@@ -646,9 +648,28 @@ class TestTilted:
             assert est.p_hat > 0.0
             assert abs(est.p_hat - exact) <= 3.5 * est.std_err
 
+    # (spec, draws, pooled): every cell of the 1- against 2-worker table in
+    # CHANGES.md, tilted at the saddlepoint of x = 2 and drawn one by one;
+    # pooled where the pool won at least 10 of 11 pairs
+    POOL_TABLE = (
+        *((gaussian_spec(100), n, False) for n in (10**4, 10**5, 10**6)),
+        *((MartingaleSpec.variance_switching(RADEMACHER, n=2046, rho=0.5), n, False)
+          for n in (10**4, 2 * 10**4)),
+        *((MartingaleSpec.variance_switching(RADEMACHER, n=10**5, rho=0.5), n, n > 5 * 10**4)
+          for n in (2 * 10**4, 5 * 10**4, 2 * 10**5, 10**6)),
+        *((MartingaleSpec.variance_switching(THREE_POINT, n=4000, rho=0.5), n, n > 2 * 10**4)
+          for n in (10**4, 2 * 10**4, 3 * 10**4, 5 * 10**4, 10**5, 10**6)),
+        *((MartingaleSpec.iid(IncrementDistribution.finite_table(
+            [(0.0, 0.5), (1.0, 0.25), (100.0, 0.25)]), n=2000, normalized=True), n, n > 3 * 10**4)
+          for n in (2 * 10**4, 3 * 10**4, 10**5)),
+        *((MartingaleSpec.iid(IRRATIONAL, n=4096, normalized=True), n, False)
+          for n in (10**4, 3 * 10**4)),
+    )
+
     def test_worker_count_clamped(self, monkeypatch):
-        # _per_draw_sums starts min(MLDE_THREADS, CPUs, blocks) workers, and
-        # no pool at all for one worker or one block; the sums do not move
+        # _per_draw_sums starts min(CPUs, blocks) workers exactly where the
+        # draws are priced at _POOL_S or more, and no pool anywhere else (a
+        # gaussian spec, priced at 0, never pools)
         started = []
 
         class RecordingPool(ThreadPoolExecutor):
@@ -657,17 +678,18 @@ class TestTilted:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
-        cpus, spec, sums = os.cpu_count() or 1, gaussian_spec(4), set()
-        for threads, blocks in (("1000000", 40), ("1000000", 3), ("1", 40), ("1000000", 1),
-                                ("2", 40)):
-            monkeypatch.setenv("MLDE_THREADS", threads)
-            started.clear()
-            got = montecarlo._per_draw_sums(spec, 1.0, 0.5, 0.125, blocks * montecarlo.BLOCK, 7)
-            workers = min(int(threads), cpus, blocks)
-            assert started == ([workers] if workers > 1 else []), (threads, blocks)
-            if blocks == 40:
-                sums.add(got)
-        assert len(sums) == 1
+        for spec, samples, pooled in self.POOL_TABLE:
+            parts = spec.iid_parts() if spec.dist.kind != "gaussian" else ()
+            draws = sum(samples * montecarlo._DRAW_S * (len(d.values) - 1) for d, _ in parts)
+            assert (draws >= montecarlo._POOL_S) == pooled, (spec, samples)
+            lam = saddlepoint_lambda(spec, 2.0)
+            assert sampled_laws(monkeypatch, spec, lam, samples) is None, (spec, samples)
+            for cpus in (2, 8):
+                monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+                started.clear()
+                tilted_tail_estimate(spec, 2.0, lam, samples, seed=7)
+                blocks = -(-samples // montecarlo.BLOCK)
+                assert started == ([min(cpus, blocks)] if pooled else []), (spec, samples, cpus)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(DomainError):
@@ -1086,6 +1108,19 @@ class TestExactTail:
         for n in (10**5, 10**15):
             with pytest.raises(DomainError, match="too-large"):
                 exact_tail(three_point_spec(n), 1.0)
+
+    def test_refused_price_reads_over_its_budget(self, monkeypatch):
+        # the normalized three-point law at n = 56,344 powers 169,033 atoms,
+        # priced just past TIME_BUDGET; three significant digits printed it
+        # as "2 s ... over 2.0 s".  The printed price parses above the budget,
+        # and the refusal comes before any allocation
+        monkeypatch.setattr(montecarlo, "_Law", None)
+        monkeypatch.setattr(montecarlo.np, "convolve", None)
+        with pytest.raises(DomainError, match="too-large") as refused:
+            exact_tail(three_point_spec(56_344), 1.0)
+        seconds, mib = re.search(r"priced at (\S+) s and (\S+) MiB", str(refused.value)).groups()
+        assert montecarlo.TIME_BUDGET < float(seconds) < 1.001 * montecarlo.TIME_BUDGET
+        assert float(mib) < montecarlo.BYTE_BUDGET / 2**20
 
     def test_binomial_past_its_cap(self):
         # the binomial table spans about 80 sds: n = 1e9 fits the budgets,
@@ -1764,14 +1799,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             tilted_tail_estimate(rademacher_spec(4), 0.0, 0.5, 99, seed=1)
 
-    def test_bad_worker_count(self, monkeypatch):
-        # refused on the histogram and the per-draw route alike
-        monkeypatch.setenv("MLDE_THREADS", "abc")
-        for spec in (rademacher_spec(20),
-                     MartingaleSpec.variance_switching(RADEMACHER, n=12, rho=0.5)):
-            with pytest.raises(ConfigError, match="worker count"):
-                tilted_tail_estimate(spec, 1.0, 0.8, 1000, seed=1)
-
     def test_sample_cap(self):
         # 2^30 samples are 2^18 blocks; one more is refused before any work
         too_many = MAX_SAMPLES + 1
@@ -1842,10 +1869,24 @@ class TestValidation:
         with pytest.raises(ConfigError, match="lambda policy"):
             montecarlo.resolve_tilt(spec, 1.0, "nosuch")
 
+    def test_overflowing_tilt_rejected(self, monkeypatch):
+        # a finite tilt whose Psi_n overflows made every weight exp(inf - inf)
+        # and the estimate nan; it is refused before any draw, on either route
+        def no_draw(*args):
+            raise AssertionError("an overflowing tilt was sampled")
+        for name in ("_histogram_sums", "_per_draw_sums"):
+            monkeypatch.setattr(montecarlo, name, no_draw)
+        for spec, lam in ((MartingaleSpec.iid(RADEMACHER, n=20), 1e308), (gaussian_spec(20), 1e200),
+                          (MartingaleSpec.variance_switching(THREE_POINT, n=4000, rho=0.5), 1e308)):
+            with pytest.raises(DomainError, match="overflows"):
+                tilted_tail_estimate(spec, 2.0, lam, 1000, seed=1)
+
     @pytest.mark.parametrize("p_hat, std_err", [(-0.1, 0.0), (1.5, 0.0), (1.0 + 1e-8, 0.0),
-                                                (1.5, 0.05), (0.5, -1e-3)])
+                                                (1.5, 0.05), (0.5, -1e-3), (math.nan, 0.0),
+                                                (0.5, math.nan), (math.nan, math.nan)])
     def test_estimate_out_of_range_rejected(self, p_hat, std_err):
-        # p_hat may pass 1 only by max(1e-9, 5 std_err), and std_err is >= 0
+        # p_hat may pass 1 only by max(1e-9, 5 std_err), std_err is >= 0,
+        # and neither may be nan
         with pytest.raises(ValueError):
             TailEstimate(x=1.0, p_hat=p_hat, std_err=std_err, n_samples=100, method="tilted",
                          seed=1)
