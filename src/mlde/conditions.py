@@ -41,12 +41,18 @@ class BernsteinCertificate:
         return asdict(self)
 
 
-def _bernstein_scan(dist: IncrementDistribution):
-    """Smallest H with |E eta^k| <= k!/2 H^(k-2) E eta^2 for 3 <= k <= K_MAX."""
-    m2 = dist.moment(2)
+def _moments(dist: IncrementDistribution):
+    """(E eta^2, [|E eta^k| for 3 <= k <= K_MAX]): every moment the scan and
+    the slack read, each one math.fsum."""
+    return dist.moment(2), [abs(dist.moment(k)) for k in range(3, K_MAX + 1)]
+
+
+def _bernstein_scan(dist: IncrementDistribution, moments=None):
+    """Smallest H with |E eta^k| <= k!/2 H^(k-2) E eta^2 for 3 <= k <= K_MAX,
+    from moments = _moments(dist) where the caller has them."""
+    m2, mks = moments or _moments(dist)
     best, best_k = 0.0, 3
-    for k in range(3, K_MAX + 1):
-        mk = abs(dist.moment(k))
+    for k, mk in enumerate(mks, 3):
         if not math.isfinite(mk):
             raise DomainError(f"moment of order {k} is past the double range")
         if mk == 0.0:
@@ -57,13 +63,11 @@ def _bernstein_scan(dist: IncrementDistribution):
     return best, best_k
 
 
-def bernstein_slack(dist: IncrementDistribution, H: float) -> float:
-    """max_k |E eta^k| / (k!/2 * H^(k-2) * E eta^2); <= 1 iff H is valid."""
-    m2 = dist.moment(2)
-    return max(
-        abs(dist.moment(k)) / (0.5 * math.factorial(k) * H ** (k - 2) * m2)
-        for k in range(3, K_MAX + 1)
-    )
+def bernstein_slack(dist: IncrementDistribution, H: float, moments=None) -> float:
+    """max_k |E eta^k| / (k!/2 * H^(k-2) * E eta^2); <= 1 iff H is valid.
+    moments = _moments(dist) where the caller has them."""
+    m2, mks = moments or _moments(dist)
+    return max(mk / (0.5 * math.factorial(k) * H ** (k - 2) * m2) for k, mk in enumerate(mks, 3))
 
 
 def certify(spec: MartingaleSpec) -> BernsteinCertificate:
@@ -76,9 +80,9 @@ def certify(spec: MartingaleSpec) -> BernsteinCertificate:
     Raises DomainError when epsilon or delta land outside their admissible
     ranges (reported, never clamped).
     """
-    laws = [d for d, _ in spec.iid_parts()]
-    epsilon, binding_k = max(_bernstein_scan(d) for d in laws)
-    slack = max(bernstein_slack(d, epsilon) for d in laws)
+    laws = [(d, _moments(d)) for d, _ in spec.iid_parts()]  # each moment summed once
+    epsilon, binding_k = max(_bernstein_scan(d, m) for d, m in laws)
+    slack = max(bernstein_slack(d, epsilon, m) for d, m in laws)
     delta = math.sqrt(abs(spec.total_variance() - 1.0))
 
     if epsilon > 0.5:

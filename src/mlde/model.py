@@ -228,6 +228,22 @@ class MartingaleSpec:
         """
         return self._parts
 
+    def part_tables(self):
+        """(counts, values, log_probs) of a finite spec's parts: the counts as
+        floats, and a row of values and of log probs per part (every part is
+        the base table scaled, so the rows have one length), read-only
+        arrays built once per spec."""
+        return self._part_tables
+
+    @cached_property
+    def _part_tables(self):
+        tables = [d.table() for d, _ in self.iid_parts()]
+        counts = tuple(float(count) for _, count in self.iid_parts())
+        arrays = np.array([v for v, _ in tables]), np.log([p for _, p in tables])
+        for a in arrays:
+            a.flags.writeable = False
+        return (counts, *arrays)
+
     @cached_property
     def _parts(self) -> tuple:
         if self.rule == "iid":

@@ -13,7 +13,7 @@ Estimators
   (one cumulant_process call), so the weighted indicator is unbiased.
 * exact oracles: the closed-form normal tail for gaussian specs; for every
   finite spec the last part's tail at x minus each atom of the first (or at
-  x), built once per call, however many thresholds read it.
+  x), built once per call and read for all of a grid's thresholds at once.
 * exact distances: the KS distance of X_n to the normal, read at the atoms
   of its sum law (one part's law, or two parts' laws folded and sorted).
 
@@ -42,6 +42,20 @@ BYTE_BUDGET (256 MiB) a law, binomial table or KS fold is refused as
 too-large; draws priced at _POOL_S or more run on one worker per CPU.  One
 kernel, ``_weigh``, weighs both routes' hits, k draws at each.  Either route
 gives bit-identical estimates for any worker count at a fixed seed.
+
+A sampled threshold grid is one batch (``_sampled_rows``, ``_weighted_tail``):
+one saddlepoint solve for every row, the routes priced once and Psi_n in one
+call.  On the histogram route each part's law is built at the first row's
+tilt lam_b and re-tilted for each later row as pmf e^((lam_i - lam_b) a),
+with one max shift; a row is built at its own tilt, and becomes the base,
+where (support atoms) 2^-1022 e^((lam_i - lam_b) a_end) / sum pmf
+e^((lam_i - lam_b) a) passes _TAU = 2^-60: every atom a table leaves out or
+holds as a subnormal has pmf below 2^-1022, so this caps the tilted mass a
+re-tilt can miss.  A row's expected estimate under a re-tilted law is within
+its L1 error times e^(Psi_n - lam c) of the exact tail, c the least atom
+above x.  Every row draws from block_rng(seed, 0); a built row has the bits
+of the one-row estimate.  Tilts at which |Psi_n| or |lam| max|X_n| reaches
+2^32 are refused: the weights' exponent cancels there.
 """
 
 from __future__ import annotations
@@ -77,6 +91,9 @@ _BYTES = 64  # at a build's peak, per table atom, count vector or fold cell: 31,
 # Per-draw blocks priced at this or more run on min(CPUs, blocks) workers, the rest serially: on
 # the same machine 2 workers beat 1 in under 10 of 11 alternated pairs wherever priced at 15 ms
 _POOL_S = 16e-3  # or less, in 10-11 from 18 ms on; gaussian specs (priced 0) lost up to 1e6 draws
+# The tilted mass a threshold grid's re-tilted part law may leave out (_retilted): the rows'
+# expected estimates are then off by at most _TAU e^(Psi_n - lam c), c the least hit atom
+_TAU = 2.0**-60
 
 
 # -- result containers --------------------------------------------------------
@@ -447,18 +464,36 @@ def _part_law(d, count, lam):
 
 
 def _weighted_tail(spec, x, lam, n_samples, seed):
-    """(p, se) from the histogram of the parts' tilted sum laws (their builds
-    and min(N, outer atoms) x inner atoms cells) where it fits the budgets and
-    is priced below the n_samples draws (m - 1 categories per m-atom part), else
-    from the draws, pooled where they are priced at _POOL_S or more.  A tilt
-    whose Psi_n overflows, so that every weight would be nan, is refused first."""
-    if math.isnan(x):
+    """(p, se) at a threshold x under the tilt lam, or [(p, se)] at each of a
+    1-D array of thresholds under its own tilt, every row drawn from the same
+    seed: from the histogram of the parts' tilted sum laws (their builds and
+    min(N, outer atoms) x inner atoms cells a row) where it fits the budgets
+    and is priced below the n_samples draws (m - 1 categories per m-atom
+    part), else from the draws, pooled where they are priced at _POOL_S or
+    more.  The routes are priced once for the grid, as they do not depend on
+    the tilt, and Psi_n is one cumulant_process call.
+
+    A tilt is refused first where its weights e^(Psi_n - lam X_n) carry no
+    information: where Psi_n overflows, so that every weight would be nan,
+    and where |Psi_n| or |lam| max|X_n| reaches 2^32 (|Psi_n| alone for a
+    gaussian spec), past which the exponent, rounded at 2^-53 of its size,
+    is no longer good to 2^-20, and Psi_n - lam X_n cancels (at lam = 1e300
+    every weight of a draw at the top atom read as 1)."""
+    grid = hasattr(x, "__len__")
+    xs, lams = (np.asarray(x).tolist(), np.asarray(lam).tolist()) if grid else ([x], [lam])
+    if any(map(math.isnan, xs)):
         raise DomainError("threshold x is nan")
     with np.errstate(over="ignore"):  # an overflowing term reads as inf, refused below
         psi = tilting.cumulant_process(spec, lam)
-    if not math.isfinite(psi):
-        raise DomainError(f"Psi_n({lam:.6g}) = {psi}: the tilt overflows every weight")
+    psi = psi.tolist() if grid else [psi]
     parts = spec.iid_parts() if spec.dist.kind != "gaussian" else ()  # no parts: per draw
+    largest = sum(count * max(-d.values[0], d.values[-1]) for d, count in parts)  # max |X_n|
+    for t, p in zip(lams, psi):
+        if not math.isfinite(p):
+            raise DomainError(f"Psi_n({t:.6g}) = {p}: the tilt overflows every weight")
+        if abs(p) >= 2.0**32 or abs(t) * largest >= 2.0**32:
+            raise DomainError(f"Psi_n({t:.6g}) = {p:.6g}, lam max|X_n| = {abs(t) * largest:.6g}: "
+                              "past 2^32 the weights' exponent Psi_n - lam X_n cancels")
     routes = [_part_route(d, count) for d, count in parts]
     *outer, inner = [atoms for atoms, *_ in routes] or [0]
     cells = inner * (min(n_samples, outer[0]) if outer else 1)
@@ -467,14 +502,68 @@ def _weighted_tail(spec, x, lam, n_samples, seed):
         price += seconds
         fits = fits and seconds <= TIME_BUDGET and nbytes <= BYTE_BUDGET
         draws += n_samples * _DRAW_S * (len(d.values) - 1)
+    rows = list(zip(xs, lams, psi))
     if fits and price < draws:
-        laws = [_part_law(d, count, lam) for d, count in parts]
-        s1, s2 = _histogram_sums(laws, x, lam, psi, n_samples, seed)
+        rng, sums = block_rng(seed, 0), []
+        start = rng.bit_generator.state if len(rows) > 1 else None
+        for laws, row in zip(_row_laws(parts, lams), rows):
+            if sums:  # every row draws block_rng(seed, 0)'s stream from its start
+                rng.bit_generator.state = start
+            sums.append(_histogram_sums(laws, *row, n_samples, rng))
     else:
-        s1, s2 = _per_draw_sums(spec, x, lam, psi, n_samples, seed, draws >= _POOL_S)
-    p = s1 / n_samples
-    var = max(s2 / n_samples - p * p, 0.0)
-    return p, math.sqrt(var / n_samples)
+        sums = [_per_draw_sums(spec, *row, n_samples, seed, draws >= _POOL_S) for row in rows]
+    out = []
+    for s1, s2 in sums:
+        p = s1 / n_samples
+        var = max(s2 / n_samples - p * p, 0.0)
+        out.append((p, math.sqrt(var / n_samples)))
+    return out if grid else out[0]
+
+
+def _row_laws(parts, lams):
+    """Each row's part laws for its tilt: built (_part_law) at the first
+    row's tilt lam_b, then re-tilted for each later row, unless a re-tilt
+    could leave out more than _TAU of the row's tilted mass; that row is
+    built at its own tilt and becomes the base.  A crude grid (lam = 0 in
+    every row) reads the laws it built."""
+    base = None
+    for lam in lams:
+        laws = None
+        if base is not None:
+            lam_b, built = base
+            laws = built if lam == lam_b else _retilted(parts, built, lam - lam_b)
+        if laws is None:
+            laws = [_part_law(d, count, lam) for d, count in parts]
+            base = lam, laws
+        yield laws
+
+
+def _retilted(parts, laws, delta):
+    """The part laws re-tilted by delta: pmf e^(delta a) over the same atoms a,
+    normalized after one max shift, or None where, for some part, the mass
+    the re-tilt could miss outside the law's table passes _TAU.
+
+    A table's every atom left out, or held as a subnormal (binomial tables
+    keep pmf >= 2^-1100, the power and the count vectors keep what does not
+    underflow), has pmf below 2^-1022, so the mass missed is at most
+    (support atoms) 2^-1022 e^(delta a_end) / sum pmf e^(delta a), with a_end
+    the end of the support delta tilts towards and the sum over the table.
+    The atoms the table holds carry their relative rounding of a few ulps
+    over, and the exponent delta a its rounding at 2^-53 |delta a|."""
+    out = []
+    for (d, count), law in zip(parts, laws):
+        e = delta * law.atoms
+        top = e.max()
+        w = law.pmf * np.exp(e - top)
+        total = w.sum()
+        end = delta * count * (d.values[-1] if delta > 0 else d.values[0])
+        m = len(d.values)
+        support = count * int(d.lattice[1][-1]) + 1 if d.lattice else math.comb(count + m - 1, m - 1)
+        if not (total > 0.0 and math.log(support) + (end - top) - math.log(total)
+                <= math.log(_TAU) + 1022 * math.log(2.0)):
+            return None
+        out.append(_Law(law.atoms, w, lattice=law.lattice))
+    return out
 
 
 def _weigh(sums, psi, lam, k):
@@ -485,8 +574,9 @@ def _weigh(sums, psi, lam, k):
     return np.array([np.dot(k, w), np.dot(k, w * w)])
 
 
-def _histogram_sums(laws, x, lam, psi, n_samples, seed):
-    """(sum w, sum w^2) over the hits of n_samples draws, from their histogram.
+def _histogram_sums(laws, x, lam, psi, n_samples, rng):
+    """(sum w, sum w^2) over the hits of n_samples draws from rng, from their
+    histogram.
 
     The draws' histogram over the outer part's atoms a is Multinomial(N,
     outer law); given it, the c_a draws at a split over the inner atoms b
@@ -499,7 +589,6 @@ def _histogram_sums(laws, x, lam, psi, n_samples, seed):
     zero category as 0 without using the stream, so the counts are those of
     one call per row; _weigh reduces every row's hits at once.  A one-part
     spec is one row, all N draws at the outer atom 0."""
-    rng = block_rng(seed, 0)
     law = laws[-1]
     atoms, pmf = law.atoms, law.pmf
     if len(laws) > 1:
@@ -577,15 +666,20 @@ def tilted_tail_estimate(
                         method="tilted", seed=seed, lambda_used=lam)
 
 
-def saddlepoint_lambda(spec: MartingaleSpec, x: float) -> float:
-    """The tilt making the drift process hit x, to a relative width of 1e-10.
+def saddlepoint_lambda(spec: MartingaleSpec, x):
+    """The tilt making the drift process hit x, to a relative width of 1e-10:
+    a float for a threshold, an array for a 1-D array of thresholds.
 
     A safeguarded Newton iteration on the exact, increasing drift B_n, whose
-    slope is the tilted predictable variance (``tilting.drift_slope``), from
-    x / B_n'(0) in the bracket [0, inf): a Newton step when it stays in the
-    bracket and at most halves the previous step, else doubling while no
+    slope is the tilted predictable variance (``tilting.drift_and_slope``),
+    from x / B_n'(0) in the bracket [0, inf): a Newton step when it stays in
+    the bracket and at most halves the previous step, else doubling while no
     upper end is known and bisection after.  It returns the Newton iterate
     once that step is under half the tolerance (one step for a gaussian spec).
+    Every threshold of an array runs this iteration on its own, in Python
+    floats; each step reads the drift and slope of all thresholds still
+    running from one drift_and_slope call, so an element has the bits of
+    the one-threshold solve.
 
     A finite spec solves at min(x, m), m = top - g/2 the midpoint of X_n's
     two top atoms (g the least top gap of its parts): above m, {X_n > x} is
@@ -593,35 +687,47 @@ def saddlepoint_lambda(spec: MartingaleSpec, x: float) -> float:
     top - X_n has tilted mean g/2 and is >= g off the top, so (Markov) the
     top atom's tilted mass q is >= 1/2, and a draw weighing each hit p/q
     has variance p^2 (1/q - 1) <= p^2."""
-    if not x >= 0:  # nan too
+    xs = np.asarray(x, dtype=float).reshape(-1).tolist()
+    if not all(v >= 0 for v in xs):  # nan too
         raise DomainError("x must be >= 0")
-    if x == 0.0:
-        return 0.0
     sup = _drift_supremum(spec)
-    if x >= sup:
+    if xs and max(xs) >= sup:
         raise DomainError(
-            f"threshold {x:.6g} at or beyond the maximal reachable drift {sup:.6g}"
+            f"threshold {max(xs):.6g} at or beyond the maximal reachable drift {sup:.6g}"
         )
     if sup < math.inf:
-        x = min(x, sup - 0.5 * min(d.values[-1] - d.values[-2] for d, _ in spec.iid_parts()))
-    lo, hi = 0.0, math.inf
-    lam = step = x / tilting.drift_slope(spec, 0.0)
+        top = sup - 0.5 * min(d.values[-1] - d.values[-2] for d, _ in spec.iid_parts())
+        xs = [min(v, top) for v in xs]
+    # B_n'(0) is the total predictable variance
+    variance = spec.total_variance()
+    lam = [v / variance for v in xs]
+    step, lo, hi = list(lam), [0.0] * len(xs), [math.inf] * len(xs)
+    run = [i for i, v in enumerate(xs) if v != 0.0]  # x = 0 solves at 0
     for _ in range(400):
-        f = tilting.drift_process(spec, lam) - x
-        if f < 0.0:
-            lo = lam
-        else:
-            hi = lam
-        tol = 1e-10 * max(1.0, lam)
-        if hi - lo <= tol:
-            return 0.5 * (lo + hi)
-        slope = tilting.drift_slope(spec, lam)  # 0 once the top atom holds all mass
-        new = lam - f / slope if slope > 0.0 else math.nan
-        if not (lo <= new <= hi and abs(new - lam) <= 0.5 * step):
-            new = 2.0 * lam if hi == math.inf else 0.5 * (lo + hi)
-        elif abs(new - lam) < 0.5 * tol:
-            return new
-        lam, step = new, abs(new - lam)
+        if not run:
+            return np.array(lam) if hasattr(x, "__len__") else lam[0]
+        drift, slopes = tilting.drift_and_slope(spec, np.array([lam[i] for i in run]))
+        going = []
+        for i, b, slope in zip(run, drift.tolist(), slopes.tolist()):
+            f, t = b - xs[i], lam[i]
+            if f < 0.0:
+                lo[i] = t
+            else:
+                hi[i] = t
+            tol = 1e-10 * max(1.0, t)
+            if hi[i] - lo[i] <= tol:
+                lam[i] = 0.5 * (lo[i] + hi[i])
+                continue
+            # slope 0 once the top atom holds all mass
+            new = t - f / slope if slope > 0.0 else math.nan
+            if not (lo[i] <= new <= hi[i] and abs(new - t) <= 0.5 * step[i]):
+                new = 2.0 * t if hi[i] == math.inf else 0.5 * (lo[i] + hi[i])
+            elif abs(new - t) < 0.5 * tol:
+                lam[i] = new
+                continue
+            lam[i], step[i] = new, abs(new - t)
+            going.append(i)
+        run = going
     raise DomainError("drift never reaches the threshold")
 
 
@@ -634,20 +740,31 @@ def _drift_supremum(spec) -> float:
 # -- exact oracles -------------------------------------------------------------
 
 def _exact_oracle(spec: MartingaleSpec):
-    """x -> exact_tail(spec, x), with every part's law built once."""
+    """xs -> [exact_tail(spec, x) for x in xs], every part's law built once
+    and every row read at once: one part's tails at all xs in one _Law.tails
+    call, or the last part's tails at x minus each atom of the first over
+    the rows x outer atoms matrix (in blocks of about 2^16 cells), each row
+    weighted by the first part's pmf (np.vecdot, np.dot's bits)."""
     if spec.dist.kind == "gaussian":
         sd = math.sqrt(spec.total_variance())
-        tag, tail = "exact_gaussian", lambda x: bounds.gaussian_tail(x / sd)
-    else:  # the last part's tail at x minus each atom of the first, weighted by its pmf
-        *first, law = [_part_law(d, count, 0.0) for d, count in spec.iid_parts()]
-        atoms, pmf = (first[0].atoms, first[0].pmf) if first else (0.0, 1.0)
+        tag = "exact_gaussian"
 
-        def tail(x):
-            return min(float(np.dot(pmf, law.tails(x - atoms)[1])), 1.0)
+        def tails(xs):
+            return [bounds.gaussian_tail(x / sd) for x in xs.tolist()]
+    else:
+        *first, law = [_part_law(d, count, 0.0) for d, count in spec.iid_parts()]
         two_point = not first and len(spec.dist.values) == 2
         tag = "exact_binomial" if two_point else "exact_enum"
-    return lambda x: TailEstimate(x=x, p_hat=tail(x), std_err=0.0, n_samples=0,
-                                  method=tag, seed=0, lambda_used=0.0)
+
+        def tails(xs):
+            if not first:
+                return law.tails(xs)[1].tolist()
+            outer, rows = first[0], max(1, (1 << 16) // len(first[0].atoms))
+            return [p for i in range(0, len(xs), rows) for p in np.vecdot(
+                law.tails(xs[i:i + rows, None] - outer.atoms)[1], outer.pmf).tolist()]
+    return lambda xs: [TailEstimate(x=x, p_hat=min(p, 1.0), std_err=0.0, n_samples=0,
+                                    method=tag, seed=0, lambda_used=0.0)
+                       for x, p in zip(xs, tails(np.asarray(xs, dtype=float)))]
 
 
 def exact_tail(spec: MartingaleSpec, x: float) -> TailEstimate:
@@ -658,7 +775,7 @@ def exact_tail(spec: MartingaleSpec, x: float) -> TailEstimate:
     (too-large), as does a nan x, before any work."""
     if math.isnan(x):
         raise DomainError("threshold x is nan")
-    return _exact_oracle(spec)(x)
+    return _exact_oracle(spec)([x])[0]
 
 
 # -- exact distribution-distance machinery ------------------------------------
@@ -781,17 +898,50 @@ def estimate_tail(spec, x, method, lam_policy, samples, seed, cert=None) -> Tail
 
 
 def resolve_tilt(spec, x, lam_policy, cert=None):
-    """The tilt for a policy: a number as given, "saddlepoint", or "paper"
-    (the largest root of the drift equation at c = bounds.C)."""
+    """The tilt for a policy at a threshold, or the array of tilts at a 1-D
+    array of thresholds: a number as given, "saddlepoint" (one solve for
+    all), or "paper" (the largest root of the drift equation at c = bounds.C)."""
+    grid = hasattr(x, "__len__")
     if isinstance(lam_policy, (int, float)):
-        return float(lam_policy)
+        return np.full(len(x), float(lam_policy)) if grid else float(lam_policy)
     if lam_policy == "saddlepoint":
         return saddlepoint_lambda(spec, x)
     if lam_policy == "paper":
         if cert is None:
             cert = conditions.certify(spec)
-        return tilting.solve_lambda_bar(x, cert.epsilon, cert.delta, bounds.C)
+        lams = [tilting.solve_lambda_bar(v, cert.epsilon, cert.delta, bounds.C)
+                for v in (x if grid else [x])]
+        return np.array(lams) if grid else lams[0]
     raise ConfigError(f"unknown lambda policy {lam_policy!r}")
+
+
+def _sampled_rows(spec, xs, method, lam_policy, samples, seed, cert=None) -> list:
+    """estimate_tail's crude or tilted estimate at every threshold of a grid:
+    one resolve_tilt call for the tilts and one _weighted_tail call for the
+    estimates.  A tilted row at or past the top of the support is p_hat = 0
+    from no samples, as in estimate_tail."""
+    if method not in ("crude", "tilted"):
+        raise ConfigError(f"unknown method {method!r}")
+    _check_samples(samples, least=100)
+    xs = np.asarray(xs, dtype=float)
+    live = xs < _drift_supremum(spec) if method == "tilted" else np.ones(len(xs), bool)
+    lams = np.zeros(np.count_nonzero(live))
+    if method == "tilted" and len(lams):
+        lams = resolve_tilt(spec, xs[live], lam_policy, cert)
+        for lam in lams.tolist():
+            if not 0.0 <= lam < math.inf:
+                raise DomainError(f"lam = {lam!r} must be finite and >= 0")
+    sampled = iter(zip(lams.tolist(), _weighted_tail(spec, xs[live], lams, samples, seed)))
+    rows = []
+    for x, inside in zip(xs.tolist(), live.tolist()):
+        if inside:
+            lam, (p, se) = next(sampled)
+            rows.append(TailEstimate(x=x, p_hat=p, std_err=se, n_samples=samples,
+                                     method=method, seed=seed, lambda_used=lam))
+        else:  # no atom above x, and no tilt reaches it
+            rows.append(TailEstimate(x=x, p_hat=0.0, std_err=0.0, n_samples=0,
+                                     method=method, seed=seed))
+    return rows
 
 
 def ratio_experiment(
@@ -815,14 +965,12 @@ def ratio_experiment(
     cert = conditions.certify(spec)
     eps, delta = cert.epsilon, cert.delta
     if method in EXACT_METHODS:  # every part's law built once, for all rows
-        estimate = _exact_oracle(spec)
+        estimates = _exact_oracle(spec)(x_grid)
     else:
-        def estimate(x):
-            return estimate_tail(spec, x, method, lam_policy, samples, seed, cert)
+        estimates = _sampled_rows(spec, x_grid, method, lam_policy, samples, seed, cert)
     raw = []
     pairs = []
-    for x in x_grid:
-        est = estimate(x)
+    for x, est in zip(x_grid, estimates):
         tail = bounds.gaussian_tail(x)
         # both probabilities must be representable for the ratio to carry
         # information; far-tail underflow marks the row infeasible

@@ -62,8 +62,36 @@ def tilted_table(dist: IncrementDistribution, lam: float):
 
 
 # -- whole-spec processes ----------------------------------------------------
+# Each takes a tilt or a 1-D array of tilts: a tilt gives a float, an array an
+# array, each element with the bits of the one-tilt call.  The parts' tilted
+# tables are one (tilts x parts x atoms) array (the parts of a spec are one
+# base table, scaled).  Psi_n and B_n read it with step_cumulant's and
+# step_drift's arithmetic (the same max shift, sums along the atoms, and
+# np.vecdot, which gives np.dot's bits row by row), so they keep the bits of
+# the sums over the parts of those; parts add up as count * value, in order.
 
-def cumulant_process(spec: MartingaleSpec, lam: float) -> float:
+def _tilts(spec: MartingaleSpec, lam):
+    """(counts, values, shift, terms, total): the parts' counts and values
+    (parts x atoms) and, at each tilt, _table_logexp's shift and terms of
+    each part (tilts x parts x atoms) and the terms' sums (tilts x parts)."""
+    counts, values, log_probs = spec.part_tables()
+    a = np.asarray(lam, dtype=float).reshape(-1, 1, 1) * values + log_probs
+    shift = a.max(axis=2, keepdims=True)
+    a -= shift
+    terms = np.exp(a, out=a)
+    return counts, values, shift[..., 0], terms, terms.sum(axis=2)
+
+
+def _add_parts(lam, counts, per_part):
+    """sum count * per_part over the parts (tilts x parts), in order, with the
+    bits of Python's sum from 0 (no product here is -0.0); a float for a tilt."""
+    out = counts[0] * per_part[:, 0]
+    for j in range(1, len(counts)):
+        out += counts[j] * per_part[:, j]
+    return out if hasattr(lam, "__len__") else float(out[0])
+
+
+def cumulant_process(spec: MartingaleSpec, lam):
     """Psi_n(lam) = sum_i log E(e^(lam xi_i) | F_{i-1}), summed over the
     spec's iid parts as sum count * step_cumulant(law, lam).
 
@@ -75,30 +103,40 @@ def cumulant_process(spec: MartingaleSpec, lam: float) -> float:
         # lam^2/2 times the total variance, taken exactly, so normalized and
         # variance_switching specs give lam^2/2 to the bit
         return 0.5 * lam * lam * spec.total_variance()
-    return sum(count * step_cumulant(d, lam) for d, count in spec.iid_parts())
+    if not hasattr(lam, "__len__"):  # one tilt: the same sums on 1-D tables, a few us cheaper
+        return sum(count * step_cumulant(d, lam) for d, count in spec.iid_parts())
+    counts, _, shift, _, total = _tilts(spec, lam)
+    # math.log, as step_cumulant takes it: numpy's log may differ by an ulp
+    logs = np.fromiter(map(math.log, total.ravel().tolist()), float, total.size)
+    return _add_parts(lam, counts, shift + logs.reshape(total.shape))
 
 
-def drift_process(spec: MartingaleSpec, lam: float) -> float:
-    """B_n(lam) = sum_i of the tilted conditional means, summed over the
-    spec's iid parts as sum count * step_drift(law, lam); deterministic for
-    the same reason as cumulant_process."""
+def drift_and_slope(spec: MartingaleSpec, lam):
+    """(B_n(lam), B_n'(lam)) from one tilted table per part.  B_n = sum_i of
+    the tilted conditional means, summed over the spec's iid parts as sum
+    count * step_drift(law, lam); its slope is sum count * Var_lam(eta), the
+    predictable variance under the lam-tilted measure, each part's the
+    tilted mean square deviation from that part's drift.  Both are
+    deterministic for the same reason as cumulant_process."""
     if spec.dist.kind == "gaussian":
-        return lam * spec.total_variance()
-    return sum(count * step_drift(d, lam) for d, count in spec.iid_parts())
+        v = spec.total_variance()
+        return lam * v, np.full(np.shape(lam), v) if hasattr(lam, "__len__") else v
+    counts, values, _, terms, total = _tilts(spec, lam)
+    mean = np.vecdot(terms, values) / total
+    dev = values - mean[..., None]
+    dev *= dev
+    return (_add_parts(lam, counts, mean),
+            _add_parts(lam, counts, np.vecdot(dev, terms) / total))
 
 
-def drift_slope(spec: MartingaleSpec, lam: float) -> float:
-    """B_n'(lam) = sum over the spec's iid parts of count * Var_lam(eta), the
-    predictable variance under the lam-tilted measure, read off the tilted
-    tables."""
-    if spec.dist.kind == "gaussian":
-        return spec.total_variance()
-    total = 0.0
-    for d, count in spec.iid_parts():
-        values, probs = tilted_table(d, lam)
-        dev = values - float(np.dot(values, probs))
-        total += count * float(np.dot(dev * dev, probs))
-    return total
+def drift_process(spec: MartingaleSpec, lam):
+    """B_n(lam), drift_and_slope's drift."""
+    return drift_and_slope(spec, lam)[0]
+
+
+def drift_slope(spec: MartingaleSpec, lam):
+    """B_n'(lam), drift_and_slope's slope."""
+    return drift_and_slope(spec, lam)[1]
 
 
 # -- tilt-parameter solvers ----------------------------------------------------

@@ -172,6 +172,28 @@ class TestTail:
         assert not list(tmp_path.glob("*.csv"))
         assert capsys.readouterr().err.count("the tilt overflows every weight") == 3
 
+    def test_cancelling_tilt_is_a_domain_error(self, tmp_path, capsys):
+        # a finite --lambda past 2^32 / max|X_n| makes Psi_n - lam X_n cancel:
+        # on Rademacher n = 4 at x = 0.5 (P = 5/16) lam = 1e300 wrote
+        # p_hat = 1.0 and lam = 1e15 0.0498, both with exit 0; now exit 3, no CSV
+        draws = ["--x", "0.5", "--method", "tilted", "--samples", "1000", "--seed", "1"]
+        for lam in ("1e15", "1e300"):
+            argv = ["tail", "--model", "rademacher", "--n", "4", *draws, "--lambda", lam]
+            assert run([*argv, "--out", str(tmp_path)]) == 3, lam
+        assert not list(tmp_path.glob("*.csv"))
+        assert capsys.readouterr().err.count("cancels") == 2
+
+    def test_one_row_grid_is_the_tail(self, tmp_path):
+        # a one-row tilted ratio-table solves and samples as tail does: the
+        # p_hat and std_err columns are the same bytes
+        common = ["--model", "rademacher", "--normalized", "--n", "400", "--method", "tilted",
+                  "--samples", "100000", "--seed", "7"]
+        assert run(["ratio-table", *common, "--x-grid", "2:2:1", "--out", str(tmp_path)]) == 0
+        assert run(["tail", *common, "--x", "2", "--out", str(tmp_path)]) == 0
+        columns = [[line.split(",")[1:3] for line in read(tmp_path / name).decode().splitlines()]
+                   for name in ("ratio.csv", "tail.csv")]
+        assert columns[0] == columns[1]
+
     def test_sample_cap(self, tmp_path):
         # 2^30 + 1 samples is refused before any row is computed
         too_many = str(montecarlo.MAX_SAMPLES + 1)
@@ -569,6 +591,7 @@ class TestReadme:
         exec(block, names)
         est, oracle = names["est"], names["oracle"]
         assert names["cert"].delta == 0.0
+        assert names["lams"][2] == names["lam"]  # a grid's solve has each row's bits
         assert abs(est.p_hat - oracle.p_hat) <= 4.0 * est.std_err
 
 

@@ -124,6 +124,25 @@ class TestCertify:
         with pytest.raises(DomainError):
             certify(spec)
 
+    def test_each_moment_summed_once(self, monkeypatch):
+        # the scan and the slack read one list of moments per law: E eta^k
+        # for k = 2..K_MAX is summed once per part, and the certificate keeps
+        # the bits of the scan and the slack computed on their own
+        calls = []
+        moment = IncrementDistribution.moment
+        monkeypatch.setattr(IncrementDistribution, "moment",
+                            lambda self, k: calls.append((self, k)) or moment(self, k))
+        for spec in (MartingaleSpec.iid(RADEMACHER, n=100, normalized=True),
+                     MartingaleSpec.variance_switching(RADEMACHER, n=100, rho=0.5)):
+            laws = [d for d, _ in spec.iid_parts()]
+            calls.clear()
+            cert = certify(spec)
+            assert sorted(calls, key=lambda c: (laws.index(c[0]), c[1])) == \
+                [(d, k) for d in laws for k in range(2, K_MAX + 1)]
+            eps, k = max(_bernstein_scan(d) for d in laws)
+            assert (cert.epsilon, cert.binding_k) == (eps, k)
+            assert cert.slack == max(bernstein_slack(d, eps) for d in laws)
+
     def test_slack_binds_at_binding_k(self):
         for d in (RADEMACHER, GAUSSIAN):
             cert = certify(MartingaleSpec.iid(d, n=1))

@@ -612,7 +612,7 @@ class TestTilted:
 
         class Spy:
             def __init__(self, rng):
-                self.rng = rng
+                self.rng, self.bit_generator = rng, rng.bit_generator
 
             def multinomial(self, n, p):
                 calls.append((np.array(p), self.rng.multinomial(n, p)))
@@ -721,9 +721,9 @@ class TestHistogramSums:
                 assert laws is not None
                 psi = tilting.cumulant_process(spec, lam)
                 for seed, threshold in itertools.product(range(30), (x, x + 1, math.inf, -math.inf)):
-                    args = (laws, threshold, lam, psi, 100_000, seed)
-                    assert montecarlo._histogram_sums(*args) == loop_histogram_sums(*args), (
-                        spec, lam, seed, threshold)
+                    args = (laws, threshold, lam, psi, 100_000)
+                    got = montecarlo._histogram_sums(*args, montecarlo.block_rng(seed, 0))
+                    assert got == loop_histogram_sums(*args, seed), (spec, lam, seed, threshold)
 
     def test_one_inner_multinomial_call(self, monkeypatch):
         # one call draws every inner row; a second part adds only its own
@@ -733,7 +733,7 @@ class TestHistogramSums:
 
         class Spy:
             def __init__(self, rng):
-                self.rng = rng
+                self.rng, self.bit_generator = rng, rng.bit_generator
 
             def multinomial(self, n, p):
                 calls.append(np.ndim(p))
@@ -861,15 +861,18 @@ class TestSaddlepoint:
 
     @staticmethod
     def drift_calls(monkeypatch):
-        """The list of tilts at which tilting.drift_process is called from now on."""
+        """The list of tilts at which the drift is read from now on: each
+        tilting.drift_and_slope call, which drift_process makes too (the
+        bisection's reads) and the solve makes once a step for every
+        threshold still running."""
         calls = []
-        drift = tilting.drift_process
+        drift = tilting.drift_and_slope
 
         def counted(spec, lam):
             calls.append(lam)
             return drift(spec, lam)
 
-        monkeypatch.setattr(tilting, "drift_process", counted)
+        monkeypatch.setattr(tilting, "drift_and_slope", counted)
         return calls
 
     def test_matches_bisection_oracle(self, monkeypatch):
@@ -955,6 +958,46 @@ class TestSaddlepoint:
             want = self.bisection(spec, x)
             lam = saddlepoint_lambda(spec, x)
             assert abs(lam - want) <= 2e-10 * max(1.0, lam), (spec, x, lam, want)
+
+    def test_grid_solve_matches_bisection(self, monkeypatch):
+        # an array of thresholds is one solve: each element has the bits of
+        # its own solve and is within the bisection's width of it, x = 0 at
+        # 0 and every x at or above the top atoms' midpoint m at m's tilt;
+        # each step reads all running thresholds in one drift_and_slope
+        # call, so the grid takes as many calls as its slowest row.  Rows
+        # past the top of the support are not solved: the tilted grid gives
+        # them p_hat = 0 from no samples
+        three = three_point_spec(100)
+        top = montecarlo._drift_supremum(three)
+        cases = [(rademacher_spec(16), [0.0, 0.5, 1.0, 2.0, 3.0, 3.5, 3.74, 3.75, 3.9,
+                                         4.0 * (1.0 - 1e-13), 4.0, 5.0]),
+                 (three, [0.0, *(f * top for f in (0.1, 0.3, 0.6, 0.999, 1 - 1e-9, 1 - 1e-11)),
+                          top, 2.0 * top]),
+                 (MartingaleSpec.variance_switching(THREE_POINT, n=200, rho=0.5),
+                  [0.0, 0.5, 1.0, 2.0, 3.0, 4.0])]
+        calls = self.drift_calls(monkeypatch)
+        for spec, grid in cases:
+            sup = montecarlo._drift_supremum(spec)
+            inside = np.array([x for x in grid if x < sup])
+            calls.clear()
+            lams = saddlepoint_lambda(spec, inside)
+            grid_calls = len(calls)
+            most = 0
+            for x, lam in zip(inside.tolist(), lams.tolist()):
+                calls.clear()
+                assert lam == saddlepoint_lambda(spec, x), (spec, x)
+                most = max(most, len(calls))
+                want = self.bisection(spec, x)
+                assert abs(lam - want) <= 2e-10 * max(1.0, lam), (spec, x, lam, want)
+            assert grid_calls == most, spec
+            assert lams[0] == 0.0
+            m = sup - 0.5 * min(d.values[-1] - d.values[-2] for d, _ in spec.iid_parts())
+            above = [lam for x, lam in zip(inside, lams) if x >= m]
+            assert above == [saddlepoint_lambda(spec, m)] * len(above), spec
+            rows = montecarlo._sampled_rows(spec, grid, "tilted", "saddlepoint", 1000, 3)
+            assert [row.lambda_used for row in rows[:len(inside)]] == lams.tolist()
+            for row in rows[len(inside):]:
+                assert (row.p_hat, row.std_err, row.n_samples) == (0.0, 0.0, 0), (spec, row.x)
 
 
 class TestExactTail:
@@ -1193,7 +1236,7 @@ class TestExactTail:
             tail = montecarlo._exact_oracle(MartingaleSpec.iid(table, n=n))  # exact_tail's reader
             for i in range(0, top * n + 1, 23):
                 want = math.fsum(weights * binom.sf(i - top * c, n - c, 0.375))
-                got = tail(base + i * g).p_hat
+                (got,) = [est.p_hat for est in tail([base + i * g])]
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), (top, i)
 
     def test_chain_peak_below_fold(self, monkeypatch):
@@ -1713,10 +1756,12 @@ class TestRatioExperiment:
         assert row.theorem2_lower == bounds.theorem2_lower(1.0, cert.epsilon, cert.delta)
 
     def test_negative_threshold_rejected(self, monkeypatch):
-        # the envelopes are stated for x >= 0, so no row is estimated first
+        # the envelopes are stated for x >= 0, so no row is estimated first:
+        # neither grid entry, the sampled rows' or the exact oracle's, is called
         def no_estimate(*args):
             raise AssertionError("a row was estimated")
-        monkeypatch.setattr(montecarlo, "estimate_tail", no_estimate)
+        for name in ("_sampled_rows", "_exact_oracle"):
+            monkeypatch.setattr(montecarlo, name, no_estimate)
         for spec in (rademacher_spec(100), gaussian_spec(100)):
             for method in ("exact", "crude", "tilted"):
                 with pytest.raises(DomainError, match="x >= 0"):
@@ -1731,6 +1776,135 @@ class TestRatioExperiment:
             tol = 3.5 * row.std_err if row.std_err > 0 else 1e-12
             assert abs(row.p_hat - exact) <= tol
         assert result.rows[0].std_err > 0.0
+
+
+def counted_builds(monkeypatch, record):
+    """Patch _part_law and _Binomial to append (name, args) to record."""
+    for name in ("_part_law", "_Binomial"):
+        real = getattr(montecarlo, name)
+        monkeypatch.setattr(montecarlo, name,
+                            lambda *a, real=real, name=name: record.append((name, a)) or real(*a))
+
+
+def exact_sum_law(d, probs, count):
+    """{offset: mass}: the law of count iid draws from d's lattice table with
+    the given float probs, read as exact rationals and convolved as
+    Fractions; offset i is the atom count * v_0 + i g."""
+    law = {0: Fraction(1)}
+    for _ in range(count):
+        step = {}
+        for i, q in law.items():
+            for k, p in zip(d.lattice[1].tolist(), probs):
+                step[i + k] = step.get(i + k, 0) + q * Fraction(p)
+        law = step
+    return law
+
+
+def law_offsets(d, count, law):
+    """{offset: pmf} of a _Law of count draws from d's lattice table."""
+    offsets = np.rint((law.atoms - count * d.values[0]) / d.lattice[0]).astype(int)
+    return dict(zip(offsets.tolist(), map(Fraction, law.pmf.tolist())))
+
+
+class TestThresholdGrid:
+    """A sampled threshold grid is one batch: one tilt solve, one
+    _weighted_tail call, each part's law built once and re-tilted."""
+
+    SPECS = (rademacher_spec(400), three_point_spec(400),
+             MartingaleSpec.variance_switching(RADEMACHER, n=200, rho=0.5),
+             MartingaleSpec.variance_switching(THREE_POINT, n=200, rho=0.5))
+
+    def test_grid_rows_match_one_row(self, monkeypatch):
+        # every row's tilt has the bits of its own solve, and every row whose
+        # laws were built (the first, and any rebuild) has the bits of
+        # estimate_tail at its x and seed; the ratio table reads these rows
+        grid = [0.25 * k for k in range(1, 17)]
+        for spec in self.SPECS:
+            for method in ("crude", "tilted"):
+                builds = []
+                with monkeypatch.context() as m:
+                    counted_builds(m, builds)
+                    rows = montecarlo._sampled_rows(spec, grid, method, "saddlepoint", 10_000, 7)
+                    ratio = ratio_experiment(spec, grid, method, 10_000, 7)
+                built = {a[2] for name, a in builds if name == "_part_law"}
+                assert [r.p_hat for r in ratio.rows] == [r.p_hat for r in rows]
+                for row in rows:
+                    want = saddlepoint_lambda(spec, row.x) if method == "tilted" else 0.0
+                    assert row.lambda_used == want, (spec, method, row.x)
+                    if row.lambda_used in built:
+                        one = estimate_tail(spec, row.x, method, "saddlepoint", 10_000, 7)
+                        assert row == one, (spec, method, row.x)
+                assert rows[0].lambda_used in built
+
+    def test_build_counts(self, monkeypatch):
+        # the benchmark's grid builds its binomial table once, at the first
+        # row's tilt; a crude grid builds once per part.  Rademacher n = 400
+        # up to 19.5 (its top atoms' midpoint is 19.95) builds once too: at
+        # the first row's tilt every one of its 401 atoms is a normal double,
+        # so the missed-mass bound stays near e^-440.  At n = 1600 the first
+        # row's table leaves out the atoms above about 36, which the rows
+        # from about x = 27 on need: that grid rebuilds
+        def builds_of(spec, grid, method):
+            builds = []
+            with monkeypatch.context() as m:
+                counted_builds(m, builds)
+                ratio_experiment(spec, grid, method, 20_000, 3)
+            return [name for name, _ in builds]
+
+        half = [0.5 * k for k in range(1, 41)]
+        assert builds_of(rademacher_spec(1600), half, "tilted") == ["_part_law", "_Binomial"]
+        assert builds_of(rademacher_spec(1600), half, "crude") == ["_part_law", "_Binomial"]
+        assert builds_of(self.SPECS[3], half[:8], "crude") == ["_part_law", "_part_law"]
+        assert builds_of(rademacher_spec(400), half[:39], "tilted") == ["_part_law", "_Binomial"]
+        assert builds_of(rademacher_spec(1600), [0.5 * k for k in range(1, 80)], "tilted") == \
+            ["_part_law", "_Binomial"] * 2
+
+    def test_retilt_within_tau(self):
+        # against the exact law of the tilted step table at the row's tilt
+        # (Fractions), a re-tilted law is within _TAU in L1 plus the relative
+        # rounding both forms share: about 2 ulps a draw, and 2^-53 |delta a|
+        # for the re-tilt's exponent.  Its expected estimate,
+        # sum_{a > x} pmf(a) e^(Psi_n - lam a), is then within L1 e^(Psi_n - lam c)
+        # of the exact tail, c the least atom above x, plus its weights' rounding.
+        # The three-point law at n = 20 tilted to 300 holds its lowest atoms
+        # as zeros and subnormals: re-tilted up, the bound passes and the
+        # L1 holds; re-tilted down to 1, the bound refuses it, to be rebuilt.
+        # (Two-point tables are kept where 1 - p is good to ulps: far out, p
+        # rounds towards 1 and a built and a re-tilted table share that loss)
+        cases = [(rademacher_spec(24), 0.3, (0.8, 2.0, 6.0)),
+                 (three_point_spec(20), 0.5, (0.1, 1.5, 4.0)),
+                 (three_point_spec(20), 300.0, (320.0,)),
+                 (MartingaleSpec.variance_switching(THREE_POINT, n=16, rho=0.5), 0.4, (1.0, 3.0))]
+        for spec, lam_b, lams in cases:
+            parts = spec.iid_parts()
+            base = [montecarlo._part_law(d, count, lam_b) for d, count in parts]
+            for lam in lams:
+                laws = montecarlo._retilted(parts, base, lam - lam_b)
+                for (d, count), law in zip(parts, laws):
+                    want = exact_sum_law(d, tilting.tilted_table(d, lam)[1], count)
+                    got = law_offsets(d, count, law)
+                    l1 = sum(abs(got.get(i, 0) - q) for i, q in want.items())
+                    reach = abs(lam - lam_b) * count * max(-d.values[0], d.values[-1])
+                    assert l1 <= montecarlo._TAU + (2 * count + reach + 4) * EPS, (spec, lam)
+                if len(parts) > 1:
+                    continue
+                (d, count), (law,) = parts[0], laws
+                psi = tilting.cumulant_process(spec, lam)
+                untilted = exact_sum_law(d, d.probs, count)
+                for x in (0.0, 1.0, 2.5):
+                    hit = (law.atoms > x) & (law.pmf > 0.0)  # in logs: a weight alone may overflow
+                    expected = math.fsum(np.exp(np.log(law.pmf[hit]) + psi - lam * law.atoms[hit]))
+                    above = [(a, q) for a, q in ((count * d.values[0] + i * d.lattice[0], q)
+                                                 for i, q in untilted.items()) if a > x]
+                    tail = float(sum(q for _, q in above))
+                    # log of L1 e^(Psi_n - lam c): past 700 the bound says nothing
+                    log_bias = math.log(l1) + psi - lam * min(a for a, _ in above)
+                    assert log_bias > 700 or abs(expected - tail) <= \
+                        math.exp(log_bias) + 1e-12 * tail, (spec, lam, x)
+        spec = three_point_spec(20)
+        base = [montecarlo._part_law(*spec.iid_parts()[0], 300.0)]
+        assert np.count_nonzero(base[0].pmf < 2.0**-1022) >= 20
+        assert montecarlo._retilted(spec.iid_parts(), base, 1.0 - 300.0) is None
 
 
 class TestMdp:
@@ -1849,7 +2023,7 @@ class TestValidation:
         # saddlepoint loop once ran its 400 steps, the closed forms gave nan
         def no_drift(*args):
             raise AssertionError("the drift was read at a nan threshold")
-        for name in ("drift_process", "drift_slope"):
+        for name in ("drift_process", "drift_slope", "drift_and_slope"):
             monkeypatch.setattr(tilting, name, no_drift)
         for call in (lambda: saddlepoint_lambda(rademacher_spec(20), math.nan),
                      lambda: tilting.solve_lambda_bar(math.nan, 0.1, 0.0, 1.0),
@@ -1880,6 +2054,46 @@ class TestValidation:
                           (MartingaleSpec.variance_switching(THREE_POINT, n=4000, rho=0.5), 1e308)):
             with pytest.raises(DomainError, match="overflows"):
                 tilted_tail_estimate(spec, 2.0, lam, 1000, seed=1)
+
+    def test_cancelling_tilt_rejected(self, monkeypatch):
+        # past 2^32, |Psi_n| or |lam| max|X_n|, the weight's exponent
+        # Psi_n - lam X_n cancels: on Rademacher n = 4 at x = 0.5 (P = 5/16)
+        # lam = 1e300 read p_hat = 1.0 and lam = 1e15 0.0498.  Both are
+        # refused before any draw; a gaussian spec reads |Psi_n| alone
+        def no_draw(*args):
+            raise AssertionError("a cancelling tilt was sampled")
+        spec = MartingaleSpec.iid(RADEMACHER, n=4)
+        for lam in (1e15, 1e300, 2.0**30):  # 4 * 2^30 = 2^32
+            with monkeypatch.context() as m:
+                for name in ("_histogram_sums", "_per_draw_sums"):
+                    m.setattr(montecarlo, name, no_draw)
+                with pytest.raises(DomainError, match="cancels"):
+                    tilted_tail_estimate(spec, 0.5, lam, 1000, seed=1)
+        # below it, the top atom's 1/16 is read to the exponent's 2^-53 2^31
+        est = tilted_tail_estimate(spec, 0.5, 2.0**29, 1000, seed=1)
+        assert abs(est.p_hat / 2.0**-4 - 1.0) <= 2.0**-20 and est.std_err == 0.0
+        with pytest.raises(DomainError, match="cancels"):
+            tilted_tail_estimate(gaussian_spec(20), 1.0, 2.0**16.5, 1000, seed=1)  # Psi = 2^32
+        tilted_tail_estimate(gaussian_spec(20), 1.0, 2.0**16, 1000, seed=1)
+
+    def test_saddlepoint_tilts_far_below_cancelling(self):
+        # every saddlepoint tilt the benchmark's estimates and these tests'
+        # sampled near-top cases solve keeps |Psi_n| and lam max|X_n| below
+        # 2^22, a thousandth of the refused 2^32
+        varswitch = [MartingaleSpec.variance_switching(d, n=200, rho=0.5)
+                     for d in (RADEMACHER, THREE_POINT)]
+        cases = [(rademacher_spec(20), [2.0]), (three_point_spec(400), [3.0]),
+                 (rademacher_spec(1600), [0.5 * k for k in range(1, 41)]),
+                 *((rademacher_spec(n), [n**0.25]) for n in (100, 1000, 10000, 10**6)),
+                 *((spec, [2.0]) for spec in varswitch),
+                 (rademacher_spec(16), [3.9]), (rademacher_spec(400), [19.5]),
+                 (three_point_spec(100), [0.999 * montecarlo._drift_supremum(three_point_spec(100))])]
+        for spec, xs in cases:
+            lams = saddlepoint_lambda(spec, np.array(xs))
+            psi = tilting.cumulant_process(spec, lams)
+            # max |X_n| is the top of the support: these tables' top value is their largest |value|
+            reach = lams * montecarlo._drift_supremum(spec)
+            assert np.all(np.abs(psi) < 2.0**22) and np.all(reach < 2.0**22), spec
 
     @pytest.mark.parametrize("p_hat, std_err", [(-0.1, 0.0), (1.5, 0.0), (1.0 + 1e-8, 0.0),
                                                 (1.5, 0.05), (0.5, -1e-3), (math.nan, 0.0),

@@ -13,6 +13,7 @@ from mlde.tilting import (
     check_lemma1,
     check_lemma2_lemma3,
     cumulant_process,
+    drift_and_slope,
     drift_process,
     drift_slope,
     fitted_drift_cumulant_constants,
@@ -170,6 +171,34 @@ class TestProcesses:
             for lam in (0.5, 3.0, 12.0):
                 fd = (drift_process(spec, lam + h) - drift_process(spec, lam - h)) / (2 * h)
                 assert fd == pytest.approx(drift_slope(spec, lam), rel=1e-6)
+
+    def test_array_tilts_have_the_scalar_bits(self):
+        # an array of tilts gives an array whose every element has the bits
+        # of the one-tilt call, a float, on one and two parts, two-, three-
+        # and nine-atom tables, off a lattice and gaussian; Psi_n and B_n
+        # keep the bits of their sums over the parts of step_cumulant and
+        # step_drift
+        nine = IncrementDistribution.finite_table([(float(v), 1 / 9) for v in range(9)])
+        specs = (MartingaleSpec.iid(RADEMACHER, n=20, normalized=True),
+                 MartingaleSpec.iid(TABLE, n=400, normalized=True),
+                 MartingaleSpec.iid(nine, n=10),
+                 MartingaleSpec.variance_switching(TABLE, n=200, rho=0.5),
+                 MartingaleSpec.iid(GAUSSIAN, n=30, normalized=True),
+                 MartingaleSpec.variance_switching(GAUSSIAN, n=30, rho=0.5))
+        lams = [0.0, 0.3, 1.0, 2.5, 31.6, 100.0]
+        for spec in specs:
+            for f in (cumulant_process, drift_process, drift_slope,
+                      lambda s, lam: drift_and_slope(s, lam)[0],
+                      lambda s, lam: drift_and_slope(s, lam)[1]):
+                one = [f(spec, lam) for lam in lams]
+                assert all(type(v) is float for v in one), spec
+                assert f(spec, np.array(lams)).tolist() == one, spec
+            if spec.dist.kind == "gaussian":
+                continue
+            parts = spec.iid_parts()
+            for lam in lams:
+                assert cumulant_process(spec, lam) == sum(c * step_cumulant(d, lam) for d, c in parts)
+                assert drift_process(spec, lam) == sum(c * step_drift(d, lam) for d, c in parts)
 
     def test_decomposition_varswitch(self):
         # B_n accumulated step by step along every one of the 2^10 Rademacher
