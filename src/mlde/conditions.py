@@ -47,10 +47,10 @@ def _moments(dist: IncrementDistribution):
     return dist.moment(2), [abs(dist.moment(k)) for k in range(3, K_MAX + 1)]
 
 
-def _bernstein_scan(dist: IncrementDistribution, moments=None):
+def _bernstein_scan(moments):
     """Smallest H with |E eta^k| <= k!/2 H^(k-2) E eta^2 for 3 <= k <= K_MAX,
-    from moments = _moments(dist) where the caller has them."""
-    m2, mks = moments or _moments(dist)
+    from a law's _moments."""
+    m2, mks = moments
     best, best_k = 0.0, 3
     for k, mk in enumerate(mks, 3):
         if not math.isfinite(mk):
@@ -63,11 +63,15 @@ def _bernstein_scan(dist: IncrementDistribution, moments=None):
     return best, best_k
 
 
-def bernstein_slack(dist: IncrementDistribution, H: float, moments=None) -> float:
-    """max_k |E eta^k| / (k!/2 * H^(k-2) * E eta^2); <= 1 iff H is valid.
-    moments = _moments(dist) where the caller has them."""
-    m2, mks = moments or _moments(dist)
+def _slack(moments, H: float) -> float:
+    """bernstein_slack from a law's _moments."""
+    m2, mks = moments
     return max(mk / (0.5 * math.factorial(k) * H ** (k - 2) * m2) for k, mk in enumerate(mks, 3))
+
+
+def bernstein_slack(dist: IncrementDistribution, H: float) -> float:
+    """max_k |E eta^k| / (k!/2 * H^(k-2) * E eta^2); <= 1 iff H is valid."""
+    return _slack(_moments(dist), H)
 
 
 def certify(spec: MartingaleSpec) -> BernsteinCertificate:
@@ -80,9 +84,9 @@ def certify(spec: MartingaleSpec) -> BernsteinCertificate:
     Raises DomainError when epsilon or delta land outside their admissible
     ranges (reported, never clamped).
     """
-    laws = [(d, _moments(d)) for d, _ in spec.iid_parts()]  # each moment summed once
-    epsilon, binding_k = max(_bernstein_scan(d, m) for d, m in laws)
-    slack = max(bernstein_slack(d, epsilon, m) for d, m in laws)
+    moments = [_moments(d) for d, _ in spec.iid_parts()]  # each summed once
+    epsilon, binding_k = max(map(_bernstein_scan, moments))
+    slack = max(_slack(m, epsilon) for m in moments)
     delta = math.sqrt(abs(spec.total_variance() - 1.0))
 
     if epsilon > 0.5:

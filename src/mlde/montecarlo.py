@@ -43,15 +43,15 @@ too-large; draws priced at _POOL_S or more run on one worker per CPU.  One
 kernel, ``_weigh``, weighs both routes' hits, k draws at each.  Either route
 gives bit-identical estimates for any worker count at a fixed seed.
 
-A sampled threshold grid is one batch (``_sampled_rows``, ``_weighted_tail``):
-one saddlepoint solve for every row, the routes priced once and Psi_n in one
-call.  On the histogram route each part's law is built at the first row's
-tilt lam_b and re-tilted for each later row as pmf e^((lam_i - lam_b) a),
-with one max shift; a row is built at its own tilt, and becomes the base,
-where (support atoms) 2^-1022 e^((lam_i - lam_b) a_end) / sum pmf
-e^((lam_i - lam_b) a) passes _TAU = 2^-60: every atom a table leaves out or
-holds as a subnormal has pmf below 2^-1022, so this caps the tilted mass a
-re-tilt can miss.  A row's expected estimate under a re-tilted law is within
+Every sampled estimate is a threshold grid, of one row or many, and a grid is
+one batch (``_sampled_rows``, ``_weighted_tail``): one saddlepoint solve for
+every row, the routes priced once and Psi_n in one call.  On the histogram
+route each part's law is built at the first row's tilt lam_b and re-tilted
+for each later row as pmf e^((lam_i - lam_b) a), with one max shift.  A row
+is built at its own tilt, and becomes the base, where (support atoms)
+2^-1022 e^((lam_i - lam_b) a_end) / sum pmf e^((lam_i - lam_b) a) passes
+_TAU = 2^-60: every atom a table leaves out or holds as a subnormal has pmf
+below 2^-1022, so this caps the tilted mass a re-tilt can miss.  A row's expected estimate under a re-tilted law is within
 its L1 error times e^(Psi_n - lam c) of the exact tail, c the least atom
 above x.  Every row draws from block_rng(seed, 0); a built row has the bits
 of the one-row estimate.  Tilts at which |Psi_n| or |lam| max|X_n| reaches
@@ -463,14 +463,13 @@ def _part_law(d, count, lam):
     return _Law(sums, pmf) if g is None else _Law(base + sums * g, pmf, lattice=(base, g))
 
 
-def _weighted_tail(spec, x, lam, n_samples, seed):
-    """(p, se) at a threshold x under the tilt lam, or [(p, se)] at each of a
-    1-D array of thresholds under its own tilt, every row drawn from the same
-    seed: from the histogram of the parts' tilted sum laws (their builds and
-    min(N, outer atoms) x inner atoms cells a row) where it fits the budgets
-    and is priced below the n_samples draws (m - 1 categories per m-atom
-    part), else from the draws, pooled where they are priced at _POOL_S or
-    more.  The routes are priced once for the grid, as they do not depend on
+def _weighted_tail(spec, xs, lams, n_samples, seed):
+    """[(p, se)] at each threshold of xs under its own tilt of lams, every
+    row drawn from the same seed: from the histogram of the parts' tilted
+    sum laws (their builds and min(N, outer atoms) x inner atoms cells a
+    row) where it fits the budgets and is priced below the n_samples draws
+    (m - 1 categories per m-atom part), else from the draws, pooled where
+    they are priced at _POOL_S or more.  The routes are priced once for the grid, as they do not depend on
     the tilt, and Psi_n is one cumulant_process call.
 
     A tilt is refused first where its weights e^(Psi_n - lam X_n) carry no
@@ -479,13 +478,8 @@ def _weighted_tail(spec, x, lam, n_samples, seed):
     gaussian spec), past which the exponent, rounded at 2^-53 of its size,
     is no longer good to 2^-20, and Psi_n - lam X_n cancels (at lam = 1e300
     every weight of a draw at the top atom read as 1)."""
-    grid = hasattr(x, "__len__")
-    xs, lams = (np.asarray(x).tolist(), np.asarray(lam).tolist()) if grid else ([x], [lam])
-    if any(map(math.isnan, xs)):
-        raise DomainError("threshold x is nan")
     with np.errstate(over="ignore"):  # an overflowing term reads as inf, refused below
-        psi = tilting.cumulant_process(spec, lam)
-    psi = psi.tolist() if grid else [psi]
+        psi = tilting.cumulant_process(spec, np.array(lams, dtype=float)).tolist()
     parts = spec.iid_parts() if spec.dist.kind != "gaussian" else ()  # no parts: per draw
     largest = sum(count * max(-d.values[0], d.values[-1]) for d, count in parts)  # max |X_n|
     for t, p in zip(lams, psi):
@@ -517,7 +511,7 @@ def _weighted_tail(spec, x, lam, n_samples, seed):
         p = s1 / n_samples
         var = max(s2 / n_samples - p * p, 0.0)
         out.append((p, math.sqrt(var / n_samples)))
-    return out if grid else out[0]
+    return out
 
 
 def _row_laws(parts, lams):
@@ -648,22 +642,14 @@ def crude_tail_estimate(
     Internally runs the weighted estimator at lam = 0, where every weight is
     exactly 1, so the two estimators coincide bit for bit there.
     """
-    _check_samples(n_samples, least=100)
-    p, se = _weighted_tail(spec, x, 0.0, n_samples, seed)
-    return TailEstimate(x=x, p_hat=p, std_err=se, n_samples=n_samples,
-                        method="crude", seed=seed, lambda_used=0.0)
+    return _sampled_rows(spec, [x], "crude", 0.0, n_samples, seed)[0]
 
 
 def tilted_tail_estimate(
     spec: MartingaleSpec, x: float, lam: float, n_samples: int, seed: int
 ) -> TailEstimate:
     """Importance-sampling estimate of P(X_n > x) under the lam-tilted law."""
-    if not 0.0 <= lam < math.inf:
-        raise DomainError(f"lam = {lam!r} must be finite and >= 0")
-    _check_samples(n_samples, least=100)
-    p, se = _weighted_tail(spec, x, lam, n_samples, seed)
-    return TailEstimate(x=x, p_hat=p, std_err=se, n_samples=n_samples,
-                        method="tilted", seed=seed, lambda_used=lam)
+    return _sampled_rows(spec, [x], "tilted", lam, n_samples, seed)[0]
 
 
 def saddlepoint_lambda(spec: MartingaleSpec, x):
@@ -886,55 +872,48 @@ def estimate_tail(spec, x, method, lam_policy, samples, seed, cert=None) -> Tail
     _check_samples(samples)
     if method in EXACT_METHODS:
         return exact_tail(spec, x)
-    if method == "crude":
-        return crude_tail_estimate(spec, x, samples, seed)
-    if method == "tilted":
-        if x >= _drift_supremum(spec):  # no atom above x, and no tilt reaches it
-            return TailEstimate(x=x, p_hat=0.0, std_err=0.0, n_samples=0,
-                                method="tilted", seed=seed)
-        lam = resolve_tilt(spec, x, lam_policy, cert)
-        return tilted_tail_estimate(spec, x, lam, samples, seed)
-    raise ConfigError(f"unknown method {method!r}")
+    return _sampled_rows(spec, [x], method, lam_policy, samples, seed, cert)[0]
 
 
-def resolve_tilt(spec, x, lam_policy, cert=None):
-    """The tilt for a policy at a threshold, or the array of tilts at a 1-D
-    array of thresholds: a number as given, "saddlepoint" (one solve for
-    all), or "paper" (the largest root of the drift equation at c = bounds.C)."""
-    grid = hasattr(x, "__len__")
+def resolve_tilt(spec, xs, lam_policy, cert=None) -> list:
+    """The tilt for a policy at each threshold of xs: a number as given,
+    refused unless finite and >= 0, "saddlepoint" (one solve for all), or
+    "paper" (the largest root of the drift equation at c = bounds.C)."""
     if isinstance(lam_policy, (int, float)):
-        return np.full(len(x), float(lam_policy)) if grid else float(lam_policy)
+        if not 0.0 <= lam_policy < math.inf:
+            raise DomainError(f"lam = {lam_policy!r} must be finite and >= 0")
+        return [float(lam_policy)] * len(xs)
     if lam_policy == "saddlepoint":
-        return saddlepoint_lambda(spec, x)
+        return saddlepoint_lambda(spec, np.array(xs, dtype=float)).tolist()
     if lam_policy == "paper":
         if cert is None:
             cert = conditions.certify(spec)
-        lams = [tilting.solve_lambda_bar(v, cert.epsilon, cert.delta, bounds.C)
-                for v in (x if grid else [x])]
-        return np.array(lams) if grid else lams[0]
+        return [tilting.solve_lambda_bar(x, cert.epsilon, cert.delta, bounds.C) for x in xs]
     raise ConfigError(f"unknown lambda policy {lam_policy!r}")
 
 
 def _sampled_rows(spec, xs, method, lam_policy, samples, seed, cert=None) -> list:
-    """estimate_tail's crude or tilted estimate at every threshold of a grid:
-    one resolve_tilt call for the tilts and one _weighted_tail call for the
-    estimates.  A tilted row at or past the top of the support is p_hat = 0
-    from no samples, as in estimate_tail."""
+    """The crude or tilted (at resolve_tilt's tilts) estimate at every
+    threshold of xs: one resolve_tilt call for the tilts and one
+    _weighted_tail call for the estimates.  A tilted row at or past the top
+    of the support is p_hat = 0 from no samples, and asks for none: at least
+    100 samples are required only where a row is sampled."""
     if method not in ("crude", "tilted"):
         raise ConfigError(f"unknown method {method!r}")
-    _check_samples(samples, least=100)
-    xs = np.asarray(xs, dtype=float)
-    live = xs < _drift_supremum(spec) if method == "tilted" else np.ones(len(xs), bool)
-    lams = np.zeros(np.count_nonzero(live))
-    if method == "tilted" and len(lams):
-        lams = resolve_tilt(spec, xs[live], lam_policy, cert)
-        for lam in lams.tolist():
-            if not 0.0 <= lam < math.inf:
-                raise DomainError(f"lam = {lam!r} must be finite and >= 0")
-    sampled = iter(zip(lams.tolist(), _weighted_tail(spec, xs[live], lams, samples, seed)))
+    xs = [float(x) for x in xs]
+    if any(map(math.isnan, xs)):
+        raise DomainError("threshold x is nan")
+    top = _drift_supremum(spec) if method == "tilted" else math.inf
+    inside = [x for x in xs if x < top]
+    _check_samples(samples, least=100 if inside else 0)
+    if method == "tilted":
+        lams = resolve_tilt(spec, inside, lam_policy, cert)
+    else:
+        lams = [0.0] * len(inside)
+    sampled = iter(zip(lams, _weighted_tail(spec, inside, lams, samples, seed)))
     rows = []
-    for x, inside in zip(xs.tolist(), live.tolist()):
-        if inside:
+    for x in xs:
+        if x < top:
             lam, (p, se) = next(sampled)
             rows.append(TailEstimate(x=x, p_hat=p, std_err=se, n_samples=samples,
                                      method=method, seed=seed, lambda_used=lam))

@@ -63,32 +63,59 @@ def tilted_table(dist: IncrementDistribution, lam: float):
 
 # -- whole-spec processes ----------------------------------------------------
 # Each takes a tilt or a 1-D array of tilts: a tilt gives a float, an array an
-# array, each element with the bits of the one-tilt call.  The parts' tilted
-# tables are one (tilts x parts x atoms) array (the parts of a spec are one
-# base table, scaled).  Psi_n and B_n read it with step_cumulant's and
+# array, each element with the bits of the one-tilt sums.  The parts' tilted
+# tables are (tilts x parts x atoms) arrays (the parts of a spec are one base
+# table, scaled).  Psi_n and B_n read them with step_cumulant's and
 # step_drift's arithmetic (the same max shift, sums along the atoms, and
 # np.vecdot, which gives np.dot's bits row by row), so they keep the bits of
-# the sums over the parts of those; parts add up as count * value, in order.
+# the sums over the parts of those.
 
-def _tilts(spec: MartingaleSpec, lam):
-    """(counts, values, shift, terms, total): the parts' counts and values
-    (parts x atoms) and, at each tilt, _table_logexp's shift and terms of
-    each part (tilts x parts x atoms) and the terms' sums (tilts x parts)."""
+def _over_parts(spec: MartingaleSpec, lam, read):
+    """sum over the spec's parts of count * each per-part quantity that
+    read(values, shift, terms, total) gives, at each tilt: a float for a
+    tilt, an array for an array.  read takes the parts' values (parts x
+    atoms) and, at a block of tilts, _table_logexp's shift and terms of each
+    part (tilts x parts x atoms) and the terms' sums (tilts x parts), and
+    returns a tuple of (tilts x parts) arrays.
+
+    A block holds about 2^16 table cells, so a long grid of a many-atom
+    table takes no more memory than a short one; no element reads another,
+    so the blocks move no bit.  The parts add up as count * value, in
+    order, with the bits of Python's sum from 0 (no product here is -0.0)."""
     counts, values, log_probs = spec.part_tables()
-    a = np.asarray(lam, dtype=float).reshape(-1, 1, 1) * values + log_probs
-    shift = a.max(axis=2, keepdims=True)
-    a -= shift
-    terms = np.exp(a, out=a)
-    return counts, values, shift[..., 0], terms, terms.sum(axis=2)
+    lams = np.asarray(lam, dtype=float)
+    one = lams.ndim == 0
+    lams = lams.reshape(-1, 1, 1)
+    rows = max(1, (1 << 16) // values.size)
+    blocks = []
+    for i in range(0, max(len(lams), 1), rows):
+        a = lams[i:i + rows] * values + log_probs
+        shift = a.max(axis=2, keepdims=True)
+        a -= shift
+        terms = np.exp(a, out=a)
+        blocks.append(read(values, shift[..., 0], terms, terms.sum(axis=2)))
+    out = []
+    for per_part in blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks)):
+        total = counts[0] * per_part[:, 0]
+        for j in range(1, len(counts)):
+            total += counts[j] * per_part[:, j]
+        out.append(total.item() if one else total)
+    return out
 
 
-def _add_parts(lam, counts, per_part):
-    """sum count * per_part over the parts (tilts x parts), in order, with the
-    bits of Python's sum from 0 (no product here is -0.0); a float for a tilt."""
-    out = counts[0] * per_part[:, 0]
-    for j in range(1, len(counts)):
-        out += counts[j] * per_part[:, j]
-    return out if hasattr(lam, "__len__") else float(out[0])
+def _log_sums(values, shift, terms, total):
+    """step_cumulant's shift + log(sum of terms), by math.log as it takes it:
+    numpy's log may differ by an ulp."""
+    logs = np.fromiter(map(math.log, total.ravel().tolist()), float, total.size)
+    return (shift + logs.reshape(total.shape),)
+
+
+def _mean_and_variance(values, shift, terms, total):
+    """step_drift's tilted mean and the tilted mean square deviation from it."""
+    mean = np.vecdot(terms, values) / total
+    dev = values - mean[..., None]
+    dev *= dev
+    return mean, np.vecdot(dev, terms) / total
 
 
 def cumulant_process(spec: MartingaleSpec, lam):
@@ -103,12 +130,8 @@ def cumulant_process(spec: MartingaleSpec, lam):
         # lam^2/2 times the total variance, taken exactly, so normalized and
         # variance_switching specs give lam^2/2 to the bit
         return 0.5 * lam * lam * spec.total_variance()
-    if not hasattr(lam, "__len__"):  # one tilt: the same sums on 1-D tables, a few us cheaper
-        return sum(count * step_cumulant(d, lam) for d, count in spec.iid_parts())
-    counts, _, shift, _, total = _tilts(spec, lam)
-    # math.log, as step_cumulant takes it: numpy's log may differ by an ulp
-    logs = np.fromiter(map(math.log, total.ravel().tolist()), float, total.size)
-    return _add_parts(lam, counts, shift + logs.reshape(total.shape))
+    (psi,) = _over_parts(spec, lam, _log_sums)
+    return psi
 
 
 def drift_and_slope(spec: MartingaleSpec, lam):
@@ -120,13 +143,8 @@ def drift_and_slope(spec: MartingaleSpec, lam):
     deterministic for the same reason as cumulant_process."""
     if spec.dist.kind == "gaussian":
         v = spec.total_variance()
-        return lam * v, np.full(np.shape(lam), v) if hasattr(lam, "__len__") else v
-    counts, values, _, terms, total = _tilts(spec, lam)
-    mean = np.vecdot(terms, values) / total
-    dev = values - mean[..., None]
-    dev *= dev
-    return (_add_parts(lam, counts, mean),
-            _add_parts(lam, counts, np.vecdot(dev, terms) / total))
+        return lam * v, np.full(np.shape(lam), v) if np.ndim(lam) else v
+    return tuple(_over_parts(spec, lam, _mean_and_variance))
 
 
 def drift_process(spec: MartingaleSpec, lam):

@@ -183,17 +183,6 @@ class TestTail:
         assert not list(tmp_path.glob("*.csv"))
         assert capsys.readouterr().err.count("cancels") == 2
 
-    def test_one_row_grid_is_the_tail(self, tmp_path):
-        # a one-row tilted ratio-table solves and samples as tail does: the
-        # p_hat and std_err columns are the same bytes
-        common = ["--model", "rademacher", "--normalized", "--n", "400", "--method", "tilted",
-                  "--samples", "100000", "--seed", "7"]
-        assert run(["ratio-table", *common, "--x-grid", "2:2:1", "--out", str(tmp_path)]) == 0
-        assert run(["tail", *common, "--x", "2", "--out", str(tmp_path)]) == 0
-        columns = [[line.split(",")[1:3] for line in read(tmp_path / name).decode().splitlines()]
-                   for name in ("ratio.csv", "tail.csv")]
-        assert columns[0] == columns[1]
-
     def test_sample_cap(self, tmp_path):
         # 2^30 + 1 samples is refused before any row is computed
         too_many = str(montecarlo.MAX_SAMPLES + 1)

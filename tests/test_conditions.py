@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from mlde.conditions import K_MAX, _bernstein_scan, bernstein_slack, certify
+from mlde.conditions import K_MAX, _bernstein_scan, _moments, bernstein_slack, certify
 from mlde.errors import DomainError
 from mlde.model import IncrementDistribution, MartingaleSpec
 
@@ -50,20 +50,20 @@ class TestMinimalH:
     def test_rademacher(self):
         # binding order is k=4: H = (2*1/4!)^(1/2) = 12^(-1/2)
         assert single_step_H(RADEMACHER) == pytest.approx(12 ** -0.5, rel=1e-14)
-        assert _bernstein_scan(RADEMACHER) == (pytest.approx(12 ** -0.5, rel=1e-14), 4)
+        assert _bernstein_scan(_moments(RADEMACHER)) == (pytest.approx(12 ** -0.5, rel=1e-14), 4)
 
     def test_gaussian(self):
         # binding at k=4: 3 <= 12 H^2  ->  H = 1/2
         assert single_step_H(GAUSSIAN) == pytest.approx(0.5, rel=1e-14)
-        assert _bernstein_scan(GAUSSIAN) == (pytest.approx(0.5, rel=1e-14), 4)
+        assert _bernstein_scan(_moments(GAUSSIAN)) == (pytest.approx(0.5, rel=1e-14), 4)
 
     @given(st.floats(0.1, 10.0))
     @settings(max_examples=100, deadline=None)
     def test_homogeneity(self, c):
         # most scales put epsilon or delta past 1/2 at n = 1, where certify
         # raises, so the scan that certify maximizes is checked directly
-        base, _ = _bernstein_scan(RADEMACHER)
-        assert _bernstein_scan(RADEMACHER.scaled(c))[0] == pytest.approx(
+        base, _ = _bernstein_scan(_moments(RADEMACHER))
+        assert _bernstein_scan(_moments(RADEMACHER.scaled(c)))[0] == pytest.approx(
             c * base, rel=1e-12
         )
 
@@ -82,7 +82,7 @@ class TestMinimalH:
             return
         d = IncrementDistribution.finite_table(pairs)
         # |E eta^k| <= M^(k-2) E eta^2 <= k!/2 M^(k-2) E eta^2 for k >= 3
-        assert _bernstein_scan(d)[0] <= max(abs(v) for v in d.values) * (1 + 1e-12)
+        assert _bernstein_scan(_moments(d))[0] <= max(abs(v) for v in d.values) * (1 + 1e-12)
 
 
 class TestCertify:
@@ -139,7 +139,7 @@ class TestCertify:
             cert = certify(spec)
             assert sorted(calls, key=lambda c: (laws.index(c[0]), c[1])) == \
                 [(d, k) for d in laws for k in range(2, K_MAX + 1)]
-            eps, k = max(_bernstein_scan(d) for d in laws)
+            eps, k = max(_bernstein_scan(_moments(d)) for d in laws)
             assert (cert.epsilon, cert.binding_k) == (eps, k)
             assert cert.slack == max(bernstein_slack(d, eps) for d in laws)
 
@@ -189,7 +189,7 @@ class TestCramerConversion:
         # c0 = 1, c1 = e, E eta^2 = 1 -> H = 2e; the slack binds at k = 4
         h = max(1.0, 2.0 * math.e)
         assert bernstein_slack(RADEMACHER, h) == pytest.approx(1.0 / (48.0 * math.e**2), rel=1e-14)
-        assert _bernstein_scan(RADEMACHER)[0] <= h
+        assert _bernstein_scan(_moments(RADEMACHER))[0] <= h
 
     @given(
         st.floats(0.5, 5.0),
@@ -209,4 +209,4 @@ class TestCramerConversion:
         c1 = math.fsum(p * math.exp(abs(v) / c0) for v, p in zip(d.values, d.probs))
         h = max(c0, 2.0 * c0**3 * c1 / d.variance)
         assert bernstein_slack(d, h) <= 1.0 + 1e-12
-        assert _bernstein_scan(d)[0] <= h
+        assert _bernstein_scan(_moments(d))[0] <= h

@@ -1973,6 +1973,35 @@ class TestValidation:
         with pytest.raises(ConfigError):
             tilted_tail_estimate(rademacher_spec(4), 0.0, 0.5, 99, seed=1)
 
+    def test_rows_past_the_top_draw_nothing(self, monkeypatch):
+        # a tilted row at or past the top of the support is p_hat = 0 from no
+        # samples by every entry alike (tail, the ratio table and the public
+        # estimator share one path): it builds no law, draws nothing and asks
+        # for no 100 samples, while a tilt given as a number is still checked.
+        # A grid with a row to sample asks for them, as a one-row call does
+        def no_work(*args):
+            raise AssertionError("a row past the top was sampled")
+        spec = rademacher_spec(16)  # the top of the support is 4
+        with monkeypatch.context() as m:
+            for name in ("_part_law", "_histogram_sums", "_per_draw_sums"):
+                m.setattr(montecarlo, name, no_work)
+            for samples in (0, 50, 1000):
+                rows = [estimate_tail(spec, 4.0, "tilted", "saddlepoint", samples, 1),
+                        tilted_tail_estimate(spec, 5.0, 0.5, samples, seed=1),
+                        *montecarlo._sampled_rows(spec, [4.0, 5.0], "tilted", "paper", samples, 1)]
+                for row in rows:
+                    assert (row.p_hat, row.std_err, row.n_samples, row.lambda_used) == \
+                        (0.0, 0.0, 0, 0.0), (samples, row)
+                ratio = ratio_experiment(spec, [4.0, 5.0], "tilted", samples, 1)
+                assert [r.p_hat for r in ratio.rows] == [0.0, 0.0]
+            with pytest.raises(DomainError, match="finite and >= 0"):
+                tilted_tail_estimate(spec, 5.0, -0.5, 1000, seed=1)
+        for call in (lambda: estimate_tail(spec, 1.0, "tilted", "saddlepoint", 50, 1),
+                     lambda: ratio_experiment(spec, [1.0, 5.0], "tilted", 50, 1),
+                     lambda: ratio_experiment(spec, [5.0], "crude", 50, 1)):
+            with pytest.raises(ConfigError, match="samples"):
+                call()
+
     def test_sample_cap(self):
         # 2^30 samples are 2^18 blocks; one more is refused before any work
         too_many = MAX_SAMPLES + 1
@@ -2032,16 +2061,20 @@ class TestValidation:
                 call()
 
     def test_tilt_policies(self):
-        # a number is taken as given, "paper" certifies the spec itself when
-        # no certificate is passed, and any other policy is refused
+        # a number is taken as given at every threshold and refused unless
+        # finite and >= 0, "paper" certifies the spec itself when no
+        # certificate is passed, and any other policy is refused
         spec = rademacher_spec(100)
         cert = conditions.certify(spec)
-        assert montecarlo.resolve_tilt(spec, 1.0, 0.25) == 0.25
-        assert (montecarlo.resolve_tilt(spec, 1.0, "paper")
-                == montecarlo.resolve_tilt(spec, 1.0, "paper", cert)
-                == tilting.solve_lambda_bar(1.0, cert.epsilon, cert.delta, bounds.C))
+        assert montecarlo.resolve_tilt(spec, [1.0, 2.0], 0.25) == [0.25, 0.25]
+        for lam in (-0.5, math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite and >= 0"):
+                montecarlo.resolve_tilt(spec, [], lam)
+        assert (montecarlo.resolve_tilt(spec, [1.0], "paper")
+                == montecarlo.resolve_tilt(spec, [1.0], "paper", cert)
+                == [tilting.solve_lambda_bar(1.0, cert.epsilon, cert.delta, bounds.C)])
         with pytest.raises(ConfigError, match="lambda policy"):
-            montecarlo.resolve_tilt(spec, 1.0, "nosuch")
+            montecarlo.resolve_tilt(spec, [1.0], "nosuch")
 
     def test_overflowing_tilt_rejected(self, monkeypatch):
         # a finite tilt whose Psi_n overflows made every weight exp(inf - inf)

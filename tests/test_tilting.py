@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from mlde import conditions
+from mlde import conditions, montecarlo
 from mlde.errors import DomainError
 from mlde.model import IncrementDistribution, MartingaleSpec
 from mlde.tilting import (
@@ -196,9 +197,33 @@ class TestProcesses:
             if spec.dist.kind == "gaussian":
                 continue
             parts = spec.iid_parts()
-            for lam in lams:
-                assert cumulant_process(spec, lam) == sum(c * step_cumulant(d, lam) for d, c in parts)
-                assert drift_process(spec, lam) == sum(c * step_drift(d, lam) for d, c in parts)
+            assert cumulant_process(spec, np.array(lams)).tolist() == \
+                [sum(c * step_cumulant(d, lam) for d, c in parts) for lam in lams], spec
+            assert drift_process(spec, np.array(lams)).tolist() == \
+                [sum(c * step_drift(d, lam) for d, c in parts) for lam in lams], spec
+
+    def test_long_grid_of_a_wide_table_is_read_in_blocks(self):
+        # 1000 tilts of a 2000-atom table: one (tilts x parts x atoms) array
+        # would be 15 MiB, and the processes and the solve keep several of
+        # them.  Read in blocks of about 2^16 cells, every call's peak stays
+        # under 4 MiB (numpy reports its buffers to tracemalloc), and each
+        # element keeps the bits of its one-tilt call
+        wide = IncrementDistribution.finite_table([(float(v), 1 / 2000) for v in range(2000)])
+        spec = MartingaleSpec.iid(wide, n=10)
+        lams = np.linspace(0.0, 0.05, 1000)
+        xs = np.linspace(0.0, 0.99 * montecarlo._drift_supremum(spec), 1000)
+        calls = [(cumulant_process, spec, lams), (drift_process, spec, lams),
+                 (drift_slope, spec, lams), (montecarlo.saddlepoint_lambda, spec, xs)]
+        for f, spec, grid in calls:
+            tracemalloc.start()
+            try:
+                got = f(spec, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, (f.__name__, peak)
+            for i in (0, 31, 32, 500, 999):  # 32 tilts a block: both sides of its first edge
+                assert got[i] == f(spec, float(grid[i])), (f.__name__, i)
 
     def test_decomposition_varswitch(self):
         # B_n accumulated step by step along every one of the 2^10 Rademacher
