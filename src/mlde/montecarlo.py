@@ -43,19 +43,21 @@ too-large; draws priced at _POOL_S or more run on one worker per CPU.  One
 kernel, ``_weigh``, weighs both routes' hits, k draws at each.  Either route
 gives bit-identical estimates for any worker count at a fixed seed.
 
-Every sampled estimate is a threshold grid, of one row or many, and a grid is
-one batch (``_sampled_rows``, ``_weighted_tail``): one saddlepoint solve for
+Every estimate is a threshold grid, of one row or many, from one entry,
+``_tail_rows``: an exact grid reads one build of the parts' laws, and a
+sampled grid is one batch (``_weighted_tail``): one saddlepoint solve for
 every row, the routes priced once and Psi_n in one call.  On the histogram
 route each part's law is built at the first row's tilt lam_b and re-tilted
 for each later row as pmf e^((lam_i - lam_b) a), with one max shift.  A row
 is built at its own tilt, and becomes the base, where (support atoms)
 2^-1022 e^((lam_i - lam_b) a_end) / sum pmf e^((lam_i - lam_b) a) passes
 _TAU = 2^-60: every atom a table leaves out or holds as a subnormal has pmf
-below 2^-1022, so this caps the tilted mass a re-tilt can miss.  A row's expected estimate under a re-tilted law is within
-its L1 error times e^(Psi_n - lam c) of the exact tail, c the least atom
-above x.  Every row draws from block_rng(seed, 0); a built row has the bits
-of the one-row estimate.  Tilts at which |Psi_n| or |lam| max|X_n| reaches
-2^32 are refused: the weights' exponent cancels there.
+below 2^-1022, so this caps the tilted mass a re-tilt can miss.  A row's
+expected estimate under a re-tilted law is within its L1 error times
+e^(Psi_n - lam c) of the exact tail, c the least atom above x.  Every row
+draws from block_rng(seed, 0); a built row has the bits of the one-row
+estimate.  Tilts at which |Psi_n| or |lam| max|X_n| reaches 2^32 are
+refused: the weights' exponent cancels there.
 """
 
 from __future__ import annotations
@@ -469,8 +471,9 @@ def _weighted_tail(spec, xs, lams, n_samples, seed):
     sum laws (their builds and min(N, outer atoms) x inner atoms cells a
     row) where it fits the budgets and is priced below the n_samples draws
     (m - 1 categories per m-atom part), else from the draws, pooled where
-    they are priced at _POOL_S or more.  The routes are priced once for the grid, as they do not depend on
-    the tilt, and Psi_n is one cumulant_process call.
+    they are priced at _POOL_S or more.  The routes are priced once for the
+    grid, as they do not depend on the tilt, and Psi_n is one
+    cumulant_process call.
 
     A tilt is refused first where its weights e^(Psi_n - lam X_n) carry no
     information: where Psi_n overflows, so that every weight would be nan,
@@ -552,7 +555,8 @@ def _retilted(parts, laws, delta):
         total = w.sum()
         end = delta * count * (d.values[-1] if delta > 0 else d.values[0])
         m = len(d.values)
-        support = count * int(d.lattice[1][-1]) + 1 if d.lattice else math.comb(count + m - 1, m - 1)
+        support = (count * int(d.lattice[1][-1]) + 1 if d.lattice
+                   else math.comb(count + m - 1, m - 1))
         if not (total > 0.0 and math.log(support) + (end - top) - math.log(total)
                 <= math.log(_TAU) + 1022 * math.log(2.0)):
             return None
@@ -642,14 +646,14 @@ def crude_tail_estimate(
     Internally runs the weighted estimator at lam = 0, where every weight is
     exactly 1, so the two estimators coincide bit for bit there.
     """
-    return _sampled_rows(spec, [x], "crude", 0.0, n_samples, seed)[0]
+    return _tail_rows(spec, [x], "crude", 0.0, n_samples, seed)[0]
 
 
 def tilted_tail_estimate(
     spec: MartingaleSpec, x: float, lam: float, n_samples: int, seed: int
 ) -> TailEstimate:
     """Importance-sampling estimate of P(X_n > x) under the lam-tilted law."""
-    return _sampled_rows(spec, [x], "tilted", lam, n_samples, seed)[0]
+    return _tail_rows(spec, [x], "tilted", lam, n_samples, seed)[0]
 
 
 def saddlepoint_lambda(spec: MartingaleSpec, x):
@@ -725,32 +729,29 @@ def _drift_supremum(spec) -> float:
 
 # -- exact oracles -------------------------------------------------------------
 
-def _exact_oracle(spec: MartingaleSpec):
-    """xs -> [exact_tail(spec, x) for x in xs], every part's law built once
-    and every row read at once: one part's tails at all xs in one _Law.tails
+def _exact_rows(spec: MartingaleSpec, xs) -> list:
+    """[exact_tail(spec, x) for x in xs], every part's law built once and
+    every row read at once: one part's tails at all xs in one _Law.tails
     call, or the last part's tails at x minus each atom of the first over
     the rows x outer atoms matrix (in blocks of about 2^16 cells), each row
     weighted by the first part's pmf (np.vecdot, np.dot's bits)."""
+    xs = np.asarray(xs, dtype=float)
     if spec.dist.kind == "gaussian":
         sd = math.sqrt(spec.total_variance())
         tag = "exact_gaussian"
-
-        def tails(xs):
-            return [bounds.gaussian_tail(x / sd) for x in xs.tolist()]
+        tails = [bounds.gaussian_tail(x / sd) for x in xs.tolist()]
     else:
         *first, law = [_part_law(d, count, 0.0) for d, count in spec.iid_parts()]
         two_point = not first and len(spec.dist.values) == 2
         tag = "exact_binomial" if two_point else "exact_enum"
-
-        def tails(xs):
-            if not first:
-                return law.tails(xs)[1].tolist()
+        if not first:
+            tails = law.tails(xs)[1].tolist()
+        else:
             outer, rows = first[0], max(1, (1 << 16) // len(first[0].atoms))
-            return [p for i in range(0, len(xs), rows) for p in np.vecdot(
+            tails = [p for i in range(0, len(xs), rows) for p in np.vecdot(
                 law.tails(xs[i:i + rows, None] - outer.atoms)[1], outer.pmf).tolist()]
-    return lambda xs: [TailEstimate(x=x, p_hat=min(p, 1.0), std_err=0.0, n_samples=0,
-                                    method=tag, seed=0, lambda_used=0.0)
-                       for x, p in zip(xs, tails(np.asarray(xs, dtype=float)))]
+    return [TailEstimate(x=x, p_hat=min(p, 1.0), std_err=0.0, n_samples=0, method=tag, seed=0)
+            for x, p in zip(xs.tolist(), tails)]
 
 
 def exact_tail(spec: MartingaleSpec, x: float) -> TailEstimate:
@@ -759,9 +760,7 @@ def exact_tail(spec: MartingaleSpec, x: float) -> TailEstimate:
     finite spec (exact_binomial for an iid two-point law, else exact_enum).
     A law priced past TIME_BUDGET or BYTE_BUDGET raises DomainError
     (too-large), as does a nan x, before any work."""
-    if math.isnan(x):
-        raise DomainError("threshold x is nan")
-    return _exact_oracle(spec)([x])[0]
+    return _tail_rows(spec, [x], "exact", 0.0, 0, 0)[0]
 
 
 # -- exact distribution-distance machinery ------------------------------------
@@ -867,12 +866,7 @@ def fit_constant(observed) -> float:
 def estimate_tail(spec, x, method, lam_policy, samples, seed, cert=None) -> TailEstimate:
     """P(X_n > x) by one of TAIL_METHODS: crude, tilted at the tilt
     resolve_tilt picks, or exact_tail's route.  A nan x raises DomainError."""
-    if math.isnan(x):
-        raise DomainError("threshold x is nan")
-    _check_samples(samples)
-    if method in EXACT_METHODS:
-        return exact_tail(spec, x)
-    return _sampled_rows(spec, [x], method, lam_policy, samples, seed, cert)[0]
+    return _tail_rows(spec, [x], method, lam_policy, samples, seed, cert)[0]
 
 
 def resolve_tilt(spec, xs, lam_policy, cert=None) -> list:
@@ -892,24 +886,27 @@ def resolve_tilt(spec, xs, lam_policy, cert=None) -> list:
     raise ConfigError(f"unknown lambda policy {lam_policy!r}")
 
 
-def _sampled_rows(spec, xs, method, lam_policy, samples, seed, cert=None) -> list:
-    """The crude or tilted (at resolve_tilt's tilts) estimate at every
-    threshold of xs: one resolve_tilt call for the tilts and one
+def _tail_rows(spec, xs, method, lam_policy, samples, seed, cert=None) -> list:
+    """The estimate by one of TAIL_METHODS at every threshold of xs: the
+    exact rows from _exact_rows, or the crude or tilted (at resolve_tilt's
+    tilts) rows from one resolve_tilt call for the tilts and one
     _weighted_tail call for the estimates.  A tilted row at or past the top
     of the support is p_hat = 0 from no samples, and asks for none: at least
-    100 samples are required only where a row is sampled."""
-    if method not in ("crude", "tilted"):
-        raise ConfigError(f"unknown method {method!r}")
+    100 samples are required only where a row is sampled.  A nan x raises
+    DomainError, an unknown method or a bad sample count ConfigError, before
+    any work."""
     xs = [float(x) for x in xs]
     if any(map(math.isnan, xs)):
         raise DomainError("threshold x is nan")
+    if method not in TAIL_METHODS:
+        raise ConfigError(f"unknown method {method!r}")
+    exact = method in EXACT_METHODS
     top = _drift_supremum(spec) if method == "tilted" else math.inf
-    inside = [x for x in xs if x < top]
+    inside = [] if exact else [x for x in xs if x < top]
     _check_samples(samples, least=100 if inside else 0)
-    if method == "tilted":
-        lams = resolve_tilt(spec, inside, lam_policy, cert)
-    else:
-        lams = [0.0] * len(inside)
+    if exact:
+        return _exact_rows(spec, xs)
+    lams = resolve_tilt(spec, inside, lam_policy if method == "tilted" else 0.0, cert)
     sampled = iter(zip(lams, _weighted_tail(spec, inside, lams, samples, seed)))
     rows = []
     for x in xs:
@@ -943,10 +940,7 @@ def ratio_experiment(
             raise DomainError(f"ratio_experiment requires x >= 0, got {x:.6g}")
     cert = conditions.certify(spec)
     eps, delta = cert.epsilon, cert.delta
-    if method in EXACT_METHODS:  # every part's law built once, for all rows
-        estimates = _exact_oracle(spec)(x_grid)
-    else:
-        estimates = _sampled_rows(spec, x_grid, method, lam_policy, samples, seed, cert)
+    estimates = _tail_rows(spec, x_grid, method, lam_policy, samples, seed, cert)
     raw = []
     pairs = []
     for x, est in zip(x_grid, estimates):
@@ -1015,14 +1009,11 @@ def mdp_diagnostic(
         a_n = float(a_rule(n))
         threshold = a_n * x
         try:
-            exact = exact_tail(spec, threshold)
+            p_exact = exact_tail(spec, threshold).p_hat
         except DomainError:  # a part's sum law priced past the budgets
-            exact = None
-        if spec.dist.kind == "gaussian":
-            est = exact
-        else:
-            est = estimate_tail(spec, threshold, "tilted", lam_policy, samples, seed, cert)
-        p_exact = exact.p_hat if exact is not None else math.nan
+            p_exact = math.nan
+        method = "exact" if spec.dist.kind == "gaussian" else "tilted"
+        (est,) = _tail_rows(spec, [threshold], method, lam_policy, samples, seed, cert)
         feasible = est.p_hat > 0.0
         value = math.log(est.p_hat) / a_n**2 if feasible else math.nan
         band = est.std_err / (est.p_hat * a_n**2) if feasible else math.nan

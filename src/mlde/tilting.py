@@ -152,11 +152,6 @@ def drift_process(spec: MartingaleSpec, lam):
     return drift_and_slope(spec, lam)[0]
 
 
-def drift_slope(spec: MartingaleSpec, lam):
-    """B_n'(lam), drift_and_slope's slope."""
-    return drift_and_slope(spec, lam)[1]
-
-
 # -- tilt-parameter solvers ----------------------------------------------------
 
 def solve_lambda_bar(x: float, epsilon: float, delta: float, c: float) -> float:

@@ -994,7 +994,7 @@ class TestSaddlepoint:
             m = sup - 0.5 * min(d.values[-1] - d.values[-2] for d, _ in spec.iid_parts())
             above = [lam for x, lam in zip(inside, lams) if x >= m]
             assert above == [saddlepoint_lambda(spec, m)] * len(above), spec
-            rows = montecarlo._sampled_rows(spec, grid, "tilted", "saddlepoint", 1000, 3)
+            rows = montecarlo._tail_rows(spec, grid, "tilted", "saddlepoint", 1000, 3)
             assert [row.lambda_used for row in rows[:len(inside)]] == lams.tolist()
             for row in rows[len(inside):]:
                 assert (row.p_hat, row.std_err, row.n_samples) == (0.0, 0.0, 0), (spec, row.x)
@@ -1049,20 +1049,19 @@ class TestExactTail:
             for x in (-math.inf, math.inf):
                 assert exact_tail(spec, x).p_hat == float(x < 0.0)
 
-    def test_methods_agree_to_the_bit(self, monkeypatch):
+    def test_methods_agree_to_the_bit(self):
         # one law and one reader serve both spellings, so they give the same
         # bits at every threshold: the grids' own thresholds (each an atom of
         # normalized Rademacher, where the table reader once counted the atom
         # at x above x on 16 of 41 rows at n = 400), every atom of X_n, one
         # ulp and 1e-17 either side of it, the midpoints between atoms, and
-        # +-inf; read in ascending order, the tail never rises.  Each spec's
-        # oracle is built once and read by every call
+        # +-inf; read in ascending order, the tail never rises.  Each
+        # spelling reads all of a spec's thresholds as one grid, and
+        # exact_tail, a one-row grid, has the bits of its grid's row
         def atoms_of(spec):
             laws = [montecarlo._part_law(d, c, 0.0) for d, c in spec.iid_parts()]
             return functools.reduce(np.add.outer, [law.atoms for law in laws]).ravel()
 
-        cached = functools.cache(montecarlo._exact_oracle)
-        monkeypatch.setattr(montecarlo, "_exact_oracle", cached)
         cases = ((rademacher_spec(400), cli._parse_grid("0:4:0.1")),
                  (rademacher_spec(6400), cli._parse_grid("0:80:0.8")),
                  (three_point_spec(14), []),
@@ -1073,14 +1072,13 @@ class TestExactTail:
             near = [np.nextafter(atoms, -math.inf), np.nextafter(atoms, math.inf),
                     atoms - 1e-17, atoms + 1e-17]
             thresholds = np.sort([*grid, *atoms, *np.concatenate(near),
-                                  *(atoms[1:] + atoms[:-1]) / 2, -math.inf, math.inf])
-            tails = []
-            for x in map(float, thresholds):
-                est = exact_tail(spec, x)
-                tails.append(est.p_hat)
-                assert estimate_tail(spec, x, "exact_enum", "saddlepoint", 0, 0) == est, (spec, x)
-            assert all(np.diff(tails) <= 0.0), spec
-        assert cached.cache_info().currsize == len(cases)
+                                  *(atoms[1:] + atoms[:-1]) / 2, -math.inf, math.inf]).tolist()
+            exact, enum = (montecarlo._tail_rows(spec, thresholds, method, "saddlepoint", 0, 0)
+                           for method in EXACT_METHODS)
+            assert exact == enum, spec
+            assert all(np.diff([row.p_hat for row in exact]) <= 0.0), spec
+            for x, row in list(zip(thresholds, exact))[::97]:
+                assert exact_tail(spec, x) == row, (spec, x)
 
     def test_varswitch_against_bruteforce(self):
         # independent pure-python oracle over all sign paths
@@ -1233,11 +1231,12 @@ class TestExactTail:
             assert len(law.atoms) == atoms
             (base, g), c = law.lattice, np.arange(n + 1)
             weights = binom.pmf(c, n, 0.2)
-            tail = montecarlo._exact_oracle(MartingaleSpec.iid(table, n=n))  # exact_tail's reader
-            for i in range(0, top * n + 1, 23):
+            offsets = range(0, top * n + 1, 23)
+            rows = montecarlo._exact_rows(MartingaleSpec.iid(table, n=n),  # exact_tail's reader
+                                          [base + i * g for i in offsets])
+            for i, row in zip(offsets, rows):
                 want = math.fsum(weights * binom.sf(i - top * c, n - c, 0.375))
-                (got,) = [est.p_hat for est in tail([base + i * g])]
-                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (top, i)
+                assert row.p_hat == pytest.approx(want, rel=1e-12, abs=0.0), (top, i)
 
     def test_chain_peak_below_fold(self, monkeypatch):
         # the count-vector chain makes each length-V array once and drops it
@@ -1757,11 +1756,10 @@ class TestRatioExperiment:
 
     def test_negative_threshold_rejected(self, monkeypatch):
         # the envelopes are stated for x >= 0, so no row is estimated first:
-        # neither grid entry, the sampled rows' or the exact oracle's, is called
+        # the one grid entry, _tail_rows, is not called
         def no_estimate(*args):
             raise AssertionError("a row was estimated")
-        for name in ("_sampled_rows", "_exact_oracle"):
-            monkeypatch.setattr(montecarlo, name, no_estimate)
+        monkeypatch.setattr(montecarlo, "_tail_rows", no_estimate)
         for spec in (rademacher_spec(100), gaussian_spec(100)):
             for method in ("exact", "crude", "tilted"):
                 with pytest.raises(DomainError, match="x >= 0"):
@@ -1824,7 +1822,7 @@ class TestThresholdGrid:
                 builds = []
                 with monkeypatch.context() as m:
                     counted_builds(m, builds)
-                    rows = montecarlo._sampled_rows(spec, grid, method, "saddlepoint", 10_000, 7)
+                    rows = montecarlo._tail_rows(spec, grid, method, "saddlepoint", 10_000, 7)
                     ratio = ratio_experiment(spec, grid, method, 10_000, 7)
                 built = {a[2] for name, a in builds if name == "_part_law"}
                 assert [r.p_hat for r in ratio.rows] == [r.p_hat for r in rows]
@@ -1835,6 +1833,26 @@ class TestThresholdGrid:
                         one = estimate_tail(spec, row.x, method, "saddlepoint", 10_000, 7)
                         assert row == one, (spec, method, row.x)
                 assert rows[0].lambda_used in built
+
+    def test_per_draw_grid_rows_match_one_row(self, monkeypatch):
+        # drawn one by one, every row of a grid reads the seed's own block
+        # streams, so each row of a crude and of a tilted grid has the bits
+        # of the one-row estimate at its x and seed: a gaussian spec (no
+        # parts to tabulate) and three-point varswitch n = 60 with draws
+        # priced at nothing, as in TestTilted.test_per_draw_route_agrees
+        def no_histogram(*args):
+            raise AssertionError("a histogram was drawn")
+        monkeypatch.setattr(montecarlo, "_histogram_sums", no_histogram)
+        monkeypatch.setattr(montecarlo, "_DRAW_S", 0.0)
+        grid = [0.25 * k for k in range(1, 13)]
+        for spec in (gaussian_spec(100),
+                     MartingaleSpec.variance_switching(THREE_POINT, n=60, rho=0.5)):
+            for method in ("crude", "tilted"):
+                rows = montecarlo._tail_rows(spec, grid, method, "saddlepoint", 10_000, 7)
+                assert [row.x for row in rows] == grid
+                for row in rows:
+                    one = estimate_tail(spec, row.x, method, "saddlepoint", 10_000, 7)
+                    assert row == one, (spec, method, row.x)
 
     def test_build_counts(self, monkeypatch):
         # the benchmark's grid builds its binomial table once, at the first
@@ -1943,6 +1961,13 @@ class TestMdp:
             assert row.feasible and math.isnan(row.p_exact) != exact
         assert row.p_exact == exact_tail(three_point_spec(4096), 4096**0.25).p_hat
 
+    def test_nan_threshold_rejected(self):
+        # a nan threshold has no exact value and no estimate: the gaussian
+        # row, read through the exact route, once came back as None
+        for family in (gaussian_spec, rademacher_spec):
+            with pytest.raises(DomainError, match="nan"):
+                mdp_diagnostic(family, lambda n: n**0.25, math.nan, [100], samples=1000, seed=1)
+
     def test_infeasible_row_reported(self):
         rows = mdp_diagnostic(rademacher_spec, lambda n: n**0.25, 1.0, [4096],
                               samples=200, seed=1, lam_policy=0.0)
@@ -1988,7 +2013,7 @@ class TestValidation:
             for samples in (0, 50, 1000):
                 rows = [estimate_tail(spec, 4.0, "tilted", "saddlepoint", samples, 1),
                         tilted_tail_estimate(spec, 5.0, 0.5, samples, seed=1),
-                        *montecarlo._sampled_rows(spec, [4.0, 5.0], "tilted", "paper", samples, 1)]
+                        *montecarlo._tail_rows(spec, [4.0, 5.0], "tilted", "paper", samples, 1)]
                 for row in rows:
                     assert (row.p_hat, row.std_err, row.n_samples, row.lambda_used) == \
                         (0.0, 0.0, 0, 0.0), (samples, row)
@@ -2001,6 +2026,27 @@ class TestValidation:
                      lambda: ratio_experiment(spec, [5.0], "crude", 50, 1)):
             with pytest.raises(ConfigError, match="samples"):
                 call()
+
+    def test_unknown_method_rejected(self, monkeypatch):
+        # a method outside TAIL_METHODS is refused by every entry, and by
+        # estimate_tail before any law is built, tilt solved or draw made
+        def no_work(*args, **kwargs):
+            raise AssertionError("work was done for an unknown method")
+        unknown = ("auto", "exact_binomial", "Crude", "")
+        for spec in (rademacher_spec(20), three_point_spec(20), gaussian_spec(20)):
+            with monkeypatch.context() as m:
+                for name in ("_part_law", "_Binomial", "resolve_tilt", "saddlepoint_lambda",
+                             "_weighted_tail", "_histogram_sums", "_per_draw_sums"):
+                    m.setattr(montecarlo, name, no_work)
+                for method in unknown:
+                    with pytest.raises(ConfigError, match="unknown method"):
+                        estimate_tail(spec, 1.0, method, "saddlepoint", 1000, 1)
+            for method in unknown:
+                for call in (lambda: ratio_experiment(spec, [0.5, 1.0], method, 1000, 1),
+                             lambda: montecarlo._tail_rows(spec, [0.5, 1.0], method,
+                                                           "saddlepoint", 1000, 1)):
+                    with pytest.raises(ConfigError, match="unknown method"):
+                        call()
 
     def test_sample_cap(self):
         # 2^30 samples are 2^18 blocks; one more is refused before any work
@@ -2021,7 +2067,7 @@ class TestValidation:
         # building a law, drawing a sample, solving a tilt or certifying
         def no_work(*args, **kwargs):
             raise AssertionError("work was done for a nan threshold")
-        for name in ("_exact_oracle", "_weighted_tail", "saddlepoint_lambda"):
+        for name in ("_exact_rows", "_weighted_tail", "saddlepoint_lambda"):
             monkeypatch.setattr(montecarlo, name, no_work)
         monkeypatch.setattr(conditions, "certify", no_work)
         for spec in (rademacher_spec(10), three_point_spec(10), gaussian_spec(10)):
@@ -2052,7 +2098,7 @@ class TestValidation:
         # saddlepoint loop once ran its 400 steps, the closed forms gave nan
         def no_drift(*args):
             raise AssertionError("the drift was read at a nan threshold")
-        for name in ("drift_process", "drift_slope", "drift_and_slope"):
+        for name in ("drift_process", "drift_and_slope"):
             monkeypatch.setattr(tilting, name, no_drift)
         for call in (lambda: saddlepoint_lambda(rademacher_spec(20), math.nan),
                      lambda: tilting.solve_lambda_bar(math.nan, 0.1, 0.0, 1.0),
