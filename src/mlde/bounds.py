@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 # The paper never pins its constants, so they are fixed here.  The upper
@@ -33,9 +35,13 @@ class BoundEnvelope:
     valid: bool
 
 
-def gaussian_tail(x: float) -> float:
+def gaussian_tail(x):
     """1 - Phi(x): half of math.erfc at the double x/sqrt(2), which the tests
-    hold within 4 ulps of exact; montecarlo._normal_cdf maps the same erfc."""
+    hold within 4 ulps of exact.  A float for a float; for an ndarray, that
+    erfc at every element, in its shape.  Phi(a) is gaussian_tail(-a)."""
+    if isinstance(x, np.ndarray):
+        z = (x / math.sqrt(2.0)).ravel().tolist()
+        return 0.5 * np.fromiter(map(math.erfc, z), float, len(z)).reshape(x.shape)
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 

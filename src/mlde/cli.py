@@ -153,6 +153,8 @@ def _read_config(path: str) -> dict:
         return model.parse_config_dict(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read {path}: not UTF-8 text")
 
 
 def _spec_dict(args) -> dict:
@@ -263,11 +265,9 @@ def _cmd_tail(args, out_dir, started):
     lam_policy = _parse_lambda(args.lam)
     if args.method in ("crude", "tilted"):
         _require_seed(args)
-    cert = None
-    if args.method == "tilted" and lam_policy == "paper":
-        cert = conditions.certify(spec)
-    est = montecarlo.estimate_tail(spec, args.x, args.method, lam_policy,
-                                   args.samples, args.seed, cert)
+    paper = args.method == "tilted" and lam_policy == "paper"  # the sidecar's certificate
+    cert = conditions.certify(spec) if paper else None
+    est = montecarlo.estimate_tail(spec, args.x, args.method, lam_policy, args.samples, args.seed)
     csv_path = _emit(out_dir, "tail", args, spec, cert, [est],
                      {"p_hat": est.p_hat, "std_err": est.std_err,
                       "lambda_used": est.lambda_used}, started)
@@ -316,10 +316,9 @@ def _cmd_conjugate_clt(args, out_dir, started):
 def _cmd_mdp(args, out_dir, started):
     _require_seed(args)
     n_list = _parse_n_list(args.n_list)
-    gamma = args.a_exponent
     family = _family(args)
     rows = montecarlo.mdp_diagnostic(
-        family, lambda n: n**gamma, args.x, n_list,
+        family, args.a_exponent, args.x, n_list,
         samples=args.samples, seed=args.seed,
         lam_policy=_parse_lambda(args.lam))
     spec = family(n_list[-1])
@@ -367,9 +366,11 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](args, out_dir, started)
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {args.out}: {exc.strerror}")
+        return _COMMANDS[args.command](args, Path(args.out), started)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

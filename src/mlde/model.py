@@ -39,9 +39,9 @@ BLOCK = 4096
 
 
 def block_rng(seed: int, block: int) -> np.random.Generator:
-    if seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
-    return np.random.Generator(np.random.Philox(key=[seed, block]))
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed must be an integer in [0, 2^64)")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
 def _double_factorial(k: int) -> int:

@@ -315,7 +315,7 @@ def test_criterion_08_solver_residuals_and_brackets():
 
 def test_criterion_09_mdp_diagnostic():
     started = time.monotonic()
-    rows = mdp_diagnostic(rademacher_spec, lambda n: n**0.25, 1.0, [10_000],
+    rows = mdp_diagnostic(rademacher_spec, 0.25, 1.0, [10_000],
                           samples=100_000, seed=424242)
     row = rows[0]
     rel_dev = abs(row.value - (-0.5)) / 0.5

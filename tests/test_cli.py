@@ -117,6 +117,17 @@ class TestTail:
                     "--x", "0.5", "--method", "crude", "--out", str(tmp_path)])
         assert code == 2
 
+    def test_seed_range(self, tmp_path, capsys):
+        # a seed is a Philox key word: 2^64 raised OverflowError (exit 1) and
+        # is refused (exit 2, one stderr line, no CSV); 2^64 - 1 runs
+        draws = ["tail", "--model", "rademacher", "--n", "8", "--normalized", "--x", "0.5",
+                 "--samples", "1000", "--out", str(tmp_path)]
+        for method in ("crude", "tilted"):
+            assert run([*draws, "--method", method, "--seed", str(2**64)]) == 2, method
+            assert capsys.readouterr().err == "config error: seed must be an integer in [0, 2^64)\n"
+        assert not list(tmp_path.glob("*.csv"))
+        assert run([*draws, "--method", "tilted", "--seed", str(2**64 - 1)]) == 0
+
     def test_repeat_identical_csv(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -462,6 +473,19 @@ class TestMdpCommand:
         assert (rows[0]["p_hat"], rows[0]["std_err"], rows[0]["p_exact"]) == ("0.0", "0.0", "0.0")
 
 
+    def test_bad_speed_is_a_domain_error(self, tmp_path, capsys):
+        # n**a_exponent overflowed (1e308) or its square divided by zero
+        # (-400), a traceback and exit 1; every a_n is checked before any
+        # row: exit 3, one stderr line, no CSV
+        mdp = ["mdp", "--model", "rademacher", "--normalized", "--n", "10", "--x", "1",
+               "--n-list", "100", "--samples", "1000", "--seed", "1", "--out", str(tmp_path)]
+        for gamma in ("1e308", "-400"):
+            assert run([*mdp, "--a-exponent", gamma]) == 3, gamma
+            err = capsys.readouterr().err
+            assert err.startswith("domain error: speed") and err.count("\n") == 1, err
+        assert not list(tmp_path.glob("*.csv"))
+
+
 class TestLemmasCommand:
     def test_gaussian_zero_constants(self, tmp_path):
         code = run(["lemmas", "--model", "gaussian", "--n", "100", "--normalized",
@@ -618,6 +642,25 @@ class TestSpecFile:
         assert run(["certify", "--spec-file", str(missing), "--out", str(tmp_path)]) == 2
         assert run(["certify", "--model", f"finite:{missing}", "--n", "8",
                     "--out", str(tmp_path)]) == 2
+
+    def test_unreadable_files_are_config_errors(self, tmp_path, capsys):
+        # a spec file that is not UTF-8 text raised UnicodeDecodeError, and an
+        # --out naming a file FileExistsError: exit 1 with a traceback; now
+        # exit 2 with one stderr line each
+        binary = tmp_path / "binary.cfg"
+        binary.write_bytes(b"\xff\xfe")
+        for argv in (["--spec-file", str(binary)], ["--model", f"finite:{binary}", "--n", "8"]):
+            assert run(["certify", *argv, "--out", str(tmp_path)]) == 2, argv
+            assert capsys.readouterr().err == f"config error: cannot read {binary}: not UTF-8 text\n"
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for out in (taken, taken / "sub"):
+            assert run(["certify", "--model", "rademacher", "--n", "100", "--normalized",
+                        "--out", str(out)]) == 2, out
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: cannot make output directory {out}: ")
+            assert err.count("\n") == 1
+        assert taken.read_text() == ""
 
     def test_unread_keys_are_config_errors(self, tmp_path):
         # keys the chosen model never reads, from flags or from a spec file

@@ -146,8 +146,19 @@ class TestSpec:
     def test_bad_step_count_and_seed_rejected(self):
         with pytest.raises(ConfigError, match="n must be"):
             MartingaleSpec.iid(IncrementDistribution.scaled_rademacher(1.0), n=0)
-        with pytest.raises(ConfigError, match="seed"):
-            block_rng(-1, 0)
+        for seed in (-1, 2**64, 2**70):
+            with pytest.raises(ConfigError, match="seed"):
+                block_rng(seed, 0)
+
+    def test_seed_keys_every_bit(self):
+        # the key is two uint64 words: seeds from 2^63 were stored as float64,
+        # so 2^63 and 2^63 + 1 drew one stream and 2^64 - 1 warned; below 2^63
+        # the key words, and so the draws, are unchanged
+        raw = [block_rng(seed, 0).bit_generator.random_raw(4).tolist()
+               for seed in (2**63, 2**63 + 1, 2**64 - 1, 2**64 - 2)]
+        assert len({tuple(r) for r in raw}) == 4
+        assert block_rng(5, 3).bit_generator.random_raw(4).tolist() == [
+            13864069777372183386, 7591028229250530963, 13303101288174429082, 18197207255242370058]
 
     def test_varswitch_needs_even_n(self):
         base = IncrementDistribution.scaled_rademacher(1.0)

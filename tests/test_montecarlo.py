@@ -1352,8 +1352,9 @@ def exact_erfc(z):
 
 
 class TestNormalCdf:
-    """montecarlo._normal_cdf, the Phi under every KS distance, against exact
-    values and against bounds.gaussian_tail."""
+    """Phi, the normal cdf under every KS distance, read as
+    bounds.gaussian_tail(-x): against exact values, and an ndarray's result
+    against gaussian_tail's scalar calls."""
 
     # a grid over [-40, 40], dense where erfc leaves 2 and reaches 0, and
     # across the range boundaries of fdlibm's erfc (0.84375, 1.25, 1/0.35, 28)
@@ -1363,48 +1364,45 @@ class TestNormalCdf:
 
     def test_within_ulps_of_exact(self):
         # halving is exact, so 2 Phi(x) is the platform's erfc at the double
-        # z = x / -sqrt(2) that _normal_cdf computes, within 4 ulps of exact
+        # z = -x / sqrt(2) that gaussian_tail(-x) computes, within 4 ulps of exact
         x = self.GRID * -math.sqrt(2.0)
-        for z, got in zip(x / -math.sqrt(2.0), 2.0 * montecarlo._normal_cdf(x)):
+        for z, got in zip(-x / math.sqrt(2.0), 2.0 * bounds.gaussian_tail(-x)):
             want = exact_erfc(float(z))
             assert abs(decimal.Decimal(float(got)) - want) <= 4 * decimal.Decimal(
                 math.ulp(float(want))), z
-        # one erfc at one double for both tails: Phi(-x) is gaussian_tail(x), to the bit
-        for x, got in zip(self.GRID, montecarlo._normal_cdf(-self.GRID)):
-            assert got == bounds.gaussian_tail(float(x)), x
 
-    def test_fill_is_the_erfc_map(self):
-        # math.erfc is exactly 2 below -5.8635847487551676 and 0 past
-        # 27.226364135742184, so _normal_cdf fills those elements and maps
-        # the rest, with the bits of mapping them all: at nan, +-inf, +-0,
-        # 8 doubles either side of each x whose z is a threshold, the grid
-        # and [-1000, 1000], in any shape
-        def erfc_map(x):
-            z = np.asarray(x, dtype=float) / -math.sqrt(2.0)
-            return 0.5 * np.array([math.erfc(v) for v in z.ravel().tolist()]).reshape(z.shape)
-
+    def test_array_is_the_scalar_map(self):
+        # an ndarray is gaussian_tail at every element, to the bit and in its
+        # shape: at nan, +-inf, +-0, 8 doubles either side of each x whose
+        # z = x / sqrt(2) is where math.erfc leaves 2 (-5.8635847487551676)
+        # or reaches 0 (27.226364135742184), the grid and [-1000, 1000], as a
+        # row, as a 2-D array and as a 0-d array; a float gives a float
         windows = []
         for t in (27.226364135742184, -5.8635847487551676):
-            x0 = t * -math.sqrt(2.0)
+            x0 = t * math.sqrt(2.0)
             x = x0 + np.arange(-8, 9) * math.ulp(x0)
-            z = x / -math.sqrt(2.0)
+            z = x / math.sqrt(2.0)
             assert t in z and z.min() < t < z.max()
             windows.append(x)
         x = np.concatenate([[math.nan, math.inf, -math.inf, 0.0, -0.0], *windows, self.GRID,
                             np.linspace(-1000.0, 1000.0, 2001)])
-        for arr in (x, x[:len(x) // 2 * 2].reshape(2, -1)):
-            got, want = montecarlo._normal_cdf(arr), erfc_map(arr)
-            assert got.shape == want.shape
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for arr in (x, -x, x[:len(x) // 2 * 2].reshape(2, -1), np.array(1.5)):
+            got = bounds.gaussian_tail(arr)
+            want = np.array([bounds.gaussian_tail(v) for v in arr.ravel().tolist()])
+            assert got.shape == arr.shape and got.dtype == np.float64
+            assert np.array_equal(got.ravel().view(np.int64), want.view(np.int64))
+        assert all(type(bounds.gaussian_tail(v)) is float for v in (1.5, np.float64(1.5)))
 
     def test_edges(self):
         # erfc at z = -inf, -40, 0, 27.5, 40, inf is 2, 2, 1, 0, 0, 0
         z = np.array([-np.inf, -40.0, 0.0, 27.5, 40.0, np.inf])
-        np.testing.assert_array_equal(montecarlo._normal_cdf(z * -math.sqrt(2.0)),
+        np.testing.assert_array_equal(bounds.gaussian_tail(z * math.sqrt(2.0)),
                                       [1.0, 1.0, 0.5, 0.0, 0.0, 0.0])
-        assert np.isnan(montecarlo._normal_cdf(np.array([np.nan]))[0])
-        np.testing.assert_array_equal(montecarlo._normal_cdf(np.array([0.0, -40.0, 40.0])),
-                                      [0.5, 0.0, 1.0])
+        assert np.isnan(bounds.gaussian_tail(np.array([np.nan]))[0])
+        assert math.isnan(bounds.gaussian_tail(math.nan))
+        # Phi at +-0, -40 and 40
+        np.testing.assert_array_equal(bounds.gaussian_tail(-np.array([0.0, -0.0, -40.0, 40.0])),
+                                      [0.5, 0.5, 0.0, 1.0])
 
 
 class TestKsFromCdf:
@@ -1621,7 +1619,7 @@ def full_range_ks(spec, lam):
     atoms = n * values[0] + k * (values[1] - values[0]) - tilting.drift_process(spec, lam)
     cdf = montecarlo.binom.cdf(k, n, probs[1])
     left = np.concatenate([[0.0], cdf[:-1]])
-    phi = montecarlo._normal_cdf(atoms)
+    phi = bounds.gaussian_tail(-atoms)
     return float(np.max(np.maximum(np.abs(cdf - phi), np.abs(left - phi)))), cdf
 
 
@@ -1681,7 +1679,7 @@ class TestTwoPointKs:
         ((d, n),) = spec.iid_parts()
         values, _ = tilting.tilted_table(d, 50.0)
         below = n * values[0] + 98 * (values[1] - values[0]) - tilting.drift_process(spec, 50.0)
-        assert montecarlo._normal_cdf(below) == pytest.approx(0.34, abs=0.01)
+        assert bounds.gaussian_tail(-below) == pytest.approx(0.34, abs=0.01)
         ks = montecarlo._recentred_lattice_ks(spec, 50.0)
         assert ks == pytest.approx(0.4996377774644585, abs=1e-15)
         want, cdf = full_range_ks(spec, 50.0)
@@ -1929,7 +1927,7 @@ class TestMdp:
     def test_gaussian_closed_form(self):
         # every gaussian spec, variance switching too, is exactly N(0, 1)
         for family in (gaussian_spec, gaussian_varswitch_spec):
-            rows = mdp_diagnostic(family, lambda n: n**0.25, 1.0, [10_000],
+            rows = mdp_diagnostic(family, 0.25, 1.0, [10_000],
                                   samples=0, seed=0)
             row = rows[0]
             assert row.a_n == 10.0
@@ -1941,7 +1939,7 @@ class TestMdp:
     def test_rademacher_cross_check(self):
         # binomial closed form for Rademacher, the lattice table for three points
         for family, n in ((rademacher_spec, 4096), (three_point_spec, 1024)):
-            rows = mdp_diagnostic(family, lambda n: n**0.25, 1.0, [n],
+            rows = mdp_diagnostic(family, 0.25, 1.0, [n],
                                   samples=100_000, seed=6)
             row = rows[0]
             assert row.feasible
@@ -1956,7 +1954,7 @@ class TestMdp:
         assert montecarlo._part_route(IRRATIONAL, 4096)[3] > BYTE_BUDGET
         irrational = lambda n: MartingaleSpec.iid(IRRATIONAL, n=n, normalized=True)  # noqa: E731
         for family, exact in ((irrational, False), (three_point_spec, True)):
-            (row,) = mdp_diagnostic(family, lambda n: n**0.25, 1.0, [4096],
+            (row,) = mdp_diagnostic(family, 0.25, 1.0, [4096],
                                     samples=1_000, seed=6)
             assert row.feasible and math.isnan(row.p_exact) != exact
         assert row.p_exact == exact_tail(three_point_spec(4096), 4096**0.25).p_hat
@@ -1966,10 +1964,25 @@ class TestMdp:
         # row, read through the exact route, once came back as None
         for family in (gaussian_spec, rademacher_spec):
             with pytest.raises(DomainError, match="nan"):
-                mdp_diagnostic(family, lambda n: n**0.25, math.nan, [100], samples=1000, seed=1)
+                mdp_diagnostic(family, 0.25, math.nan, [100], samples=1000, seed=1)
+
+    def test_bad_speed_refused_before_any_work(self, monkeypatch):
+        # a_n = n**a_exponent is checked at every n before the first row is
+        # certified or estimated: one whose square is no positive double
+        # (overflow, underflow, nan) raises DomainError; 1e308 and -400 once
+        # died in the pow or in the division by a_n^2
+        def no_work(*args, **kwargs):
+            raise AssertionError("work was done before the speed was checked")
+        for name in ("_tail_rows", "exact_tail"):
+            monkeypatch.setattr(montecarlo, name, no_work)
+        monkeypatch.setattr(conditions, "certify", no_work)
+        for gamma, n_list in ((1e308, [100]), (-400.0, [100]), (math.nan, [100]),
+                              (60.0, [100, 10**6]), (-60.0, [100, 10**6])):
+            with pytest.raises(DomainError, match="speed"):
+                mdp_diagnostic(rademacher_spec, gamma, 1.0, n_list, samples=1000, seed=1)
 
     def test_infeasible_row_reported(self):
-        rows = mdp_diagnostic(rademacher_spec, lambda n: n**0.25, 1.0, [4096],
+        rows = mdp_diagnostic(rademacher_spec, 0.25, 1.0, [4096],
                               samples=200, seed=1, lam_policy=0.0)
         row = rows[0]
         assert not row.feasible and math.isnan(row.value)
@@ -2057,7 +2070,7 @@ class TestValidation:
                      lambda: tilted_tail_estimate(spec, 1.0, 0.5, too_many, seed=1),
                      lambda: estimate_tail(spec, 1.0, "tilted", "saddlepoint", too_many, 1),
                      lambda: ratio_experiment(spec, [1.0], "crude", too_many, 1),
-                     lambda: mdp_diagnostic(rademacher_spec, lambda n: n**0.25, 1.0,
+                     lambda: mdp_diagnostic(rademacher_spec, 0.25, 1.0,
                                             [100], samples=too_many, seed=1)):
             with pytest.raises(ConfigError, match="samples"):
                 call()
@@ -2106,19 +2119,30 @@ class TestValidation:
             with pytest.raises(DomainError, match="x must be >= 0"):
                 call()
 
+    def test_paper_policy_is_its_numeric_tilt(self):
+        # a "paper" estimate is the estimate at the numeric lambda-bar of the
+        # spec's own certificate, to the bit
+        for spec, x in ((rademacher_spec(400), 2.0),
+                        (MartingaleSpec.variance_switching(THREE_POINT, n=200, rho=0.5), 1.5)):
+            cert = conditions.certify(spec)
+            lam = tilting.solve_lambda_bar(x, cert.epsilon, cert.delta, bounds.C)
+            paper = estimate_tail(spec, x, "tilted", "paper", 20_000, 3)
+            assert paper == estimate_tail(spec, x, "tilted", lam, 20_000, 3)
+            assert paper.lambda_used == lam > 0.0
+
     def test_tilt_policies(self):
         # a number is taken as given at every threshold and refused unless
-        # finite and >= 0, "paper" certifies the spec itself when no
-        # certificate is passed, and any other policy is refused
-        spec = rademacher_spec(100)
-        cert = conditions.certify(spec)
-        assert montecarlo.resolve_tilt(spec, [1.0, 2.0], 0.25) == [0.25, 0.25]
-        for lam in (-0.5, math.nan, math.inf):
-            with pytest.raises(DomainError, match="finite and >= 0"):
-                montecarlo.resolve_tilt(spec, [], lam)
-        assert (montecarlo.resolve_tilt(spec, [1.0], "paper")
-                == montecarlo.resolve_tilt(spec, [1.0], "paper", cert)
-                == [tilting.solve_lambda_bar(1.0, cert.epsilon, cert.delta, bounds.C)])
+        # finite and >= 0, "paper" is solve_lambda_bar at the epsilon and
+        # delta of the spec's own certificate, and any other policy is refused
+        for spec in (rademacher_spec(100),
+                     MartingaleSpec.variance_switching(THREE_POINT, n=200, rho=0.5)):
+            cert = conditions.certify(spec)
+            assert montecarlo.resolve_tilt(spec, [1.0, 2.0], 0.25) == [0.25, 0.25]
+            for lam in (-0.5, math.nan, math.inf):
+                with pytest.raises(DomainError, match="finite and >= 0"):
+                    montecarlo.resolve_tilt(spec, [], lam)
+            assert montecarlo.resolve_tilt(spec, [1.0, 2.5], "paper") == [
+                tilting.solve_lambda_bar(x, cert.epsilon, cert.delta, bounds.C) for x in (1.0, 2.5)]
         with pytest.raises(ConfigError, match="lambda policy"):
             montecarlo.resolve_tilt(spec, [1.0], "nosuch")
 
