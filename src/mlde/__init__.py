@@ -24,7 +24,6 @@ from .montecarlo import (
     crude_tail_estimate,
     estimate_tail,
     exact_tail,
-    fit_constant,
     mdp_diagnostic,
     ratio_experiment,
     saddlepoint_lambda,

@@ -241,7 +241,7 @@ def _emit(out_dir: Path, stem, args, spec, cert, rows, results, started):
         "command": args.command,
         "config": _config_dict(args),
         "spec": model.spec_to_dict(spec),
-        "certificate": cert.to_json_dict() if cert else None,
+        "certificate": dataclasses.asdict(cert) if cert else None,
         "results": results or {},
         "files": files,
         "wall_time_s": time.monotonic() - started,
@@ -255,7 +255,7 @@ def _emit(out_dir: Path, stem, args, spec, cert, rows, results, started):
 def _cmd_certify(args, out_dir, started):
     spec = build_spec(args)
     cert = conditions.certify(spec)
-    print(json.dumps(cert.to_json_dict(), sort_keys=True))
+    print(json.dumps(dataclasses.asdict(cert), sort_keys=True))
     _emit(out_dir, "certify", args, spec, cert, None, None, started)
     return EXIT_OK
 
@@ -338,8 +338,9 @@ def _cmd_lemmas(args, out_dir, started):
         grid = _parse_grid(args.lambda_grid)
     else:
         grid = [float(v) for v in np.linspace(0.0, tilting.LEMMA_ALPHA / cert.epsilon, 21)]
-    reports = tilting.check_lemma2_lemma3(spec, grid, certificate=cert)
-    c2, c3 = tilting.fitted_drift_cumulant_constants(reports)
+    reports = tilting.check_lemma2_lemma3(spec, grid)
+    c2 = max(r.fitted_c2 for r in reports)
+    c3 = max(r.fitted_c3 for r in reports)
     lemma1 = [tilting.check_lemma1(d, cert.epsilon) for d, _ in spec.iid_parts()]
     holds = all(r.holds for r in lemma1)
     csv_path = _emit(out_dir, "lemmas", args, spec, cert, reports,

@@ -11,7 +11,7 @@ is provably small and K_MAX = 30 is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from .errors import DomainError
 from .model import IncrementDistribution, MartingaleSpec
@@ -37,9 +37,6 @@ class BernsteinCertificate:
     slack: float
     binding_k: int
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def _moments(dist: IncrementDistribution):
     """(E eta^2, [|E eta^k| for 3 <= k <= K_MAX]): every moment the scan and
@@ -64,14 +61,10 @@ def _bernstein_scan(moments):
 
 
 def _slack(moments, H: float) -> float:
-    """bernstein_slack from a law's _moments."""
+    """max_k |E eta^k| / (k!/2 * H^(k-2) * E eta^2) from a law's _moments;
+    <= 1 iff H is valid."""
     m2, mks = moments
     return max(mk / (0.5 * math.factorial(k) * H ** (k - 2) * m2) for k, mk in enumerate(mks, 3))
-
-
-def bernstein_slack(dist: IncrementDistribution, H: float) -> float:
-    """max_k |E eta^k| / (k!/2 * H^(k-2) * E eta^2); <= 1 iff H is valid."""
-    return _slack(_moments(dist), H)
 
 
 def certify(spec: MartingaleSpec) -> BernsteinCertificate:

@@ -25,7 +25,9 @@ offset*g in every form.  One tie rule in float arithmetic, ``_cut``, gives
 the least value an atom above x must have: on a lattice the first atom that
 both floor((x - base) / g) and its float value put above x, off one the
 next double.  Every exact reader and every sampled hit compare with it, so
-the sampler puts an atom at x on the same side as exact_tail does.
+the sampler puts an atom at x on the same side as exact_tail does.  It is
+the only rule: a sampled row past the top of the support is drawn as any
+other, and reads 0 because no atom lies past its cut.
 
 Sampling draws each part's sufficient statistic: binomial counts for a
 two-atom table, multinomial counts for a larger one, both over the part's
@@ -655,23 +657,19 @@ def saddlepoint_lambda(spec: MartingaleSpec, x):
     running from one drift_and_slope call, so an element has the bits of
     the one-threshold solve.
 
-    A finite spec solves at min(x, m), m = top - g/2 the midpoint of X_n's
-    two top atoms (g the least top gap of its parts): above m, {X_n > x} is
-    {X_n = top}.  The tilt at m has bounded relative error: the deficit
-    top - X_n has tilted mean g/2 and is >= g off the top, so (Markov) the
-    top atom's tilted mass q is >= 1/2, and a draw weighing each hit p/q
-    has variance p^2 (1/q - 1) <= p^2."""
+    A finite spec solves at min(x, m) for every x >= 0, +inf too, m =
+    top - g/2 the midpoint of X_n's two top atoms (g the least top gap of its
+    parts): above m, {X_n > x} is {X_n = top} or empty.  The tilt at m has
+    bounded relative error: the deficit top - X_n has tilted mean g/2 and is
+    >= g off the top, so (Markov) the top atom's tilted mass q is >= 1/2, and
+    a draw weighing each hit p/q has variance p^2 (1/q - 1) <= p^2."""
     xs = np.asarray(x, dtype=float).reshape(-1).tolist()
     if not all(v >= 0 for v in xs):  # nan too
         raise DomainError("x must be >= 0")
-    sup = _drift_supremum(spec)
-    if xs and max(xs) >= sup:
-        raise DomainError(
-            f"threshold {max(xs):.6g} at or beyond the maximal reachable drift {sup:.6g}"
-        )
-    if sup < math.inf:
-        top = sup - 0.5 * min(d.values[-1] - d.values[-2] for d, _ in spec.iid_parts())
-        xs = [min(v, top) for v in xs]
+    if spec.dist.kind != "gaussian":
+        gap = min(d.values[-1] - d.values[-2] for d, _ in spec.iid_parts())
+        m = _drift_supremum(spec) - 0.5 * gap
+        xs = [min(v, m) for v in xs]
     # B_n'(0) is the total predictable variance
     variance = spec.total_variance()
     lam = [v / variance for v in xs]
@@ -833,19 +831,6 @@ def clt_rate_curve(model_family, n_list) -> tuple:
 
 # -- experiments ----------------------------------------------------------------
 
-def fit_constant(observed) -> float:
-    """Smallest c with value <= c * budget across rows: max of value/budget."""
-    observed = list(observed)
-    if not observed:
-        raise ValueError("empty-input")
-    worst = 0.0
-    for value, budget in observed:
-        if budget <= 0.0:
-            raise ValueError(f"nonpositive bound expression {budget!r}")
-        worst = max(worst, value / budget)
-    return worst
-
-
 def estimate_tail(spec, x, method, lam_policy, samples, seed) -> TailEstimate:
     """P(X_n > x) by one of TAIL_METHODS: crude, tilted at the tilt
     resolve_tilt picks, or exact_tail's route.  A nan x raises DomainError."""
@@ -872,34 +857,24 @@ def _tail_rows(spec, xs, method, lam_policy, samples, seed) -> list:
     """The estimate by one of TAIL_METHODS at every threshold of xs: the
     exact rows from _exact_rows, or the crude or tilted (at resolve_tilt's
     tilts) rows from one resolve_tilt call for the tilts and one
-    _weighted_tail call for the estimates.  A tilted row at or past the top
-    of the support is p_hat = 0 from no samples, and asks for none: at least
-    100 samples are required only where a row is sampled.  A nan x raises
-    DomainError, an unknown method or a bad sample count ConfigError, before
-    any work."""
+    _weighted_tail call for the estimates, which ask for at least 100
+    samples.  Every row's hits are _cut's alone, as the exact rows' are: a
+    row with no atom above x is sampled as any other, and reads 0.  A nan x
+    raises DomainError, an unknown method or a bad sample count ConfigError,
+    before any work."""
     xs = [float(x) for x in xs]
     if any(map(math.isnan, xs)):
         raise DomainError("threshold x is nan")
     if method not in TAIL_METHODS:
         raise ConfigError(f"unknown method {method!r}")
     exact = method in EXACT_METHODS
-    top = _drift_supremum(spec) if method == "tilted" else math.inf
-    inside = [] if exact else [x for x in xs if x < top]
-    _check_samples(samples, least=100 if inside else 0)
+    _check_samples(samples, least=0 if exact else 100)
     if exact:
         return _exact_rows(spec, xs)
-    lams = resolve_tilt(spec, inside, lam_policy if method == "tilted" else 0.0)
-    sampled = iter(zip(lams, _weighted_tail(spec, inside, lams, samples, seed)))
-    rows = []
-    for x in xs:
-        if x < top:
-            lam, (p, se) = next(sampled)
-            rows.append(TailEstimate(x=x, p_hat=p, std_err=se, n_samples=samples,
-                                     method=method, seed=seed, lambda_used=lam))
-        else:  # no atom above x, and no tilt reaches it
-            rows.append(TailEstimate(x=x, p_hat=0.0, std_err=0.0, n_samples=0,
-                                     method=method, seed=seed))
-    return rows
+    lams = resolve_tilt(spec, xs, lam_policy if method == "tilted" else 0.0)
+    return [TailEstimate(x=x, p_hat=p, std_err=se, n_samples=samples, method=method, seed=seed,
+                         lambda_used=lam)
+            for x, lam, (p, se) in zip(xs, lams, _weighted_tail(spec, xs, lams, samples, seed))]
 
 
 def ratio_experiment(
@@ -941,7 +916,7 @@ def ratio_experiment(
             pairs.append((abs(log_ratio), budget))
         env = bounds.theorems_envelope(x, eps, delta)
         raw.append((x, est, tail, ratio, log_ratio, env, budget, feasible))
-    c_star = fit_constant(pairs) if pairs else 0.0
+    c_star = max((value / budget for value, budget in pairs), default=0.0)
     rows = []
     for x, est, tail, ratio, log_ratio, env, budget, feasible in raw:
         within = feasible and abs(log_ratio) <= c_star * budget * (1.0 + 1e-12)
@@ -961,7 +936,7 @@ def ratio_experiment(
                 within_envelope_at_fitted_c=within,
             )
         )
-    return RatioExperiment(rows=tuple(rows), fitted_c_star=c_star, certificate=cert)
+    return RatioExperiment(tuple(rows), c_star, cert)
 
 
 def mdp_diagnostic(

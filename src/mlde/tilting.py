@@ -238,24 +238,27 @@ class TiltReport:
     fitted_c3: float
 
 
-def check_lemma2_lemma3(spec: MartingaleSpec, lambda_grid, certificate):
+def check_lemma2_lemma3(spec: MartingaleSpec, lambda_grid):
     """Exact B_n and Psi_n across a lambda grid with residuals of
 
         |B_n(lam) - lam|        <= lam delta^2 + c lam^2 epsilon
         |Psi_n(lam) - lam^2/2|  <= c lam^3 epsilon + lam^2 delta^2 / 2
 
     at c = bounds.C, and per-row minimal constants, with epsilon and delta
-    taken from the spec's certificate.  Grid points must satisfy
-    0 <= lam <= LEMMA_ALPHA/epsilon.
+    from certify(spec).  Every grid point must satisfy 0 <= lam <=
+    LEMMA_ALPHA/epsilon, checked before B_n and Psi_n are read for the
+    whole grid, one call each.
     """
-    eps, delta = certificate.epsilon, certificate.delta
-    reports = []
-    for lam in lambda_grid:
-        lam = float(lam)
-        if lam < 0.0 or lam > LEMMA_ALPHA / eps * (1.0 + 1e-12):
+    cert = conditions.certify(spec)
+    eps, delta = cert.epsilon, cert.delta
+    lams = [float(lam) for lam in lambda_grid]
+    for lam in lams:
+        if not 0.0 <= lam <= LEMMA_ALPHA / eps * (1.0 + 1e-12):  # nan too
             raise DomainError(f"lambda = {lam:.6g} outside [0, alpha/epsilon]")
-        b_n = drift_process(spec, lam)
-        psi = cumulant_process(spec, lam)
+    grid = np.array(lams)
+    reports = []
+    for lam, b_n, psi in zip(lams, drift_process(spec, grid).tolist(),
+                             cumulant_process(spec, grid).tolist()):
         dev2 = abs(b_n - lam)
         dev3 = abs(psi - 0.5 * lam * lam)
         res2 = dev2 - (lam * delta**2 + bounds.C * lam**2 * eps)
@@ -277,10 +280,3 @@ def check_lemma2_lemma3(spec: MartingaleSpec, lambda_grid, certificate):
             )
         )
     return reports
-
-
-def fitted_drift_cumulant_constants(reports) -> tuple:
-    """Smallest constants making both bounds hold across a grid of reports."""
-    c2 = max((r.fitted_c2 for r in reports), default=0.0)
-    c3 = max((r.fitted_c3 for r in reports), default=0.0)
-    return c2, c3

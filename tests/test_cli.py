@@ -102,6 +102,23 @@ class TestTail:
         assert float(cells["std_err"]) > 0.0
         assert abs(float(cells["p_hat"]) - 0.020695) <= 3.5 * float(cells["std_err"])
 
+    def test_tilted_at_the_float_top(self, tmp_path):
+        # at varswitch n = 4, x = 1.9318516525781364 is the sum of count *
+        # v_last in floats, yet the float top atom lies above it, with
+        # P(X_4 > x) = 1/16: the tilted row samples it and reads it
+        row = ["tail", "--model", "varswitch", "--rho", "0.5", "--n", "4",
+               "--x", "1.9318516525781364", "--samples", "100000", "--seed", "1"]
+        cells = {}
+        for method in ("exact", "tilted"):
+            assert run([*row, "--method", method, "--out", str(tmp_path / method)]) == 0
+            header, line = (tmp_path / method / "tail.csv").read_text().strip().splitlines()
+            cells[method] = dict(zip(header.split(","), line.split(",")))
+        assert float(cells["exact"]["p_hat"]) == 1 / 16
+        tilted = cells["tilted"]
+        assert int(tilted["n_samples"]) == 100000
+        assert 0.0 < float(tilted["std_err"])
+        assert abs(float(tilted["p_hat"]) - 1 / 16) <= 5.0 * float(tilted["std_err"])
+
     def test_paper_lambda_policy(self, tmp_path):
         code = run(["tail", "--model", "rademacher", "--n", "20", "--normalized",
                     "--x", "2.0", "--method", "tilted", "--lambda", "paper",

@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from mlde.conditions import K_MAX, _bernstein_scan, _moments, bernstein_slack, certify
+from mlde.conditions import K_MAX, _bernstein_scan, _moments, _slack, certify
 from mlde.errors import DomainError
 from mlde.model import IncrementDistribution, MartingaleSpec
 
@@ -141,13 +141,13 @@ class TestCertify:
                 [(d, k) for d in laws for k in range(2, K_MAX + 1)]
             eps, k = max(_bernstein_scan(_moments(d)) for d in laws)
             assert (cert.epsilon, cert.binding_k) == (eps, k)
-            assert cert.slack == max(bernstein_slack(d, eps) for d in laws)
+            assert cert.slack == max(_slack(_moments(d), eps) for d in laws)
 
     def test_slack_binds_at_binding_k(self):
         for d in (RADEMACHER, GAUSSIAN):
             cert = certify(MartingaleSpec.iid(d, n=1))
             assert cert.slack == pytest.approx(1.0, abs=1e-12)
-            assert bernstein_slack(d, cert.H) == pytest.approx(1.0, abs=1e-12)
+            assert _slack(_moments(d), cert.H) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSakhanenko:
@@ -174,7 +174,7 @@ class TestSakhanenko:
             even_moment_by_quadrature(sigma2, k) / (0.5 * math.factorial(k) * H ** (k - 2) * m2)
             for k in range(4, K_MAX + 1, 2)
         )
-        slack = bernstein_slack(IncrementDistribution.gaussian(sigma2), H)
+        slack = _slack(_moments(IncrementDistribution.gaussian(sigma2)), H)
         assert slack == pytest.approx(expected, rel=1e-12)
         if K * abs3_exp_by_quadrature(sigma2, K) / sigma2 <= 1.0:
             assert slack <= 1.0
@@ -188,7 +188,7 @@ class TestCramerConversion:
     def test_rademacher_example(self):
         # c0 = 1, c1 = e, E eta^2 = 1 -> H = 2e; the slack binds at k = 4
         h = max(1.0, 2.0 * math.e)
-        assert bernstein_slack(RADEMACHER, h) == pytest.approx(1.0 / (48.0 * math.e**2), rel=1e-14)
+        assert _slack(_moments(RADEMACHER), h) == pytest.approx(1.0 / (48.0 * math.e**2), rel=1e-14)
         assert _bernstein_scan(_moments(RADEMACHER))[0] <= h
 
     @given(
@@ -208,5 +208,5 @@ class TestCramerConversion:
         assume(d.variance >= 0.01)  # keeps H^(K_MAX - 2) inside the float range
         c1 = math.fsum(p * math.exp(abs(v) / c0) for v, p in zip(d.values, d.probs))
         h = max(c0, 2.0 * c0**3 * c1 / d.variance)
-        assert bernstein_slack(d, h) <= 1.0 + 1e-12
+        assert _slack(_moments(d), h) <= 1.0 + 1e-12
         assert _bernstein_scan(_moments(d))[0] <= h

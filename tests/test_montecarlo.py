@@ -27,7 +27,6 @@ from mlde.montecarlo import (
     crude_tail_estimate,
     estimate_tail,
     exact_tail,
-    fit_constant,
     mdp_diagnostic,
     ratio_experiment,
     saddlepoint_lambda,
@@ -831,8 +830,13 @@ class TestSaddlepoint:
         assert saddlepoint_lambda(rademacher_spec(8), 0.0) == 0.0
 
     def test_beyond_support(self):
-        with pytest.raises(DomainError):
-            saddlepoint_lambda(rademacher_spec(16), 4.0)  # sup drift = sqrt(16) = 4
+        # at and past the top atom 4 of X_16 the solve is the one at the
+        # midpoint 3.75 of the two top atoms, as it is just below the top
+        spec = rademacher_spec(16)
+        mid = saddlepoint_lambda(spec, 3.75)
+        for x in (4.0, 5.0, math.inf):
+            assert saddlepoint_lambda(spec, x) == mid, x
+        assert saddlepoint_lambda(spec, np.array([3.75, 4.0, 5.0])).tolist() == [mid] * 3
 
     def test_gaussian_closed_form(self):
         assert saddlepoint_lambda(gaussian_spec(30), 2.0) == pytest.approx(2.0, abs=1e-9)
@@ -964,9 +968,10 @@ class TestSaddlepoint:
         # its own solve and is within the bisection's width of it, x = 0 at
         # 0 and every x at or above the top atoms' midpoint m at m's tilt;
         # each step reads all running thresholds in one drift_and_slope
-        # call, so the grid takes as many calls as its slowest row.  Rows
-        # past the top of the support are not solved: the tilted grid gives
-        # them p_hat = 0 from no samples
+        # call, so the grid takes as many calls as its slowest row.  Rows at
+        # and past the top of the support solve at m too, and the tilted grid
+        # samples them at that tilt: no atom lies above x, so p_hat = 0 and
+        # std_err = 0 from all N samples
         three = three_point_spec(100)
         top = montecarlo._drift_supremum(three)
         cases = [(rademacher_spec(16), [0.0, 0.5, 1.0, 2.0, 3.0, 3.5, 3.74, 3.75, 3.9,
@@ -978,12 +983,11 @@ class TestSaddlepoint:
         calls = self.drift_calls(monkeypatch)
         for spec, grid in cases:
             sup = montecarlo._drift_supremum(spec)
-            inside = np.array([x for x in grid if x < sup])
             calls.clear()
-            lams = saddlepoint_lambda(spec, inside)
+            lams = saddlepoint_lambda(spec, np.array(grid))
             grid_calls = len(calls)
             most = 0
-            for x, lam in zip(inside.tolist(), lams.tolist()):
+            for x, lam in zip(grid, lams.tolist()):
                 calls.clear()
                 assert lam == saddlepoint_lambda(spec, x), (spec, x)
                 most = max(most, len(calls))
@@ -992,12 +996,14 @@ class TestSaddlepoint:
             assert grid_calls == most, spec
             assert lams[0] == 0.0
             m = sup - 0.5 * min(d.values[-1] - d.values[-2] for d, _ in spec.iid_parts())
-            above = [lam for x, lam in zip(inside, lams) if x >= m]
+            above = [lam for x, lam in zip(grid, lams) if x >= m]
             assert above == [saddlepoint_lambda(spec, m)] * len(above), spec
             rows = montecarlo._tail_rows(spec, grid, "tilted", "saddlepoint", 1000, 3)
-            assert [row.lambda_used for row in rows[:len(inside)]] == lams.tolist()
-            for row in rows[len(inside):]:
-                assert (row.p_hat, row.std_err, row.n_samples) == (0.0, 0.0, 0), (spec, row.x)
+            assert [row.lambda_used for row in rows] == lams.tolist()
+            for row in rows:
+                assert row.n_samples == 1000
+                if row.x >= sup:
+                    assert (row.p_hat, row.std_err) == (0.0, 0.0), (spec, row.x)
 
 
 class TestExactTail:
@@ -1989,19 +1995,26 @@ class TestMdp:
 
 
 class TestFitConstant:
+    """ratio_experiment's c*: the largest |log ratio| / budget over the
+    feasible rows, 0 where no row is feasible.  Every budget is > 0, since
+    epsilon is in (0, 1/2]."""
+
     def test_all_zero(self):
-        assert fit_constant([(0.0, 1.0), (0.0, 2.0)]) == 0.0
+        # no atom lies above 4 = the top of X_16: no row is feasible
+        result = ratio_experiment(rademacher_spec(16), [4.0, 5.0], "exact")
+        assert result.fitted_c_star == 0.0
+        assert not any(r.feasible or r.within_envelope_at_fitted_c for r in result.rows)
 
     def test_single_row(self):
-        assert fit_constant([(0.3, 0.1)]) == pytest.approx(3.0, rel=1e-15)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fit_constant([])
-
-    def test_nonpositive_bound_rejected(self):
-        with pytest.raises(ValueError):
-            fit_constant([(0.1, 0.0)])
+        spec = rademacher_spec(100)
+        cert = conditions.certify(spec)
+        for grid in ([1.5], [0.5, 1.5, 2.5, 12.0]):
+            result = ratio_experiment(spec, grid, "exact")
+            fits = [abs(r.log_ratio) / bounds.ratio_bound_expression(r.x, cert.epsilon,
+                                                                     cert.delta)
+                    for r in result.rows if r.feasible]
+            assert fits and result.fitted_c_star == max(fits) > 0.0, grid
+            assert all(r.within_envelope_at_fitted_c for r in result.rows if r.feasible)
 
 
 class TestValidation:
@@ -2011,34 +2024,67 @@ class TestValidation:
         with pytest.raises(ConfigError):
             tilted_tail_estimate(rademacher_spec(4), 0.0, 0.5, 99, seed=1)
 
-    def test_rows_past_the_top_draw_nothing(self, monkeypatch):
-        # a tilted row at or past the top of the support is p_hat = 0 from no
-        # samples by every entry alike (tail, the ratio table and the public
-        # estimator share one path): it builds no law, draws nothing and asks
-        # for no 100 samples, while a tilt given as a number is still checked.
-        # A grid with a row to sample asks for them, as a one-row call does
-        def no_work(*args):
-            raise AssertionError("a row past the top was sampled")
+    def test_rows_past_the_top_read_zero_through_the_cut(self, monkeypatch):
+        # a tilted row at or past the top of the support is sampled as any
+        # other by every entry alike (tail, the ratio table and the public
+        # estimator share one path): _cut puts no atom above it, so it reads
+        # p_hat = 0 and std_err = 0 from all N samples, on both routes, at
+        # the tilt the policy gives it.  It asks for 100 samples like any row
         spec = rademacher_spec(16)  # the top of the support is 4
-        with monkeypatch.context() as m:
-            for name in ("_part_law", "_histogram_sums", "_per_draw_sums"):
-                m.setattr(montecarlo, name, no_work)
-            for samples in (0, 50, 1000):
-                rows = [estimate_tail(spec, 4.0, "tilted", "saddlepoint", samples, 1),
-                        tilted_tail_estimate(spec, 5.0, 0.5, samples, seed=1),
-                        *montecarlo._tail_rows(spec, [4.0, 5.0], "tilted", "paper", samples, 1)]
-                for row in rows:
-                    assert (row.p_hat, row.std_err, row.n_samples, row.lambda_used) == \
-                        (0.0, 0.0, 0, 0.0), (samples, row)
-                ratio = ratio_experiment(spec, [4.0, 5.0], "tilted", samples, 1)
-                assert [r.p_hat for r in ratio.rows] == [0.0, 0.0]
-            with pytest.raises(DomainError, match="finite and >= 0"):
-                tilted_tail_estimate(spec, 5.0, -0.5, 1000, seed=1)
-        for call in (lambda: estimate_tail(spec, 1.0, "tilted", "saddlepoint", 50, 1),
+        mid = saddlepoint_lambda(spec, 3.75)
+        paper = montecarlo.resolve_tilt(spec, [4.0, 5.0], "paper")
+        for draw_s in (montecarlo._DRAW_S, 0.0):  # the histogram route, then per draw
+            monkeypatch.setattr(montecarlo, "_DRAW_S", draw_s)
+            rows = [(estimate_tail(spec, 4.0, "tilted", "saddlepoint", 1000, 1), mid),
+                    (tilted_tail_estimate(spec, 5.0, 0.5, 1000, seed=1), 0.5),
+                    *zip(montecarlo._tail_rows(spec, [4.0, 5.0], "tilted", "paper", 1000, 1),
+                         paper)]
+            for row, lam in rows:
+                assert (row.p_hat, row.std_err, row.n_samples, row.lambda_used) == \
+                    (0.0, 0.0, 1000, lam), (draw_s, row)
+            ratio = ratio_experiment(spec, [4.0, 5.0], "tilted", 1000, 1)
+            assert [(r.p_hat, r.std_err) for r in ratio.rows] == [(0.0, 0.0)] * 2
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            tilted_tail_estimate(spec, 5.0, -0.5, 1000, seed=1)
+        for call in (lambda: estimate_tail(spec, 4.0, "tilted", "saddlepoint", 50, 1),
+                     lambda: tilted_tail_estimate(spec, 5.0, 0.5, 99, seed=1),
+                     lambda: montecarlo._tail_rows(spec, [4.0, 5.0], "tilted", "paper", 0, 1),
                      lambda: ratio_experiment(spec, [1.0, 5.0], "tilted", 50, 1),
                      lambda: ratio_experiment(spec, [5.0], "crude", 50, 1)):
             with pytest.raises(ConfigError, match="samples"):
                 call()
+
+    def test_top_of_the_support_reads_as_exact_does(self, monkeypatch):
+        # x = _drift_supremum, the sum of count * v_last in floats, can lie
+        # below the float top atom, the sum over the parts of base + offset g:
+        # only _cut tells whether an atom lies above x.  Over five tables,
+        # iid (normalized or not) and varswitch at rho = 0.5, n = 2..100, a
+        # saddlepoint-tilted row at that x is > 0 where exact_tail is, within
+        # 5 se of it, and exactly 0 where it is 0, on both routes
+        tables = (RADEMACHER, THREE_POINT, IRRATIONAL,
+                  IncrementDistribution.finite_table([(-0.7, 0.3), (0.3, 0.7)]),
+                  IncrementDistribution.finite_table(
+                      [(-2.0, 0.1), (-1.0, 0.2), (0.0, 0.4), (1.0, 0.2), (2.0, 0.1)]))
+        specs = [spec for d in tables for n in range(2, 101)
+                 for spec in (MartingaleSpec.iid(d, n=n, normalized=True),
+                              MartingaleSpec.iid(d, n=n),
+                              *([MartingaleSpec.variance_switching(d, n=n, rho=0.5)]
+                                if n % 2 == 0 else []))]
+        assert len(specs) == 1240
+        reached, empty = [], []
+        for spec in specs:
+            x = montecarlo._drift_supremum(spec)
+            p = exact_tail(spec, x).p_hat
+            (reached if p > 0.0 else empty).append((spec, x, p))
+        assert len(reached) == 138
+        for spec, x, p in reached:
+            est = estimate_tail(spec, x, "tilted", "saddlepoint", 4000, 1)
+            assert est.p_hat > 0.0 and abs(est.p_hat - p) <= 5.0 * est.std_err, (spec, x, p, est)
+        for draw_s in (montecarlo._DRAW_S, 0.0):  # the histogram route, then per draw
+            monkeypatch.setattr(montecarlo, "_DRAW_S", draw_s)
+            for spec, x, _ in empty[::10]:
+                est = estimate_tail(spec, x, "tilted", "saddlepoint", 4000, 1)
+                assert (est.p_hat, est.std_err) == (0.0, 0.0), (draw_s, spec, x, est)
 
     def test_unknown_method_rejected(self, monkeypatch):
         # a method outside TAIL_METHODS is refused by every entry, and by

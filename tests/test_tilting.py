@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from mlde import conditions, montecarlo
+from mlde import bounds, conditions, montecarlo, tilting
 from mlde.errors import DomainError
 from mlde.model import IncrementDistribution, MartingaleSpec
 from mlde.tilting import (
@@ -16,7 +16,6 @@ from mlde.tilting import (
     cumulant_process,
     drift_and_slope,
     drift_process,
-    fitted_drift_cumulant_constants,
     solve_lambda_bar,
     solve_lambda_under,
     step_cumulant,
@@ -39,6 +38,11 @@ def tilted_variance(dist, lam):
 def drift_slope(spec, lam):
     """B_n'(lam), drift_and_slope's slope."""
     return drift_and_slope(spec, lam)[1]
+
+
+def fitted_constants(reports):
+    """(c2, c3): the smallest constants making both bounds hold on every row."""
+    return max(r.fitted_c2 for r in reports), max(r.fitted_c3 for r in reports)
 
 
 class TestStepQuantities:
@@ -329,8 +333,8 @@ class TestLemmaChecks:
         spec = MartingaleSpec.iid(GAUSSIAN, n=100, normalized=True)
         cert = conditions.certify(spec)
         grid = np.linspace(0.0, 0.5 / cert.epsilon, 11)
-        reports = check_lemma2_lemma3(spec, grid, certificate=cert)
-        c2, c3 = fitted_drift_cumulant_constants(reports)
+        reports = check_lemma2_lemma3(spec, grid)
+        c2, c3 = fitted_constants(reports)
         assert c2 == 0.0 and c3 == 0.0
         for r in reports:
             assert r.b_n == r.lam
@@ -338,7 +342,7 @@ class TestLemmaChecks:
 
     def test_zero_lambda_row(self):
         spec = MartingaleSpec.iid(RADEMACHER, n=100, normalized=True)
-        (report,) = check_lemma2_lemma3(spec, [0.0], conditions.certify(spec))
+        (report,) = check_lemma2_lemma3(spec, [0.0])
         assert report.psi_n == 0.0 and report.b_n == 0.0
         assert report.lemma2_residual == 0.0 and report.lemma3_residual == 0.0
 
@@ -348,8 +352,8 @@ class TestLemmaChecks:
             spec = MartingaleSpec.iid(RADEMACHER, n=n, normalized=True)
             cert = conditions.certify(spec)
             grid = np.linspace(0.0, 0.5 / cert.epsilon, 41)
-            reports = check_lemma2_lemma3(spec, grid, certificate=cert)
-            cs[n] = fitted_drift_cumulant_constants(reports)
+            reports = check_lemma2_lemma3(spec, grid)
+            cs[n] = fitted_constants(reports)
             # at the fitted constants the two-sided bounds hold on every row
             c2, c3 = cs[n]
             for r in reports:
@@ -370,15 +374,48 @@ class TestLemmaChecks:
         cert = conditions.certify(spec)
         assert cert.delta == 0.0
         grid = np.linspace(0.0, 0.5 / cert.epsilon, 21)
-        reports = check_lemma2_lemma3(spec, grid, certificate=cert)
-        c2, c3 = fitted_drift_cumulant_constants(reports)
+        reports = check_lemma2_lemma3(spec, grid)
+        c2, c3 = fitted_constants(reports)
         assert 0 < c2 < 10 and 0 < c3 < 10
 
-    def test_range_error_beyond_alpha_over_eps(self):
-        spec = MartingaleSpec.iid(RADEMACHER, n=100, normalized=True)
-        cert = conditions.certify(spec)
-        with pytest.raises(DomainError):
-            check_lemma2_lemma3(spec, [0.6 / cert.epsilon], certificate=cert)
+    def test_range_error_beyond_alpha_over_eps(self, monkeypatch):
+        # a tilt outside [0, alpha/epsilon] anywhere in the grid, at
+        # certify(spec)'s epsilon, is refused before B_n or Psi_n is read
+        def no_work(*args):
+            raise AssertionError("B_n or Psi_n was read for a refused grid")
+        for spec in (MartingaleSpec.iid(RADEMACHER, n=100, normalized=True),
+                     MartingaleSpec.variance_switching(RADEMACHER, n=50, rho=0.5),
+                     MartingaleSpec.iid(GAUSSIAN, n=100, normalized=True)):
+            eps = conditions.certify(spec).epsilon
+            with monkeypatch.context() as m:
+                for name in ("drift_process", "cumulant_process"):
+                    m.setattr(tilting, name, no_work)
+                for bad in (0.6 / eps, -0.1, math.nan):
+                    with pytest.raises(DomainError, match="outside"):
+                        check_lemma2_lemma3(spec, [0.0, 0.25 / eps, 0.5 / eps, bad])
+
+    def test_whole_grid_in_one_call_each(self, monkeypatch):
+        # B_n and Psi_n are read for the whole grid in one call each, and
+        # every row has the bits of the one-tilt drift_process and
+        # cumulant_process, at certify(spec)'s epsilon and delta
+        for spec in (MartingaleSpec.iid(TABLE, n=60, normalized=True),
+                     MartingaleSpec.variance_switching(RADEMACHER, n=50, rho=0.5),
+                     MartingaleSpec.iid(GAUSSIAN, n=100, normalized=True)):
+            cert = conditions.certify(spec)
+            grid = np.linspace(0.0, 0.5 / cert.epsilon, 21)
+            calls = []
+            with monkeypatch.context() as m:
+                for name in ("drift_process", "cumulant_process"):
+                    real = getattr(tilting, name)
+                    m.setattr(tilting, name, lambda s, lam, real=real, name=name:
+                              calls.append(name) or real(s, lam))
+                reports = check_lemma2_lemma3(spec, grid)
+            assert sorted(calls) == ["cumulant_process", "drift_process"]
+            for r, lam in zip(reports, grid.tolist(), strict=True):
+                assert (r.lam, r.b_n, r.psi_n) == \
+                    (lam, drift_process(spec, lam), cumulant_process(spec, lam))
+                want = lam * cert.delta**2 + bounds.C * lam**2 * cert.epsilon
+                assert r.lemma2_residual == abs(r.b_n - lam) - want
 
     def test_tilted_variance_perturbation_bound(self):
         # |tilted var - var| <= c * lam * eps * var with a finite fitted c
