@@ -16,7 +16,7 @@ from .conditions import (
     BernsteinCertificate,
     certify,
 )
-from .errors import ConfigError, DomainError, InfeasibleError, UnsupportedKindError
+from .errors import ConfigError, DomainError, InfeasibleError
 from .model import IncrementDistribution, MartingaleSpec
 from .montecarlo import (
     TailEstimate,
@@ -37,8 +37,6 @@ from .tilting import (
     drift_process,
     solve_lambda_bar,
     solve_lambda_under,
-    step_cumulant,
-    step_drift,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

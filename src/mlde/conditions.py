@@ -60,6 +60,14 @@ def _bernstein_scan(moments):
     return best, best_k
 
 
+def _scan(dist: IncrementDistribution):
+    """A law's (_moments, _bernstein_scan), taken once: cached in its __dict__, unseen by eq."""
+    if "_scan" not in dist.__dict__:
+        moments = _moments(dist)
+        dist.__dict__["_scan"] = moments, _bernstein_scan(moments)
+    return dist.__dict__["_scan"]
+
+
 def _slack(moments, H: float) -> float:
     """max_k |E eta^k| / (k!/2 * H^(k-2) * E eta^2) from a law's _moments;
     <= 1 iff H is valid."""
@@ -77,9 +85,9 @@ def certify(spec: MartingaleSpec) -> BernsteinCertificate:
     Raises DomainError when epsilon or delta land outside their admissible
     ranges (reported, never clamped).
     """
-    moments = [_moments(d) for d, _ in spec.iid_parts()]  # each summed once
-    epsilon, binding_k = max(map(_bernstein_scan, moments))
-    slack = max(_slack(m, epsilon) for m in moments)
+    scans = [_scan(d) for d, _ in spec.iid_parts()]
+    epsilon, binding_k = max(h for _, h in scans)
+    slack = max(_slack(m, epsilon) for m, _ in scans)
     delta = math.sqrt(abs(spec.total_variance() - 1.0))
 
     if epsilon > 0.5:

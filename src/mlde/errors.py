@@ -11,7 +11,3 @@ class DomainError(ValueError):
 
 class InfeasibleError(RuntimeError):
     """An estimate carries no usable information, e.g. p_hat = 0 (CLI exit code 4)."""
-
-
-class UnsupportedKindError(DomainError):
-    """Distribution kind has no closed form for the requested quantity."""

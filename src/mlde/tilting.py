@@ -1,12 +1,10 @@
 """Conjugate-measure machinery.
 
-Per-step log moment generating functions ("cumulants"), tilted means and
-tilted laws, the cumulant and drift processes of a whole spec, the closed-form
-tilt parameter solvers, and exact residual checks of the moment/drift/cumulant
-inequalities that drive the ratio bounds.
-
-All exponential sums are evaluated max-shifted so that large lambda * value
-products never overflow.
+The cumulant and drift processes of a whole spec, summed over its sum parts
+from each step law's own cumulant, drift and slope at an array of tilts (see
+``model``: no reader here knows a law's kind); the closed-form tilt parameter
+solvers; and exact residual checks of the moment/drift/cumulant inequalities
+that drive the ratio bounds.
 """
 
 from __future__ import annotations
@@ -23,128 +21,45 @@ from .model import IncrementDistribution, MartingaleSpec
 LEMMA_ALPHA = 0.5  # the lemma checks take tilts 0 <= lam <= LEMMA_ALPHA/epsilon
 
 
-# -- one-step quantities -----------------------------------------------------
-
-def _table_logexp(values: np.ndarray, probs: np.ndarray, lam: float):
-    """Shifted terms of E e^(lam*eta) for a finite table.
-
-    Returns (shift, terms) with E e^(lam*eta) = e^shift * sum(terms).
-    """
-    a = lam * values + np.log(probs)
-    shift = float(a.max())  # the ndarray methods skip np.max/np.sum dispatch
-    return shift, np.exp(a - shift)
-
-
-def step_cumulant(dist: IncrementDistribution, lam: float) -> float:
-    """log E e^(lam * eta), exact per kind."""
-    if dist.kind == "gaussian":
-        return 0.5 * lam * lam * dist.sigma2
-    values, probs = dist.table()
-    shift, terms = _table_logexp(values, probs, lam)
-    return shift + math.log(float(terms.sum()))
-
-
-def step_drift(dist: IncrementDistribution, lam: float) -> float:
-    """Tilted mean E(eta e^(lam eta)) / E(e^(lam eta))."""
-    if dist.kind == "gaussian":
-        return lam * dist.sigma2
-    values, probs = dist.table()
-    _, terms = _table_logexp(values, probs, lam)
-    return float(np.dot(values, terms) / terms.sum())
-
-
-def tilted_table(dist: IncrementDistribution, lam: float):
-    """(values, probs) of the tilted law of a finitely supported dist, values
-    ascending as in its table."""
-    values, probs = dist.table()
-    _, terms = _table_logexp(values, probs, lam)
-    return values, terms / float(terms.sum())
-
-
 # -- whole-spec processes ----------------------------------------------------
 # Each takes a tilt or a 1-D array of tilts: a tilt gives a float, an array an
-# array, each element with the bits of the one-tilt sums.  The parts' tilted
-# tables are (tilts x parts x atoms) arrays (the parts of a spec are one base
-# table, scaled).  Psi_n and B_n read them with step_cumulant's and
-# step_drift's arithmetic (the same max shift, sums along the atoms, and
-# np.vecdot, which gives np.dot's bits row by row), so they keep the bits of
-# the sums over the parts of those.
+# array, each element with the bits of the one-tilt sums.
 
 def _over_parts(spec: MartingaleSpec, lam, read):
-    """sum over the spec's parts of count * each per-part quantity that
-    read(values, shift, terms, total) gives, at each tilt: a float for a
-    tilt, an array for an array.  read takes the parts' values (parts x
-    atoms) and, at a block of tilts, _table_logexp's shift and terms of each
-    part (tilts x parts x atoms) and the terms' sums (tilts x parts), and
-    returns a tuple of (tilts x parts) arrays.
-
-    A block holds about 2^16 table cells, so a long grid of a many-atom
-    table takes no more memory than a short one; no element reads another,
-    so the blocks move no bit.  The parts add up as count * value, in
-    order, with the bits of Python's sum from 0 (no product here is -0.0)."""
-    counts, values, log_probs = spec.part_tables()
+    """sum over the spec's sum parts of count * each column read(law, tilts)
+    gives at the 1-D array of tilts: a float for a tilt, an array for an
+    array.  The parts add up as count * value, in order, with the bits of
+    Python's sum from 0 (no product here is -0.0)."""
     lams = np.asarray(lam, dtype=float)
-    one = lams.ndim == 0
-    lams = lams.reshape(-1, 1, 1)
-    rows = max(1, (1 << 16) // values.size)
-    blocks = []
-    for i in range(0, max(len(lams), 1), rows):
-        a = lams[i:i + rows] * values + log_probs
-        shift = a.max(axis=2, keepdims=True)
-        a -= shift
-        terms = np.exp(a, out=a)
-        blocks.append(read(values, shift[..., 0], terms, terms.sum(axis=2)))
-    out = []
-    for per_part in blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks)):
-        total = counts[0] * per_part[:, 0]
-        for j in range(1, len(counts)):
-            total += counts[j] * per_part[:, j]
-        out.append(total.item() if one else total)
-    return out
-
-
-def _log_sums(values, shift, terms, total):
-    """step_cumulant's shift + log(sum of terms), by math.log as it takes it:
-    numpy's log may differ by an ulp."""
-    logs = np.fromiter(map(math.log, total.ravel().tolist()), float, total.size)
-    return (shift + logs.reshape(total.shape),)
-
-
-def _mean_and_variance(values, shift, terms, total):
-    """step_drift's tilted mean and the tilted mean square deviation from it."""
-    mean = np.vecdot(terms, values) / total
-    dev = values - mean[..., None]
-    dev *= dev
-    return mean, np.vecdot(dev, terms) / total
+    total = None
+    for law, count in spec.sum_parts():
+        columns = [count * c for c in read(law, lams.reshape(-1))]
+        total = columns if total is None else [t + c for t, c in zip(total, columns)]
+    return [t.item() if lams.ndim == 0 else t for t in total]
 
 
 def cumulant_process(spec: MartingaleSpec, lam):
     """Psi_n(lam) = sum_i log E(e^(lam xi_i) | F_{i-1}), summed over the
-    spec's iid parts as sum count * step_cumulant(law, lam).
+    spec's sum parts as sum count * law.cumulant(lam) (lam^2 V / 2 for a
+    gaussian spec of total variance V).
 
     Deterministic for every spec: the parts are the conditional step laws,
     and every path meets each of them count times (for variance_switching,
     each pair visits both branch laws once whatever the realized sign).
     """
-    if spec.dist.kind == "gaussian":
-        # lam^2/2 times the total variance, taken exactly, so normalized and
-        # variance_switching specs give lam^2/2 to the bit
-        return 0.5 * lam * lam * spec.total_variance()
-    (psi,) = _over_parts(spec, lam, _log_sums)
+    (psi,) = _over_parts(spec, lam, lambda law, lams: (law.cumulant(lams),))
     return psi
 
 
 def drift_and_slope(spec: MartingaleSpec, lam):
     """(B_n(lam), B_n'(lam)) from one tilted table per part.  B_n = sum_i of
-    the tilted conditional means, summed over the spec's iid parts as sum
-    count * step_drift(law, lam); its slope is sum count * Var_lam(eta), the
-    predictable variance under the lam-tilted measure, each part's the
-    tilted mean square deviation from that part's drift.  Both are
-    deterministic for the same reason as cumulant_process."""
-    if spec.dist.kind == "gaussian":
-        v = spec.total_variance()
-        return lam * v, np.full(np.shape(lam), v) if np.ndim(lam) else v
-    return tuple(_over_parts(spec, lam, _mean_and_variance))
+    the tilted conditional means, summed over the spec's sum parts as sum
+    count * the law's tilted mean; its slope is sum count * Var_lam(eta),
+    the predictable variance under the lam-tilted measure, each part's the
+    tilted mean square deviation from that part's drift (lam V and V for a
+    gaussian spec).  Both are deterministic for the same reason as
+    cumulant_process."""
+    return tuple(_over_parts(spec, lam, lambda law, lams: law.drift_and_slope(lams)))
 
 
 def drift_process(spec: MartingaleSpec, lam):

@@ -296,16 +296,26 @@ class TestSidecarRoundTrip:
 
 
 class TestGridsAndLists:
-    def test_bad_grid_exit(self, tmp_path):
+    def test_bad_grid_exit(self, tmp_path, capsys):
         # each is refused before a grid is allocated or a row is computed
         for command, flag, grid in (("ratio-table", "--x-grid", "5:1:0.5"),
                                     ("ratio-table", "--x-grid", "0:1e30:1"),
                                     ("ratio-table", "--x-grid", "0:nan:1"),
+                                    ("ratio-table", "--x-grid", "1:2:0"),
                                     ("lemmas", "--lambda-grid", "0:inf:1")):
             code = run([command, "--model", "gaussian", "--n", "50", "--normalized",
                         flag, grid, "--out", str(tmp_path)])
             assert code == 2, grid
+            if grid == "1:2:0":
+                assert "need finite a <= b and step > 0" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_one_row_grid(self, tmp_path):
+        # a grid whose end is its start is the one row x = a
+        assert run(["ratio-table", "--model", "gaussian", "--n", "50", "--normalized",
+                    "--x-grid", "1:1:0.5", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "ratio.csv").read_text().strip().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["1.0"]
 
     @pytest.mark.parametrize("method", ["exact", "crude"])
     def test_negative_threshold_is_domain_error(self, tmp_path, capsys, method):

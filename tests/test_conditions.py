@@ -129,8 +129,8 @@ class TestCertify:
         # for k = 2..K_MAX is summed once per part, and the certificate keeps
         # the bits of the scan and the slack computed on their own
         calls = []
-        moment = IncrementDistribution.moment
-        monkeypatch.setattr(IncrementDistribution, "moment",
+        moment = type(RADEMACHER).moment  # the table law's
+        monkeypatch.setattr(type(RADEMACHER), "moment",
                             lambda self, k: calls.append((self, k)) or moment(self, k))
         for spec in (MartingaleSpec.iid(RADEMACHER, n=100, normalized=True),
                      MartingaleSpec.variance_switching(RADEMACHER, n=100, rho=0.5)):

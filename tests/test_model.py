@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from mlde.errors import ConfigError, UnsupportedKindError
+from mlde import conditions
+from mlde.errors import ConfigError
 from mlde.model import (
     IncrementDistribution,
     MartingaleSpec,
@@ -111,8 +112,7 @@ class TestIncrementDistribution:
             r.moment(-1)
         with pytest.raises(ValueError, match="scale factor"):
             r.scaled(0.0)
-        with pytest.raises(UnsupportedKindError):
-            IncrementDistribution.gaussian(1.0).table()
+        assert not hasattr(IncrementDistribution.gaussian(1.0), "table")  # a normal has none
 
     def test_moment_past_the_double_range(self):
         # v**k past the largest double reads as inf, not an OverflowError,
@@ -211,9 +211,8 @@ class TestCaches:
 
     def test_filled_cache_changes_no_identity(self):
         for filled, fresh in zip(self.specs(), self.specs()):
-            for d, _ in filled.iid_parts():
-                if d.kind != "gaussian":
-                    d.table()
+            for d, _ in filled.iid_parts() + filled.sum_parts():
+                d.sum_law(3, 0.5), conditions._scan(d)  # every law's arrays and its moment scan
             assert filled == fresh
             assert hash(filled) == hash(fresh)
             assert repr(filled) == repr(fresh)
@@ -230,6 +229,34 @@ class TestCaches:
             first = spec.iid_parts()
             assert first == want
             assert spec.iid_parts() is first and spec.iid_parts() == want
+
+    def test_sum_parts_fold_a_gaussian_spec(self):
+        # a table spec's sum parts are its iid parts; a gaussian spec's are the
+        # one part N(0, total_variance()), V taken exactly
+        for spec in self.specs()[:3]:
+            assert spec.sum_parts() is spec.sum_parts() == spec.iid_parts()
+        gauss = IncrementDistribution.gaussian
+        specs = (MartingaleSpec.iid(gauss(2.0), n=30),
+                 MartingaleSpec.iid(gauss(1.0), n=100, normalized=True),
+                 MartingaleSpec.variance_switching(gauss(2.0), n=30, rho=0.5))
+        for spec, v in zip(specs, (60.0, 1.0, 1.0)):
+            assert spec.sum_parts() == ((gauss(v), 1),)
+        # summing count * sigma^2 over the steps would not give V to the bit
+        assert math.fsum(c * d.variance for d, c in specs[1].iid_parts()) == 1.0000000000000002
+
+    def test_moment_scan_once_per_law(self, monkeypatch):
+        # certify takes each step law's moment scan once, so a spec's second
+        # certificate scans no moment
+        calls = []
+        real = conditions._moments
+        monkeypatch.setattr(conditions, "_moments", lambda d: calls.append(d) or real(d))
+        for base in (self.THREE, IncrementDistribution.gaussian(2.0)):
+            for spec in (MartingaleSpec.iid(base, n=100, normalized=True),
+                         MartingaleSpec.variance_switching(base, n=100, rho=0.5)):
+                calls.clear()
+                first = conditions.certify(spec)
+                assert conditions.certify(spec) == first
+                assert calls == [d for d, _ in spec.iid_parts()]
 
 
 class TestSpecConfig:

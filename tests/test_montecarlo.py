@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
-from scipy.stats import binom
+from scipy.optimize import minimize_scalar
+from scipy.stats import binom, norm
 
-from mlde import bounds, cli, conditions, montecarlo, tilting
+from mlde import bounds, cli, conditions, model, montecarlo, tilting
 from mlde.errors import ConfigError, DomainError
-from mlde.model import IncrementDistribution, MartingaleSpec
+from mlde.model import BYTE_BUDGET, IncrementDistribution, MartingaleSpec
 from mlde.montecarlo import (
-    BYTE_BUDGET,
     EXACT_METHODS,
     MAX_SAMPLES,
     TAIL_METHODS,
@@ -45,6 +45,11 @@ def rademacher_spec(n):
     return MartingaleSpec.iid(RADEMACHER, n=n, normalized=True)
 
 
+# gaussian specs whose total variance is not 1: V = 1.1 and V = 20
+GAUSSIANS_OFF_ONE = (MartingaleSpec.iid(IncrementDistribution.gaussian(0.1), n=11),
+                     MartingaleSpec.iid(IncrementDistribution.gaussian(2.0), n=10))
+
+
 def gaussian_spec(n):
     return MartingaleSpec.iid(GAUSSIAN, n=n, normalized=True)
 
@@ -55,6 +60,16 @@ def gaussian_varswitch_spec(n):
 
 def three_point_spec(n):
     return MartingaleSpec.iid(THREE_POINT, n=n, normalized=True)
+
+
+def top_of(spec):
+    """The top of X_n's support: the sum over the parts of count * the law's top."""
+    return sum(count * d.top for d, count in spec.sum_parts())
+
+
+def tilted_table(d, lam):
+    """(values, probs) of a table law's lam-tilted table."""
+    return d.table()[0], d._tilted(lam)
 
 
 def sampled_laws(monkeypatch, spec, lam, samples=100):
@@ -279,7 +294,7 @@ class TestCrude:
         # some 60 se from the other
         spec = rademacher_spec(6400)
         x = cli._parse_grid("0:80:0.8")[3]
-        law = montecarlo._part_law(spec.iid_parts()[0][0], 6400, 0.0)
+        law = spec.iid_parts()[0][0].sum_law(6400, 0.0)
         other_cut = np.searchsorted(law.atoms, x, side="right")
         assert law.above(x) == other_cut + 1
         exact = exact_tail(spec, x).p_hat
@@ -346,6 +361,14 @@ class TestTilted:
         exact = bounds.gaussian_tail(2.5)
         est = tilted_tail_estimate(spec, 2.5, 2.5, 100_000, seed=23)
         assert abs(est.p_hat - exact) <= 3.5 * est.std_err
+        # per draw at the saddlepoint tilt x / V, where the total variance V is not 1
+        for spec in GAUSSIANS_OFF_ONE:
+            x = 2.5 * math.sqrt(spec.total_variance())
+            exact = exact_tail(spec, x).p_hat
+            assert exact == bounds.gaussian_tail(x / math.sqrt(spec.total_variance()))
+            est = estimate_tail(spec, x, "tilted", "saddlepoint", 100_000, 23)
+            assert est.lambda_used == x / spec.total_variance()
+            assert abs(est.p_hat - exact) <= 5.0 * est.std_err, (spec, est)
 
     def test_change_of_measure_identity_iid_exact(self):
         # sum_k pmf_tilted(k) * w(k) * 1{x_k > x} must equal the base tail
@@ -362,12 +385,12 @@ class TestTilted:
                 binom.pmf(k, 12, p_hi) * np.exp(psi - lam * atoms) * (atoms > x)
             ))
             assert lhs == pytest.approx(exact_tail(spec, x).p_hat, rel=1e-12)
-        # the same identity over _part_law's tilted sum law (a polynomial
+        # the same identity over sum_law's tilted sum law (a polynomial
         # power on the three-point lattice, count vectors off a lattice),
         # against the same builder's untilted law
         for spec in (three_point_spec(12), MartingaleSpec.iid(IRRATIONAL, n=8, normalized=True)):
             psi = tilting.cumulant_process(spec, lam)
-            law = montecarlo._part_law(spec.iid_parts()[0][0], spec.n, lam)
+            law = spec.iid_parts()[0][0].sum_law(spec.n, lam)
             atoms, pmf = law.atoms, law.pmf
             for x in (0.0, 0.5, 1.5, 2.5):
                 lhs = float(np.sum(pmf * np.exp(psi - lam * atoms) * (atoms > x)))
@@ -380,8 +403,8 @@ class TestTilted:
         spec = MartingaleSpec.variance_switching(RADEMACHER, n=n, rho=rho)
         (hi, _), (lo, _) = spec.iid_parts()
         laws = {
-            True: (*tilting.tilted_table(hi, lam), tilting.step_cumulant(hi, lam)),
-            False: (*tilting.tilted_table(lo, lam), tilting.step_cumulant(lo, lam)),
+            True: (*tilted_table(hi, lam), float(hi.cumulant(np.array([lam]))[0])),
+            False: (*tilted_table(lo, lam), float(lo.cumulant(np.array([lam]))[0])),
         }
         for x in (0.0, 0.6, 1.2):
             acc = 0.0
@@ -397,12 +420,12 @@ class TestTilted:
                 if run > x:
                     acc += prob * math.exp(psi - lam * run)
             assert acc == pytest.approx(exact_tail(spec, x).p_hat, rel=1e-11)
-        # the same identity over the parts' tilted sum laws from _part_law,
+        # the same identity over the parts' tilted sum laws from sum_law,
         # sum_{a,b} pmf_A(a) pmf_B(b) w(a + b) 1{a + b > x}
         for base in (RADEMACHER, THREE_POINT, IRRATIONAL):
             spec = MartingaleSpec.variance_switching(base, n=12, rho=rho)
             psi = tilting.cumulant_process(spec, lam)
-            a, b = [montecarlo._part_law(d, c, lam) for d, c in spec.iid_parts()]
+            a, b = [d.sum_law(c, lam) for d, c in spec.iid_parts()]
             total = np.add.outer(a.atoms, b.atoms)
             weighted = np.outer(a.pmf, b.pmf) * np.exp(psi - lam * total)
             for x in (0.0, 0.6, 1.2, 2.5):
@@ -477,7 +500,7 @@ class TestTilted:
             assert len(results) == 1, spec
 
     def test_per_draw_sums_are_the_laws_atoms(self):
-        # each part's per-draw sum has the bits of an atom of _part_law's law
+        # each part's per-draw sum has the bits of an atom of sum_law's law
         # on every form (binomial, lattice power, count vectors off a
         # lattice, count vectors folded onto a sparse one whose centred
         # values are not dyadic), and a draw is a hit, at or past the _cut of
@@ -496,8 +519,8 @@ class TestTilted:
                               (((off, 30),), 0.4, 4096), (((sparse, 200),), 0.0, 4096),
                               (varswitch.iid_parts(), 0.4, 512)):
             rng = montecarlo.block_rng(1, 0)
-            laws = [montecarlo._part_law(d, count, lam) for d, count in parts]
-            draws = [montecarlo._part_draws(d, count, lam, rng, m) for d, count in parts]
+            laws = [d.sum_law(count, lam) for d, count in parts]
+            draws = [d.draws(count, lam, rng, m) for d, count in parts]
             for law, (sums, _) in zip(laws, draws):
                 idx = np.searchsorted(law.atoms, sums)
                 assert np.array_equal(law.atoms[idx], sums), parts
@@ -510,7 +533,7 @@ class TestTilted:
                                          [-math.inf, math.inf]])
             for x in np.array_split(thresholds, len(thresholds) // 64 + 1):  # 64 rows at a time
                 y = x[:, None] - a
-                assert np.array_equal(sums >= montecarlo._cut(y, lattice),
+                assert np.array_equal(sums >= model._cut(y, lattice),
                                       idx >= laws[-1].above(y)), (parts, x)
 
     def test_histogram_route_choice(self, monkeypatch):
@@ -553,12 +576,12 @@ class TestTilted:
             (rademacher_spec(10_000), 10**5, True, [4128]),
             (MartingaleSpec.iid(wide, n=2000), 10**5, False, [200_001])]
         for spec, samples, histogram, sizes in rows:
-            assert [montecarlo._part_route(d, c)[0] for d, c in spec.iid_parts()] == sizes
+            assert [d.route(c)[0] for d, c in spec.iid_parts()] == sizes
             laws = sampled_laws(monkeypatch, spec, 0.7, samples)
             assert (laws is not None) == histogram, (sizes, samples)
             for law, (d, count), size in zip(laws or (), spec.iid_parts(), sizes):
                 assert len(law.atoms) == len(law.pmf) <= size
-                want = montecarlo._part_law(d, count, 0.7)
+                want = d.sum_law(count, 0.7)
                 assert np.array_equal(law.atoms, want.atoms)
                 assert np.array_equal(law.pmf, want.pmf)
         # no finite part means no histogram, whatever N
@@ -624,7 +647,7 @@ class TestTilted:
             calls.clear()
             est = crude_tail_estimate(spec, x, MAX_SAMPLES, seed=21)
             exact = exact_tail(spec, x).p_hat
-            laws = [montecarlo._part_law(d, count, 0.0) for d, count in spec.iid_parts()]
+            laws = [d.sum_law(count, 0.0) for d, count in spec.iid_parts()]
             atoms, pmf = laws[-1].atoms, laws[-1].pmf
             *outer, (p, _) = calls
             if outer:
@@ -678,8 +701,7 @@ class TestTilted:
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
         for spec, samples, pooled in self.POOL_TABLE:
-            parts = spec.iid_parts() if spec.dist.kind != "gaussian" else ()
-            draws = sum(samples * montecarlo._DRAW_S * (len(d.values) - 1) for d, _ in parts)
+            draws = sum(samples * montecarlo._DRAW_S * d.categories for d, _ in spec.sum_parts())
             assert (draws >= montecarlo._POOL_S) == pooled, (spec, samples)
             lam = saddlepoint_lambda(spec, 2.0)
             assert sampled_laws(monkeypatch, spec, lam, samples) is None, (spec, samples)
@@ -749,7 +771,7 @@ class TestHistogramSums:
 
 
 class TestLatticeLaw:
-    """_part_law's tilted sum law of a three-point lattice table, always
+    """sum_law's tilted sum law of a three-point lattice table, always
     built on its lattice (3n + 1 atoms, far cheaper than its count vectors)."""
 
     @staticmethod
@@ -796,12 +818,12 @@ class TestLatticeLaw:
         # about a minute per tilt; that sum is within 1.3e-13 of it)
         for n in (1, 2, 7, 30, 100, 400):
             spec = three_point_spec(n)
-            assert montecarlo._part_route(spec.iid_parts()[0][0], n)[:2] == (3 * n + 1, True)
+            assert spec.iid_parts()[0][0].route(n)[:2] == (3 * n + 1, True)
             for lam in (0.0, 0.7, 3.0, 20.0):
-                law = montecarlo._part_law(spec.iid_parts()[0][0], n, lam)
+                law = spec.iid_parts()[0][0].sum_law(n, lam)
                 assert len(law.atoms) == 3 * n + 1
                 pmf = self.on_lattice(spec, law)
-                _, probs = tilting.tilted_table(spec.iid_parts()[0][0], lam)
+                _, probs = tilted_table(spec.iid_parts()[0][0], lam)
                 if n <= 100:
                     want = np.array([float(w) for w in self.exact_power(probs, n)])
                 else:
@@ -813,8 +835,8 @@ class TestLatticeLaw:
         for n in (1, 2, 5, 13, 30):
             spec = three_point_spec(n)
             for lam in (0.0, 0.7, 3.0):
-                pmf = self.on_lattice(spec, montecarlo._part_law(spec.iid_parts()[0][0], n, lam))
-                _, probs = tilting.tilted_table(spec.iid_parts()[0][0], lam)
+                pmf = self.on_lattice(spec, spec.iid_parts()[0][0].sum_law(n, lam))
+                _, probs = tilted_table(spec.iid_parts()[0][0], lam)
                 for got, want in zip(pmf, self.exact_power(probs, n), strict=True):
                     assert abs(Fraction(got) - want) <= Fraction(1, 10**13) * want
 
@@ -848,7 +870,7 @@ class TestSaddlepoint:
         min(x, midpoint of X_n's two top atoms) for a finite spec."""
         if x == 0.0:
             return 0.0
-        sup = montecarlo._drift_supremum(spec)
+        sup = top_of(spec)
         if sup < math.inf:
             x = min(x, sup - 0.5 * min(d.values[-1] - d.values[-2] for d, _ in spec.iid_parts()))
         hi = 1.0
@@ -885,7 +907,7 @@ class TestSaddlepoint:
         # the Newton solve never needs more drift evaluations than bisection
         varswitch = [MartingaleSpec.variance_switching(d, n=200, rho=0.5)
                      for d in (RADEMACHER, THREE_POINT)]
-        top = montecarlo._drift_supremum(three_point_spec(100))
+        top = top_of(three_point_spec(100))
         cases = [(rademacher_spec(1600), 0.5 * k) for k in range(1, 41)]
         cases += [(three_point_spec(400), 3.0)]
         cases += [(rademacher_spec(n), n**0.25) for n in (100, 1000, 10000)]
@@ -904,7 +926,7 @@ class TestSaddlepoint:
             lam = saddlepoint_lambda(spec, x)
             assert abs(lam - want) <= 2e-10 * max(1.0, lam), (spec, x, lam, want)
             assert len(calls) <= budget, (spec, x, len(calls), budget)
-        for spec in (gaussian_spec(30), gaussian_varswitch_spec(30)):
+        for spec in (gaussian_spec(30), gaussian_varswitch_spec(30), *GAUSSIANS_OFF_ONE):
             for x in (0.3, 2.0, 7.5):
                 assert saddlepoint_lambda(spec, x) == x / spec.total_variance()
 
@@ -934,7 +956,7 @@ class TestSaddlepoint:
                    for d in (RADEMACHER, THREE_POINT)))
         calls = self.drift_calls(monkeypatch)
         for spec in specs:
-            top = montecarlo._drift_supremum(spec)
+            top = top_of(spec)
             for eps in (1e-6, 1e-8, 1e-9, 1e-10, 1e-11):
                 calls.clear()
                 saddlepoint_lambda(spec, top * (1.0 - eps))
@@ -954,7 +976,7 @@ class TestSaddlepoint:
                                                          rho=rng.uniform(0.0, 0.9))
             else:
                 spec = MartingaleSpec.iid(d, n=n, normalized=bool(rng.random() < 0.5))
-            top = montecarlo._drift_supremum(spec)
+            top = top_of(spec)
             if rng.random() < 0.6:
                 x = top * (1.0 - 10.0 ** rng.uniform(-14.0, 0.0))
             else:
@@ -973,7 +995,7 @@ class TestSaddlepoint:
         # samples them at that tilt: no atom lies above x, so p_hat = 0 and
         # std_err = 0 from all N samples
         three = three_point_spec(100)
-        top = montecarlo._drift_supremum(three)
+        top = top_of(three)
         cases = [(rademacher_spec(16), [0.0, 0.5, 1.0, 2.0, 3.0, 3.5, 3.74, 3.75, 3.9,
                                          4.0 * (1.0 - 1e-13), 4.0, 5.0]),
                  (three, [0.0, *(f * top for f in (0.1, 0.3, 0.6, 0.999, 1 - 1e-9, 1 - 1e-11)),
@@ -982,7 +1004,7 @@ class TestSaddlepoint:
                   [0.0, 0.5, 1.0, 2.0, 3.0, 4.0])]
         calls = self.drift_calls(monkeypatch)
         for spec, grid in cases:
-            sup = montecarlo._drift_supremum(spec)
+            sup = top_of(spec)
             calls.clear()
             lams = saddlepoint_lambda(spec, np.array(grid))
             grid_calls = len(calls)
@@ -1065,7 +1087,7 @@ class TestExactTail:
         # spelling reads all of a spec's thresholds as one grid, and
         # exact_tail, a one-row grid, has the bits of its grid's row
         def atoms_of(spec):
-            laws = [montecarlo._part_law(d, c, 0.0) for d, c in spec.iid_parts()]
+            laws = [d.sum_law(c, 0.0) for d, c in spec.iid_parts()]
             return functools.reduce(np.add.outer, [law.atoms for law in laws]).ravel()
 
         cases = ((rademacher_spec(400), cli._parse_grid("0:4:0.1")),
@@ -1115,6 +1137,10 @@ class TestExactTail:
             est = exact_tail(spec, 1.75)
             assert est.method == "exact_gaussian"
             assert est.p_hat == bounds.gaussian_tail(1.75)
+        for spec in GAUSSIANS_OFF_ONE:  # N(0, V): the tail at x / sqrt(V)
+            est = exact_tail(spec, 1.75)
+            assert est.method == "exact_gaussian"
+            assert est.p_hat == bounds.gaussian_tail(1.75 / math.sqrt(spec.total_variance()))
 
     def test_three_point_enum_against_bruteforce(self):
         table = IncrementDistribution.finite_table(
@@ -1140,15 +1166,16 @@ class TestExactTail:
         # and the refusal comes before any allocation (numpy is never reached)
         table = IncrementDistribution.finite_table(
             [(math.sqrt(v), 1.0 / 6.0) for v in (0, 1, 2, 3, 5, 7)])
-        assert table.lattice is None and montecarlo._part_route(table, 100)[3] > 20 * BYTE_BUDGET
+        assert table.lattice is None and table.route(100)[3] > 20 * BYTE_BUDGET
         # a lattice power priced past the time budget is refused the same
         # way, from its atom count alone: 300,001 atoms would take about 6 s,
         # and 3e15 + 1 could not even be allocated
-        power = [montecarlo._part_route(THREE_POINT, n) for n in (10**5, 10**15)]
-        assert all(powered and seconds > 3 * montecarlo.TIME_BUDGET
+        power = [THREE_POINT.route(n) for n in (10**5, 10**15)]
+        assert all(powered and seconds > 3 * model.TIME_BUDGET
                    for _, powered, seconds, _ in power)
-        monkeypatch.setattr(montecarlo, "_Law", None)
-        monkeypatch.setattr(montecarlo.np, "convolve", None)
+        for name in ("_Law", "_Binomial"):  # no law, and no table of the chain, is built
+            monkeypatch.setattr(model, name, None)
+        monkeypatch.setattr(model.np, "convolve", None)
         for method in EXACT_METHODS:
             with pytest.raises(DomainError, match="too-large"):
                 estimate_tail(MartingaleSpec.iid(table, n=100), 1.0, method, "saddlepoint", 0, 0)
@@ -1161,13 +1188,14 @@ class TestExactTail:
         # priced just past TIME_BUDGET; three significant digits printed it
         # as "2 s ... over 2.0 s".  The printed price parses above the budget,
         # and the refusal comes before any allocation
-        monkeypatch.setattr(montecarlo, "_Law", None)
-        monkeypatch.setattr(montecarlo.np, "convolve", None)
+        for name in ("_Law", "_Binomial"):
+            monkeypatch.setattr(model, name, None)
+        monkeypatch.setattr(model.np, "convolve", None)
         with pytest.raises(DomainError, match="too-large") as refused:
             exact_tail(three_point_spec(56_344), 1.0)
         seconds, mib = re.search(r"priced at (\S+) s and (\S+) MiB", str(refused.value)).groups()
-        assert montecarlo.TIME_BUDGET < float(seconds) < 1.001 * montecarlo.TIME_BUDGET
-        assert float(mib) < montecarlo.BYTE_BUDGET / 2**20
+        assert model.TIME_BUDGET < float(seconds) < 1.001 * model.TIME_BUDGET
+        assert float(mib) < model.BYTE_BUDGET / 2**20
 
     def test_binomial_past_its_cap(self):
         # the binomial table spans about 80 sds: n = 1e9 fits the budgets,
@@ -1211,7 +1239,7 @@ class TestExactTail:
         for top, n, rel in ((1000, 200, 1e-13), (100, 2000, 1e-13), (250, 500, 1e-13)):
             table = IncrementDistribution.finite_table([(0.0, 0.5), (1.0, 0.25), (top, 0.25)])
             spec = MartingaleSpec.iid(table, n=n)
-            assert montecarlo._part_route(table, n)[:2] == (
+            assert table.route(n)[:2] == (
                 min(math.comb(n + 2, 2), top * n + 1), False)
             c = np.arange(n + 1)
             mean = 0.25 + 0.25 * top  # the table was centred at its mean
@@ -1232,8 +1260,8 @@ class TestExactTail:
         n = 200
         for top, atoms, powered in ((150, 18975, False), (40, 8001, True)):
             table = IncrementDistribution.finite_table([(0.0, 0.5), (1.0, 0.3), (top, 0.2)])
-            assert montecarlo._part_route(table, n)[1] == powered
-            law = montecarlo._part_law(table, n, 0.0)
+            assert table.route(n)[1] == powered
+            law = table.sum_law(n, 0.0)
             assert len(law.atoms) == atoms
             (base, g), c = law.lattice, np.arange(n + 1)
             weights = binom.pmf(c, n, 0.2)
@@ -1252,7 +1280,7 @@ class TestExactTail:
         # against the fold's 7.0 MiB while the chain indexed by a row array
         # (at n = 2000: 108 against 95 MiB)
         table = IncrementDistribution.finite_table([(0.0, 0.5), (1.0, 0.25), (100.0, 0.25)])
-        assert not montecarlo._part_route(table, 500)[1]
+        assert not table.route(500)[1]
         peaks = []
 
         class Numpy:  # numpy, with the peak read and reset where the fold begins
@@ -1264,15 +1292,15 @@ class TestExactTail:
                 tracemalloc.reset_peak()
                 return np.argsort(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "np", Numpy())
+        monkeypatch.setattr(model, "np", Numpy())
         tracemalloc.start()
         try:
-            montecarlo._part_law(table, 500, 0.0)
+            table.sum_law(500, 0.0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         chain, fold = peaks
-        assert chain <= fold <= math.comb(502, 2) * montecarlo._BYTES
+        assert chain <= fold <= math.comb(502, 2) * model._BYTES
 
     def test_near_lattice_not_snapped(self):
         # 2 + 1e-9 is off the lattice {-1, 0, 2}: the top atom of X_10, of
@@ -1432,7 +1460,7 @@ class TestKsFromCdf:
             mean, sd = n * prob, math.sqrt(n * prob * (1 - prob))
             values = (k - mean) / sd
             probs = binom.pmf(k, n, prob)
-            assert montecarlo._ks_from_cdf(values, np.cumsum(probs)) == pytest.approx(
+            assert model._ks_from_cdf(values, np.cumsum(probs)) == pytest.approx(
                 self.dense_scan(values, probs), abs=1e-9
             )
 
@@ -1443,16 +1471,16 @@ class TestKsFromCdf:
         mean, sd = n * prob, math.sqrt(n * prob * (1 - prob))
         values = (k - mean) / sd
         probs = binom.pmf(k, n, prob)
-        assert montecarlo._ks_from_cdf(values, np.cumsum(probs)) == pytest.approx(
+        assert model._ks_from_cdf(values, np.cumsum(probs)) == pytest.approx(
             self.dense_scan(values, probs), abs=1e-9
         )
 
     def test_split_duplicate_atoms(self):
         # each atom's mass split over a run of equal atoms: every partial cdf
         # in a run lies between F(a-) and F(a), so the KS is the merged law's
-        assert montecarlo._ks_from_cdf(
+        assert model._ks_from_cdf(
             np.array([0.0, 0.0, 1.0]), np.cumsum([0.25, 0.25, 0.5])
-        ) == montecarlo._ks_from_cdf(np.array([0.0, 1.0]), np.cumsum([0.5, 0.5]))
+        ) == model._ks_from_cdf(np.array([0.0, 1.0]), np.cumsum([0.5, 0.5]))
         rng = np.random.default_rng(17)
         for n, prob in ((6, 0.3), (40, 0.5)):
             k = np.arange(n + 1)
@@ -1460,8 +1488,8 @@ class TestKsFromCdf:
             probs = binom.pmf(k, n, prob)
             runs = rng.integers(1, 4, size=n + 1)
             pieces = np.concatenate([rng.dirichlet(np.ones(r)) * p for r, p in zip(runs, probs)])
-            merged = montecarlo._ks_from_cdf(values, np.cumsum(probs))
-            split = montecarlo._ks_from_cdf(np.repeat(values, runs), np.cumsum(pieces))
+            merged = model._ks_from_cdf(values, np.cumsum(probs))
+            split = model._ks_from_cdf(np.repeat(values, runs), np.cumsum(pieces))
             assert split == pytest.approx(merged, rel=1e-14, abs=1e-15)
 
 
@@ -1475,6 +1503,24 @@ class TestRateCurves:
     def test_gaussian_exact_normality(self):
         rows = clt_rate_curve(gaussian_spec, [10, 100])
         assert all(r.ks_distance == 0.0 for r in rows)
+
+    def test_gaussian_ks_off_one(self):
+        # X_n - B_n is N(0, V) at every tilt; its distance to N(0, 1) is
+        # |Phi(x*/sqrt V) - Phi(x*)|, x*^2 = V ln V / (V - 1): at V = 1.1
+        # (sigma^2 = 0.1, n = 11) 0.0115289548925, as scipy's bounded search
+        # over |Phi(x/sqrt V) - Phi(x)| finds it, and exactly 0 at V = 1
+        def family(n):
+            return MartingaleSpec.iid(IncrementDistribution.gaussian(0.1), n=n)
+
+        for lam in (0.0, 0.5, 2.0):
+            (row,) = conjugate_clt_check(family, lam, [11])
+            assert row.ks_distance == pytest.approx(0.0115289548925, rel=1e-12)
+            (row,) = conjugate_clt_check(family, lam, [10])  # V = 1.0 exactly
+            assert row.ks_distance == 0.0
+        sd = math.sqrt(family(11).total_variance())
+        found = minimize_scalar(lambda x: -abs(norm.cdf(x / sd) - norm.cdf(x)), bounds=(0.0, 5.0),
+                                method="bounded", options={"xatol": 1e-12})
+        assert -found.fun == pytest.approx(0.0115289548925, rel=1e-10)
 
     def test_rows_follow_certificate(self):
         for row in clt_rate_curve(rademacher_spec, [100, 1000]):
@@ -1514,7 +1560,7 @@ class TestRateCurves:
         lam = 0.8
         spec = family(5)
         step = spec.iid_parts()[0][0]
-        t_values, t_probs = tilting.tilted_table(step, lam)
+        t_values, t_probs = tilted_table(step, lam)
         shift = tilting.drift_process(spec, lam)
         atoms, weights = {}, {}
         for combo in itertools.product(range(3), repeat=5):
@@ -1601,9 +1647,9 @@ class TestTwoPartKs:
         def family(n):
             return MartingaleSpec.variance_switching(RADEMACHER, n=n, rho=0.5)
 
-        assert [montecarlo._part_route(d, c)[0] for d, c in family(8192).iid_parts()] == [2688] * 2
-        assert 2688**2 * montecarlo._BYTES > BYTE_BUDGET
-        monkeypatch.setattr(montecarlo, "_part_law", None)
+        assert [d.route(c)[0] for d, c in family(8192).iid_parts()] == [2688] * 2
+        assert 2688**2 * model._BYTES > BYTE_BUDGET
+        monkeypatch.setattr(model.TableLaw, "sum_law", None)
         for lam in (0.0, 0.5):
             with pytest.raises(DomainError, match="too-large"):
                 conjugate_clt_check(family, lam, [8192])
@@ -1620,7 +1666,7 @@ def full_range_ks(spec, lam):
     atom and just left of it, written out independently of the library's
     reader with the library's Phi and F = binom.cdf, and that F."""
     ((d, n),) = spec.iid_parts()
-    values, probs = tilting.tilted_table(d, lam)
+    values, probs = tilted_table(d, lam)
     k = np.arange(n + 1)
     atoms = n * values[0] + k * (values[1] - values[0]) - tilting.drift_process(spec, lam)
     cdf = montecarlo.binom.cdf(k, n, probs[1])
@@ -1630,11 +1676,11 @@ def full_range_ks(spec, lam):
 
 
 def reader_cdf(spec, lam):
-    """The running sum of _part_law's binomial table over all n + 1 atoms:
+    """The running sum of sum_law's binomial table over all n + 1 atoms:
     0 below its span and its last value above it."""
     ((d, n),) = spec.iid_parts()
-    values, _ = tilting.tilted_table(d, lam)
-    law = montecarlo._part_law(d, n, lam)
+    values, _ = tilted_table(d, lam)
+    law = d.sum_law(n, lam)
     lo = round((law.atoms[0] - n * values[0]) / (values[1] - values[0]))
     cdf = np.cumsum(law.pmf)
     return np.concatenate([np.zeros(lo), cdf, np.full(n + 1 - lo - len(cdf), cdf[-1])])
@@ -1644,7 +1690,7 @@ KS_TRIM = 2.0**-50  # the reader skips atoms with F below it or within it of F's
 
 
 class TestTwoPointKs:
-    """An iid two-point law's KS reads _part_law's binomial table like any
+    """An iid two-point law's KS reads sum_law's binomial table like any
     other one-part law: one table per row, its atoms trimmed where F is
     within KS_TRIM of 0 or of its total."""
 
@@ -1683,7 +1729,7 @@ class TestTwoPointKs:
         # trim leans on F and monotonicity alone
         spec = rademacher_spec(100)
         ((d, n),) = spec.iid_parts()
-        values, _ = tilting.tilted_table(d, 50.0)
+        values, _ = tilted_table(d, 50.0)
         below = n * values[0] + 98 * (values[1] - values[0]) - tilting.drift_process(spec, 50.0)
         assert bounds.gaussian_tail(-below) == pytest.approx(0.34, abs=0.01)
         ks = montecarlo._recentred_lattice_ks(spec, 50.0)
@@ -1695,8 +1741,8 @@ class TestTwoPointKs:
         # each row builds its binomial table once and reads F from it; the
         # scipy-shaped montecarlo.binom is not read at all
         built = []
-        real = montecarlo._Binomial
-        monkeypatch.setattr(montecarlo, "_Binomial", lambda *a: built.append(a) or real(*a))
+        real = model._Binomial
+        monkeypatch.setattr(model, "_Binomial", lambda *a: built.append(a) or real(*a))
         monkeypatch.setattr(montecarlo, "binom", None)
         rows = conjugate_clt_check(rademacher_spec, 0.0, [100, 1_000_000])
         rows += conjugate_clt_check(lambda n: two_point_spec(0.05, n), 3.0, [4096])
@@ -1719,20 +1765,17 @@ class TestRatioExperiment:
         # an exact ratio_experiment builds each part's law once and reads
         # every row from it, the same numbers exact_tail gives row by row
         grid = np.linspace(0.0, 3.0, 11)
-        cases = ((rademacher_spec(400), ["_part_law", "_Binomial"]),
-                 (three_point_spec(400), ["_part_law"]),
+        cases = ((rademacher_spec(400), ["sum_law", "_Binomial"]),
+                 (three_point_spec(400), ["sum_law"]),
                  (MartingaleSpec.variance_switching(THREE_POINT, n=40, rho=0.5),
-                  ["_part_law", "_part_law"]))
+                  ["sum_law", "sum_law"]))
         for spec, laws in cases:
             want = [exact_tail(spec, x).p_hat for x in grid]
             built = []
             with monkeypatch.context() as m:
-                for name in ("_part_law", "_Binomial"):
-                    real = getattr(montecarlo, name)
-                    m.setattr(montecarlo, name,
-                              lambda *a, real=real, name=name: built.append(name) or real(*a))
+                counted_builds(m, built)
                 rows = ratio_experiment(spec, grid).rows
-            assert built == laws
+            assert [name for name, _ in built] == laws
             assert [row.p_hat for row in rows] == want
 
     def test_gaussian_exactness(self):
@@ -1780,11 +1823,16 @@ class TestRatioExperiment:
         assert result.rows[0].std_err > 0.0
 
 
+# every build of a table part's sum law, and of a binomial table
+BUILDERS = ((model.TableLaw, "sum_law"), (model, "_Binomial"))
+
+
 def counted_builds(monkeypatch, record):
-    """Patch _part_law and _Binomial to append (name, args) to record."""
-    for name in ("_part_law", "_Binomial"):
-        real = getattr(montecarlo, name)
-        monkeypatch.setattr(montecarlo, name,
+    """Patch the BUILDERS to append (name, args) to record; a sum_law call's
+    args are (law, count, lam)."""
+    for owner, name in BUILDERS:
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
                             lambda *a, real=real, name=name: record.append((name, a)) or real(*a))
 
 
@@ -1828,7 +1876,7 @@ class TestThresholdGrid:
                     counted_builds(m, builds)
                     rows = montecarlo._tail_rows(spec, grid, method, "saddlepoint", 10_000, 7)
                     ratio = ratio_experiment(spec, grid, method, 10_000, 7)
-                built = {a[2] for name, a in builds if name == "_part_law"}
+                built = {a[2] for name, a in builds if name == "sum_law"}
                 assert [r.p_hat for r in ratio.rows] == [r.p_hat for r in rows]
                 for row in rows:
                     want = saddlepoint_lambda(spec, row.x) if method == "tilted" else 0.0
@@ -1874,12 +1922,12 @@ class TestThresholdGrid:
             return [name for name, _ in builds]
 
         half = [0.5 * k for k in range(1, 41)]
-        assert builds_of(rademacher_spec(1600), half, "tilted") == ["_part_law", "_Binomial"]
-        assert builds_of(rademacher_spec(1600), half, "crude") == ["_part_law", "_Binomial"]
-        assert builds_of(self.SPECS[3], half[:8], "crude") == ["_part_law", "_part_law"]
-        assert builds_of(rademacher_spec(400), half[:39], "tilted") == ["_part_law", "_Binomial"]
+        assert builds_of(rademacher_spec(1600), half, "tilted") == ["sum_law", "_Binomial"]
+        assert builds_of(rademacher_spec(1600), half, "crude") == ["sum_law", "_Binomial"]
+        assert builds_of(self.SPECS[3], half[:8], "crude") == ["sum_law", "sum_law"]
+        assert builds_of(rademacher_spec(400), half[:39], "tilted") == ["sum_law", "_Binomial"]
         assert builds_of(rademacher_spec(1600), [0.5 * k for k in range(1, 80)], "tilted") == \
-            ["_part_law", "_Binomial"] * 2
+            ["sum_law", "_Binomial"] * 2
 
     def test_retilt_within_tau(self):
         # against the exact law of the tilted step table at the row's tilt
@@ -1899,11 +1947,11 @@ class TestThresholdGrid:
                  (MartingaleSpec.variance_switching(THREE_POINT, n=16, rho=0.5), 0.4, (1.0, 3.0))]
         for spec, lam_b, lams in cases:
             parts = spec.iid_parts()
-            base = [montecarlo._part_law(d, count, lam_b) for d, count in parts]
+            base = [d.sum_law(count, lam_b) for d, count in parts]
             for lam in lams:
                 laws = montecarlo._retilted(parts, base, lam - lam_b)
                 for (d, count), law in zip(parts, laws):
-                    want = exact_sum_law(d, tilting.tilted_table(d, lam)[1], count)
+                    want = exact_sum_law(d, tilted_table(d, lam)[1], count)
                     got = law_offsets(d, count, law)
                     l1 = sum(abs(got.get(i, 0) - q) for i, q in want.items())
                     reach = abs(lam - lam_b) * count * max(-d.values[0], d.values[-1])
@@ -1924,7 +1972,7 @@ class TestThresholdGrid:
                     assert log_bias > 700 or abs(expected - tail) <= \
                         math.exp(log_bias) + 1e-12 * tail, (spec, lam, x)
         spec = three_point_spec(20)
-        base = [montecarlo._part_law(*spec.iid_parts()[0], 300.0)]
+        base = [spec.iid_parts()[0][0].sum_law(spec.iid_parts()[0][1], 300.0)]
         assert np.count_nonzero(base[0].pmf < 2.0**-1022) >= 20
         assert montecarlo._retilted(spec.iid_parts(), base, 1.0 - 300.0) is None
 
@@ -1957,7 +2005,7 @@ class TestMdp:
         # count vectors are priced past the byte budget: no exact value, but
         # the tilted row is still reported (drawn one by one).  The
         # three-point lattice law at the same n is exact (12289 atoms).
-        assert montecarlo._part_route(IRRATIONAL, 4096)[3] > BYTE_BUDGET
+        assert IRRATIONAL.route(4096)[3] > BYTE_BUDGET
         irrational = lambda n: MartingaleSpec.iid(IRRATIONAL, n=n, normalized=True)  # noqa: E731
         for family, exact in ((irrational, False), (three_point_spec, True)):
             (row,) = mdp_diagnostic(family, 0.25, 1.0, [4096],
@@ -2055,7 +2103,7 @@ class TestValidation:
                 call()
 
     def test_top_of_the_support_reads_as_exact_does(self, monkeypatch):
-        # x = _drift_supremum, the sum of count * v_last in floats, can lie
+        # x = top_of(spec), the sum of count * v_last in floats, can lie
         # below the float top atom, the sum over the parts of base + offset g:
         # only _cut tells whether an atom lies above x.  Over five tables,
         # iid (normalized or not) and varswitch at rho = 0.5, n = 2..100, a
@@ -2073,7 +2121,7 @@ class TestValidation:
         assert len(specs) == 1240
         reached, empty = [], []
         for spec in specs:
-            x = montecarlo._drift_supremum(spec)
+            x = top_of(spec)
             p = exact_tail(spec, x).p_hat
             (reached if p > 0.0 else empty).append((spec, x, p))
         assert len(reached) == 138
@@ -2094,8 +2142,10 @@ class TestValidation:
         unknown = ("auto", "exact_binomial", "Crude", "")
         for spec in (rademacher_spec(20), three_point_spec(20), gaussian_spec(20)):
             with monkeypatch.context() as m:
-                for name in ("_part_law", "_Binomial", "resolve_tilt", "saddlepoint_lambda",
-                             "_weighted_tail", "_histogram_sums", "_per_draw_sums"):
+                for owner, name in (*BUILDERS, (model.GaussianLaw, "sum_law")):
+                    m.setattr(owner, name, no_work)
+                for name in ("resolve_tilt", "saddlepoint_lambda", "_weighted_tail",
+                             "_histogram_sums", "_per_draw_sums"):
                     m.setattr(montecarlo, name, no_work)
                 for method in unknown:
                     with pytest.raises(ConfigError, match="unknown method"):
@@ -2236,12 +2286,12 @@ class TestValidation:
                  *((rademacher_spec(n), [n**0.25]) for n in (100, 1000, 10000, 10**6)),
                  *((spec, [2.0]) for spec in varswitch),
                  (rademacher_spec(16), [3.9]), (rademacher_spec(400), [19.5]),
-                 (three_point_spec(100), [0.999 * montecarlo._drift_supremum(three_point_spec(100))])]
+                 (three_point_spec(100), [0.999 * top_of(three_point_spec(100))])]
         for spec, xs in cases:
             lams = saddlepoint_lambda(spec, np.array(xs))
             psi = tilting.cumulant_process(spec, lams)
             # max |X_n| is the top of the support: these tables' top value is their largest |value|
-            reach = lams * montecarlo._drift_supremum(spec)
+            reach = lams * top_of(spec)
             assert np.all(np.abs(psi) < 2.0**22) and np.all(reach < 2.0**22), spec
 
     @pytest.mark.parametrize("p_hat, std_err", [(-0.1, 0.0), (1.5, 0.0), (1.0 + 1e-8, 0.0),
@@ -2267,3 +2317,40 @@ class TestValidation:
                          lambda: tilted_tail_estimate(spec, math.nan, 0.5, 1000, seed=1)):
                 with pytest.raises(DomainError, match="nan"):
                     call()
+
+
+@pytest.mark.skipif(not np.__version__.startswith("2.4."),
+                    reason="the bits were taken with numpy 2.4's Generator streams")
+class TestPinnedBits:
+    """float.hex of p_hat and std_err of sampled rows on each route, so a moved
+    stream, route or summation order fails here (numpy 2.4.6 on x86_64)."""
+
+    ROWS = [  # (spec, thresholds, method, samples, seed, per draw forced, [(p_hat, std_err)])
+        # the histogram route, one part and two
+        (MartingaleSpec.iid(RADEMACHER, n=20, normalized=True), [2.0], "tilted", 10**5, 1, False,
+         [("0x1.521fb492bfb28p-6", "0x1.7f03f65de6ce1p-14")]),
+        (MartingaleSpec.variance_switching(THREE_POINT, n=200, rho=0.5), [2.0], "tilted", 10**5, 1,
+         False, [("0x1.9215a0cc35b2dp-6", "0x1.f333fa787f388p-14")]),
+        # a grid whose later rows re-tilt the first row's law
+        (MartingaleSpec.iid(RADEMACHER, n=400, normalized=True), [1.0, 1.5, 2.0], "tilted", 10**5,
+         2, False, [("0x1.2c24a7f0b52f2p-3", "0x1.2de8375669792p-11"),
+                    ("0x1.ef22039aaeb4ep-5", "0x1.18516edc529acp-12"),
+                    ("0x1.49426853565d5p-6", "0x1.9ef3d64c61427p-14")]),
+        (MartingaleSpec.iid(THREE_POINT, n=20, normalized=True), [1.0], "crude", 10**5, 3, False,
+         [("0x1.47f77af64063ap-3", "0x1.300387b56a9a3p-10")]),
+        # per draw: a finite spec forced there, and the gaussian specs
+        (MartingaleSpec.iid(THREE_POINT, n=30, normalized=True), [2.0], "tilted", 20000, 4, True,
+         [("0x1.ab68f398cfed6p-6", "0x1.25c141695c6bdp-12")]),
+        (MartingaleSpec.iid(GAUSSIAN, n=100, normalized=True), [2.0], "tilted", 20000, 5, False,
+         [("0x1.77522fe640379p-6", "0x1.02c6e5247baddp-12")]),
+        (MartingaleSpec.variance_switching(GAUSSIAN, n=30, rho=0.5), [2.0], "tilted", 20000, 6,
+         False, [("0x1.71f5d572a3786p-6", "0x1.00895a81392edp-12")]),
+    ]
+
+    @pytest.mark.parametrize("row", range(len(ROWS)))
+    def test_sampled_bits(self, monkeypatch, row):
+        spec, xs, method, samples, seed, per_draw, want = self.ROWS[row]
+        if per_draw:
+            monkeypatch.setattr(montecarlo, "_DRAW_S", 0.0)
+        ests = montecarlo._tail_rows(spec, xs, method, "saddlepoint", samples, seed)
+        assert [(e.p_hat.hex(), e.std_err.hex()) for e in ests] == want

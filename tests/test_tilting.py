@@ -18,19 +18,36 @@ from mlde.tilting import (
     drift_process,
     solve_lambda_bar,
     solve_lambda_under,
-    step_cumulant,
-    step_drift,
-    tilted_table,
 )
 
 RADEMACHER = IncrementDistribution.scaled_rademacher(1.0)
 GAUSSIAN = IncrementDistribution.gaussian(1.0)
 TABLE = IncrementDistribution.finite_table([(-2.0, 0.2), (0.0, 0.3), (1.0, 0.5)])
+# gaussian specs whose total variance is not 1: V = 1.1 and V = 20
+GAUSSIANS_OFF_ONE = (MartingaleSpec.iid(IncrementDistribution.gaussian(0.1), n=11),
+                     MartingaleSpec.iid(IncrementDistribution.gaussian(2.0), n=10))
+
+
+def step_cumulant(dist, lam):
+    """log E e^(lam eta), the law's cumulant at one tilt."""
+    return float(dist.cumulant(np.array([float(lam)]))[0])
+
+
+def step_drift(dist, lam):
+    """The law's tilted mean at one tilt."""
+    return float(dist.drift_and_slope(np.array([float(lam)]))[0][0])
+
+
+def tilted_probs(dist, lam):
+    """The tilted table's probs, term by term in math.exp from the top value."""
+    top = max(dist.values)
+    w = [p * math.exp(lam * (v - top)) for v, p in zip(dist.values, dist.probs)]
+    return np.array(w) / math.fsum(w)
 
 
 def tilted_variance(dist, lam):
-    """Variance of the tilted law of a finite table, from tilted_table."""
-    values, probs = tilted_table(dist, lam)
+    """Variance of the tilted law of a finite table, from tilted_probs."""
+    values, probs = np.array(dist.values), tilted_probs(dist, lam)
     mean = float(np.dot(values, probs))
     return float(np.dot(values * values, probs)) - mean * mean
 
@@ -94,13 +111,16 @@ class TestStepQuantities:
             for d in (RADEMACHER, TABLE):
                 fd = (step_drift(d, lam + h) - step_drift(d, lam - h)) / (2 * h)
                 assert fd == pytest.approx(tilted_variance(d, lam), rel=1e-6)
+                slope = float(d.drift_and_slope(np.array([lam]))[1][0])
+                assert slope == pytest.approx(tilted_variance(d, lam), rel=1e-12)
         assert tilted_variance(TABLE, 0.0) == pytest.approx(TABLE.variance, rel=1e-12)
 
     def test_tilted_law_normalized_and_mean(self):
         for d in (RADEMACHER, TABLE):
             for lam in (0.0, 0.7, 4.0):
-                values, probs = tilted_table(d, lam)
+                values, probs = d.table()[0], d._tilted(lam)
                 assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
+                np.testing.assert_allclose(probs, tilted_probs(d, lam), rtol=1e-13)
                 mean = float(np.dot(values, probs))
                 assert mean == pytest.approx(step_drift(d, lam), abs=1e-12)
 
@@ -113,7 +133,7 @@ class TestStepQuantities:
             pytest.approx(0.25)
         # the tilted rademacher step puts e^(+-lam s) / (2 cosh(lam s)) on +-s
         step = MartingaleSpec.iid(RADEMACHER, n=4, normalized=True).iid_parts()[0][0]
-        values, probs = tilted_table(step, 2.0)
+        values, probs = step.table()[0], step._tilted(2.0)
         np.testing.assert_allclose(values, [-0.5, 0.5])
         np.testing.assert_allclose(probs, np.exp([-1.0, 1.0]) / (2.0 * math.cosh(1.0)),
                                    rtol=1e-14)
@@ -128,10 +148,16 @@ class TestProcesses:
         assert drift_process(spec, 0.0) == 0.0
 
     def test_gaussian_exact(self):
+        # B_n = lam V and Psi_n = lam^2 V / 2, V the total variance taken exactly
         spec = MartingaleSpec.iid(GAUSSIAN, n=100, normalized=True)
         for lam in (0.1, 1.0, 3.0):
             assert drift_process(spec, lam) == lam
             assert cumulant_process(spec, lam) == 0.5 * lam * lam
+            for other in GAUSSIANS_OFF_ONE:
+                v = other.total_variance()
+                assert v in (11 * 0.1, 20.0)
+                assert drift_and_slope(other, lam) == (lam * v, v)
+                assert cumulant_process(other, lam) == 0.5 * lam * lam * v
 
     def test_cumulant_convexity(self):
         spec = MartingaleSpec.iid(RADEMACHER, n=50, normalized=True)
@@ -185,15 +211,28 @@ class TestProcesses:
         # an array of tilts gives an array whose every element has the bits
         # of the one-tilt call, a float, on one and two parts, two-, three-
         # and nine-atom tables, off a lattice and gaussian; Psi_n and B_n
-        # keep the bits of their sums over the parts of step_cumulant and
-        # step_drift
+        # keep the bits of the sums over the iid parts of the scalar step
+        # cumulant and drift, written here as the library once had them (a
+        # gaussian spec's, lam^2 V / 2 and lam V with V its total variance)
+        def cumulant(d, lam):
+            a = lam * np.array(d.values) + np.log(d.probs)
+            shift = float(a.max())
+            return shift + math.log(float(np.exp(a - shift).sum()))
+
+        def drift(d, lam):
+            values = np.array(d.values)
+            a = lam * values + np.log(d.probs)
+            terms = np.exp(a - float(a.max()))
+            return float(np.dot(values, terms) / terms.sum())
+
         nine = IncrementDistribution.finite_table([(float(v), 1 / 9) for v in range(9)])
         specs = (MartingaleSpec.iid(RADEMACHER, n=20, normalized=True),
                  MartingaleSpec.iid(TABLE, n=400, normalized=True),
                  MartingaleSpec.iid(nine, n=10),
                  MartingaleSpec.variance_switching(TABLE, n=200, rho=0.5),
                  MartingaleSpec.iid(GAUSSIAN, n=30, normalized=True),
-                 MartingaleSpec.variance_switching(GAUSSIAN, n=30, rho=0.5))
+                 MartingaleSpec.variance_switching(GAUSSIAN, n=30, rho=0.5),
+                 *GAUSSIANS_OFF_ONE)
         lams = [0.0, 0.3, 1.0, 2.5, 31.6, 100.0]
         for spec in specs:
             for f in (cumulant_process, drift_process,
@@ -203,12 +242,16 @@ class TestProcesses:
                 assert all(type(v) is float for v in one), spec
                 assert f(spec, np.array(lams)).tolist() == one, spec
             if spec.dist.kind == "gaussian":
+                v = spec.total_variance()
+                assert cumulant_process(spec, np.array(lams)).tolist() == \
+                    [0.5 * lam * lam * v for lam in lams], spec
+                assert drift_process(spec, np.array(lams)).tolist() == [lam * v for lam in lams]
                 continue
             parts = spec.iid_parts()
             assert cumulant_process(spec, np.array(lams)).tolist() == \
-                [sum(c * step_cumulant(d, lam) for d, c in parts) for lam in lams], spec
+                [sum(c * cumulant(d, lam) for d, c in parts) for lam in lams], spec
             assert drift_process(spec, np.array(lams)).tolist() == \
-                [sum(c * step_drift(d, lam) for d, c in parts) for lam in lams], spec
+                [sum(c * drift(d, lam) for d, c in parts) for lam in lams], spec
 
     def test_long_grid_of_a_wide_table_is_read_in_blocks(self):
         # 1000 tilts of a 2000-atom table: one (tilts x parts x atoms) array
@@ -219,7 +262,7 @@ class TestProcesses:
         wide = IncrementDistribution.finite_table([(float(v), 1 / 2000) for v in range(2000)])
         spec = MartingaleSpec.iid(wide, n=10)
         lams = np.linspace(0.0, 0.05, 1000)
-        xs = np.linspace(0.0, 0.99 * montecarlo._drift_supremum(spec), 1000)
+        xs = np.linspace(0.0, 0.99 * 10 * wide.top, 1000)  # below the top of the support
         calls = [(cumulant_process, spec, lams), (drift_process, spec, lams),
                  (drift_slope, spec, lams), (montecarlo.saddlepoint_lambda, spec, xs)]
         for f, spec, grid in calls:
