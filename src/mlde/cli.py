@@ -187,9 +187,10 @@ def build_spec(args) -> model.MartingaleSpec:
 
 
 def _family(args):
-    """n -> the spec at n steps, the config files read once."""
+    """n -> the spec at n steps, the config files read once and each n's spec built once per
+    command, so each of its step laws takes its moment scan once."""
     d = _spec_dict(args)
-    return lambda n: model.spec_from_dict({**d, "n": n})
+    return functools.cache(lambda n: model.spec_from_dict({**d, "n": n}))
 
 
 def _require_seed(args):

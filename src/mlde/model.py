@@ -3,11 +3,12 @@ combine them into a martingale of n steps.
 
 A one-step law answers every question a reader asks of it, so no reader
 branches on its kind: its exact moments (whose Bernstein scan conditions takes
-once per law); its cumulant, drift and slope at an array of tilts; its top,
-top gap and lattice; its sum law at a tilt (``sum_law``), that build's price
-(``route``) and its sums' draws (``draws``).  ``TableLaw`` is every finitely
-supported law as one canonical table (ascending distinct values, each of
-positive mass), a Rademacher step included; ``GaussianLaw`` is N(0, sigma2).
+once per law); its cumulant, drift and slope at an array of tilts; its top
+and top gap; its sum law at a tilt (``sum_law``), that build's price
+(``route``), its sums' draws (``draws``) and their KS distance (``ks``).
+``TableLaw`` is every finitely supported law as one canonical table (ascending
+distinct values, each of positive mass, on a lattice or not), a Rademacher
+step included; ``GaussianLaw`` is N(0, sigma2).
 
 Two rules are supported:
 
@@ -28,9 +29,12 @@ the one part N(0, total_variance()), a sum of independent normals being
 normal, so Psi_n = lam^2 V / 2 and B_n = lam V hold to the bit.
 
 A sum law is a ``_Law`` (a ``_Binomial`` for two atoms) or a ``_Normal``.
-``_cut`` is the one tie rule of every exact reader and every sampled hit, and
-``_afford`` refuses a build priced past TIME_BUDGET (2 s) or BYTE_BUDGET
-(256 MiB) before it allocates.
+``_cut`` is the one tie rule of every exact reader and every sampled hit.
+``_within_budgets`` tests a price against TIME_BUDGET (2 s) and BYTE_BUDGET
+(256 MiB), and ``_afford`` refuses a build that fails it before it allocates.
+A table's sum law built at one tilt is re-tilted to another
+(``TableLaw.retilted``) under a bound on the mass its cuts leave out, and
+``MartingaleSpec.ks`` reads the KS distance of X_n from its parts' sum laws.
 """
 
 from __future__ import annotations
@@ -59,6 +63,8 @@ _ATOM_S = 30e-9  # and each atom of its table: 21-32 ns from 4128 to 800,128 ato
 _POWER_S = 7e-11  # each squared atom of a lattice power: 62-93 ps from 4001 to 200,001 atoms
 _SORT_S = 150e-9  # each count vector (chain and fold) or fold cell: 82-183 ns
 _BYTES = 64  # at a build's peak, per table atom, count vector or fold cell: 31, 40-50, 59-63
+# The tilted mass a re-tilted sum law may leave out (TableLaw.retilted)
+_TAU = 2.0**-60
 
 
 def block_rng(seed: int, block: int) -> np.random.Generator:
@@ -164,10 +170,15 @@ def _binomial_span(n, sd):
     return min(n + 1, 2 * (64 + math.ceil(40 * sd)))
 
 
+def _within_budgets(seconds, nbytes):
+    """Whether a build priced at seconds and nbytes fits TIME_BUDGET and BYTE_BUDGET."""
+    return seconds <= TIME_BUDGET and nbytes <= BYTE_BUDGET
+
+
 def _afford(seconds, nbytes, what, *args):
     """Refuse, before it allocates, a build priced past either budget; what.format(*args),
     formatted only then, names it, with the price in full so a refused one reads above it."""
-    if seconds > TIME_BUDGET or nbytes > BYTE_BUDGET:
+    if not _within_budgets(seconds, nbytes):
         raise DomainError(
             f"too-large: {what.format(*args)} is priced at {float(seconds)!r} s and "
             f"{nbytes / 2**20!r} MiB, over {TIME_BUDGET} s or {BYTE_BUDGET >> 20} MiB")
@@ -379,10 +390,9 @@ class TableLaw(IncrementDistribution):
             a.flags.writeable = False
         return arrays
 
-    # -- its support: its ends and top gap, reach (the bound on |X_n| / count that the
+    # -- its support: its top and top gap, reach (the bound on |X_n| / count that the
     # weights' 2^32 check uses: max |eta|), and the categories a draw of its sum samples
     top = property(lambda self: self.values[-1])
-    bottom = property(lambda self: self.values[0])
     top_gap = property(lambda self: self.values[-1] - self.values[-2])
     reach = property(lambda self: max(-self.values[0], self.values[-1]))
     categories = property(lambda self: len(self.values) - 1)
@@ -523,6 +533,28 @@ class TableLaw(IncrementDistribution):
         pmf, sums = np.bincount(np.cumsum(new) - 1, pmf), sums[new]
         return _Law(sums, pmf) if g is None else _Law(base + sums * g, pmf, lattice=(base, g))
 
+    def retilted(self, count, law, delta):
+        """law, this table's sum law of count draws, re-tilted by delta: pmf e^(delta a)
+        over the same atoms a, normalized after one max shift, or None where the tilted
+        mass the re-tilt could miss passes _TAU.
+
+        Every atom a table leaves out, or holds as a subnormal (binomial tables keep
+        pmf >= 2^-1100, the power and the count vectors keep what does not underflow), has
+        pmf below 2^-1022, so the mass missed is at most (support atoms) 2^-1022
+        e^(delta a_end) / sum pmf e^(delta a), with a_end the end of the support delta tilts
+        towards and the sum over the table.  The re-tilted law is then within _TAU of the
+        exact one in L1, plus the relative rounding of a few ulps its atoms carry over and
+        2^-53 |delta a| for the exponent."""
+        e = delta * law.atoms
+        top = e.max()
+        w = law.pmf * np.exp(e - top)
+        total = w.sum()
+        end = delta * count * (self.top if delta > 0 else self.values[0])
+        if not (total > 0.0 and math.log(self.support(count)) + (end - top) - math.log(total)
+                <= math.log(_TAU) + 1022 * math.log(2.0)):
+            return None
+        return _Law(law.atoms, w, lattice=law.lattice)
+
     def ks(self, count, lam, drift):
         """The KS distance to N(0, 1) of the lam-tilted sum of count draws less drift, read
         at its atoms (the law dropped first: a binomial's scaled copy must not outlive it)."""
@@ -556,7 +588,7 @@ class GaussianLaw(IncrementDistribution):
     sigma2: float
 
     kind = "gaussian"
-    top, bottom, top_gap, lattice = math.inf, -math.inf, 0.0, None
+    top, top_gap = math.inf, 0.0
     # reach 0: the 2^32 check reads Psi_n alone (lam X_n is about 2 Psi_n); a draw is priced 0
     reach, categories = 0.0, 0
 
@@ -656,6 +688,25 @@ class MartingaleSpec:
         B_n, the samplers and the exact oracles are sums over them.  They are
         the base law's fold of the iid parts (TableLaw.fold, GaussianLaw.fold)."""
         return self.dist.fold(self)
+
+    def ks(self, lam, drift) -> float:
+        """The exact KS distance to N(0, 1) of X_n - drift under the lam-tilted law, drift
+        being B_n(lam).  One part's step law reads its own (TableLaw.ks, GaussianLaw.ks); two
+        parts' tables are folded cell by cell and sorted, refused (too-large) from their atom
+        counts before either law is built, and read at the atoms."""
+        parts = self.sum_parts()
+        if len(parts) == 1:
+            ((d, count),) = parts
+            return d.ks(count, lam, drift)
+        cells = math.prod(d.route(count)[0] for d, count in parts)
+        _afford(cells * _SORT_S, cells * _BYTES, "the fold of {} cells", cells)
+        # atoms and pmf only, so that no binomial law's scaled table outlives its pmf
+        (atoms, pmf), (more_atoms, more_pmf) = [
+            (law.atoms, law.pmf) for law in (d.sum_law(count, lam) for d, count in parts)]
+        atoms = np.add.outer(atoms, more_atoms).ravel()
+        order = np.argsort(atoms, kind="stable")
+        atoms, pmf = atoms[order], np.outer(pmf, more_pmf).ravel()[order]
+        return _ks_from_cdf(atoms - drift, np.cumsum(pmf))
 
     @cached_property
     def _parts(self) -> tuple:

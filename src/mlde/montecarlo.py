@@ -4,8 +4,8 @@ Every spec's terminal law is a sum of independent parts
 (``MartingaleSpec.sum_parts``): one part for iid specs, a high-branch and a
 low-branch half for variance switching, and one normal part for a gaussian
 spec.  Estimators and oracles ask each part's step law (``model``) for its
-sum law at a tilt and that build's price, its draws, its top and its reach,
-and never branch on its kind or read its table.
+sum law at a tilt, its re-tilt and that build's price, its draws, its top
+and its reach, and never branch on its kind or read its table.
 
 Estimators
 ----------
@@ -16,8 +16,8 @@ Estimators
 * exact oracles: one part's sum law read at every threshold (a closed-form
   normal tail for a gaussian spec), or the last part's tail at x minus each
   atom of the first, built once per call for all of a grid's thresholds.
-* exact distances: the KS distance of X_n to the normal, read from one
-  part's sum law or from two parts' laws folded and sorted.
+* exact distances: the KS distance of X_n - B_n(lam) to the normal, which
+  model reads from the parts' sum laws (``MartingaleSpec.ks``).
 
 Every exact reader and every sampled hit compare with model's one tie rule,
 ``_cut``, so the sampler puts an atom at x on the same side as exact_tail
@@ -40,15 +40,13 @@ Every estimate is a threshold grid, of one row or many, from one entry,
 sampled grid is one batch (``_weighted_tail``): one saddlepoint solve, the
 routes priced once and Psi_n in one call.  On the histogram route each
 part's law is built at the first row's tilt lam_b and re-tilted for each
-later row as pmf e^((lam_i - lam_b) a), with one max shift.  A row is built
-at its own tilt, and becomes the base, where (support atoms) 2^-1022
-e^((lam_i - lam_b) a_end) / sum pmf e^((lam_i - lam_b) a) passes _TAU =
-2^-60: every atom a table leaves out or holds as a subnormal has pmf below
-2^-1022, so this caps the tilted mass a re-tilt can miss.  A row's expected
-estimate under a re-tilted law is within its L1 error times e^(Psi_n - lam
-c) of the exact tail, c the least atom above x.  Every row draws from
-block_rng(seed, 0); a built row has the bits of the one-row estimate.  Tilts
-at which |Psi_n| or |lam| max|X_n| reaches 2^32 are refused.
+later row (``retilted``, within model's bound on the mass it misses), or
+built at the row's own tilt, to be the base, where some part refuses the
+re-tilt.  A row's expected estimate under a re-tilted law is within its L1
+error times e^(Psi_n - lam c) of the exact tail, c the least atom above x.
+Every row draws from block_rng(seed, 0); a built row has the bits of the
+one-row estimate.  Tilts at which |Psi_n| or |lam| max|X_n| reaches 2^32 are
+refused.
 """
 
 from __future__ import annotations
@@ -63,8 +61,7 @@ import numpy as np
 
 from . import bounds, conditions, tilting
 from .errors import ConfigError, DomainError
-from .model import (BLOCK, BYTE_BUDGET, TIME_BUDGET, _BYTES, _SORT_S, MartingaleSpec, _afford,
-                    _Binomial, _Law, _cut, _ks_from_cdf, block_rng)
+from .model import BLOCK, MartingaleSpec, _Binomial, _cut, _within_budgets, block_rng
 
 # exact_tail's one route by either spelling; the benchmark pins "exact_enum"
 EXACT_METHODS = ("exact", "exact_enum")
@@ -77,9 +74,6 @@ _DRAW_S = 150e-9  # each draw and category of its parts: 70-250 ns
 # Per-draw blocks priced at this or more run on min(CPUs, blocks) workers, the rest serially: on
 # the same machine 2 workers beat 1 in under 10 of 11 alternated pairs wherever priced at 15 ms
 _POOL_S = 16e-3  # or less, in 10-11 from 18 ms on; gaussian specs (priced 0) lost up to 1e6 draws
-# The tilted mass a threshold grid's re-tilted part law may leave out (_retilted): the rows'
-# expected estimates are then off by at most _TAU e^(Psi_n - lam c), c the least hit atom
-_TAU = 2.0**-60
 
 
 # -- result containers --------------------------------------------------------
@@ -198,10 +192,11 @@ def _weighted_tail(spec, xs, lams, n_samples, seed):
     routes = [d.route(count) for d, count in parts]  # a normal part's is inf: per draw
     *outer, inner = [atoms for atoms, *_ in routes]
     cells = inner * (min(n_samples, outer[0]) if outer else 1)
-    price, fits, draws = cells * _CELL_S, 16 * cells <= BYTE_BUDGET, 0.0  # two 8-byte matrices
+    # the histogram's two 8-byte matrices must fit too
+    price, fits, draws = cells * _CELL_S, _within_budgets(0.0, 16 * cells), 0.0
     for (d, _), (_, _, seconds, nbytes) in zip(parts, routes):
         price += seconds
-        fits = fits and seconds <= TIME_BUDGET and nbytes <= BYTE_BUDGET
+        fits = fits and _within_budgets(seconds, nbytes)
         draws += n_samples * _DRAW_S * d.categories
     rows = list(zip(xs, lams, psi))
     if fits and price < draws:
@@ -223,46 +218,20 @@ def _weighted_tail(spec, xs, lams, n_samples, seed):
 
 def _row_laws(parts, lams):
     """Each row's part laws for its tilt: built (law.sum_law) at the first
-    row's tilt lam_b, then re-tilted for each later row, unless a re-tilt
-    could leave out more than _TAU of the row's tilted mass; that row is
-    built at its own tilt and becomes the base.  A crude grid (lam = 0 in
-    every row) reads the laws it built."""
+    row's tilt lam_b, then re-tilted (law.retilted) for each later row,
+    unless some part refuses; that row is built at its own tilt and becomes
+    the base.  A crude grid (lam = 0 in every row) reads the laws it built."""
     base = None
     for lam in lams:
         laws = None
         if base is not None:
             lam_b, built = base
-            laws = built if lam == lam_b else _retilted(parts, built, lam - lam_b)
-        if laws is None:
+            laws = built if lam == lam_b else [
+                d.retilted(count, law, lam - lam_b) for (d, count), law in zip(parts, built)]
+        if laws is None or None in laws:
             laws = [d.sum_law(count, lam) for d, count in parts]
             base = lam, laws
         yield laws
-
-
-def _retilted(parts, laws, delta):
-    """The part laws re-tilted by delta: pmf e^(delta a) over the same atoms a,
-    normalized after one max shift, or None where, for some part, the mass
-    the re-tilt could miss outside the law's table passes _TAU.
-
-    A table's every atom left out, or held as a subnormal (binomial tables
-    keep pmf >= 2^-1100, the power and the count vectors keep what does not
-    underflow), has pmf below 2^-1022, so the mass missed is at most
-    (support atoms) 2^-1022 e^(delta a_end) / sum pmf e^(delta a), with a_end
-    the end of the support delta tilts towards and the sum over the table.
-    The atoms the table holds carry their relative rounding of a few ulps
-    over, and the exponent delta a its rounding at 2^-53 |delta a|."""
-    out = []
-    for (d, count), law in zip(parts, laws):
-        e = delta * law.atoms
-        top = e.max()
-        w = law.pmf * np.exp(e - top)
-        total = w.sum()
-        end = delta * count * (d.top if delta > 0 else d.bottom)
-        if not (total > 0.0 and math.log(d.support(count)) + (end - top) - math.log(total)
-                <= math.log(_TAU) + 1022 * math.log(2.0)):
-            return None
-        out.append(_Law(law.atoms, w, lattice=law.lattice))
-    return out
 
 
 def _weigh(sums, psi, lam, k):
@@ -417,18 +386,19 @@ def saddlepoint_lambda(spec: MartingaleSpec, x):
 
 def _exact_rows(spec: MartingaleSpec, xs) -> list:
     """[exact_tail(spec, x) for x in xs], every part's sum law built once and
-    every row read at once: one part's tails at all xs in one tails call (a
-    closed form for a normal part), or the last part's tails at x minus each
-    atom of the first over the rows x outer atoms matrix (in blocks of about
-    2^16 cells), each row weighted by the first part's pmf (np.vecdot)."""
+    every row read at once: the last part's tails (a closed form for a normal
+    part) at x minus each atom of the first, over the rows x outer atoms
+    matrix (in blocks of about 2^16 cells), each row weighted by the first
+    part's pmf (np.vecdot).  A one-part spec's outer law is one atom at 0:
+    x - 0.0 is x and a one-term vecdot with 1.0 the tail itself.  Its rows
+    are tagged by the law (exact_binomial, exact_enum or exact_gaussian)."""
     xs = np.asarray(xs, dtype=float)
     *first, law = [d.sum_law(count, 0.0) for d, count in spec.sum_parts()]
-    if not first:  # tagged by the law: exact_binomial, exact_enum or exact_gaussian
-        tag, tails = law.method, law.tails(xs)[1].tolist()
-    else:
-        outer, rows = first[0], max(1, (1 << 16) // len(first[0].atoms))
-        tag, tails = "exact_enum", [p for i in range(0, len(xs), rows) for p in np.vecdot(
-            law.tails(xs[i:i + rows, None] - outer.atoms)[1], outer.pmf).tolist()]
+    atoms, pmf = (first[0].atoms, first[0].pmf) if first else (np.zeros(1), np.ones(1))
+    rows = max(1, (1 << 16) // len(atoms))
+    tails = [p for i in range(0, len(xs), rows)
+             for p in np.vecdot(law.tails(xs[i:i + rows, None] - atoms)[1], pmf).tolist()]
+    tag = "exact_enum" if first else law.method
     return [TailEstimate(x=x, p_hat=min(p, 1.0), std_err=0.0, n_samples=0, method=tag, seed=0)
             for x, p in zip(xs.tolist(), tails)]
 
@@ -437,39 +407,16 @@ def exact_tail(spec: MartingaleSpec, x: float) -> TailEstimate:
     """Exact P(X_n > x) from the spec's sum laws: the closed-form normal tail
     for gaussian specs (tagged exact_gaussian), the parts' tables for every
     finite spec (exact_binomial for an iid two-point law, else exact_enum).
-    A law priced past TIME_BUDGET or BYTE_BUDGET raises DomainError
+    A law priced past either of model's budgets raises DomainError
     (too-large), as does a nan x, before any work."""
     return _tail_rows(spec, [x], "exact", 0.0, 0, 0)[0]
 
 
-# -- exact distribution-distance machinery ------------------------------------
-
-def _recentred_lattice_ks(spec, lam: float) -> float:
-    """Exact KS distance to the standard normal of X_n - B_n(lam) under the
-    lam-tilted law, for every spec.
-
-    One part's step law reads its tilted sum's distance: a table's at its
-    atoms, good to a few 1e-16 absolute, or a normal's closed form.  Two parts'
-    tables are folded cell by cell and sorted, refused before any allocation
-    when the fold is priced past either budget, and read at the atoms."""
-    parts, drift = spec.sum_parts(), tilting.drift_process(spec, lam)
-    if len(parts) == 1:
-        ((d, count),) = parts
-        return d.ks(count, lam, drift)
-    cells = math.prod(d.route(count)[0] for d, count in parts)
-    _afford(cells * _SORT_S, cells * _BYTES, "the fold of {} cells", cells)
-    # atoms and pmf only, so that no binomial law's scaled table outlives its pmf
-    (atoms, pmf), (more_atoms, more_pmf) = [
-        (law.atoms, law.pmf) for law in (d.sum_law(count, lam) for d, count in parts)]
-    atoms = np.add.outer(atoms, more_atoms).ravel()
-    order = np.argsort(atoms, kind="stable")
-    atoms, pmf = atoms[order], np.outer(pmf, more_pmf).ravel()[order]
-    return _ks_from_cdf(atoms - drift, np.cumsum(pmf))
-
+# -- exact distribution distances ----------------------------------------------
 
 def conjugate_clt_check(model_family, lam: float, n_list) -> tuple:
-    """One RateRow per n: the exact KS of the recentred martingale under the
-    tilted law against the normal limit, with the rate budget
+    """One RateRow per n: the exact KS of the recentred martingale X_n - B_n(lam)
+    under the tilted law (spec.ks) against the normal limit, with the rate budget
     lam*eps + eps|log eps| + delta and the fitted constant.  lam = 0 is the
     plain rate curve, the KS distance of X_n itself.  Every finite or
     gaussian spec is read, iid or variance switching; a part's law or two
@@ -480,7 +427,7 @@ def conjugate_clt_check(model_family, lam: float, n_list) -> tuple:
     for n in n_list:
         spec = model_family(int(n))
         cert = conditions.certify(spec)
-        ks = _recentred_lattice_ks(spec, lam)
+        ks = spec.ks(lam, tilting.drift_process(spec, lam))
         budget = bounds.conjugate_rate_bound(lam, cert.epsilon, cert.delta)
         rows.append(
             RateRow(

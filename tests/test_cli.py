@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +108,7 @@ class TestTail:
         # v_last in floats, yet the float top atom lies above it, with
         # P(X_4 > x) = 1/16: the tilted row samples it and reads it
         row = ["tail", "--model", "varswitch", "--rho", "0.5", "--n", "4",
-               "--x", "1.9318516525781364", "--samples", "100000", "--seed", "1"]
+               "--x", "1.9318516525781364", "--seed", "1"]  # --samples' default, 10^5
         cells = {}
         for method in ("exact", "tilted"):
             assert run([*row, "--method", method, "--out", str(tmp_path / method)]) == 0
@@ -549,17 +550,22 @@ class TestCsvSchemas:
         (["clt-rate", "--normalized", "--n-list", "100"], "clt_rate", RATE_COLUMNS),
         (["conjugate-clt", "--normalized", "--n-list", "100", "--lambda", "0.5"],
          "conjugate_clt", RATE_COLUMNS),
-        (["mdp", "--normalized", "--x", "1", "--n-list", "256", "--samples", "1000",
-          "--seed", "1"],
+        (["mdp", "--normalized", "--x", "1", "--n-list", "256", "--seed", "1"],
          "mdp", "n,a_n,lambda,p_hat,std_err,p_exact,value,err_band,target,feasible,a_eps"),
         (["lemmas", "--n", "100", "--normalized"],
          "lemmas", "lambda,psi_n,b_n,lemma2_residual,lemma3_residual,fitted_c2,fitted_c3"),
     ])
     def test_header_is_documented_columns(self, tmp_path, argv, name, header):
+        started = time.monotonic()
         assert run([*argv, "--out", str(tmp_path)]) == 0
+        elapsed = time.monotonic() - started
         assert (tmp_path / f"{name}.csv").read_text().splitlines()[0] == header
         sidecar = json.loads((tmp_path / f"{name}.json").read_text())
         assert sidecar["files"] == [str(tmp_path / f"{name}.csv")]
+        assert 0.0 <= sidecar["wall_time_s"] <= elapsed
+        # no run here sets --samples: the commands that take it record its default
+        assert sidecar["config"].get("samples") == (
+            100000 if name in ("tail", "ratio", "mdp") else None)
 
     def test_certify_writes_only_its_sidecar(self, tmp_path):
         assert run(["certify", "--n", "1200", "--normalized", "--out", str(tmp_path)]) == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from mlde import conditions
+from mlde import cli, conditions
 from mlde.errors import ConfigError
 from mlde.model import (
     IncrementDistribution,
@@ -244,9 +244,10 @@ class TestCaches:
         # summing count * sigma^2 over the steps would not give V to the bit
         assert math.fsum(c * d.variance for d, c in specs[1].iid_parts()) == 1.0000000000000002
 
-    def test_moment_scan_once_per_law(self, monkeypatch):
+    def test_moment_scan_once_per_law(self, monkeypatch, tmp_path):
         # certify takes each step law's moment scan once, so a spec's second
-        # certificate scans no moment
+        # certificate scans no moment; a command builds each n's spec once, so
+        # its rows and its sidecar certify the same two step laws
         calls = []
         real = conditions._moments
         monkeypatch.setattr(conditions, "_moments", lambda d: calls.append(d) or real(d))
@@ -257,6 +258,13 @@ class TestCaches:
                 first = conditions.certify(spec)
                 assert conditions.certify(spec) == first
                 assert calls == [d for d, _ in spec.iid_parts()]
+        rad = ["--model", "rademacher", "--normalized", "--n", "10", "--n-list", "100,1000"]
+        for argv in (["clt-rate", *rad], ["conjugate-clt", *rad, "--lambda", "0,0.5,1"],
+                     ["mdp", "--model", "gaussian", "--normalized", "--n", "10", "--x", "1",
+                      "--n-list", "100,1000", "--samples", "1000", "--seed", "1"]):
+            calls.clear()
+            assert cli.run([*argv, "--out", str(tmp_path)]) == 0
+            assert len(calls) == 2, argv
 
 
 class TestSpecConfig:

@@ -1605,6 +1605,11 @@ def parts_bruteforce_ks(spec, lam):
     return sup
 
 
+def recentred_ks(spec, lam):
+    """The exact KS distance of X_n - B_n(lam) under the lam-tilted law."""
+    return spec.ks(lam, tilting.drift_process(spec, lam))
+
+
 class TestTwoPartKs:
     """The KS of a variance-switching spec reads the two parts' tilted laws
     folded into the sorted law of X_n."""
@@ -1615,7 +1620,7 @@ class TestTwoPartKs:
         for base, n, rho, lam in itertools.product(
                 (RADEMACHER, THREE_POINT), (4, 6), (0.5, 0.6), (0.0, 0.7)):
             spec = MartingaleSpec.variance_switching(base, n=n, rho=rho)
-            got = montecarlo._recentred_lattice_ks(spec, lam)
+            got = recentred_ks(spec, lam)
             assert got == pytest.approx(parts_bruteforce_ks(spec, lam), abs=1e-13), (n, rho, lam)
 
     def test_rho_zero_is_the_iid_law(self):
@@ -1624,8 +1629,8 @@ class TestTwoPartKs:
         # n = 2046
         for n, lam in itertools.product((2, 10, 100, 700, 2046), (0.0, 0.5, 2.0)):
             spec = MartingaleSpec.variance_switching(RADEMACHER, n=n, rho=0.0)
-            want = montecarlo._recentred_lattice_ks(rademacher_spec(n), lam)
-            assert montecarlo._recentred_lattice_ks(spec, lam) == pytest.approx(
+            want = recentred_ks(rademacher_spec(n), lam)
+            assert recentred_ks(spec, lam) == pytest.approx(
                 want, rel=1e-12), (n, lam)
 
     def test_rate_rows(self):
@@ -1717,7 +1722,7 @@ class TestTwoPointKs:
             want, cdf = full_range_ks(spec, lam)
             gap = float(np.max(np.abs(reader_cdf(spec, lam) - cdf)))
             assert gap <= 64 * EPS, (spec.n, lam)
-            got = montecarlo._recentred_lattice_ks(spec, lam)
+            got = recentred_ks(spec, lam)
             assert abs(got - want) <= KS_TRIM + gap, (spec.n, lam)
 
     def test_narrow_law_at_lambda_50(self):
@@ -1732,7 +1737,7 @@ class TestTwoPointKs:
         values, _ = tilted_table(d, 50.0)
         below = n * values[0] + 98 * (values[1] - values[0]) - tilting.drift_process(spec, 50.0)
         assert bounds.gaussian_tail(-below) == pytest.approx(0.34, abs=0.01)
-        ks = montecarlo._recentred_lattice_ks(spec, 50.0)
+        ks = recentred_ks(spec, 50.0)
         assert ks == pytest.approx(0.4996377774644585, abs=1e-15)
         want, cdf = full_range_ks(spec, 50.0)
         assert abs(ks - want) <= KS_TRIM + float(np.max(np.abs(reader_cdf(spec, 50.0) - cdf)))
@@ -1929,6 +1934,27 @@ class TestThresholdGrid:
         assert builds_of(rademacher_spec(1600), [0.5 * k for k in range(1, 80)], "tilted") == \
             ["sum_law", "_Binomial"] * 2
 
+    def test_rows_at_the_retilt_bound(self, monkeypatch):
+        # Rademacher n = 1600 from x = 0.5: the re-tilt's log missed-mass bound,
+        # log(count + 1) + delta count top - max(delta a) - log sum pmf e^(delta a - max)
+        # less log(_TAU 2^1022), is 0 at x = 21.157.  The row at x = 21.15 lies about 0.19
+        # inside it and is re-tilted; the row at x = 21.17 lies about 0.34 outside it and
+        # is built.  Both margins are below log 2, and the log sum is about -560
+        spec, grid = rademacher_spec(1600), [0.5, 21.15, 21.17]
+        lams = montecarlo.saddlepoint_lambda(spec, np.array(grid)).tolist()
+        ((d, count),) = spec.iid_parts()
+        base, margins = d.sum_law(count, lams[0]), []
+        for delta in (lam - lams[0] for lam in lams[1:]):
+            e = delta * base.atoms
+            log_total = math.log(np.sum(base.pmf * np.exp(e - e.max())))
+            margins.append(math.log(count + 1) + delta * count * d.top - e.max() - log_total
+                           - math.log(model._TAU * 2.0**1022))
+        assert -math.log(2.0) < margins[0] < 0.0 < margins[1] < math.log(2.0), margins
+        builds = []
+        counted_builds(monkeypatch, builds)
+        ratio_experiment(spec, grid, "tilted", 20_000, 3)
+        assert [a[2] for name, a in builds if name == "sum_law"] == [lams[0], lams[2]]
+
     def test_retilt_within_tau(self):
         # against the exact law of the tilted step table at the row's tilt
         # (Fractions), a re-tilted law is within _TAU in L1 plus the relative
@@ -1949,13 +1975,14 @@ class TestThresholdGrid:
             parts = spec.iid_parts()
             base = [d.sum_law(count, lam_b) for d, count in parts]
             for lam in lams:
-                laws = montecarlo._retilted(parts, base, lam - lam_b)
+                laws = [d.retilted(count, law, lam - lam_b)
+                        for (d, count), law in zip(parts, base)]
                 for (d, count), law in zip(parts, laws):
                     want = exact_sum_law(d, tilted_table(d, lam)[1], count)
                     got = law_offsets(d, count, law)
                     l1 = sum(abs(got.get(i, 0) - q) for i, q in want.items())
                     reach = abs(lam - lam_b) * count * max(-d.values[0], d.values[-1])
-                    assert l1 <= montecarlo._TAU + (2 * count + reach + 4) * EPS, (spec, lam)
+                    assert l1 <= model._TAU + (2 * count + reach + 4) * EPS, (spec, lam)
                 if len(parts) > 1:
                     continue
                 (d, count), (law,) = parts[0], laws
@@ -1971,10 +1998,10 @@ class TestThresholdGrid:
                     log_bias = math.log(l1) + psi - lam * min(a for a, _ in above)
                     assert log_bias > 700 or abs(expected - tail) <= \
                         math.exp(log_bias) + 1e-12 * tail, (spec, lam, x)
-        spec = three_point_spec(20)
-        base = [spec.iid_parts()[0][0].sum_law(spec.iid_parts()[0][1], 300.0)]
-        assert np.count_nonzero(base[0].pmf < 2.0**-1022) >= 20
-        assert montecarlo._retilted(spec.iid_parts(), base, 1.0 - 300.0) is None
+        ((d, count),) = three_point_spec(20).iid_parts()
+        base = d.sum_law(count, 300.0)
+        assert np.count_nonzero(base.pmf < 2.0**-1022) >= 20
+        assert d.retilted(count, base, 1.0 - 300.0) is None
 
 
 class TestMdp:
